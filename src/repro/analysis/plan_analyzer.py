@@ -130,25 +130,6 @@ class PlanAnalyzer:
         #: the integration learner's :class:`SourceGraph`, when one exists;
         #: used to verify dependent joins against node binding patterns.
         self.graph = graph
-        #: when set (by :meth:`infer_schemas`), every node's derived output
-        #: schema is recorded here, keyed on ``id(node)``.
-        self._schemas: dict[int, Schema | None] | None = None
-
-    def infer_schemas(self, plan: Plan) -> dict[int, Schema | None]:
-        """Bottom-up output-schema inference for every node of *plan*.
-
-        Returns ``id(node) -> Schema`` (``None`` where inference failed:
-        unknown source, unregistered node type, schema error). Diagnostics
-        are discarded — this is the inference half of :meth:`check`, reused
-        by the columnar evaluator to precompile per-operator closures with
-        attribute positions resolved once per plan.
-        """
-        self._schemas = {}
-        try:
-            self._infer(plan, [], set())
-            return self._schemas
-        finally:
-            self._schemas = None
 
     def check(self, plan: Plan) -> AnalysisReport:
         """Analyze *plan*; returns every diagnostic found (never raises)."""
@@ -193,8 +174,6 @@ class PlanAnalyzer:
                 ))
             for child in plan.children():
                 self._infer(child, diags, leaves)
-            if self._schemas is not None:
-                self._schemas[id(plan)] = None
             return None
         if not is_registered(type(plan)):
             diags.append(Diagnostic(
@@ -203,10 +182,7 @@ class PlanAnalyzer:
                 f"fingerprint registered (repro.cache.fingerprint)",
                 operator=plan.describe(),
             ))
-        schema = checker(self, plan, diags, leaves)
-        if self._schemas is not None:
-            self._schemas[id(plan)] = schema
-        return schema
+        return checker(self, plan, diags, leaves)
 
     def _missing_attr(
         self, plan: Plan, name: str, schema: Schema, role: str

@@ -10,6 +10,11 @@ toggle layers without monkeypatching. Resolution order:
    ``REPRO_CACHE_PLAN=0`` / ``REPRO_CACHE_SERVICE=0`` /
    ``REPRO_CACHE_BLOCKING=0`` / ``REPRO_CACHE_SUGGESTIONS=0`` kill one.
 
+Capacities (entries) are env-overridable too: ``REPRO_CACHE_PLAN_CAPACITY``,
+``REPRO_CACHE_SERVICE_CAPACITY``, and for the evaluator's compiled-plan and
+scan-transpose memos ``REPRO_COLUMNAR_COMPILE_CAPACITY`` /
+``REPRO_COLUMNAR_SCAN_CAPACITY``.
+
 The flags are plain attributes on a process-wide singleton (:data:`CACHE`),
 mirroring how ``repro.obs`` exposes METRICS/TRACER: call sites pay one
 attribute read when deciding whether to consult a cache.
@@ -54,6 +59,10 @@ class CacheConfig:
         #: paper's scale and precision of invalidation does the real work.
         self.plan_capacity = int(os.environ.get("REPRO_CACHE_PLAN_CAPACITY", "512"))
         self.service_capacity = int(os.environ.get("REPRO_CACHE_SERVICE_CAPACITY", "2048"))
+        #: compiled-plan memo (closures per fingerprint × version) and
+        #: scan-transpose memo (column arrays per source × version).
+        self.compile_capacity = int(os.environ.get("REPRO_COLUMNAR_COMPILE_CAPACITY", "512"))
+        self.scan_capacity = int(os.environ.get("REPRO_COLUMNAR_SCAN_CAPACITY", "128"))
 
     def set_all(self, enabled: bool) -> None:
         for layer in self.LAYERS:

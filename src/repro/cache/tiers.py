@@ -5,11 +5,11 @@ One :class:`CacheTiers` bundle holds every memo an evaluation stack uses:
 - **plan** — the :class:`~repro.cache.plan_cache.PlanResultCache` of
   materialized subplan results (PR 2);
 - **analysis** — the static plan-analyzer report memo (PR 5);
-- **compile** / **scan** — the columnar engine's compiled-closure and
+- **compile** / **scan** — the evaluator's compiled-closure and
   scan-transpose memos (PR 6).
 
-Historically each evaluator/engine owned private instances of these. The
-server promotes one bundle to a *shared tier* consulted by every tenant:
+A standalone session owns a private bundle. The server promotes one bundle
+to a *shared tier* consulted by every tenant:
 keys fold in the catalog's ``cache_scope`` (see
 :meth:`repro.substrate.relational.catalog.Catalog.fork`), so tenants forked
 from one frozen base address the same entries — tenant A's compiled plan
@@ -22,7 +22,7 @@ The bundle also provides **single-flight** execution (:meth:`flight`): when
 N tenants concurrently miss on the same root plan, one computes while the
 rest wait and then hit, instead of all N redundantly computing under the
 GIL — without it, a cold start pays N× the work and the shared tier buys
-nothing.
+nothing. A private bundle has one caller, so its flights never contend.
 """
 
 from __future__ import annotations
@@ -31,31 +31,23 @@ from contextlib import contextmanager
 from typing import Hashable
 
 from ..analysis.concurrency.runtime import RACECHECK, TRACKER, make_lock
+from .config import CACHE
 from .lru import LRUCache
 from .plan_cache import PlanResultCache
 
 
 class CacheTiers:
-    """The full set of evaluation memos, optionally shared across sessions.
+    """The full set of evaluation memos, private or shared across sessions."""
 
-    ``shared=False`` (the default, and the only mode exercised with
-    ``REPRO_SERVER=0``) reproduces the historical per-evaluator layout
-    exactly: same capacities, same metrics prefixes, and :meth:`flight` is a
-    no-op. ``shared=True`` marks the bundle as a cross-tenant tier and turns
-    on single-flight keying.
-    """
-
-    def __init__(self, *, shared: bool = False):
+    def __init__(self):
         # Deferred: importing repro.analysis at module scope would cycle back
         # through repro.cache (plan_analyzer uses cache.fingerprint).
         from ..analysis.config import ANALYSIS
-        from ..substrate.relational.config import COLUMNAR
 
-        self.shared = shared
         self.plan = PlanResultCache()
         self.analysis = LRUCache(ANALYSIS.memo_capacity, metrics_prefix="analysis.memo")
-        self.compile = LRUCache(COLUMNAR.compile_capacity, metrics_prefix="columnar.compile")
-        self.scan = LRUCache(COLUMNAR.scan_capacity, metrics_prefix="columnar.scan")
+        self.compile = LRUCache(CACHE.compile_capacity, metrics_prefix="columnar.compile")
+        self.scan = LRUCache(CACHE.scan_capacity, metrics_prefix="columnar.scan")
         # Configured capacities, remembered so a brownout shrink can be
         # undone exactly (restore() after the load controller recovers).
         self._full_capacities = {
@@ -73,13 +65,8 @@ class CacheTiers:
         The first caller acquires a per-key lock and computes; later callers
         block on the same lock, and on waking re-probe the cache and hit.
         Locks are refcounted and dropped when the last flight on a key
-        lands, so the dict stays bounded by in-progress work. No-op when the
-        bundle is not shared — single-session evaluation stays lock-free on
-        this path.
+        lands, so the dict stays bounded by in-progress work.
         """
-        if not self.shared:
-            yield
-            return
         with self._flight_master:
             if RACECHECK.enabled:
                 TRACKER.note_access("CacheTiers._flights", self)
@@ -138,6 +125,5 @@ class CacheTiers:
         }
 
     def __repr__(self) -> str:
-        kind = "shared" if self.shared else "private"
         sizes = ", ".join(f"{name}={s['size']}" for name, s in self.stats().items())
-        return f"CacheTiers({kind}, {sizes})"
+        return f"CacheTiers({sizes})"

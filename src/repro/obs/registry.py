@@ -25,7 +25,7 @@ DECLARED_COUNTERS: dict[str, str] = {
     "analysis.plans_checked": "plans statically analyzed before evaluation",
     "analysis.errors": "error diagnostics raised by the plan analyzer",
     "analysis.warnings": "warning diagnostics emitted by the plan analyzer",
-    "analysis.cache_gate_rejections": "plan-cache admissions refused (fingerprint field gap)",
+    "analysis.cache_gate_rejections": "plan/compile cache admissions refused (fingerprint field gap)",
     "analysis.fingerprint_unregistered": "fingerprint lookups on unregistered plan nodes",
     "analysis.memo.hits": "plan-analysis memo hits",
     "analysis.memo.misses": "plan-analysis memo misses",
@@ -33,8 +33,7 @@ DECLARED_COUNTERS: dict[str, str] = {
     # -- cache -------------------------------------------------------------
     "cache.blocking.joins": "record-link joins routed through token blocking",
     # -- columnar (batch execution) ----------------------------------------
-    "columnar.plans": "plans executed by the columnar engine",
-    "columnar.fallbacks": "plans sent down the row path (unsupported shape)",
+    "columnar.plans": "plans executed by the evaluator",
     "columnar.compile.hits": "columnar compile-memo hits",
     "columnar.compile.misses": "columnar compile-memo misses",
     "columnar.compile.evictions": "columnar compile-memo evictions",

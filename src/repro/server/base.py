@@ -27,7 +27,7 @@ class SharedBase:
     def __init__(self, catalog: Catalog | None = None):
         self.catalog = catalog if catalog is not None else Catalog()
         self.catalog.freeze()
-        self.tiers = CacheTiers(shared=True)
+        self.tiers = CacheTiers()
 
     def fork_catalog(self) -> Catalog:
         """A copy-on-write tenant view of the frozen base catalog."""

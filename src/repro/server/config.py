@@ -1,7 +1,7 @@
 """Session-server configuration: one process-wide switch set.
 
 Mirrors the other layers' config singletons (:mod:`repro.cache.config`,
-:mod:`repro.substrate.relational.config`, …): plain attributes on
+:mod:`repro.resilience.config`, …): plain attributes on
 :data:`SERVER`, programmatic overrides for tests and benchmarks
 (:meth:`ServerConfig.disabled`, :meth:`ServerConfig.overridden`), and
 environment variables read once at import:

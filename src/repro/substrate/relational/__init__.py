@@ -18,8 +18,7 @@ from .algebra import (
 from .aggregates import AGGREGATES, AggSpec, GroupBy
 from .catalog import Catalog, SourceMetadata
 from .columns import ColumnBatch
-from .config import COLUMNAR
-from .evaluator import ColumnarEngine, Evaluator, Result
+from .evaluator import Evaluator, Result
 from .predicates import (
     And,
     AttrCompare,
@@ -60,10 +59,10 @@ from .schema import (
 )
 
 __all__ = [
-    "ANY", "BUILTIN_TYPES", "CITY", "COLUMNAR", "CURRENCY", "DATE", "LATITUDE", "LONGITUDE",
+    "ANY", "BUILTIN_TYPES", "CITY", "CURRENCY", "DATE", "LATITUDE", "LONGITUDE",
     "NAME", "NULL", "NUMBER", "PHONE", "PLACE", "STATE", "STREET", "TEXT", "URL", "ZIPCODE",
     "AGGREGATES", "AggSpec", "And", "AttrCompare", "Attribute", "BindingPattern", "Catalog",
-    "ColumnBatch", "ColumnarEngine", "Compare",
+    "ColumnBatch", "Compare",
     "GroupBy",
     "Contains", "DependentJoin", "Distinct", "Evaluator", "IsNull", "Join",
     "Limit", "Not", "NotNull", "Or", "Plan", "Predicate", "Project",
@@ -74,13 +73,12 @@ __all__ = [
 
 
 def columnar_stats_line(metrics=None) -> str:
-    """One-line summary of the columnar counters (``--trace`` output)."""
+    """One-line summary of the evaluator's counters (``--trace`` output)."""
     from ...obs import METRICS
     from ...util.text import INTERN, normalize_cache_stats
 
     m = metrics or METRICS
     plans = int(m.counter_value("columnar.plans"))
-    fallbacks = int(m.counter_value("columnar.fallbacks"))
     compile_hits = int(m.counter_value("columnar.compile.hits"))
     compile_misses = int(m.counter_value("columnar.compile.misses"))
     scan_hits = int(m.counter_value("columnar.scan.hits"))
@@ -89,13 +87,10 @@ def columnar_stats_line(metrics=None) -> str:
     if m.enabled:
         m.gauge("columnar.intern.size", float(len(INTERN)))
         m.gauge("text.normalize.eviction_rate", normalize["eviction_rate"])
-    line = (
-        f"columnar: plans {plans} · fallbacks {fallbacks} · "
+    return (
+        f"columnar: plans {plans} · "
         f"compile {compile_hits}/{compile_hits + compile_misses} hits · "
         f"scan {scan_hits}/{scan_hits + scan_misses} hits · "
         f"interned {len(INTERN)} · "
         f"normalize evict rate {normalize['eviction_rate']:.3f}"
     )
-    if not COLUMNAR.enabled:
-        line += " · disabled"
-    return line

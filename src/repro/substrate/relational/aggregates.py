@@ -12,13 +12,12 @@ how-provenance is the product of the contributing variables).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from ...errors import EvaluationError
 from ...provenance.expressions import Provenance, times
 from .algebra import Plan
 from .catalog import Catalog
-from .rows import Row
 from .schema import ANY, NUMBER, Attribute, Schema
 
 
@@ -131,41 +130,14 @@ class GroupBy(Plan):
         return f"GroupBy[{keys}; {aggs}]"
 
 
-def evaluate_groupby(
-    plan: GroupBy,
-    child_rows: Iterable[tuple[Row, Provenance]],
-    catalog: Catalog,
-) -> list[tuple[Row, Provenance]]:
-    """Evaluator hook for :class:`GroupBy` (wired into the Evaluator)."""
-    schema = plan.output_schema(catalog)
-    groups: dict[tuple, list[tuple[Row, Provenance]]] = {}
-    order: list[tuple] = []
-    for row, prov in child_rows:
-        key = tuple(row[k] for k in plan.keys)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append((row, prov))
-    out: list[tuple[Row, Provenance]] = []
-    for key in order:
-        members = groups[key]
-        values = list(key)
-        for spec in plan.aggregates:
-            column = [row[spec.attribute] for row, _ in members]
-            values.append(AGGREGATES[spec.fn](column))
-        prov = times(*(member_prov for _, member_prov in members))
-        out.append((Row(schema, values), prov))
-    return out
-
-
 def evaluate_groupby_columnar(plan: GroupBy, child, schema: Schema):
     """Batch-at-a-time :class:`GroupBy` over a columnar child batch.
 
     Groups by gathering directly from the child's column arrays (no Row
     allocation, attribute positions resolved once) and produces output
-    columns in place. Semantics — group order (first appearance), member
-    order, aggregate values, and the ⊗-combined provenance per group —
-    match :func:`evaluate_groupby` exactly.
+    columns in place. Groups keep their first-appearance order and
+    members their input order; each group's provenance is the ⊗ of its
+    members'.
     """
     from .columns import ColumnBatch
 

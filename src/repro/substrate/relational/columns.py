@@ -1,13 +1,13 @@
 """Columnar batches: per-column value arrays for batch-at-a-time evaluation.
 
-The row-at-a-time evaluator allocates a :class:`~repro.substrate.relational.
-rows.Row` per tuple per operator and resolves attribute positions through a
-dict on every access. A :class:`ColumnBatch` stores the same annotated
-relation transposed — one plain Python list per attribute, plus a parallel
-list of provenance expressions — so operators move whole columns with list
-comprehensions (C-speed loops), projections become list picks, and renames
-are free. Rows are materialized exactly once, at the batch → ``Result``
-boundary.
+A row-at-a-time evaluator would allocate a :class:`~repro.substrate.
+relational.rows.Row` per tuple per operator and resolve attribute positions
+through a dict on every access. A :class:`ColumnBatch` stores the same
+annotated relation transposed — one plain Python list per attribute, plus a
+parallel list of provenance expressions — so operators move whole columns
+with list comprehensions (C-speed loops), projections become list picks,
+and renames are free. Rows are materialized exactly once, at the batch →
+``Result`` boundary.
 
 Batches are immutable by contract: operators never mutate a column list in
 place, so columns (and whole batches, via the scan-transpose and plan
@@ -20,7 +20,6 @@ from typing import Any, Iterable, Sequence
 
 from ...provenance.expressions import Provenance, Var
 from ...util.text import INTERN
-from .config import COLUMNAR
 from .rows import Row, TupleId
 from .schema import Schema
 
@@ -75,8 +74,7 @@ class ColumnBatch:
             columns = [list(col) for col in zip(*[row.values for row in rows])]
         else:
             columns = [[] for _ in schema.names]
-        if COLUMNAR.intern:
-            columns = [INTERN.intern_all(column) for column in columns]
+        columns = [INTERN.intern_all(column) for column in columns]
         provs: list[Provenance] = [
             Var(TupleId(source, index)) for index in range(len(rows))
         ]

@@ -7,10 +7,10 @@ tests can assert on their structure.
 Each predicate additionally *compiles* against a schema into a columnar
 mask function (:func:`compile_predicate`): attribute positions are resolved
 once, and evaluation runs a list comprehension over whole column arrays
-instead of per-row ``matches`` dispatch. Compiled masks replicate the
-row-at-a-time semantics exactly — ``None`` operands compare false, and an
-incomparable pair (``TypeError``) is false rather than an error — so the
-columnar evaluator is bit-for-bit interchangeable with the row path.
+instead of per-row ``matches`` dispatch. Compiled masks replicate
+``matches`` exactly — ``None`` operands compare false, and an incomparable
+pair (``TypeError``) is false rather than an error — so a mask agrees
+bit-for-bit with calling ``matches`` on every row.
 """
 
 from __future__ import annotations
@@ -188,12 +188,12 @@ TRUE = And(())  # vacuous conjunction
 # -- columnar compilation -----------------------------------------------------
 #
 # Exact-type dispatch (a subclass may override ``matches`` arbitrarily, so
-# only the known leaf types compile; anything else sends the whole plan
-# down the row-at-a-time path).
+# only the known leaf types compile; the evaluator runs anything else
+# through ``matches`` row by row).
 
 
 def _safe_op_mask(column: list[Any], op: Callable[[Any, Any], bool], const: Any) -> list[bool]:
-    """``[op(v, const)]`` with row-path semantics: None/TypeError -> False.
+    """``[op(v, const)]`` with ``matches`` semantics: None/TypeError -> False.
 
     Tries one C-speed comprehension first; a TypeError anywhere falls back
     to a per-element loop so partially-comparable columns still evaluate.
@@ -358,10 +358,9 @@ def compile_predicate(predicate: Predicate, schema: Schema) -> MaskFn | None:
 
     Returns ``None`` when the tree is not compilable — an unknown predicate
     subclass (its overridden ``matches`` cannot be vectorized), or an
-    attribute the schema lacks (the row path surfaces that error lazily,
-    only when a row is actually evaluated, so the caller must fall back
-    rather than raise eagerly). Callers send such plans down the
-    row-at-a-time path.
+    attribute the schema lacks (``matches`` surfaces that error lazily, only
+    when a row is actually evaluated, so compilation must not raise
+    eagerly). The evaluator then calls ``matches`` row by row.
     """
     from ...errors import UnknownAttributeError
 

@@ -10,7 +10,8 @@ Contracts under test:
 - **deadline propagation** — ``submit(deadline_ms=...)`` starts the
   budget at submission (queue wait counts); an expired request is shed
   at dequeue without running, one that expires mid-run aborts at the
-  next cooperative checkpoint (evaluator node/dependent-join loops);
+  next cooperative checkpoint (evaluator run, dependent-join and
+  record-link loops);
   durable recorded actions are shielded — once admitted they run to
   completion;
 - **fairness** — the deficit-round-robin drain yields the worker after
@@ -51,7 +52,15 @@ from repro.server import (
     overload_stats_line,
     shielded_deadline,
 )
-from repro.substrate.relational import Catalog, Relation, Scan, schema_of
+from repro.substrate.relational import (
+    Catalog,
+    Evaluator,
+    RecordLinkJoin,
+    Relation,
+    RowLinker,
+    Scan,
+    schema_of,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -276,6 +285,33 @@ class TestDeadlinePropagation:
         assert err.value.checkpoint == "evaluator.run"
         # The session survives cancellation: same query runs clean after.
         assert len(session.engine.run(Scan("Cities"))) == 6
+
+    def test_record_link_join_polls_the_deadline(self):
+        # A linker that spends the budget on its first score: the join must
+        # stop at the next 64-row poll instead of scoring the whole cross.
+        now = [0.0]
+
+        class ClockLinker(RowLinker):
+            calls = 0
+
+            def score(self, left, right):
+                ClockLinker.calls += 1
+                now[0] = 1.0
+                return 1.0
+
+        catalog = Catalog()
+        left = Relation("L", schema_of("Name"))
+        left.extend([[f"n{i}"] for i in range(200)])
+        right = Relation("R", schema_of("Alias"))
+        right.extend([["a"], ["b"]])
+        catalog.add_relation(left)
+        catalog.add_relation(right)
+        plan = RecordLinkJoin(Scan("L"), Scan("R"), ClockLinker())
+        with deadline_scope(Deadline(10.0, clock=lambda: now[0])):
+            with pytest.raises(RequestExpired) as err:
+                Evaluator(catalog).run(plan)
+        assert err.value.checkpoint == "evaluator.record_link"
+        assert ClockLinker.calls == 64 * 2  # rows 0..63 scored, then abort
 
 
 # ----------------------------------------------------------------- admission
@@ -592,7 +628,7 @@ class TestBrownout:
         ]
 
     def test_tier_shrink_trims_and_restore_rebounds(self):
-        tiers = CacheTiers(shared=True)
+        tiers = CacheTiers()
         full = tiers.plan.capacity
         for i in range(20):
             tiers.analysis.put(("k", i), i)

@@ -86,13 +86,16 @@ class TestCatalogFork:
 
 class TestCacheTiers:
     def test_private_tiers_flight_is_a_noop(self):
+        # One caller never contends, and a landed flight leaves no state.
         tiers = CacheTiers()
         with tiers.flight(("k", 1)):
             pass
-        assert not tiers.shared
+        with tiers.flight(("k", 1)):
+            pass
+        assert tiers._flights == {}
 
     def test_shared_flight_serializes_per_key(self):
-        tiers = CacheTiers(shared=True)
+        tiers = CacheTiers()
         with tiers.flight(("k", 1)):
             # A different key must not deadlock while "k" is in flight.
             with tiers.flight(("other", 2)):
@@ -100,7 +103,7 @@ class TestCacheTiers:
         assert tiers.stats()["plan"]["size"] == 0
 
     def test_stats_shape(self):
-        stats = CacheTiers(shared=True).stats()
+        stats = CacheTiers().stats()
         assert set(stats) == {"plan", "analysis", "compile", "scan"}
 
 
@@ -373,7 +376,6 @@ class TestServerDisabled:
                 assert future.result() == 6
                 session = manager.session("a")
                 assert session.engine._evaluator.tiers is not manager.base.tiers
-                assert not session.engine._evaluator.tiers.shared
                 assert manager._pool is None
 
     def test_disabled_matches_plain_session(self):
