@@ -59,12 +59,16 @@ def cache_stats_line(metrics=None) -> str:
     reused = int(m.counter_value("session.suggestions_reused"))
     blocked = int(m.counter_value("cache.blocking.joins"))
     pairs_pruned = int(m.counter_value("cache.blocking.pairs_pruned"))
+    types_hits = int(m.counter_value("types.recognize_memo.hits"))
+    types_misses = int(m.counter_value("types.recognize_memo.misses"))
+    types_evictions = int(m.counter_value("types.recognize_memo.evictions"))
     off = [layer for layer, on in CACHE.snapshot().items() if not on]
     line = (
         f"cache: plan {plan_hits}h/{plan_misses}m/{plan_evictions}e · "
         f"service {service_hits}h/{service_misses}m · "
         f"suggestions reused {reused} · "
-        f"blocking {blocked} joins ({pairs_pruned} pairs pruned)"
+        f"blocking {blocked} joins ({pairs_pruned} pairs pruned) · "
+        f"types {types_hits}h/{types_misses}m/{types_evictions}e"
     )
     if off:
         line += " · disabled: " + ",".join(off)

@@ -192,7 +192,7 @@ def type_learner_from_dict(
         learned = LearnedType(
             SemanticType(entry["name"], entry.get("parent")), signature
         )
-        learner._types[learned.name] = learned  # noqa: SLF001 - rehydration
+        learner.add(learned)
     return learner
 
 

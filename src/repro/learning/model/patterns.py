@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from ...util.text import normalize, tokenize
-from .tokens import LEVEL_CLASS, LEVEL_KIND, mixed_symbols, value_symbols
+from .tokens import LEVEL_CLASS, LEVEL_KIND, symbolize
 
 Pattern = tuple[str, ...]
 
@@ -55,32 +56,48 @@ class PatternDistribution:
         items = tuple(sorted(counter.items(), key=lambda kv: (-kv[1], kv[0])))
         return PatternDistribution(counts=items, total=sum(counter.values()))
 
-    def as_dict(self) -> dict[Pattern, float]:
+    # The mass dict, its norm and the pattern set are computed once per
+    # distribution: a learned type is scored against every pasted column,
+    # and a column's class and kind levels against every learned type. They
+    # stay private, so no caller can mutate a learned signature through them.
+    @cached_property
+    def _mass(self) -> dict[Pattern, float]:
         if self.total == 0:
             return {}
         return {pattern: count / self.total for pattern, count in self.counts}
+
+    @cached_property
+    def _norm(self) -> float:
+        return math.sqrt(sum(v * v for v in self._mass.values()))
+
+    @cached_property
+    def _known(self) -> frozenset[Pattern]:
+        return frozenset(pattern for pattern, _ in self.counts)
+
+    def as_dict(self) -> dict[Pattern, float]:
+        """The normalized histogram, as a fresh dict the caller may keep."""
+        return dict(self._mass)
 
     def top(self, k: int = 5) -> list[Pattern]:
         return [pattern for pattern, _ in self.counts[:k]]
 
     def cosine(self, other: "PatternDistribution") -> float:
         """Cosine similarity between the two normalized histograms."""
-        a = self.as_dict()
-        b = other.as_dict()
+        a = self._mass
+        b = other._mass
         if not a or not b:
             return 0.0
         dot = sum(a[p] * b.get(p, 0.0) for p in a)
-        norm_a = math.sqrt(sum(v * v for v in a.values()))
-        norm_b = math.sqrt(sum(v * v for v in b.values()))
+        norm_a = self._norm
+        norm_b = other._norm
         if norm_a == 0 or norm_b == 0:
             return 0.0
         return dot / (norm_a * norm_b)
 
     def coverage(self, other: "PatternDistribution") -> float:
         """Fraction of *other*'s mass whose patterns were seen in training."""
-        known = {pattern for pattern, _ in self.counts}
-        b = other.as_dict()
-        return sum(mass for pattern, mass in b.items() if pattern in known)
+        known = self._known
+        return sum(mass for pattern, mass in other._mass.items() if pattern in known)
 
     def chi_square_statistic(self, observed: "PatternDistribution") -> float:
         """Chi-square statistic of *observed* counts vs this expected dist.
@@ -88,7 +105,7 @@ class PatternDistribution:
         Unseen-pattern mass is pooled into a single smoothed "other" cell so
         novel patterns penalize but do not produce infinities.
         """
-        expected = self.as_dict()
+        expected = self._mass
         if not expected or observed.total == 0:
             return float("inf")
         smoothing = 0.5
@@ -102,6 +119,50 @@ class PatternDistribution:
                 other_observed += count
         statistic += other_observed**2 / smoothing if other_observed else 0.0
         return statistic
+
+
+class ColumnProfile:
+    """The type-independent view of one column, tokenized once.
+
+    A value's tokens, its class- and kind-level symbols and the column's
+    histograms over them do not depend on which type the column is scored
+    against; only the mixed level does, because it keeps that type's
+    constants verbatim. Recognition builds one profile per column and scores
+    every learned type against it, deriving each type's mixed level from
+    the cached tokens.
+    """
+
+    __slots__ = (
+        "values", "tokens", "class_symbols", "class_level", "kind_level",
+        "token_counts", "n_tokens", "normalized",
+    )
+
+    def __init__(self, values: Sequence[str]):
+        self.values = [str(value) for value in values]
+        self.tokens = [tokenize(value) for value in self.values]
+        self.class_symbols = [
+            tuple(symbolize(token, LEVEL_CLASS) for token in tokens) for tokens in self.tokens
+        ]
+        self.class_level = PatternDistribution.from_patterns(self.class_symbols)
+        self.kind_level = PatternDistribution.from_patterns(
+            tuple(symbolize(token, LEVEL_KIND) for token in tokens) for tokens in self.tokens
+        )
+        #: surface text -> occurrences over every value's tokens
+        self.token_counts = Counter(token.text for tokens in self.tokens for token in tokens)
+        self.n_tokens = sum(self.token_counts.values())
+        self.normalized = [normalize(value) for value in self.values]
+
+    def mixed_level(self, constants: frozenset[str]) -> PatternDistribution:
+        """The mixed-level histogram: class symbols, *constants* kept verbatim."""
+        if constants.isdisjoint(self.token_counts):
+            return self.class_level  # no token is a constant: the levels coincide
+        return PatternDistribution.from_patterns(
+            tuple(
+                f"CONST:{token.text}" if token.text in constants else symbol
+                for token, symbol in zip(tokens, symbols)
+            )
+            for tokens, symbols in zip(self.tokens, self.class_symbols)
+        )
 
 
 @dataclass(frozen=True)
@@ -118,26 +179,17 @@ class TypeSignature:
 
     @staticmethod
     def from_values(values: Sequence[str]) -> "TypeSignature":
-        values = [str(value) for value in values]
-        constants = learn_constants(values)
-        mixed = PatternDistribution.from_patterns(
-            mixed_symbols(value, constants) for value in values
-        )
-        class_level = PatternDistribution.from_patterns(
-            value_symbols(value, LEVEL_CLASS) for value in values
-        )
-        kind_level = PatternDistribution.from_patterns(
-            value_symbols(value, LEVEL_KIND) for value in values
-        )
-        lengths = [len(value) for value in values] or [0]
+        profile = ColumnProfile(values)
+        constants = learn_constants(profile.values)
+        lengths = [len(value) for value in profile.values] or [0]
         return TypeSignature(
             constants=constants,
-            mixed=mixed,
-            class_level=class_level,
-            kind_level=kind_level,
-            n_values=len(values),
+            mixed=profile.mixed_level(constants),
+            class_level=profile.class_level,
+            kind_level=profile.kind_level,
+            n_values=len(profile.values),
             mean_length=sum(lengths) / len(lengths),
-            vocabulary=frozenset(normalize(value) for value in values),
+            vocabulary=frozenset(profile.normalized),
         )
 
     @property
@@ -173,29 +225,23 @@ class TypeSignature:
         )
 
     def similarity(self, values: Sequence[str]) -> float:
-        """Score how well a candidate column matches this type, in [0, 1].
+        """Score how well a candidate column matches this type, in [0, 1]."""
+        return self.score(ColumnProfile(values))
+
+    def score(self, profile: ColumnProfile) -> float:
+        """:meth:`similarity` against an already tokenized column.
 
         Blends cosine similarity at the three levels (specific levels count
         more when they match) with training-pattern coverage.
         """
-        values = [str(value) for value in values]
-        if not values:
+        if not profile.values:
             return 0.0
-        candidate_mixed = PatternDistribution.from_patterns(
-            mixed_symbols(value, self.constants) for value in values
-        )
-        candidate_class = PatternDistribution.from_patterns(
-            value_symbols(value, LEVEL_CLASS) for value in values
-        )
-        candidate_kind = PatternDistribution.from_patterns(
-            value_symbols(value, LEVEL_KIND) for value in values
-        )
-        mixed_score = self.mixed.cosine(candidate_mixed)
-        class_score = self.class_level.cosine(candidate_class)
-        kind_score = self.kind_level.cosine(candidate_kind)
-        coverage = self.class_level.coverage(candidate_class)
-        const_hits = self.constant_hit_rate(values)
-        vocab_score = self.vocabulary_score(values)
+        mixed_score = self.mixed.cosine(profile.mixed_level(self.constants))
+        class_score = self.class_level.cosine(profile.class_level)
+        kind_score = self.kind_level.cosine(profile.kind_level)
+        coverage = self.class_level.coverage(profile.class_level)
+        const_hits = self.constant_hit_rate(profile)
+        vocab_score = self.vocabulary_score(profile)
         # For closed vocabularies, membership is stronger evidence than the
         # exact histogram over members (which shifts from source to source),
         # so weight shifts from the mixed-pattern cosine to vocabulary.
@@ -210,7 +256,7 @@ class TypeSignature:
         )
         return max(0.0, min(1.0, score))
 
-    def vocabulary_score(self, values: Sequence[str]) -> float:
+    def vocabulary_score(self, profile: ColumnProfile) -> float:
         """Vocabulary evidence for the candidate column, in [0, 1].
 
         For a *closed* training vocabulary (high :attr:`closedness`) the
@@ -222,13 +268,12 @@ class TypeSignature:
         closed = self.closedness
         if closed < 0.75:
             return 0.5
-        values = [str(value) for value in values]
-        if not values:
+        if not profile.values:
             return 0.0
-        hits = sum(1 for value in values if normalize(value) in self.vocabulary)
-        return min(1.0, (hits / len(values)) / closed)
+        hits = sum(1 for value in profile.normalized if value in self.vocabulary)
+        return min(1.0, (hits / len(profile.values)) / closed)
 
-    def constant_hit_rate(self, values: Sequence[str]) -> float:
+    def constant_hit_rate(self, profile: ColumnProfile) -> float:
         """Fraction of candidate tokens drawn from the learned constant set.
 
         Closed-vocabulary types (cities, states, street suffixes) learn their
@@ -236,15 +281,12 @@ class TypeSignature:
         is strong evidence for the type, and distinguishes e.g. ``PR-City``
         from ``PR-Name`` when both share the CapWord-CapWord shape.
         """
-        if not self.constants:
+        if not self.constants or not profile.n_tokens:
             return 0.0
-        total = hits = 0
-        for value in values:
-            for token in tokenize(str(value)):
-                total += 1
-                if token.text in self.constants:
-                    hits += 1
-        return hits / total if total else 0.0
+        hits = sum(
+            count for text, count in profile.token_counts.items() if text in self.constants
+        )
+        return hits / profile.n_tokens
 
 
 def _merge(a: PatternDistribution, b: PatternDistribution) -> PatternDistribution:

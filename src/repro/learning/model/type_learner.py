@@ -14,14 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+from ...cache.lru import LRUCache
 from ...errors import LearningError
 from ...obs import METRICS, TRACER
 from ...substrate.relational.schema import SemanticType
 from ...util.text import clean_cell
-from .patterns import TypeSignature
+from .patterns import ColumnProfile, TypeSignature
+
+#: Whole-column recognition results each learner keeps (least recently used
+#: evicted first). A Figure-3 journey recognizes about 20 distinct columns.
+RECOGNIZE_MEMO_CAPACITY = 256
 
 
-@dataclass
+@dataclass(frozen=True)
 class LearnedType:
     """A semantic type plus its learned pattern signature."""
 
@@ -45,11 +50,19 @@ class TypeHypothesis:
 
 
 class SemanticTypeLearner:
-    """Registry + learner + recognizer for semantic types."""
+    """Registry + learner + recognizer for semantic types.
+
+    Recognition is memoised per learner on (cleaned column, registry
+    version); every change to the registry bumps the version, so a memo
+    entry never outlives the types it scored. The memo holds every type's
+    score, so ``recognition_threshold`` and ``top_k`` apply after lookup.
+    """
 
     def __init__(self, recognition_threshold: float = 0.5):
         self._types: dict[str, LearnedType] = {}
         self.recognition_threshold = recognition_threshold
+        self._version = 0
+        self._memo = LRUCache(RECOGNIZE_MEMO_CAPACITY, metrics_prefix="types.recognize_memo")
 
     # -- learning phase -----------------------------------------------------
     def learn(self, semantic_type: SemanticType | str, values: Sequence[str]) -> LearnedType:
@@ -83,11 +96,17 @@ class SemanticTypeLearner:
                 span.set("values", len(values))
                 span.set("refined", existing is not None)
         METRICS.inc("types.learn_calls")
-        self._types[semantic_type.name] = learned
+        self.add(learned)
         return learned
+
+    def add(self, learned: LearnedType) -> None:
+        """Register *learned*, replacing any type of the same name."""
+        self._types[learned.name] = learned
+        self._version += 1
 
     def forget(self, name: str) -> None:
         self._types.pop(name, None)
+        self._version += 1
 
     def known_types(self) -> list[str]:
         return sorted(self._types)
@@ -116,19 +135,33 @@ class SemanticTypeLearner:
             return []
         METRICS.inc("types.recognize_calls")
         with METRICS.timer("types.recognize_ms"):
-            hypotheses = [
-                TypeHypothesis(learned.semantic_type, learned.signature.similarity(values))
-                for learned in self._types.values()
-            ]
+            ranked = self._ranked(values)
         hypotheses = [
             hypothesis
-            for hypothesis in hypotheses
+            for hypothesis in ranked
             if hypothesis.score >= self.recognition_threshold
         ]
-        hypotheses.sort(key=lambda h: (-h.score, h.semantic_type.name))
         if top_k is not None:
             hypotheses = hypotheses[:top_k]
         return hypotheses
+
+    def _ranked(self, values: list[str]) -> tuple[TypeHypothesis, ...]:
+        """Every learned type's hypothesis for cleaned *values*, best first."""
+        key = (tuple(values), self._version)
+        ranked = self._memo.get(key)
+        if ranked is None:
+            profile = ColumnProfile(values)
+            ranked = tuple(
+                sorted(
+                    (
+                        TypeHypothesis(learned.semantic_type, learned.signature.score(profile))
+                        for learned in self._types.values()
+                    ),
+                    key=lambda h: (-h.score, h.semantic_type.name),
+                )
+            )
+            self._memo.put(key, ranked)
+        return ranked
 
     def best_type(self, values: Sequence[str]) -> SemanticType | None:
         """The top hypothesis's type, or None below threshold."""

@@ -103,6 +103,9 @@ DECLARED_COUNTERS: dict[str, str] = {
     "structure.generalize_calls": "generalize() calls on the structure learner",
     "types.learn_calls": "semantic-type learn calls",
     "types.recognize_calls": "semantic-type recognize calls",
+    "types.recognize_memo.hits": "recognize calls answered from the per-learner column memo",
+    "types.recognize_memo.misses": "recognize calls that scored the column against every type",
+    "types.recognize_memo.evictions": "per-learner recognize memo evictions",
     # -- resilience ----------------------------------------------------------
     "resilience.backend_errors": "unexpected backend exceptions converted to lookup failures",
     "resilience.backend_errors.*": "unexpected backend exceptions by exception type",

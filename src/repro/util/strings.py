@@ -13,23 +13,43 @@ from .text import normalize, token_strings
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Edit distance between *a* and *b* (insert/delete/substitute, cost 1)."""
+    """Edit distance between *a* and *b* (insert/delete/substitute, cost 1).
+
+    Myers' bit-parallel algorithm in Hyyrö's formulation: one column of the
+    dynamic-programming matrix is held as two bit vectors of vertical +1/-1
+    deltas over the shorter string, so each character of the longer string
+    costs a handful of integer operations instead of a pass over the
+    shorter one. Python ints are unbounded, so strings of any length fit
+    one vector. The result is exactly the textbook DP's.
+    """
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, char_a in enumerate(a, start=1):
-        current = [i]
-        for j, char_b in enumerate(b, start=1):
-            cost = 0 if char_a == char_b else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[-1]
+    m = len(b)
+    if m == 0:
+        return len(a)
+    peq: dict[str, int] = {}  # character -> bitmask of its positions in b
+    for i, char in enumerate(b):
+        peq[char] = peq.get(char, 0) | (1 << i)
+    mask = (1 << m) - 1
+    last = 1 << (m - 1)
+    pv, mv, distance = mask, 0, m
+    for char in a:
+        eq = peq.get(char, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            distance += 1
+        elif mh & last:
+            distance -= 1
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return distance
 
 
 def levenshtein_ratio(a: str, b: str) -> float:
@@ -41,38 +61,36 @@ def levenshtein_ratio(a: str, b: str) -> float:
 
 
 def jaro(a: str, b: str) -> float:
-    """Jaro similarity: transposition-aware matching within a sliding window."""
+    """Jaro similarity: transposition-aware matching within a sliding window.
+
+    Each character of *a* matches the first unmatched equal character of
+    *b* within the window; *b*'s positions are indexed by character, so
+    only equal characters are visited.
+    """
     if a == b:
         return 1.0
     len_a, len_b = len(a), len(b)
     if len_a == 0 or len_b == 0:
         return 0.0
-    window = max(len_a, len_b) // 2 - 1
-    window = max(window, 0)
-    matched_a = [False] * len_a
+    window = max(max(len_a, len_b) // 2 - 1, 0)
+    positions: dict[str, list[int]] = {}
+    for j, char in enumerate(b):
+        positions.setdefault(char, []).append(j)
     matched_b = [False] * len_b
-    matches = 0
+    matched_a: list[str] = []  # a's matched characters, in order
     for i, char in enumerate(a):
-        lo = max(0, i - window)
-        hi = min(len_b, i + window + 1)
-        for j in range(lo, hi):
-            if not matched_b[j] and b[j] == char:
-                matched_a[i] = True
-                matched_b[j] = True
-                matches += 1
+        for j in positions.get(char, ()):
+            if j > i + window:
                 break
+            if j >= i - window and not matched_b[j]:
+                matched_b[j] = True
+                matched_a.append(char)
+                break
+    matches = len(matched_a)
     if matches == 0:
         return 0.0
-    transpositions = 0
-    j = 0
-    for i in range(len_a):
-        if matched_a[i]:
-            while not matched_b[j]:
-                j += 1
-            if a[i] != b[j]:
-                transpositions += 1
-            j += 1
-    transpositions //= 2
+    in_b = [b[j] for j in range(len_b) if matched_b[j]]
+    transpositions = sum(1 for x, y in zip(matched_a, in_b) if x != y) // 2
     return (
         matches / len_a + matches / len_b + (matches - transpositions) / matches
     ) / 3.0

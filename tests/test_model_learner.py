@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
+from repro.cache import cache_stats_line
 from repro.errors import LearningError
+from repro.io import type_learner_from_dict, type_learner_to_dict
 from repro.learning.model import (
     LEVEL_CLASS,
     LEVEL_CONST,
@@ -19,6 +22,7 @@ from repro.learning.model import (
     seed_type_learner,
     value_symbols,
 )
+from repro.learning.model.type_learner import RECOGNIZE_MEMO_CAPACITY
 from repro.substrate.relational.schema import CITY, ZIPCODE
 from repro.substrate.relational import schema_of
 from repro.substrate.relational.schema import BindingPattern
@@ -110,6 +114,15 @@ class TestPatterns:
         assert closed.closedness > 0.9
         assert open_.closedness == 0.0
 
+    def test_as_dict_is_a_fresh_copy(self):
+        signature = TypeSignature.from_values([f"{100 + i} Oak St" for i in range(20)])
+        column = ["512 Oak St", "7 Oak Ave"]
+        before = (dict(signature.mixed.as_dict()), signature.similarity(column))
+        mutated = signature.mixed.as_dict()
+        mutated.clear()
+        mutated[("CONST:Elm",)] = 1.0
+        assert (signature.mixed.as_dict(), signature.similarity(column)) == before
+
     def test_merged_with_grows_counts(self):
         base = TypeSignature.from_values(["A Street"] * 3)
         merged = base.merged_with(["B Street"] * 2)
@@ -174,6 +187,104 @@ class TestTypeLearner:
         streets = [address.street for address in gaz.addresses[:15]]
         best = trained_types.best_type(streets)
         assert best is not None and best.name == "PR-Street"
+
+
+ZIPS = [f"{33000 + i:05d}" for i in range(30)]
+CITIES = ["Coconut Creek", "Oakland Park", "Margate"] * 8
+STREETS = [f"{100 + i} Oak St" for i in range(20)]
+CODES = [f"SHL-{i:04d}" for i in range(20)]
+COLUMN = ["Coconut Creek", "33063", "SHL-0001", "Margate", "12 Oak St"]
+
+
+def learner_from(steps, threshold: float = 0.5) -> SemanticTypeLearner:
+    """A learner built by replaying *steps*: ("learn", name, values) / ("forget", name)."""
+    learner = SemanticTypeLearner(recognition_threshold=threshold)
+    for step in steps:
+        if step[0] == "learn":
+            learner.learn(step[1], step[2])
+        else:
+            learner.forget(step[1])
+    return learner
+
+
+class TestRecognizeMemo:
+    BASE = [("learn", ZIPCODE, ZIPS), ("learn", CITY, CITIES), ("learn", "PR-Street", STREETS)]
+
+    def memoised(self, threshold: float = 0.5) -> SemanticTypeLearner:
+        learner = learner_from(self.BASE, threshold)
+        first = learner.recognize(COLUMN)
+        assert learner.recognize(COLUMN) == first
+        assert learner._memo.stats()["hits"] == 1  # noqa: SLF001
+        return learner
+
+    def test_returned_list_is_fresh_on_memo_hits(self):
+        learner = self.memoised(threshold=0.0)
+        expected = list(learner.recognize(COLUMN))
+        returned = learner.recognize(COLUMN)
+        returned.reverse()
+        returned.pop()
+        assert learner.recognize(COLUMN) == expected
+        assert learner.recognize(COLUMN, top_k=1) == expected[:1]
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            ("learn", "PR-ShelterCode", CODES),  # a new type
+            ("learn", CITY, ["Tamarac", "Coral Springs"] * 6),  # refining a type
+            ("forget", "PR-City"),
+        ],
+        ids=["learn-new", "refine", "forget"],
+    )
+    def test_registry_changes_invalidate(self, change):
+        learner = self.memoised(threshold=0.0)
+        stale = learner.recognize(COLUMN)
+        if change[0] == "learn":
+            learner.learn(change[1], change[2])
+        else:
+            learner.forget(change[1])
+        fresh = learner_from(self.BASE + [change], threshold=0.0)
+        for top_k in (None, 1, 3):
+            assert learner.recognize(COLUMN, top_k=top_k) == fresh.recognize(COLUMN, top_k=top_k)
+        assert learner.recognize(COLUMN) != stale
+
+    def test_threshold_change_applies_to_memoised_scores(self):
+        learner = self.memoised(threshold=0.5)
+        strict = learner.recognize(COLUMN)
+        learner.recognition_threshold = 0.0
+        loose = learner.recognize(COLUMN)
+        assert loose == learner_from(self.BASE, threshold=0.0).recognize(COLUMN)
+        assert len(loose) > len(strict)
+        learner.recognition_threshold = 0.5
+        assert learner.recognize(COLUMN) == strict
+
+    def test_rehydrated_types_invalidate(self):
+        learner = self.memoised()
+        donor = learner_from([("learn", "PR-ShelterCode", CODES)])
+        type_learner_from_dict(type_learner_to_dict(donor), into=learner)
+        fresh = learner_from(self.BASE + [("learn", "PR-ShelterCode", CODES)])
+        assert learner.recognize(COLUMN) == fresh.recognize(COLUMN)
+
+    def test_memo_is_bounded(self):
+        learner = learner_from(self.BASE)
+        extra = 3
+        for i in range(RECOGNIZE_MEMO_CAPACITY + extra):
+            learner.recognize([f"{i:05d}"])
+        stats = learner._memo.stats()  # noqa: SLF001
+        assert stats["size"] == RECOGNIZE_MEMO_CAPACITY
+        assert stats["evictions"] == extra
+
+    def test_memo_counters_reach_the_cache_line(self):
+        obs.reset()
+        obs.enable()
+        try:
+            learner = learner_from(self.BASE)
+            learner.recognize(COLUMN)
+            learner.recognize(COLUMN)
+            line = cache_stats_line()
+        finally:
+            obs.disable()
+            obs.reset()
+        assert "types 1h/1m/0e" in line
 
 
 class TestSourceDescription:
