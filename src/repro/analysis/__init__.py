@@ -6,14 +6,13 @@ silently-wrong cached results) to a deterministic static check:
 - **Level 1 — plan analyzer** (:mod:`~repro.analysis.plan_analyzer`):
   semantic checks over the ``Plan`` algebra against the catalog and
   source graph — schema/arity inference, binding-pattern satisfiability,
-  provenance soundness, blowup warnings, and fingerprint/dispatch
-  completeness (:mod:`~repro.analysis.fingerprint_check`). Wired into
-  :class:`repro.core.engine.QueryEngine` (every plan is checked before it
-  reaches the evaluator) and into plan-cache admission, behind the
-  env-tunable :data:`ANALYSIS` config.
+  provenance soundness, blowup warnings, and analyzer dispatch by class
+  name. Wired into :class:`repro.core.engine.QueryEngine` (every plan is
+  checked before it reaches the evaluator), behind the env-tunable
+  :data:`ANALYSIS` config.
 - **Level 2 — repo linter** (:mod:`~repro.analysis.lint`): an AST-based
-  lint pass enforcing repo-wide invariants (REPRO001–REPRO006), run by CI
-  as ``python -m repro.analysis.lint src/``.
+  lint pass enforcing repo-wide invariants (REPRO001–REPRO006; REPRO004
+  is retired), run by CI as ``python -m repro.analysis.lint src/``.
 - **Level 3 — concurrency pass** (:mod:`~repro.analysis.concurrency`):
   static lock-order/lockset analysis (CONC001–CONC005, ``python -m
   repro.analysis.concurrency src/``) plus the opt-in runtime race
@@ -36,8 +35,6 @@ _LAZY = {
     "Diagnostic": ".diagnostics",
     "PlanAnalyzer": ".plan_analyzer",
     "predicate_attributes": ".plan_analyzer",
-    "plan_subclasses": ".fingerprint_check",
-    "self_check": ".fingerprint_check",
 }
 
 __all__ = [
@@ -47,9 +44,7 @@ __all__ = [
     "Diagnostic",
     "PlanAnalyzer",
     "analysis_stats_line",
-    "plan_subclasses",
     "predicate_attributes",
-    "self_check",
 ]
 
 
@@ -78,12 +73,10 @@ def analysis_stats_line(metrics=None) -> str:
     memo_misses = int(m.counter_value("analysis.memo.misses"))
     errors = int(m.counter_value("analysis.errors"))
     warnings = int(m.counter_value("analysis.warnings"))
-    gate = int(m.counter_value("analysis.cache_gate_rejections"))
     line = (
         f"analysis: plans checked {checked} "
         f"(memo {memo_hits}h/{memo_misses}m) · "
-        f"errors {errors} warnings {warnings} · "
-        f"cache admissions refused {gate}"
+        f"errors {errors} warnings {warnings}"
     )
     if not ANALYSIS.enabled:
         line += " · disabled"

@@ -8,8 +8,6 @@ overridden`) and environment variables read once at import:
 
 - ``REPRO_ANALYSIS=0`` disables the static plan analyzer entirely (plans
   reach the evaluator unchecked, exactly as before this layer existed);
-- ``REPRO_ANALYSIS_GATE_CACHE=0`` keeps the analyzer but stops it from
-  gating plan-cache admission on fingerprint field coverage;
 - ``REPRO_ANALYSIS_MAX_LINK_PAIRS`` is the estimated cross-product size
   above which an unblocked record-link join draws a blowup warning;
 - ``REPRO_ANALYSIS_MAX_UNION_PARTS`` is the union width above which an
@@ -44,11 +42,8 @@ class AnalysisConfig:
 
     def __init__(self) -> None:
         #: master switch; off reproduces the pre-analysis behavior
-        #: bit-for-bit (no pre-execution checks, no admission gating).
+        #: bit-for-bit (no pre-execution checks).
         self.enabled = _env_flag("REPRO_ANALYSIS", True)
-        #: refuse plan-cache admission for nodes whose fingerprint does not
-        #: cover every dataclass field (two distinct plans could alias).
-        self.gate_cache = _env_flag("REPRO_ANALYSIS_GATE_CACHE", True)
         #: estimated left×right pair count above which an unblocked
         #: record-link join is flagged as a potential cartesian blowup.
         self.max_link_pairs = _env_int("REPRO_ANALYSIS_MAX_LINK_PAIRS", 250_000)
@@ -59,8 +54,7 @@ class AnalysisConfig:
 
     #: knobs :meth:`overridden` accepts (everything mutable above).
     KNOBS = (
-        "enabled", "gate_cache", "max_link_pairs", "max_union_parts",
-        "memo_capacity",
+        "enabled", "max_link_pairs", "max_union_parts", "memo_capacity",
     )
 
     @contextmanager
@@ -90,7 +84,7 @@ class AnalysisConfig:
     def __repr__(self) -> str:
         state = "on" if self.enabled else "off"
         return (
-            f"AnalysisConfig({state}, gate_cache={self.gate_cache}, "
+            f"AnalysisConfig({state}, "
             f"max_link_pairs={self.max_link_pairs}, "
             f"max_union_parts={self.max_union_parts})"
         )

@@ -17,8 +17,8 @@ Plan analyzer (``PLAN``):
   unbound by the dependent-join input map or the source-graph node);
 - ``PLAN004`` — provenance unsoundness (a leaf source unreachable from
   ``Plan.sources()``: some node overrides ``_collect_sources`` badly);
-- ``PLAN005`` — unregistered plan node type (no analyzer dispatch and/or
-  no complete fingerprint coverage);
+- ``PLAN005`` — unknown plan node type (no analyzer check for its class
+  name);
 - ``PLAN101`` — potential cartesian blowup (warning);
 - ``PLAN102`` — unbounded/over-wide union (warning);
 - ``PLAN103`` — degenerate operator parameter (warning: threshold that

@@ -1,7 +1,7 @@
-"""AST-based repo invariant linter (REPRO001–REPRO005).
+"""AST-based repo invariant linter (REPRO001–REPRO006; REPRO004 is retired).
 
-Run as ``python -m repro.analysis.lint src/`` (CI's ``lint-invariants``
-job), or programmatically::
+Run as ``python -m repro.analysis.lint src/`` (CI's ``lint`` job), or
+programmatically::
 
     from repro.analysis.lint import Linter
     diagnostics = Linter().run(["src"])

@@ -5,7 +5,7 @@ Rules are plain functions (see :mod:`repro.analysis.lint.rules`):
 - *file rules* take one parsed :class:`SourceFile` and yield
   :class:`~repro.analysis.diagnostics.Diagnostic` records;
 - *project rules* take the full file list (cross-file invariants such as
-  REPRO004's dispatch-completeness check).
+  REPRO006's ``@recorded``-method codec check).
 
 Suppression syntax: a trailing comment on the offending line —
 

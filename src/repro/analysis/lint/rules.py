@@ -1,4 +1,4 @@
-"""The repo invariant rules (REPRO001–REPRO006).
+"""The repo invariant rules (REPRO001–REPRO006; REPRO004 is retired).
 
 Each rule exists because an invariant was only ever enforced by
 convention across the obs/cache/resilience/drift layers:
@@ -14,18 +14,15 @@ convention across the obs/cache/resilience/drift layers:
 - **REPRO003** — no bare ``except:`` / ``except Exception`` whose body
   neither re-raises nor records the failure (log or metric). Swallowed
   exceptions were how stale-wrapper rows used to slip through.
-- **REPRO004** — every ``Plan`` subclass must be registered with both
-  the cache fingerprint table (``_register`` in ``fingerprint.py``) and
-  the analyzer dispatch (``_checks`` in ``plan_analyzer.py``).
 - **REPRO005** — no unseeded randomness or wall-clock reads in
   deterministic paths: module-level ``random.*`` calls, argless
   ``random.Random()``, ``time.time()``, and ``datetime.now()`` must go
   through :mod:`repro.util.rng` (or be suppressed with justification).
 - **REPRO006** — every ``@recorded`` method on ``CopyCatSession`` must
   have a registered encoder/applier pair in
-  :mod:`repro.durability.actions` (reflective, mirrors the fingerprint
-  completeness self-check): a decorated method without a codec logs
-  actions that crash write-ahead replay.
+  :mod:`repro.durability.actions` (reflective: it imports the codec
+  table): a decorated method without a codec logs actions that crash
+  write-ahead replay.
 
 Every diagnostic carries ``file:line``; see :mod:`~repro.analysis.lint.
 engine` for the suppression syntax.
@@ -174,72 +171,6 @@ def rule_overbroad_except(sf: SourceFile) -> Iterable[Diagnostic]:
             )
 
 
-# -- REPRO004: every Plan subclass is dispatch-registered ---------------------
-def _registration_calls(sf: SourceFile, fn_name: str) -> set[str]:
-    out: set[str] = set()
-    for node in ast.walk(sf.tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == fn_name
-            and node.args
-            and isinstance(node.args[0], ast.Name)
-        ):
-            out.add(node.args[0].id)
-    return out
-
-
-def rule_plan_dispatch(files: list[SourceFile]) -> Iterable[Diagnostic]:
-    fingerprint_files = [sf for sf in files if sf.name == "fingerprint.py"]
-    analyzer_files = [sf for sf in files if sf.name == "plan_analyzer.py"]
-    if not fingerprint_files and not analyzer_files:
-        return  # registries are outside the lint set: nothing to compare
-    classes: dict[str, tuple[SourceFile, int, list[str]]] = {}
-    for sf in files:
-        for node in ast.walk(sf.tree):
-            if isinstance(node, ast.ClassDef):
-                bases = [
-                    base.id if isinstance(base, ast.Name) else base.attr
-                    for base in node.bases
-                    if isinstance(base, (ast.Name, ast.Attribute))
-                ]
-                classes[node.name] = (sf, node.lineno, bases)
-    # transitive closure of "is a Plan subclass" over base names.
-    plan_like = {"Plan"}
-    grew = True
-    while grew:
-        grew = False
-        for name, (_, _, bases) in classes.items():
-            if name not in plan_like and any(base in plan_like for base in bases):
-                plan_like.add(name)
-                grew = True
-    plan_like.discard("Plan")
-    fingerprinted: set[str] = set()
-    for sf in fingerprint_files:
-        fingerprinted |= _registration_calls(sf, "_register")
-    checked: set[str] = set()
-    for sf in analyzer_files:
-        checked |= _registration_calls(sf, "_checks")
-    for name in sorted(plan_like):
-        sf, lineno, _ = classes[name]
-        if fingerprint_files and name not in fingerprinted:
-            yield Diagnostic(
-                "REPRO004", ERROR,
-                f"Plan subclass {name!r} has no _register(...) entry in "
-                f"repro/cache/fingerprint.py; its results would never cache "
-                f"(and could alias if added via isinstance)",
-                path=sf.location(lineno),
-            )
-        if analyzer_files and name not in checked:
-            yield Diagnostic(
-                "REPRO004", ERROR,
-                f"Plan subclass {name!r} has no _checks(...) entry in "
-                f"repro/analysis/plan_analyzer.py; the static analyzer "
-                f"would reject every plan containing it",
-                path=sf.location(lineno),
-            )
-
-
 # -- REPRO005: determinism (seeded rng, no wall clock) ------------------------
 def rule_determinism(sf: SourceFile) -> Iterable[Diagnostic]:
     if sf.name in _RNG_ALLOWED_FILES:
@@ -337,4 +268,4 @@ FILE_RULES = (
     rule_overbroad_except,
     rule_determinism,
 )
-PROJECT_RULES = (rule_plan_dispatch, rule_recorded_codecs)
+PROJECT_RULES = (rule_recorded_codecs,)

@@ -16,9 +16,9 @@ output schema bottom-up and checks, *before anything executes*:
   exactly ``plan.sources()``; a node overriding ``_collect_sources``
   inconsistently would silently break explanation and trust feedback
   (``PLAN004``);
-- **dispatch completeness** — every node type must be known to both the
-  analyzer and the cache fingerprint registry (``PLAN005``), so new
-  operators cannot slip past either;
+- **dispatch completeness** — nodes dispatch by class name, as in the
+  evaluator; a node type with no ``_check_<name>`` method is reported
+  (``PLAN005``), so new operators cannot slip past the analyzer;
 - **resource warnings** — unblocked record-link joins whose estimated
   cross product exceeds ``ANALYSIS.max_link_pairs`` (``PLAN101``),
   over-wide unions (``PLAN102``), and degenerate parameters such as a
@@ -31,13 +31,11 @@ come from catalog relation sizes and are deliberately rough upper bounds
 plan the integration learner legitimately produces passes clean.
 
 Schema inference is best-effort: when a subtree's schema cannot be
-derived (unknown source, unregistered node), checks that would need it
+derived (unknown source, unknown node type), checks that would need it
 are skipped instead of cascading false positives.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from ..substrate.relational.aggregates import GroupBy
 from ..substrate.relational.algebra import (
@@ -66,36 +64,8 @@ from ..substrate.relational.predicates import (
     Predicate,
 )
 from ..substrate.relational.schema import Schema, SchemaError
-from ..cache.fingerprint import is_registered
 from .config import ANALYSIS
 from .diagnostics import ERROR, WARNING, AnalysisReport, Diagnostic
-
-#: Exact-type checker dispatch (mirrors the fingerprint registry's shape).
-_CHECKERS: dict[type, Callable] = {}
-
-
-def _checks(node_type: type):
-    """Register the analyzer method for *node_type* (exact-type dispatch)."""
-
-    def wrap(fn: Callable) -> Callable:
-        _CHECKERS[node_type] = fn
-        return fn
-
-    return wrap
-
-
-def checked_types() -> tuple[type, ...]:
-    """Every plan node type with a registered analyzer check."""
-    return tuple(_CHECKERS)
-
-
-def is_checked(node_type: type) -> bool:
-    return node_type in _CHECKERS
-
-
-def _uncheck(node_type: type) -> None:
-    """Remove a registration (test hook for synthetic node types)."""
-    _CHECKERS.pop(node_type, None)
 
 
 def predicate_attributes(predicate: Predicate) -> frozenset[str]:
@@ -157,32 +127,19 @@ class PlanAnalyzer:
         self, plan: Plan, diags: list[Diagnostic], leaves: set[str]
     ) -> Schema | None:
         """Bottom-up schema inference, appending diagnostics as it goes."""
-        checker = _CHECKERS.get(type(plan))
+        kind = type(plan).__name__
+        checker = getattr(self, f"_check_{kind.lower()}", None)
         if checker is None:
             diags.append(Diagnostic(
                 "PLAN005", ERROR,
-                f"plan node type {type(plan).__name__!r} has no analyzer "
-                f"check registered (repro.analysis.plan_analyzer)",
+                f"plan node type {kind!r} has no analyzer check "
+                f"(repro.analysis.plan_analyzer)",
                 operator=plan.describe(),
             ))
-            if not is_registered(type(plan)):
-                diags.append(Diagnostic(
-                    "PLAN005", ERROR,
-                    f"plan node type {type(plan).__name__!r} has no cache "
-                    f"fingerprint registered (repro.cache.fingerprint)",
-                    operator=plan.describe(),
-                ))
             for child in plan.children():
                 self._infer(child, diags, leaves)
             return None
-        if not is_registered(type(plan)):
-            diags.append(Diagnostic(
-                "PLAN005", ERROR,
-                f"plan node type {type(plan).__name__!r} has no cache "
-                f"fingerprint registered (repro.cache.fingerprint)",
-                operator=plan.describe(),
-            ))
-        return checker(self, plan, diags, leaves)
+        return checker(plan, diags, leaves)
 
     def _missing_attr(
         self, plan: Plan, name: str, schema: Schema, role: str
@@ -226,7 +183,6 @@ class PlanAnalyzer:
         return None
 
     # -- per-operator checks --------------------------------------------------
-    @_checks(Scan)
     def _check_scan(self, plan: Scan, diags, leaves) -> Schema | None:
         leaves.add(plan.source)
         if plan.source not in self.catalog:
@@ -247,7 +203,6 @@ class PlanAnalyzer:
             return None
         return self.catalog.relation(plan.source).schema
 
-    @_checks(Select)
     def _check_select(self, plan: Select, diags, leaves) -> Schema | None:
         schema = self._infer(plan.child, diags, leaves)
         if schema is not None:
@@ -256,7 +211,6 @@ class PlanAnalyzer:
                     diags.append(self._missing_attr(plan, name, schema, "selection predicate"))
         return schema
 
-    @_checks(Project)
     def _check_project(self, plan: Project, diags, leaves) -> Schema | None:
         schema = self._infer(plan.child, diags, leaves)
         if schema is None:
@@ -267,7 +221,6 @@ class PlanAnalyzer:
                 diags.append(self._missing_attr(plan, name, schema, "projection"))
         return schema.project(present)
 
-    @_checks(Rename)
     def _check_rename(self, plan: Rename, diags, leaves) -> Schema | None:
         schema = self._infer(plan.child, diags, leaves)
         if schema is None:
@@ -288,7 +241,6 @@ class PlanAnalyzer:
             ))
             return None
 
-    @_checks(Join)
     def _check_join(self, plan: Join, diags, leaves) -> Schema | None:
         left = self._infer(plan.left, diags, leaves)
         right = self._infer(plan.right, diags, leaves)
@@ -303,7 +255,6 @@ class PlanAnalyzer:
         remaining = [attr for attr in right if attr.name not in right_join_attrs]
         return left.concat(Schema(remaining), disambiguate=True)
 
-    @_checks(DependentJoin)
     def _check_dependentjoin(self, plan: DependentJoin, diags, leaves) -> Schema | None:
         schema = self._infer(plan.child, diags, leaves)
         leaves.add(plan.service)
@@ -365,7 +316,6 @@ class PlanAnalyzer:
         outputs = [service.schema.attribute(name) for name in service.output_names]
         return schema.concat(Schema(outputs), disambiguate=True)
 
-    @_checks(RecordLinkJoin)
     def _check_recordlinkjoin(self, plan: RecordLinkJoin, diags, leaves) -> Schema | None:
         left = self._infer(plan.left, diags, leaves)
         right = self._infer(plan.right, diags, leaves)
@@ -416,7 +366,6 @@ class PlanAnalyzer:
             return None
         return left.concat(right, disambiguate=True)
 
-    @_checks(Union)
     def _check_union(self, plan: Union, diags, leaves) -> Schema | None:
         if len(plan.parts) > ANALYSIS.max_union_parts:
             diags.append(Diagnostic(
@@ -438,11 +387,9 @@ class PlanAnalyzer:
                 merged = merged.merge_for_union(schema)
         return merged if complete else None
 
-    @_checks(Distinct)
     def _check_distinct(self, plan: Distinct, diags, leaves) -> Schema | None:
         return self._infer(plan.child, diags, leaves)
 
-    @_checks(Limit)
     def _check_limit(self, plan: Limit, diags, leaves) -> Schema | None:
         if plan.count <= 0:
             diags.append(Diagnostic(
@@ -452,7 +399,6 @@ class PlanAnalyzer:
             ))
         return self._infer(plan.child, diags, leaves)
 
-    @_checks(GroupBy)
     def _check_groupby(self, plan: GroupBy, diags, leaves) -> Schema | None:
         schema = self._infer(plan.child, diags, leaves)
         if schema is None:

@@ -8,27 +8,24 @@ plan trees. :func:`plan_fingerprint` maps a plan to a hashable value that
 is equal exactly when two plans are structurally interchangeable, so the
 evaluator's result cache can serve the shared prefix once.
 
-Fingerprints are *content-based* wherever the node's behaviour is fully
-described by its dataclass fields (scans, joins, projections, predicates —
-all frozen dataclasses with stable ``str``). The behavioural escape hatch
-is **linkers** (``RecordLinkJoin.linker``), which may carry learned
-weights: a :class:`~repro.linking.linker.LearnedLinker` contributes its
-field pairs, similarity names, and current weights (so two freshly-built
-linkers over the same edge are interchangeable, and a *trained* linker
-fingerprints differently from an untrained one). Unknown
-:class:`RowLinker` subclasses fall back to object identity — correct,
-merely cache-shy.
+Every plan node is a frozen dataclass, so a fingerprint is the node's
+exact type followed by one token per dataclass field: a child ``Plan``
+recurses, a tuple maps element-wise (``Union.parts``, ``Rename.mapping``,
+``GroupBy.aggregates``), and anything else — names, counts, predicates,
+aggregate specs — is the value itself. Frozen-dataclass predicates
+therefore compare by exact field equality, and objects without value
+equality compare by identity: correct, merely cache-shy. Because the
+walker reads the fields, a field added to an operator is covered without
+any registration, and a subclass keys on its own type, never its
+parent's.
 
-Dispatch is an explicit per-type table populated by :func:`_register`,
-which also records exactly which dataclass fields each fingerprint covers.
-An **unknown plan node type raises** ``TypeError`` instead of silently
-degrading: an unregistered operator fingerprinting by identity (the old
-fallthrough) could never produce a wrong answer, but a *registered
-subclass matched by an isinstance ladder* could — ``SampledScan(Scan)``
-would have fingerprinted as its parent and aliased cache entries. Exact
-type keys plus a hard failure, together with the field-coverage metadata
-the static analyzer verifies (:mod:`repro.analysis.fingerprint_check`),
-make that whole bug class unrepresentable.
+The one behavioural escape hatch is **linkers** (``RecordLinkJoin.linker``),
+which may carry learned weights: a :class:`~repro.linking.linker.
+LearnedLinker` contributes its field pairs, similarity names, and current
+weights (so two freshly-built linkers over the same edge are
+interchangeable, and a *trained* linker fingerprints differently from an
+untrained one). Unknown :class:`RowLinker` subclasses fall back to object
+identity.
 
 The catalog's contents are deliberately *not* part of the fingerprint;
 pairing the fingerprint with :attr:`Catalog.version` is the cache key.
@@ -37,23 +34,9 @@ pairing the fingerprint with :attr:`Catalog.version` is the cache key.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Hashable
+from typing import Any, Hashable
 
-from ..substrate.relational.aggregates import GroupBy
-from ..substrate.relational.algebra import (
-    DependentJoin,
-    Distinct,
-    Join,
-    Limit,
-    Plan,
-    Project,
-    RecordLinkJoin,
-    Rename,
-    RowLinker,
-    Scan,
-    Select,
-    Union,
-)
+from ..substrate.relational.algebra import Plan, RowLinker
 
 
 def linker_token(linker: RowLinker) -> Hashable:
@@ -72,155 +55,29 @@ def linker_token(linker: RowLinker) -> Hashable:
     return (type(linker).__name__, id(linker))
 
 
-#: Exact-type fingerprint dispatch and the dataclass fields each covers.
-_FINGERPRINTS: dict[type, Callable[[Any], Hashable]] = {}
-_COVERED_FIELDS: dict[type, frozenset[str]] = {}
-
-
-def _register(node_type: type, *covered: str):
-    """Register a fingerprint function for *node_type*.
-
-    ``covered`` names the dataclass fields the fingerprint incorporates;
-    the static analyzer asserts it equals the node's full field set, so a
-    field added to an operator without a fingerprint update fails CI
-    instead of aliasing cache entries.
-    """
-
-    def wrap(fn: Callable[[Any], Hashable]) -> Callable[[Any], Hashable]:
-        _FINGERPRINTS[node_type] = fn
-        _COVERED_FIELDS[node_type] = frozenset(covered)
-        return fn
-
-    return wrap
-
-
 def plan_fingerprint(plan: Plan) -> Hashable:
     """A hashable structural fingerprint of *plan* (see module docstring).
 
-    Raises ``TypeError`` for plan node types with no registered
-    fingerprint — callers that merely *want* caching (the evaluator)
-    catch it and evaluate uncached; silent identity aliasing is gone.
+    Raises ``TypeError`` when a field holds an unhashable value (or the
+    node is not a dataclass): callers that merely *want* caching (the
+    evaluator, the analysis memo) catch it and run uncached.
     """
-    try:
-        fingerprint = _FINGERPRINTS[type(plan)]
-    except KeyError:
-        raise TypeError(
-            f"no fingerprint registered for plan node type "
-            f"{type(plan).__name__!r}; register it in "
-            f"repro.cache.fingerprint so cached results cannot alias"
-        ) from None
-    return fingerprint(plan)
+    fingerprint = _node_token(plan)
+    hash(fingerprint)  # fail here, not at the caller's cache probe
+    return fingerprint
 
 
-# -- registry introspection (used by repro.analysis) --------------------------
-def is_registered(node_type: type) -> bool:
-    """True when *node_type* has an exact-type fingerprint entry."""
-    return node_type in _FINGERPRINTS
+def _node_token(plan: Plan) -> tuple:
+    return (type(plan), *[_token(getattr(plan, field.name)) for field in dataclasses.fields(plan)])
 
 
-def registered_types() -> tuple[type, ...]:
-    """Every plan node type with a registered fingerprint."""
-    return tuple(_FINGERPRINTS)
-
-
-def covered_fields(node_type: type) -> frozenset[str]:
-    """The dataclass fields *node_type*'s fingerprint declares it covers."""
-    return _COVERED_FIELDS.get(node_type, frozenset())
-
-
-def uncovered_fields(node_type: type) -> frozenset[str]:
-    """Dataclass fields of *node_type* its fingerprint does NOT cover.
-
-    Empty for non-dataclasses and for fully-covered registrations. A
-    non-empty result means two distinct plans could share a fingerprint —
-    the plan-cache admission gate refuses to cache such nodes.
-    """
-    if not dataclasses.is_dataclass(node_type):
-        return frozenset()
-    declared = {field.name for field in dataclasses.fields(node_type)}
-    return frozenset(declared - _COVERED_FIELDS.get(node_type, frozenset()))
-
-
-def _unregister(node_type: type) -> None:
-    """Remove a registration (test hook for synthetic node types)."""
-    _FINGERPRINTS.pop(node_type, None)
-    _COVERED_FIELDS.pop(node_type, None)
-
-
-# -- the operator fingerprints ------------------------------------------------
-@_register(Scan, "source")
-def _fp_scan(plan: Scan) -> Hashable:
-    return ("Scan", plan.source)
-
-
-@_register(Select, "child", "predicate")
-def _fp_select(plan: Select) -> Hashable:
-    return ("Select", plan_fingerprint(plan.child), _predicate_token(plan.predicate))
-
-
-@_register(Project, "child", "names")
-def _fp_project(plan: Project) -> Hashable:
-    return ("Project", plan_fingerprint(plan.child), plan.names)
-
-
-@_register(Rename, "child", "mapping")
-def _fp_rename(plan: Rename) -> Hashable:
-    return ("Rename", plan_fingerprint(plan.child), plan.mapping)
-
-
-@_register(Join, "left", "right", "conditions")
-def _fp_join(plan: Join) -> Hashable:
-    return (
-        "Join",
-        plan_fingerprint(plan.left),
-        plan_fingerprint(plan.right),
-        plan.conditions,
-    )
-
-
-@_register(DependentJoin, "child", "service", "input_map")
-def _fp_dependentjoin(plan: DependentJoin) -> Hashable:
-    return ("DependentJoin", plan_fingerprint(plan.child), plan.service, plan.input_map)
-
-
-@_register(RecordLinkJoin, "left", "right", "linker", "threshold", "best_only")
-def _fp_recordlinkjoin(plan: RecordLinkJoin) -> Hashable:
-    return (
-        "RecordLinkJoin",
-        plan_fingerprint(plan.left),
-        plan_fingerprint(plan.right),
-        linker_token(plan.linker),
-        plan.threshold,
-        plan.best_only,
-    )
-
-
-@_register(Union, "parts")
-def _fp_union(plan: Union) -> Hashable:
-    return ("Union", tuple(plan_fingerprint(part) for part in plan.parts))
-
-
-@_register(Distinct, "child")
-def _fp_distinct(plan: Distinct) -> Hashable:
-    return ("Distinct", plan_fingerprint(plan.child))
-
-
-@_register(Limit, "child", "count")
-def _fp_limit(plan: Limit) -> Hashable:
-    return ("Limit", plan_fingerprint(plan.child), plan.count)
-
-
-@_register(GroupBy, "child", "keys", "aggregates")
-def _fp_groupby(plan: GroupBy) -> Hashable:
-    return (
-        "GroupBy",
-        plan_fingerprint(plan.child),
-        plan.keys,
-        tuple((spec.fn, spec.attribute, spec.alias) for spec in plan.aggregates),
-    )
-
-
-def _predicate_token(predicate: Any) -> Hashable:
-    # Predicates are frozen dataclasses with a stable, structure-complete
-    # __str__ (repro.substrate.relational.predicates); type + str suffices.
-    return (type(predicate).__name__, str(predicate))
+def _token(value: Any) -> Any:
+    if isinstance(value, str):  # the common leaf: names, sources, services
+        return value
+    if isinstance(value, Plan):
+        return _node_token(value)
+    if isinstance(value, tuple):
+        return tuple([_token(item) for item in value])
+    if isinstance(value, RowLinker):
+        return linker_token(value)
+    return value

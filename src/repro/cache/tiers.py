@@ -31,6 +31,7 @@ from contextlib import contextmanager
 from typing import Hashable
 
 from ..analysis.concurrency.runtime import RACECHECK, TRACKER, make_lock
+from ..analysis.config import ANALYSIS
 from .config import CACHE
 from .lru import LRUCache
 from .plan_cache import PlanResultCache
@@ -40,10 +41,6 @@ class CacheTiers:
     """The full set of evaluation memos, private or shared across sessions."""
 
     def __init__(self):
-        # Deferred: importing repro.analysis at module scope would cycle back
-        # through repro.cache (plan_analyzer uses cache.fingerprint).
-        from ..analysis.config import ANALYSIS
-
         self.plan = PlanResultCache()
         self.analysis = LRUCache(ANALYSIS.memo_capacity, metrics_prefix="analysis.memo")
         self.compile = LRUCache(CACHE.compile_capacity, metrics_prefix="columnar.compile")

@@ -54,7 +54,7 @@ class QueryEngine:
         try:
             key = (self.catalog.cache_scope, plan_fingerprint(plan), self.catalog.version)
         except TypeError:
-            pass  # unregistered node type: analyze unmemoized; PLAN005 fires
+            pass  # unhashable field: analyze unmemoized
         if key is not None:
             report = self._analysis_memo.get(key)
             if report is None:

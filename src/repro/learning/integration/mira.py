@@ -61,7 +61,9 @@ class MiraLearner:
 
     # -- cost under current weights -----------------------------------------------
     def cost(self, features: Iterable[str]) -> float:
-        return sum(self.graph.weights.get(key, 0.0) for key in features)
+        # Sorted, so the float sum is the same in every process: set
+        # iteration order follows the hash seed.
+        return sum(self.graph.weights.get(key, 0.0) for key in sorted(features))
 
     def _record(self, update: MiraUpdate) -> None:
         self.history.append(update)

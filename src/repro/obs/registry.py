@@ -25,8 +25,7 @@ DECLARED_COUNTERS: dict[str, str] = {
     "analysis.plans_checked": "plans statically analyzed before evaluation",
     "analysis.errors": "error diagnostics raised by the plan analyzer",
     "analysis.warnings": "warning diagnostics emitted by the plan analyzer",
-    "analysis.cache_gate_rejections": "plan/compile cache admissions refused (fingerprint field gap)",
-    "analysis.fingerprint_unregistered": "fingerprint lookups on unregistered plan nodes",
+    "analysis.fingerprint_unregistered": "plan nodes evaluated uncached (unhashable fingerprint)",
     "analysis.memo.hits": "plan-analysis memo hits",
     "analysis.memo.misses": "plan-analysis memo misses",
     "analysis.memo.evictions": "plan-analysis memo evictions",

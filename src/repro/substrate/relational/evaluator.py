@@ -32,9 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ...analysis.config import ANALYSIS
 from ...cache.config import CACHE
-from ...cache.fingerprint import plan_fingerprint, uncovered_fields
+from ...cache.fingerprint import plan_fingerprint
 from ...cache.tiers import CacheTiers
 from ...drift.config import DRIFT
 from ...drift.quarantine import QUARANTINE_NOTE
@@ -56,7 +55,6 @@ from .algebra import (
     Scan,
     Select,
     Union,
-    walk,
 )
 from .catalog import Catalog
 from .columns import ColumnBatch
@@ -251,8 +249,8 @@ class Evaluator:
             if METRICS.enabled:
                 METRICS.inc("columnar.plans")
             if key is None:
-                # An unregistered node type: without a fingerprint the memo
-                # has no sound key, so the plan compiles afresh every run.
+                # An unhashable field: without a fingerprint the memo has
+                # no sound key, so the plan compiles afresh every run.
                 batch = self._compile(plan, version)[0](self)
             else:
                 # Single-flight on the root plan: when N tenants miss the
@@ -269,28 +267,8 @@ class Evaluator:
         thunk = self.tiers.compile.get(key, _MISS)
         if thunk is _MISS:
             thunk, _ = self._compile(plan, key[2])
-            # A fingerprint with field gaps can be shared by plans that
-            # differ: such a compilation is never stored, so no other plan
-            # can be served it.
-            if self._cache_admissible(plan):
-                self.tiers.compile.put(key, thunk)
+            self.tiers.compile.put(key, thunk)
         return thunk
-
-    @staticmethod
-    def _cache_admissible(plan: Plan) -> bool:
-        """Admission gate: refuse to cache a plan whose fingerprint has
-        field gaps anywhere in the tree — two plans differing only in an
-        uncovered field would share the entry. Field coverage is recomputed
-        (not memoized per class) so test-defined subclasses stay collectable.
-        """
-        if not ANALYSIS.enabled or not ANALYSIS.gate_cache:
-            return True
-        for node in walk(plan):
-            if uncovered_fields(type(node)):
-                if METRICS.enabled:
-                    METRICS.inc("analysis.cache_gate_rejections")
-                return False
-        return True
 
     # -- compilation -----------------------------------------------------------
     def _compile(
@@ -312,25 +290,21 @@ class Evaluator:
             try:
                 fingerprint = plan_fingerprint(plan)
             except TypeError:
-                # A plan node with no registered fingerprint (e.g. a subclass
-                # reusing a cacheable name) must evaluate uncached: reusing
-                # the parent's fingerprint would alias cache entries.
+                # A node with an unhashable field has no sound cache key,
+                # so it evaluates uncached.
                 if METRICS.enabled:
                     METRICS.inc("analysis.fingerprint_unregistered")
             else:
-                thunk = self._cached(plan, fingerprint, version, thunk)
+                thunk = self._cached(fingerprint, version, thunk)
         return thunk, schema
 
     @staticmethod
-    def _cached(
-        plan: Plan, fingerprint: Any, version: Any, inner: BatchThunk
-    ) -> BatchThunk:
+    def _cached(fingerprint: Any, version: Any, inner: BatchThunk) -> BatchThunk:
         """Wrap a cacheable node's closure with the shared-subplan cache.
 
         Consulted only while ``CACHE.plan`` is on; degraded evaluations are
         transient by nature and never stored (caching one would keep serving
-        the partial result after the service recovers), and the admission
-        gate applies.
+        the partial result after the service recovers).
         """
 
         def thunk(ev: Evaluator) -> ColumnBatch:
@@ -345,7 +319,7 @@ class Evaluator:
             if len(ev._degraded) != degraded_before:
                 if METRICS.enabled:
                     METRICS.inc("cache.plan.degraded_uncached")
-            elif ev._cache_admissible(plan):
+            else:
                 ev.plan_cache.put(fingerprint, version, batch, scope=scope)
             return batch
 

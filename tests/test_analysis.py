@@ -22,15 +22,10 @@ from repro.analysis import (
     AnalysisReport,
     PlanAnalyzer,
     analysis_stats_line,
-    plan_subclasses,
     predicate_attributes,
-    self_check,
 )
-from repro.analysis import plan_analyzer as pa
 from repro.analysis.lint import Linter, parse_source
 from repro.analysis.lint.engine import main as lint_main
-from repro.cache import fingerprint as fp
-from repro.cache.fingerprint import plan_fingerprint, uncovered_fields
 from repro.errors import CopyCatError, PlanAnalysisError
 from repro.learning.integration.source_graph import SourceGraph, SourceNode
 from repro.obs.registry import declared_samples, is_declared
@@ -40,7 +35,6 @@ from repro.substrate.relational import (
     Catalog,
     DependentJoin,
     Distinct,
-    Evaluator,
     GroupBy,
     Join,
     Limit,
@@ -269,80 +263,35 @@ class TestPlanAnalyzerWarnings:
 
 class TestProvenanceSoundness:
     def test_lying_collect_sources_detected(self, catalog):
-        class SneakyScan(Scan):
-            def _collect_sources(self, out):
-                out.add("Ghost")  # lies: hides the real source, invents one
+        # Keeps the name "Scan", so the analyzer dispatches it as a Scan.
+        def lying_collect(self, out):
+            out.add("Ghost")  # lies: hides the real source, invents one
 
-        fp._register(SneakyScan, "source")(fp._FINGERPRINTS[Scan])
-        pa._checks(SneakyScan)(pa._CHECKERS[Scan])
+        SneakyScan = type("Scan", (Scan,), {"_collect_sources": lying_collect})
         try:
             report = PlanAnalyzer(catalog).check(SneakyScan("S"))
             assert codes(report) == ["PLAN004", "PLAN004"]
             messages = " ".join(d.message for d in report.errors)
             assert "'S'" in messages and "'Ghost'" in messages
         finally:
-            fp._unregister(SneakyScan)
-            pa._uncheck(SneakyScan)
             del SneakyScan
             gc.collect()
 
 
 class TestUnregisteredNodeTypes:
     def test_unknown_node_reports_both_gaps(self, catalog):
+        # A new class name has no analyzer check: one PLAN005, and the
+        # analyzer still descends into the children it can check.
         class Mystery(Distinct):
             pass
 
         try:
-            report = PlanAnalyzer(catalog).check(Mystery(Scan("S")))
-            assert codes(report).count("PLAN005") == 2  # no checker, no fingerprint
+            report = PlanAnalyzer(catalog).check(Mystery(Project(Scan("S"), ("Zip",))))
+            assert codes(report) == ["PLAN005", "PLAN002"]
+            assert "'Mystery'" in report.errors[0].message
         finally:
             del Mystery
             gc.collect()
-
-    def test_fingerprint_raises_on_unknown_type(self):
-        class Mystery(Distinct):
-            pass
-
-        try:
-            with pytest.raises(TypeError, match="no fingerprint registered"):
-                plan_fingerprint(Mystery(Scan("S")))
-        finally:
-            del Mystery
-            gc.collect()
-
-
-class TestFingerprintRegistry:
-    def test_all_builtin_operators_registered_and_covered(self):
-        for cls in plan_subclasses():
-            assert fp.is_registered(cls), cls
-            assert uncovered_fields(cls) == frozenset(), cls
-
-    def test_self_check_clean(self):
-        assert self_check().ok
-
-    def test_self_check_reports_synthetic_gaps(self):
-        class Partial(Distinct):
-            pass
-
-        fp._register(Partial)(lambda plan: ("Partial",))  # covers no field
-        try:
-            report = self_check()
-            assert not report.ok
-            messages = " ".join(d.message for d in report.diagnostics)
-            assert "'Partial'" in messages
-            assert "'child'" in messages        # the uncovered field, named
-            assert "analyzer check" in messages  # and the missing dispatch
-        finally:
-            fp._unregister(Partial)
-            del Partial
-            gc.collect()
-        assert self_check().ok
-
-    def test_module_entry_point(self, capsys):
-        from repro.analysis.__main__ import main
-
-        assert main() == 0
-        assert "self-check passed" in capsys.readouterr().out
 
 
 class TestEngineIntegration:
@@ -401,59 +350,6 @@ class TestEngineIntegration:
         finally:
             obs.disable()
             obs.reset()
-
-
-class TestCacheAdmissionGate:
-    def _gapped_distinct(self):
-        # __name__ stays "Distinct" so the evaluator dispatches normally;
-        # the fingerprint deliberately ignores the child field.
-        cls = type("Distinct", (Distinct,), {})
-        fp._register(cls)(lambda plan: ("GappedDistinct",))
-        return cls
-
-    def test_gapped_fingerprint_never_cached(self, catalog):
-        cls = self._gapped_distinct()
-        try:
-            evaluator = Evaluator(catalog)
-            evaluator.run(cls(Project(Scan("S"), ("City",))))
-            evaluator.run(cls(Project(Scan("S"), ("City",))))
-            stats = evaluator.plan_cache.stats()
-            assert stats["hits"] == 0 and stats["size"] == 0
-        finally:
-            fp._unregister(cls)
-            del cls
-            gc.collect()
-
-    def test_gate_off_restores_caching(self, catalog):
-        cls = self._gapped_distinct()
-        try:
-            with ANALYSIS.overridden(gate_cache=False):
-                evaluator = Evaluator(catalog)
-                first = evaluator.run(cls(Project(Scan("S"), ("City",))))
-                second = evaluator.run(cls(Project(Scan("S"), ("City",))))
-                assert evaluator.plan_cache.stats()["hits"] >= 1
-                assert [r for r, _ in first.rows] == [r for r, _ in second.rows]
-        finally:
-            fp._unregister(cls)
-            del cls
-            gc.collect()
-
-    def test_unregistered_type_evaluates_uncached(self, catalog):
-        cls = type("Distinct", (Distinct,), {})  # no fingerprint at all
-        try:
-            obs.reset()
-            obs.enable()
-            evaluator = Evaluator(catalog)
-            result = evaluator.run(cls(Scan("S")))
-            expected = Evaluator(catalog).run(Distinct(Scan("S")))
-            assert [r for r, _ in result.rows] == [r for r, _ in expected.rows]
-            assert obs.METRICS.counter_value("analysis.fingerprint_unregistered") >= 1
-            assert evaluator.plan_cache.stats()["size"] == 0
-        finally:
-            obs.disable()
-            obs.reset()
-            del cls
-            gc.collect()
 
 
 def _build_session():
@@ -592,32 +488,6 @@ class TestRepro003OverbroadExcept:
             "    pass\n"
         )
         assert lint_file(tmp_path, text) == []
-
-
-class TestRepro004PlanDispatch:
-    PLANS = (
-        "class Plan:\n    pass\n"
-        "class Foo(Plan):\n    pass\n"
-        "class Bar(Foo):\n    pass\n"  # transitive subclass: still required
-    )
-
-    def test_unregistered_subclass_fires_for_both_registries(self, tmp_path):
-        (tmp_path / "plans.py").write_text(self.PLANS)
-        (tmp_path / "fingerprint.py").write_text("_register(Foo, 'x')\n")
-        (tmp_path / "plan_analyzer.py").write_text("_checks(Foo)\n")
-        diags = Linter().run([tmp_path])
-        assert [d.code for d in diags] == ["REPRO004", "REPRO004"]
-        assert all("'Bar'" in d.message for d in diags)
-
-    def test_complete_registration_passes(self, tmp_path):
-        (tmp_path / "plans.py").write_text(self.PLANS)
-        (tmp_path / "fingerprint.py").write_text("_register(Foo, 'x')\n_register(Bar, 'y')\n")
-        (tmp_path / "plan_analyzer.py").write_text("_checks(Foo)\n_checks(Bar)\n")
-        assert Linter().run([tmp_path]) == []
-
-    def test_inactive_without_registry_files(self, tmp_path):
-        (tmp_path / "plans.py").write_text(self.PLANS)
-        assert Linter().run([tmp_path]) == []
 
 
 class TestRepro005Determinism:

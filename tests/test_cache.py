@@ -19,7 +19,9 @@ from repro.cache import (
 )
 from repro.substrate.documents import Browser
 from repro.substrate.relational import (
+    AttrCompare,
     Catalog,
+    Compare,
     DependentJoin,
     Distinct,
     Evaluator,
@@ -133,6 +135,9 @@ class TestPlanFingerprint:
         assert plan_fingerprint(
             Select(Scan("S"), eq("City", "Creek"))
         ) != plan_fingerprint(Select(Scan("S"), eq("City", "Park")))
+        one, two = TestFingerprintAliasing.ONE, TestFingerprintAliasing.TWO
+        assert str(one) == str(two)
+        assert plan_fingerprint(Select(Scan("S"), one)) != plan_fingerprint(Select(Scan("S"), two))
 
     def test_trained_linker_fingerprints_differently(self):
         from repro.linking.linker import LearnedLinker, LinkExample
@@ -162,6 +167,65 @@ class TestPlanFingerprint:
         one, other = Opaque(), Opaque()
         assert linker_token(one) == linker_token(one)
         assert linker_token(one) != linker_token(other)
+
+
+class TestFingerprintAliasing:
+    """Two predicates that print alike must never share a cache entry."""
+
+    # Both render as "a == b == c", over a relation with those four columns.
+    ONE = AttrCompare("a == b", "==", "c")
+    TWO = AttrCompare("a", "==", "b == c")
+
+    @pytest.fixture()
+    def aliasing_catalog(self):
+        cat = Catalog()
+        rel = Relation("R", schema_of("a == b", "c", "a", "b == c"))
+        rel.extend([["x", "x", "p", "q"], ["y", "y", "r", "r"]])  # ONE: 2 rows, TWO: 1
+        cat.add_relation(rel)
+        tags = Relation("T", schema_of("c", "Tag"))
+        tags.extend([["x", "t1"], ["y", "t2"]])
+        cat.add_relation(tags)
+        return cat
+
+    def test_root_compile_memo_does_not_alias(self, aliasing_catalog):
+        evaluator = Evaluator(aliasing_catalog)
+        assert len(evaluator.run(Select(Scan("R"), self.ONE)).rows) == 2
+        second = Select(Scan("R"), self.TWO)
+        assert result_key(evaluator.run(second)) == result_key(
+            Evaluator(aliasing_catalog).run(second)
+        )
+        assert len(evaluator.run(second).rows) == 1
+
+    def test_plan_cache_under_join_does_not_alias(self, aliasing_catalog):
+        # Different Limit counts give the roots different fingerprints, so
+        # only the shared-subplan cache could serve the Join the wrong rows.
+        def plan(predicate, count):
+            return Limit(Join(Select(Scan("R"), predicate), Scan("T"), (("c", "c"),)), count)
+
+        evaluator = Evaluator(aliasing_catalog)
+        assert len(evaluator.run(plan(self.ONE, 10)).rows) == 2
+        second = plan(self.TWO, 11)
+        assert result_key(evaluator.run(second)) == result_key(
+            Evaluator(aliasing_catalog).run(second)
+        )
+        assert len(evaluator.run(second).rows) == 1
+
+    def test_unhashable_field_evaluates_uncached(self, catalog):
+        plan = Distinct(Select(Scan("S"), Compare("City", "==", ["Creek"])))
+        with pytest.raises(TypeError):
+            plan_fingerprint(plan)
+        obs.reset()
+        obs.enable()
+        try:
+            evaluator = Evaluator(catalog)
+            for _ in range(2):
+                assert evaluator.run(plan).rows == []
+            assert obs.METRICS.counter_value("analysis.fingerprint_unregistered") == 2
+            assert len(evaluator.tiers.compile) == 0
+            assert len(evaluator.plan_cache) == 0
+        finally:
+            obs.disable()
+            obs.reset()
 
 
 class TestPlanCache:

@@ -14,6 +14,8 @@ Contracts under test:
   including RNG stream position (later live actions still match);
 - **parity** — a recorder is pure observation: recording a session
   changes nothing, and ``REPRO_DURABILITY=0`` never attaches one;
+- **cross-process replay** — a recorded Section-8 task recovers to the
+  live digest in fresh interpreters under different ``PYTHONHASHSEED``s;
 - **crash property** (hypothesis) — a random usersim-style action
   sequence, killed at an arbitrary log byte (truncation or bit flip),
   recovers to exactly the state after some prefix of its actions.
@@ -22,8 +24,11 @@ Contracts under test:
 from __future__ import annotations
 
 import json
+import os
 import random
 import struct
+import subprocess
+import sys
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -32,7 +37,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Browser, CopyCatSession, build_scenario
+import repro
+from repro import Browser, CopyCatSession, SpreadsheetApp, build_scenario
 from repro.core.session import CopyCatSession as SessionClass
 from repro.durability import (
     DURABILITY,
@@ -55,6 +61,8 @@ from repro.durability import (
     state_digest,
 )
 from repro.durability.store import tenant_dirname
+from repro.substrate.documents import CellRange
+from repro.substrate.relational.schema import PLACE
 from repro.errors import CopyCatError
 from repro.obs import METRICS
 from repro.util.rng import capture_state, restore_state
@@ -559,6 +567,86 @@ class TestDurableSessions:
             assert manager.session("t").durability is None
             manager.shutdown()
         assert list(tmp_path.iterdir()) == []  # no files ever touched
+
+
+# --------------------------------------------------- cross-process replay
+def build_demo_world():
+    return build_scenario(seed=5, n_shelters=10, noise=1)
+
+
+def drive_demo_task(session, world):
+    """The Section-8 task: import shelters and contacts, then accept the
+    zip, geocode and contact completions (each runs MIRA updates)."""
+    browser = Browser(session.clipboard, world.website)
+    browser.navigate(world.list_urls()[0])
+    listing = browser.page.dom.find("table", "listing")
+    records = [n for n in listing.children if n.tag == "tr" and "record" in n.css_classes]
+    for record in records[:2]:
+        browser.copy_record(record, "Shelters")
+        session.paste()
+    session.accept_row_suggestions()
+    for index, label in enumerate(LABELS):
+        session.label_column(index, label)
+    session.commit_source()
+    sheet = SpreadsheetApp(session.clipboard, world.contacts_workbook)
+    sheet.open_sheet()
+    sheet.copy_range(CellRange(0, 0, 1, 3), source_name="Contacts")
+    session.paste()
+    session.accept_row_suggestions()
+    for index, label in enumerate(["Shelter", "Contact", "Phone", "Address"]):
+        session.label_column(index, label)
+    session.set_column_type(0, PLACE, learn_from_values=False)
+    session.commit_source()
+    session.start_integration("Shelters")
+    for source, attrs in (("ZipcodeResolver", {"Zip"}), ("Geocoder", {"Lat", "Lon"}),
+                          ("Contacts", {"Contact", "Phone"})):
+        suggestions = session.column_suggestions(k=10)
+        index = next(
+            i for i, s in enumerate(suggestions)
+            if s.source == source and attrs <= set(s.attribute_names)
+        )
+        session.preview_column(index)
+        session.accept_column(index)
+
+
+#: Recovers tenant "erin" from the store at argv[1] and prints its digest.
+RECOVER_SCRIPT = """
+import sys
+from repro import CopyCatSession, build_scenario
+from repro.durability import DurabilityStore, digest_hash, recover_session, state_digest
+
+world = build_scenario(seed=5, n_shelters=10, noise=1)
+session = CopyCatSession(catalog=world.catalog, seed=1)
+with DurabilityStore(sys.argv[1]) as store:
+    recover_session(session, "erin", store, seed=1)
+print(digest_hash(state_digest(session)))
+"""
+
+
+def recover_in_subprocess(root, hash_seed: str) -> str:
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", RECOVER_SCRIPT, str(root)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return done.stdout.strip()
+
+
+class TestCrossProcessReplay:
+    def test_recovery_digest_independent_of_hash_seed(self, tmp_path):
+        # Crash recovery replays in a new process, whose hash seed differs
+        # from the one that recorded the log: float sums over sets must
+        # not follow set iteration order.
+        world = build_demo_world()
+        session = new_session(world)
+        store = DurabilityStore(tmp_path)
+        recover_session(session, "erin", store, seed=1)
+        drive_demo_task(session, world)
+        live = session_hash(session)
+        store.close()
+        digests = {seed: recover_in_subprocess(tmp_path, seed) for seed in ("0", "1")}
+        assert digests == {"0": live, "1": live}
 
 
 # ----------------------------------------------------------------- rng state

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import string
+import copy
+import dataclasses
 from dataclasses import dataclass
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache import linker_token, plan_fingerprint
 from repro.provenance.expressions import ONE, ZERO, Provenance, plus, times, var
 from repro.provenance.semirings import (
     best_score,
@@ -15,7 +18,7 @@ from repro.provenance.semirings import (
     derivation_count,
     is_derivable,
 )
-from repro.substrate.relational import Predicate, Relation, Row, schema_of
+from repro.substrate.relational import Plan, Predicate, Relation, Row, RowLinker, schema_of
 from repro.substrate.relational.rows import TupleId
 from repro.util.strings import (
     jaro,
@@ -316,6 +319,31 @@ def _predicates(draw, names):
     return predicate
 
 
+class _OpaqueLinker(RowLinker):
+    """A linker without a content token: it fingerprints by identity."""
+
+    def score(self, left, right):  # pragma: no cover - never evaluated
+        return 0.0
+
+
+_SHARED_OPAQUE = _OpaqueLinker()
+
+
+@st.composite
+def _linkers(draw):
+    from repro.linking.linker import LearnedLinker
+    from repro.linking.similarity import FieldPair
+
+    kind = draw(st.sampled_from(["learned", "other-fields", "reweighted", "opaque", "shared"]))
+    if kind in ("opaque", "shared"):
+        return _OpaqueLinker() if kind == "opaque" else _SHARED_OPAQUE
+    linker = LearnedLinker([FieldPair("b", "d" if kind == "other-fields" else "b")])
+    if kind == "reweighted":  # what training does to the weight vector
+        name = draw(st.sampled_from(sorted(linker.weights)))
+        linker.weights[name] = draw(st.sampled_from([0.0, 2.0]))
+    return linker
+
+
 _OPERATORS = ("select", "project", "rename", "join", "union", "distinct", "groupby", "limit")
 #: The nodes a Limit's row cap can travel through or stop at.
 _STREAMING = ("select", "project", "rename", "limit")
@@ -324,7 +352,8 @@ _STREAMING = ("select", "project", "rename", "limit")
 @st.composite
 def _plans(draw, depth=2, ops=_OPERATORS):
     from repro.substrate.relational import (
-        AggSpec, Distinct, GroupBy, Join, Limit, Project, Rename, Scan, Select, Union,
+        AggSpec, AttrCompare, Distinct, GroupBy, Join, Limit, Project, RecordLinkJoin, Rename,
+        Scan, Select, Union,
     )
 
     if depth == 0:
@@ -356,6 +385,16 @@ def _plans(draw, depth=2, ops=_OPERATORS):
         other, other_names = draw(_plans(depth=0))
         merged = names + tuple(n for n in other_names if n not in names)
         return Union((child, other)), merged
+    if op == "link":
+        other, other_names = draw(_plans(depth=0))
+        linker = draw(_linkers())
+        threshold = draw(st.sampled_from([0.5, 0.8]))
+        return RecordLinkJoin(child, other, linker, threshold, draw(st.booleans())), names
+    if op == "attrselect":
+        # Attribute names chosen so different predicates print alike.
+        left = draw(st.sampled_from(["a == b", "a"]))
+        right = draw(st.sampled_from(["c", "b == c"]))
+        return Select(child, AttrCompare(left, "==", right)), names
     if op == "groupby":
         key = draw(st.sampled_from(sorted(names)))
         agg = draw(st.sampled_from(sorted(names)))
@@ -400,3 +439,45 @@ def test_limit_over_streaming_chains_matches_oracle(catalog, plan_and_names, cou
     from repro.substrate.relational import Limit
 
     _assert_oracle_parity(catalog, Limit(plan_and_names[0], count))
+
+
+# ------------------------------------------------------ plan fingerprints
+#
+# Oracle: a fingerprint is equal exactly when the plans are equal as
+# dataclasses, once each linker (compared by identity) is replaced by its
+# content token.
+
+_FINGERPRINT_OPS = _OPERATORS + ("link", "attrselect")
+
+
+def _linkers_as_tokens(plan):
+    def swap(value):
+        if isinstance(value, Plan):
+            return _linkers_as_tokens(value)
+        if isinstance(value, tuple):
+            return tuple(swap(item) for item in value)
+        if isinstance(value, RowLinker):
+            return linker_token(value)
+        return value
+
+    return dataclasses.replace(
+        plan, **{f.name: swap(getattr(plan, f.name)) for f in dataclasses.fields(plan)}
+    )
+
+
+@st.composite
+def _plan_pairs(draw):
+    first, _ = draw(_plans(depth=3, ops=_FINGERPRINT_OPS))
+    if draw(st.booleans()):
+        return first, copy.deepcopy(first)  # equal, but no node shared
+    return first, draw(_plans(depth=3, ops=_FINGERPRINT_OPS))[0]
+
+
+@given(_plan_pairs())
+@settings(max_examples=300, deadline=None)
+def test_fingerprints_equal_iff_plans_equal(pair):
+    first, second = pair
+    same_fingerprint = plan_fingerprint(first) == plan_fingerprint(second)
+    assert same_fingerprint == (_linkers_as_tokens(first) == _linkers_as_tokens(second))
+    if same_fingerprint:
+        assert hash(plan_fingerprint(first)) == hash(plan_fingerprint(second))
