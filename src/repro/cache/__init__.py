@@ -62,13 +62,17 @@ def cache_stats_line(metrics=None) -> str:
     types_hits = int(m.counter_value("types.recognize_memo.hits"))
     types_misses = int(m.counter_value("types.recognize_memo.misses"))
     types_evictions = int(m.counter_value("types.recognize_memo.evictions"))
+    link_hits = int(m.counter_value("linking.feature_memo.hits"))
+    link_misses = int(m.counter_value("linking.feature_memo.misses"))
+    link_evictions = int(m.counter_value("linking.feature_memo.evictions"))
     off = [layer for layer, on in CACHE.snapshot().items() if not on]
     line = (
         f"cache: plan {plan_hits}h/{plan_misses}m/{plan_evictions}e · "
         f"service {service_hits}h/{service_misses}m · "
         f"suggestions reused {reused} · "
         f"blocking {blocked} joins ({pairs_pruned} pairs pruned) · "
-        f"types {types_hits}h/{types_misses}m/{types_evictions}e"
+        f"types {types_hits}h/{types_misses}m/{types_evictions}e · "
+        f"link features {link_hits}h/{link_misses}m/{link_evictions}e"
     )
     if off:
         line += " · disabled: " + ",".join(off)

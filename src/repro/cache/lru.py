@@ -16,6 +16,7 @@ case, which keeps the pre-server behavior and stats byte-identical.
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from typing import Any, Hashable
 
@@ -131,6 +132,16 @@ class LRUCache:
                 "evictions": self.evictions,
                 "size": len(self._data),
             }
+
+    def __deepcopy__(self, memo: dict) -> "LRUCache":
+        """An independent cache: copied entries and counters, its own lock."""
+        clone = LRUCache(self.capacity, self.metrics_prefix)
+        with self._lock:
+            items = list(self._data.items())
+            clone.hits, clone.misses, clone.evictions = self.hits, self.misses, self.evictions
+        for key, value in items:
+            clone._data[copy.deepcopy(key, memo)] = copy.deepcopy(value, memo)
+        return clone
 
     def __repr__(self) -> str:
         return (

@@ -16,6 +16,7 @@ This module turns learner outputs into executed, row-aligned suggestions:
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Mapping, Sequence
 
 from ..learning.integration.learner import IntegrationLearner
@@ -110,15 +111,7 @@ class AutoCompleteGenerator:
             provenances = []
             alternatives: list[list[tuple[Any, ...]]] = []
             hits = 0
-            for workspace_row in workspace_rows:
-                matches = [
-                    (row, prov)
-                    for row, prov in result.rows
-                    if all(
-                        _soft_equal(row.get(name), workspace_row.get(name))
-                        for name in shared
-                    )
-                ]
+            for matches in _aligned_matches(result.rows, workspace_rows, shared):
                 if matches:
                     hits += 1
                     first_row, first_prov = matches[0]
@@ -185,6 +178,43 @@ class AutoCompleteGenerator:
         """Steiner-mode query explanations for user-pasted cross-source tuples."""
         queries = self.integration_learner.explain_tuples(pasted_columns, k=k)
         return [QuerySuggestion(query=query, cost=query.cost) for query in queries]
+
+
+def _aligned_matches(
+    rows: Sequence[tuple[Any, Any]],
+    workspace_rows: Sequence[Mapping[str, Any]],
+    shared: Sequence[str],
+) -> list[list[tuple[Any, Any]]]:
+    """Per workspace row, the result ``(row, prov)`` pairs that
+    :func:`_soft_equal` it on every *shared* attribute, in result order.
+
+    When every shared cell on both sides is a ``str`` or ``None``, soft
+    equality is equality of the normalized cells, so result rows are
+    bucketed on that key once. Otherwise (``1 == 1.0``, yet
+    ``"1" != "1.0"``) every workspace row scans every result row.
+    """
+    sides = chain((row for row, _ in rows), workspace_rows)
+    if all(_is_text(side.get(name)) for side in sides for name in shared):
+        buckets: dict[tuple, list[tuple[Any, Any]]] = {}
+        for entry in rows:
+            buckets.setdefault(_text_key(entry[0], shared), []).append(entry)
+        return [buckets.get(_text_key(row, shared), []) for row in workspace_rows]
+    return [
+        [
+            (row, prov)
+            for row, prov in rows
+            if all(_soft_equal(row.get(name), workspace_row.get(name)) for name in shared)
+        ]
+        for workspace_row in workspace_rows
+    ]
+
+
+def _is_text(value: Any) -> bool:
+    return value is None or type(value) is str
+
+
+def _text_key(row: Any, shared: Sequence[str]) -> tuple:
+    return tuple(None if value is None else normalize(value) for value in map(row.get, shared))
 
 
 def _soft_equal(a: Any, b: Any) -> bool:

@@ -10,11 +10,17 @@ from __future__ import annotations
 
 import random
 
+from ...cache.lru import LRUCache
 from ...data.names import person_name, phone_number, shelter_name
 from ...substrate.relational import schema as types
 from ...substrate.services.gazetteer import Gazetteer
 from ...util.rng import derive_rng, make_rng
 from .type_learner import SemanticTypeLearner
+
+#: Built-in type sets kept process-wide, keyed on ``(seed, samples)``. A
+#: server trains the same seed for every session and again on recovery.
+SEED_MEMO_CAPACITY = 4
+_SEEDED = LRUCache(SEED_MEMO_CAPACITY)
 
 
 def seed_type_learner(
@@ -29,10 +35,33 @@ def seed_type_learner(
     *different* world from the one being recognized — the paper's robustness
     claim is exactly that recognition works on "new sources of data that may
     not precisely match the original learned distribution of patterns".
+
+    With an ``int`` *seed* and neither *gazetteer* nor *learner* given, the
+    trained types are memoised process-wide and a fresh learner is seeded
+    with them. Learned types are frozen and refinement replaces them, so
+    no learner can change another's.
     """
+    if not isinstance(seed, int) or gazetteer is not None or learner is not None:
+        return _train(gazetteer, samples, seed, learner or SemanticTypeLearner())
+    builtins = _SEEDED.get((seed, samples))
+    if builtins is None:
+        trained = _train(None, samples, seed, SemanticTypeLearner())
+        builtins = tuple(trained.get(name) for name in trained.known_types())
+        _SEEDED.put((seed, samples), builtins)
+    learner = SemanticTypeLearner()
+    for learned in builtins:
+        learner.add(learned)
+    return learner
+
+
+def _train(
+    gazetteer: Gazetteer | None,
+    samples: int,
+    seed: int | random.Random | None,
+    learner: SemanticTypeLearner,
+) -> SemanticTypeLearner:
     rng = make_rng(seed)
     gazetteer = gazetteer or Gazetteer(n_cities=10, streets_per_city=30, seed=derive_rng(rng, "world"))
-    learner = learner or SemanticTypeLearner()
 
     addresses = gazetteer.sample(min(samples, len(gazetteer)), seed=derive_rng(rng, "sample"))
     learner.learn(types.STREET, [address.street for address in addresses])

@@ -56,14 +56,20 @@ class LearnedLinker(RowLinker):
             raise LearningError("linker needs at least one field pair")
         initial = 1.0 / len(names)
         self.weights: dict[str, float] = {name: initial for name in names}
+        # Each feature name with the position of its value in
+        # ``extractor.features``: the order (and, for a repeated field pair,
+        # the value) of ``extractor.extract``, so scores sum the same terms
+        # in the same order.
+        self._feature_index = tuple({name: i for i, name in enumerate(names)}.items())
         self.aggressiveness = aggressiveness
         self.margin = margin
         self.updates = 0
 
     # -- scoring ----------------------------------------------------------------
     def score(self, left: Row | dict, right: Row | dict) -> float:
-        features = self.extractor.extract(left, right)
-        raw = sum(self.weights[name] * value for name, value in features.items())
+        features = self.extractor.features(left, right)
+        weights = self.weights
+        raw = sum(weights[name] * features[i] for name, i in self._feature_index)
         total_weight = sum(self.weights.values())
         if total_weight <= 0:
             return 0.0

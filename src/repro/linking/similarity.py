@@ -5,6 +5,16 @@ approximate record linking techniques ... CopyCat learns the best
 combination of heuristics for this case of record linking". The heuristics
 are feature functions over a pair of field values; the linker learns their
 combination weights.
+
+Every heuristic scores two :class:`~repro.util.strings.StringProfile`
+objects, so a value is normalized, tokenised and indexed once however many
+values it is compared with; ``exact_match`` and friends are string-taking
+wrappers. The linker re-scores the same few value pairs each time the user
+refreshes column suggestions, and features do not depend on the learned
+weights, so each :class:`FeatureExtractor` memoises the feature tuple of
+every (field pair, left value, right value) it has scored, and the
+profiles of the values it has seen, in bounded LRUs. Training never
+invalidates them.
 """
 
 from __future__ import annotations
@@ -12,29 +22,36 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
+from ..cache.lru import LRUCache
 from ..util.strings import (
-    jaro_winkler,
-    levenshtein_ratio,
-    ngram_dice,
-    token_jaccard,
+    StringProfile,
+    profile_jaro_winkler,
+    profile_levenshtein_ratio,
+    profile_ngram_dice,
+    profile_token_jaccard,
 )
-from ..util.text import normalize, token_strings
 
-SimilarityFn = Callable[[str, str], float]
+#: A heuristic: the similarity in [0, 1] of two profiled field values.
+SimilarityFn = Callable[[StringProfile, StringProfile], float]
+
+#: Distinct (field pair, left value, right value) feature tuples each
+#: extractor keeps. A Figure-3 journey scores about 100.
+FEATURE_MEMO_CAPACITY = 4096
+#: Distinct value profiles each extractor keeps alongside its feature memo.
+PROFILE_MEMO_CAPACITY = 1024
 
 
-def exact_match(a: str, b: str) -> float:
+def profile_exact_match(a: StringProfile, b: StringProfile) -> float:
     """1.0 iff the normalized strings are identical."""
-    return 1.0 if normalize(a) == normalize(b) else 0.0
+    return 1.0 if a.normalized == b.normalized else 0.0
 
 
-def prefix_containment(a: str, b: str) -> float:
+def profile_prefix_containment(a: StringProfile, b: StringProfile) -> float:
     """Token-prefix containment: does one string start with the other's tokens?
 
     Catches truncations like ``"Monarch High School" → "Monarch High"``.
     """
-    tokens_a = [token.lower() for token in token_strings(a)]
-    tokens_b = [token.lower() for token in token_strings(b)]
+    tokens_a, tokens_b = a.tokens, b.tokens
     if not tokens_a or not tokens_b:
         return 0.0
     shorter, longer = sorted((tokens_a, tokens_b), key=len)
@@ -43,14 +60,13 @@ def prefix_containment(a: str, b: str) -> float:
     return 0.0
 
 
-def acronym_match(a: str, b: str) -> float:
+def profile_acronym_match(a: StringProfile, b: StringProfile) -> float:
     """Abbreviation evidence: ``HS`` vs ``High School``, ``Elem`` etc.
 
     Scores the fraction of the shorter string's tokens that are prefixes or
     initials of tokens in the longer string, in order.
     """
-    tokens_a = [token.lower() for token in token_strings(a)]
-    tokens_b = [token.lower() for token in token_strings(b)]
+    tokens_a, tokens_b = a.tokens, b.tokens
     if not tokens_a or not tokens_b:
         return 0.0
     short, long_ = sorted((tokens_a, tokens_b), key=len)
@@ -73,16 +89,31 @@ def acronym_match(a: str, b: str) -> float:
     return matched / len(expanded) if expanded else 0.0
 
 
+def exact_match(a: str, b: str) -> float:
+    """:func:`profile_exact_match` of two strings."""
+    return profile_exact_match(StringProfile(a), StringProfile(b))
+
+
+def prefix_containment(a: str, b: str) -> float:
+    """:func:`profile_prefix_containment` of two strings."""
+    return profile_prefix_containment(StringProfile(a), StringProfile(b))
+
+
+def acronym_match(a: str, b: str) -> float:
+    """:func:`profile_acronym_match` of two strings."""
+    return profile_acronym_match(StringProfile(a), StringProfile(b))
+
+
 #: The default heuristic library ("in some cases, use a function from a
 #: predefined library", Section 2.2).
 DEFAULT_SIMILARITIES: dict[str, SimilarityFn] = {
-    "exact": exact_match,
-    "jaro_winkler": jaro_winkler,
-    "levenshtein": levenshtein_ratio,
-    "token_jaccard": token_jaccard,
-    "ngram_dice": ngram_dice,
-    "prefix": prefix_containment,
-    "acronym": acronym_match,
+    "exact": profile_exact_match,
+    "jaro_winkler": profile_jaro_winkler,
+    "levenshtein": profile_levenshtein_ratio,
+    "token_jaccard": profile_token_jaccard,
+    "ngram_dice": profile_ngram_dice,
+    "prefix": profile_prefix_containment,
+    "acronym": profile_acronym_match,
 }
 
 
@@ -102,6 +133,9 @@ class FeatureExtractor:
 
     One feature per (field pair × similarity function); feature names are
     ``"Name~Shelter:jaro_winkler"`` style, so learned weights are readable.
+    Field pairs and similarities are fixed at construction: the feature
+    memo (see the module docstring) is keyed on field-pair index and the
+    two values' text.
     """
 
     def __init__(
@@ -111,6 +145,9 @@ class FeatureExtractor:
     ):
         self.field_pairs = list(field_pairs)
         self.similarities = dict(similarities or DEFAULT_SIMILARITIES)
+        self._zeros = (0.0,) * len(self.similarities)
+        self._memo = LRUCache(FEATURE_MEMO_CAPACITY, metrics_prefix="linking.feature_memo")
+        self._profiles = LRUCache(PROFILE_MEMO_CAPACITY)
 
     def feature_names(self) -> list[str]:
         return [
@@ -119,19 +156,41 @@ class FeatureExtractor:
             for sim_name in self.similarities
         ]
 
-    def extract(self, left: Any, right: Any) -> dict[str, float]:
-        """Feature vector for (*left*, *right*); inputs are dict-like rows."""
-        features: dict[str, float] = {}
-        for pair in self.field_pairs:
+    def features(self, left: Any, right: Any) -> tuple[float, ...]:
+        """The feature values for (*left*, *right*), in :meth:`feature_names` order.
+
+        Inputs are dict-like rows; a ``None`` on either side scores 0.0 on
+        every feature of its field pair.
+        """
+        out: tuple[float, ...] = ()
+        for index, pair in enumerate(self.field_pairs):
             value_left = _get(left, pair.left)
             value_right = _get(right, pair.right)
-            for sim_name, fn in self.similarities.items():
-                key = f"{pair}:{sim_name}"
-                if value_left is None or value_right is None:
-                    features[key] = 0.0
-                else:
-                    features[key] = fn(str(value_left), str(value_right))
-        return features
+            if value_left is None or value_right is None:
+                out += self._zeros
+            else:
+                out += self._pair_features(index, str(value_left), str(value_right))
+        return out
+
+    def extract(self, left: Any, right: Any) -> dict[str, float]:
+        """Feature vector for (*left*, *right*) by feature name."""
+        return dict(zip(self.feature_names(), self.features(left, right)))
+
+    def _pair_features(self, index: int, text_left: str, text_right: str) -> tuple[float, ...]:
+        key = (index, text_left, text_right)
+        cached = self._memo.get(key)
+        if cached is None:
+            a, b = self._profile(text_left), self._profile(text_right)
+            cached = tuple([fn(a, b) for fn in self.similarities.values()])
+            self._memo.put(key, cached)
+        return cached
+
+    def _profile(self, text: str) -> StringProfile:
+        profile = self._profiles.get(text)
+        if profile is None:
+            profile = StringProfile(text)
+            self._profiles.put(text, profile)
+        return profile
 
 
 def _get(row: Any, name: str) -> Any:

@@ -105,6 +105,9 @@ DECLARED_COUNTERS: dict[str, str] = {
     "types.recognize_memo.hits": "recognize calls answered from the per-learner column memo",
     "types.recognize_memo.misses": "recognize calls that scored the column against every type",
     "types.recognize_memo.evictions": "per-learner recognize memo evictions",
+    "linking.feature_memo.hits": "field-pair feature vectors answered from the per-linker memo",
+    "linking.feature_memo.misses": "field-pair feature vectors scored from two string profiles",
+    "linking.feature_memo.evictions": "per-linker feature memo evictions",
     # -- resilience ----------------------------------------------------------
     "resilience.backend_errors": "unexpected backend exceptions converted to lookup failures",
     "resilience.backend_errors.*": "unexpected backend exceptions by exception type",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
-from ...util.strings import token_jaccard
+from ...util.strings import StringProfile, profile_token_jaccard
 from ..relational.schema import (
     CITY,
     LATITUDE,
@@ -90,17 +90,20 @@ class PlaceResolver(Service):
         )
         super().__init__(name, schema, BindingPattern(inputs=("Name",)), cost=1.2)
         self._places = {place: dict(info) for place, info in places.items()}
+        # Each place name is tokenised once, on its first comparison.
+        self._profiles = {place: StringProfile(place) for place in self._places}
         self._min_overlap = min_overlap
         self._max_results = max_results
 
     def _lookup(self, inputs: Mapping[str, Any]) -> Sequence[Mapping[str, Any]]:
         query = str(inputs["Name"])
         scored: list[tuple[float, str]] = []
-        for place in self._places:
+        query_profile = StringProfile(query)
+        for place, place_profile in self._profiles.items():
             if place.lower() == query.lower():
                 scored.append((1.01, place))  # exact match outranks everything
                 continue
-            overlap = token_jaccard(place, query)
+            overlap = profile_token_jaccard(place_profile, query_profile)
             if overlap >= self._min_overlap:
                 scored.append((overlap, place))
         scored.sort(key=lambda pair: (-pair[0], pair[1]))

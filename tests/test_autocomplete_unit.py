@@ -3,7 +3,11 @@ ambiguity surfacing, trust tie-breaks) and the suggestion dataclasses."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.autocomplete import AutoCompleteGenerator, _soft_equal
 from repro.core.engine import QueryEngine
@@ -15,9 +19,11 @@ from repro.learning.structure.hypotheses import ProjectionHypothesis, Relational
 from repro.substrate.relational import (
     Attribute,
     Relation,
+    Row,
     Schema,
     SourceMetadata,
 )
+from repro.substrate.relational.evaluator import Result
 from repro.substrate.relational.schema import CITY, PLACE, STREET
 
 
@@ -144,6 +150,65 @@ class TestSoftEqual:
 
     def test_numbers_vs_strings(self):
         assert _soft_equal(33063, "33063")
+
+
+def scan_alignment(result_rows, workspace_rows, shared, added):
+    """Values, provenances, alternatives and coverage by the pairwise scan."""
+    values, provenances, alternatives, hits = [], [], [], 0
+    for workspace_row in workspace_rows:
+        matches = [
+            (row, prov)
+            for row, prov in result_rows
+            if all(_soft_equal(row.get(name), workspace_row.get(name)) for name in shared)
+        ]
+        if matches:
+            hits += 1
+            values.append(tuple(matches[0][0].get(name) for name in added))
+            provenances.append(matches[0][1])
+            alternatives.append([tuple(row.get(name) for name in added) for row, _ in matches[1:]])
+        else:
+            values.append(tuple(None for _ in added))
+            provenances.append(None)
+            alternatives.append([])
+    return values, provenances, alternatives, hits / len(workspace_rows)
+
+
+TEXT_CELLS = st.one_of(st.none(), st.sampled_from(["x", "X", " x ", "x  y", "X Y", "y", "1", "1.0"]))
+MIXED_CELLS = st.one_of(TEXT_CELLS, st.integers(0, 2), st.sampled_from([1.0, 2.0]))
+
+
+@st.composite
+def alignment_inputs(draw):
+    cells = draw(st.sampled_from([TEXT_CELLS, MIXED_CELLS]))
+    result_rows = draw(st.lists(st.tuples(cells, cells, cells), max_size=8))
+    workspace_rows = draw(st.lists(st.tuples(cells, cells), min_size=1, max_size=6))
+    return result_rows, [{"A": a, "B": b} for a, b in workspace_rows]
+
+
+class TestIndexedAlignment:
+    SCHEMA = Schema([Attribute("A"), Attribute("B"), Attribute("Extra")])
+
+    @settings(max_examples=200, deadline=None)
+    @given(alignment_inputs())
+    def test_matches_the_pairwise_scan(self, inputs):
+        raw_rows, workspace_rows = inputs
+        rows = [(Row(self.SCHEMA, values), f"p{i}") for i, values in enumerate(raw_rows)]
+        result = Result(self.SCHEMA, rows)
+        completion = SimpleNamespace(
+            query=SimpleNamespace(plan=None, nodes=()), added_attributes=("Extra",),
+            cost=1.0, added_source="S",
+        )
+        gen = AutoCompleteGenerator(
+            SimpleNamespace(catalog=(), run=lambda plan: result),
+            structure_learner=None,
+            type_learner=None,
+            integration_learner=SimpleNamespace(column_completions=lambda *args, **kwargs: [completion]),
+        )
+        base = SimpleNamespace(output_schema=lambda catalog: Schema([Attribute("A"), Attribute("B")]))
+        (suggestion,) = gen.column_suggestions(base, workspace_rows)
+        expected = scan_alignment(result.rows, workspace_rows, ["A", "B"], ("Extra",))
+        got = (suggestion.values, suggestion.provenances, suggestion.alternatives, suggestion.coverage)
+        assert got == expected
 
 
 class TestQuerySuggestions:

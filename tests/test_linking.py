@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
+from repro.cache import cache_stats_line
 from repro.data import build_scenario
 from repro.errors import LearningError
 from repro.linking import (
@@ -166,3 +168,19 @@ class TestLearnedLinker:
     def test_describe_mentions_top_features(self):
         linker = LearnedLinker([FieldPair("Name", "Shelter")])
         assert "LearnedLinker(" in linker.describe()
+
+    def test_feature_memo_counters_reach_the_cache_line(self):
+        obs.reset()
+        obs.enable()
+        try:
+            linker = LearnedLinker([FieldPair("Name", "Shelter"), FieldPair("Street", "Address")])
+            left = {"Name": "Monarch High School", "Street": None}
+            right = {"Shelter": "Monarch HS", "Address": "12 Oak St"}
+            linker.score(left, right)
+            linker.score(left, right)
+            line = cache_stats_line()
+        finally:
+            obs.disable()
+            obs.reset()
+        # A None field scores zeros without consulting the memo.
+        assert "link features 1h/1m/0e" in line

@@ -6,6 +6,11 @@ learner; edit distance is bit-parallel and Jaro visits only equal
 characters. None of that may change an answer: ranked hypotheses (``==``
 scores and order), distances and similarities must equal the reference
 implementations in :mod:`tests.reference_type_scoring`.
+
+Record linking scores profiled strings and memoises each field pair's
+feature tuple per linker; every feature must equal its string-taking
+oracle in :mod:`tests.reference_linking`, memo hit or miss, before and
+after training.
 """
 
 from __future__ import annotations
@@ -18,8 +23,27 @@ from hypothesis import strategies as st
 
 from repro.errors import LearningError
 from repro.learning.model import SemanticTypeLearner, seed_type_learner
-from repro.util.strings import jaro, levenshtein, levenshtein_ratio
+from repro.linking import similarity
+from repro.linking.linker import LearnedLinker, LinkExample
+from repro.linking.similarity import (
+    DEFAULT_SIMILARITIES,
+    FeatureExtractor,
+    FieldPair,
+    acronym_match,
+    exact_match,
+    prefix_containment,
+)
+from repro.util.strings import (
+    StringProfile,
+    jaro,
+    jaro_winkler,
+    levenshtein,
+    levenshtein_ratio,
+    ngram_dice,
+    token_jaccard,
+)
 
+from . import reference_linking
 from . import reference_type_scoring as reference
 
 # Letters in several scripts, digits, punctuation, plain/NBSP spaces, a
@@ -138,3 +162,86 @@ def test_string_measures_on_edge_cases(a, b):
     longest = max(len(a), len(b))
     expected_ratio = 1.0 if longest == 0 else 1.0 - reference.levenshtein(a, b) / longest
     assert levenshtein_ratio(a, b) == expected_ratio
+
+
+# ---------------------------------------------------------------- record linking
+FEATURE_NAMES = sorted(DEFAULT_SIMILARITIES)
+
+
+@settings(max_examples=300)
+@given(text, text)
+def test_every_feature_equals_its_oracle(a, b):
+    profile_a, profile_b = StringProfile(a), StringProfile(b)
+    for name in FEATURE_NAMES:
+        expected = reference_linking.SIMILARITIES[name](a, b)
+        assert DEFAULT_SIMILARITIES[name](profile_a, profile_b) == expected, name
+        # Profiles are reused: a second comparison reads the stored fields.
+        assert DEFAULT_SIMILARITIES[name](profile_a, profile_b) == expected, name
+
+
+@settings(max_examples=150)
+@given(text, text, st.sampled_from([0.0, 0.1, 0.25]))
+def test_string_wrappers_equal_their_oracles(a, b, prefix_scale):
+    assert levenshtein(a, b) == reference_linking.levenshtein(a, b)
+    assert levenshtein_ratio(a, b) == reference_linking.levenshtein_ratio(a, b)
+    assert jaro(a, b) == reference_linking.jaro(a, b)
+    assert jaro_winkler(a, b, prefix_scale) == reference_linking.jaro_winkler(a, b, prefix_scale)
+    assert token_jaccard(a, b) == reference_linking.token_jaccard(a, b)
+    assert ngram_dice(a, b) == reference_linking.ngram_dice(a, b)
+    assert exact_match(a, b) == reference_linking.exact_match(a, b)
+    assert prefix_containment(a, b) == reference_linking.prefix_containment(a, b)
+    assert acronym_match(a, b) == reference_linking.acronym_match(a, b)
+
+
+PAIRS = [FieldPair("Name", "Shelter"), FieldPair("Street", "Address")]
+# Few distinct values, so rows repeat values and the memo is exercised.
+NAMES = ["Monarch High School", "Monarch HS", "12 Oak St", "12 Oak Street", "", "Quiet Waters Park"]
+link_value = st.one_of(st.none(), st.sampled_from(NAMES), text)
+left_row = st.fixed_dictionaries({"Name": link_value, "Street": link_value})
+right_row = st.fixed_dictionaries({"Shelter": link_value, "Address": link_value})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(left_row, right_row), min_size=1, max_size=12))
+def test_memoised_features_equal_the_oracle(pairs):
+    extractor = FeatureExtractor(PAIRS)
+    for _ in range(2):  # the second pass is answered from the memo
+        for left, right in pairs:
+            assert extractor.extract(left, right) == reference_linking.extract(PAIRS, left, right)
+
+
+def oracle_score(weights, left, right) -> float:
+    """``LearnedLinker.score`` over the oracle features."""
+    features = reference_linking.extract(PAIRS, left, right)
+    raw = sum(weights[name] * value for name, value in features.items())
+    total_weight = sum(weights.values())
+    return 0.0 if total_weight <= 0 else raw / total_weight
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(left_row, min_size=2, max_size=5), st.lists(right_row, min_size=2, max_size=6))
+def test_scores_after_training_equal_a_fresh_linkers(lefts, rights):
+    linker = LearnedLinker(PAIRS)
+    scored = [linker.score(left, right) for left in lefts for right in rights]  # fills the memo
+    examples = [LinkExample(lefts[0], rights[0]), LinkExample(lefts[1], rights[1], is_match=False)]
+    linker.train(examples, rights)
+    fresh = LearnedLinker(PAIRS)
+    fresh.weights = dict(linker.weights)
+    oracle = [oracle_score(linker.weights, left, right) for left in lefts for right in rights]
+    assert [linker.score(left, right) for left in lefts for right in rights] == oracle
+    assert [fresh.score(left, right) for left in lefts for right in rights] == oracle
+    if linker.updates == 0:
+        assert [fresh.score(left, right) for left in lefts for right in rights] == scored
+
+
+def test_feature_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(similarity, "FEATURE_MEMO_CAPACITY", 8)
+    monkeypatch.setattr(similarity, "PROFILE_MEMO_CAPACITY", 4)
+    linker = LearnedLinker([FieldPair("Name", "Shelter")])
+    for i in range(30):
+        for j in range(3):
+            linker.score({"Name": f"shelter {i}"}, {"Shelter": f"shelter {i + j}"})
+            assert len(linker.extractor._memo) <= 8  # noqa: SLF001
+            assert len(linker.extractor._profiles) <= 4  # noqa: SLF001
+    stats = linker.extractor._memo.stats()  # noqa: SLF001
+    assert stats["size"] == 8 and stats["evictions"] == 90 - 8

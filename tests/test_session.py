@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.feedback import FeedbackKind
@@ -9,7 +11,9 @@ from repro.core.session import CopyCatSession
 from repro.core.workspace import CellState, Mode
 from repro.data import build_scenario
 from repro.errors import FeedbackError, WorkspaceError
+from repro.learning.model import seed_type_learner
 from repro.substrate.documents import Browser, CellRange, SpreadsheetApp
+from repro.substrate.relational.schema import STREET
 
 
 @pytest.fixture()
@@ -37,6 +41,23 @@ def import_shelters(scenario, session, browser, label=True):
         for index, name in enumerate(["Name", "Street", "City"]):
             session.label_column(index, name)
     return session.commit_source()
+
+
+class TestSeededTypesAreShared:
+    """Sessions of one seed share trained built-in types, never refinements."""
+
+    def test_refinement_stays_in_its_session(self, env):
+        scenario, session, browser = env
+        original = seed_type_learner(seed=random.Random(1)).get("PR-Street").signature
+        assert session.type_learner.get("PR-Street").signature == original
+        browser.copy_record(listing_rows(browser)[0], "Shelters")
+        session.paste()
+        session.set_column_type(1, STREET)  # refines PR-Street from the pasted value
+        assert session.type_learner.get("PR-Street").signature != original
+        other = CopyCatSession(catalog=scenario.catalog, seed=1)
+        assert other.type_learner.get("PR-Street").signature == original
+        assert seed_type_learner(seed=1).get("PR-Street").signature == original
+        assert other.type_learner.get("PR-Street") is seed_type_learner(seed=1).get("PR-Street")
 
 
 class TestImportMode:
