@@ -8,6 +8,10 @@ measures a forced suggestion-refresh burst in both modes, asserting the
 durable session's suggestion batches are *identical* to the plain ones
 (recording is pure observation) and that the logging overhead stays
 under the 10% ceiling.
+
+The A/B burst never crosses the checkpoint interval, so checkpointing is
+timed on its own: a compaction of a history past one interval, whose
+bytes must equal the reference ``json.dump`` writer's.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ import tempfile
 import time
 
 from repro import CopyCatSession, build_scenario
-from repro.durability import DurabilityStore, recover_session
+from repro.durability import DURABILITY, DurabilityStore, recover_session
+from tests.reference_durability import checkpoint_bytes
 
 from .common import (
     format_table,
@@ -134,4 +139,16 @@ class TestDurabilityOverhead:
 
             batches = benchmark(burst)
             assert batches[-1]
+            store.close()
+
+    def test_bench_durable_checkpoint(self, benchmark):
+        with tempfile.TemporaryDirectory() as root:
+            session, store = _integration_session(root)
+            recorder = session.durability
+            while len(recorder.history) < DURABILITY.checkpoint_interval:
+                session.column_suggestions(k=K, refresh=True)
+
+            assert benchmark(recorder.checkpoint)
+            data = store.checkpoint_path(recorder.tenant).read_bytes()
+            assert data == checkpoint_bytes(recorder.tenant, recorder.history, seed=recorder.seed)
             store.close()

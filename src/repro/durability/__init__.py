@@ -45,7 +45,7 @@ from .faults import WAL_FAULTS, WalFaultInjector, WalFaultPolicy, WalFaultSpec
 from .recorder import SessionRecorder, recorded
 from .replay import ReplayReport, attach_recorder, digest_hash, replay, state_digest
 from .store import DurabilityStore, RecoveredState
-from .wal import InjectedWalFault, WalReadResult, WalWriter, encode_frame, read_wal
+from .wal import InjectedWalFault, WalReadResult, WalWriter, canonical_json, encode_frame, read_wal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.session import CopyCatSession
@@ -68,6 +68,7 @@ __all__ = [
     "WalWriter",
     "apply_action",
     "attach_recorder",
+    "canonical_json",
     "digest_hash",
     "durability_stats_line",
     "encode_action",

@@ -21,6 +21,13 @@ tail". One recovery code path, and bit-identity falls out of replay
 re-running the real methods under the REPRO005 invariants (seeded RNG,
 no wall clock) instead of a hand-written state serializer chasing every
 learner's internals.
+
+Each action is encoded once. Beside :attr:`SessionRecorder.history` the
+recorder keeps, under its lock, the canonical text the log append
+framed for each record; a checkpoint splices those texts into the file
+rather than re-encoding the history. A record without one — replayed
+history, a recorder with no store, an append torn mid-write — is
+encoded at the next checkpoint.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from ..obs import METRICS
 from ..server.overload import shielded_deadline
 from .actions import encode_action
 from .config import DURABILITY
+from .wal import canonical_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .store import DurabilityStore
@@ -60,6 +68,8 @@ class SessionRecorder:
         )
         #: the full compacted action history (checkpoint base + tail).
         self.history: list[dict[str, Any]] = []
+        # history[i]'s canonical text, or None until a checkpoint needs it.
+        self._texts: list[str | None] = []
         #: actions appended since the last checkpoint (tail length).
         self.since_checkpoint = 0
         self.replaying = False
@@ -82,6 +92,7 @@ class SessionRecorder:
                 TRACKER.note_access("SessionRecorder.history", self)
             record = {"seq": len(self.history), "name": name, "args": payload}
             self.history.append(record)
+            self._texts.append(None)
             self.since_checkpoint += 1
             self.actions_recorded += 1
             if self.store is not None:
@@ -89,7 +100,7 @@ class SessionRecorder:
                 # body runs, and seq order must match append order, so the
                 # fsync (and the store's failure counters) stay under the
                 # action lock.
-                self.store.append(self.tenant, record)  # lint: allow=CONC002,CONC004 -- write-ahead ordering requires IO under the action lock
+                self._texts[-1] = self.store.append(self.tenant, record)  # lint: allow=CONC002,CONC004 -- write-ahead ordering requires IO under the action lock
             self._depth += 1
         if METRICS.enabled:
             METRICS.inc("durability.actions_logged")
@@ -105,6 +116,16 @@ class SessionRecorder:
                 and self.since_checkpoint >= self.checkpoint_interval
             ):
                 self.checkpoint()
+
+    def restore_history(self, actions: list[dict[str, Any]]) -> None:
+        """Adopt a replayed action sequence as this recorder's history.
+
+        Its texts are left for the next checkpoint to encode, so recovery
+        itself encodes nothing.
+        """
+        with self._lock:
+            self.history = [dict(a) for a in actions]
+            self._texts = [None] * len(self.history)
 
     def mark_replayed_tail(self, count: int) -> None:
         """Position the checkpoint counter after recovery.
@@ -130,20 +151,25 @@ class SessionRecorder:
     def checkpoint(self) -> bool:
         """Compact the log into the checkpoint file; True on success.
 
-        The write is atomic (tmp + rename) and the log is truncated only
-        *after* the rename lands, all under the recording lock — a crash
-        at any point leaves either the old checkpoint + full log or the
-        new checkpoint + empty log, both of which replay to the same
-        state.
+        The file is built from each action's append-time text (records
+        without one are encoded now). The write is atomic (tmp + rename +
+        directory fsync) and the log is truncated only *after* the rename
+        is durable, all under the recording lock — a crash at any point
+        leaves either the old checkpoint + full log or the new checkpoint
+        + empty log, both of which replay to the same state.
         """
         if self.store is None:
             return False
         with self._lock:
+            self._texts = [
+                canonical_json(record) if text is None else text
+                for text, record in zip(self._texts, self.history, strict=True)
+            ]
             # Compact-then-truncate must be atomic with respect to new
             # appends or replayed-to state and logged tail could diverge,
             # so the checkpoint IO stays under the recording lock.
             wrote = self.store.write_checkpoint(  # lint: allow=CONC002,CONC004 -- checkpoint+truncate must be atomic vs appends
-                self.tenant, list(self.history), seed=self.seed
+                self.tenant, self._texts, seed=self.seed
             )
             if wrote:
                 self.store.truncate_wal(self.tenant)

@@ -70,7 +70,7 @@ def replay(session: "CopyCatSession", actions: list[dict[str, Any]]) -> ReplayRe
             applied += 1
             METRICS.inc("durability.actions_replayed")
     if session.durability is not None:
-        session.durability.history = [dict(a) for a in actions]
+        session.durability.restore_history(actions)
     return ReplayReport(applied=applied, errors=errors)
 
 

@@ -11,9 +11,12 @@ short hash (so ``"a/b"`` and ``"a_b"`` cannot collide).
 Recovery (:meth:`DurabilityStore.recover`) is prefix-consistent and
 total — it never raises for damaged files, it just trusts less:
 
-1. read ``checkpoint.json``; a missing file contributes no actions, a
-   corrupt one is counted (``durability.checkpoint_corrupt``) and
-   contributes no actions (the log alone may still replay);
+1. read ``checkpoint.json``; a missing file contributes no actions, and
+   so does one that fails to parse or whose shape does not check out
+   (wrong ``format``, ``n_actions`` not counting ``actions``, or an action
+   that is not a dict with ``seq`` equal to its index, a string name and
+   dict args) — counted as ``durability.checkpoint_corrupt``, after which
+   the log alone may still replay;
 2. scan ``wal.log`` forward, stopping at the first torn / truncated /
    CRC-mismatched frame (each stop cause has its own counter);
 3. stitch: log records must continue the checkpoint's sequence exactly.
@@ -22,11 +25,17 @@ total — it never raises for damaged files, it just trusts less:
    means the tail is untrustworthy and is dropped
    (``durability.recovery_seq_gaps``).
 
-Checkpoint writes are atomic: serialize to a temp file in the same
-directory, fsync, ``os.replace``. The log is truncated only after the
-rename lands. A crash anywhere in that protocol leaves either the old
-checkpoint with the full log or the new checkpoint with a stale-or-empty
-log — both replay to the same state.
+Checkpoint writes are atomic: write to a temp file in the same
+directory, fsync, ``os.replace``, fsync the directory. The log is
+truncated only after the rename is durable. A crash anywhere in that
+protocol leaves either the old checkpoint with the full log or the new
+checkpoint with a stale-or-empty log — both replay to the same state.
+
+A checkpoint is not re-encoded from the action dicts: the caller hands
+over each action's canonical text (:func:`~repro.durability.wal.canonical_json`,
+the same text its log frame holds), and the file is those texts spliced
+into the envelope — byte for byte what ``json.dump(payload,
+sort_keys=True, separators=(",", ":"))`` of the whole payload writes.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from typing import Any
 
 from ..obs import METRICS
 from .faults import WAL_FAULTS
-from .wal import WalWriter, read_wal
+from .wal import WalWriter, canonical_json, read_wal
 
 CHECKPOINT_NAME = "checkpoint.json"
 WAL_NAME = "wal.log"
@@ -62,6 +71,28 @@ def tenant_dirname(tenant: str) -> str:
     safe = _SAFE.sub("_", tenant)[:40] or "tenant"
     digest = hashlib.sha256(tenant.encode("utf-8")).hexdigest()[:8]
     return f"{safe}-{digest}"
+
+
+def _trusted_actions(payload: Any) -> list[dict[str, Any]] | None:
+    """The checkpoint's actions when its shape checks out, else None.
+
+    Anything looser would crash replay or mis-stitch the log tail, which
+    continues at ``seq == len(actions)``.
+    """
+    if not isinstance(payload, dict) or payload.get("format") != FORMAT_VERSION:
+        return None
+    actions = payload.get("actions")
+    if not isinstance(actions, list) or payload.get("n_actions") != len(actions):
+        return None
+    for index, action in enumerate(actions):
+        if not (
+            isinstance(action, dict)
+            and action.get("seq") == index
+            and isinstance(action.get("name"), str)
+            and isinstance(action.get("args"), dict)
+        ):
+            return None
+    return actions
 
 
 class RecoveredState:
@@ -126,35 +157,47 @@ class DurabilityStore:
             self._writers[tenant] = writer
         return writer
 
-    def append(self, tenant: str, record: dict[str, Any]) -> None:
-        self._writer(tenant).append(record)
+    def append(self, tenant: str, record: dict[str, Any]) -> str:
+        """Append one record to the tenant's log; returns its canonical text."""
+        return self._writer(tenant).append(record)
 
     def truncate_wal(self, tenant: str) -> None:
         self._writer(tenant).truncate()
 
     # -- checkpointing -------------------------------------------------------
     def write_checkpoint(
-        self, tenant: str, actions: list[dict[str, Any]], *, seed: int | None = None
+        self, tenant: str, texts: list[str], *, seed: int | None = None
     ) -> bool:
         """Atomically persist the compacted history; False when the
-        filesystem refused (the old checkpoint + log stay authoritative)."""
-        payload = {
-            "format": FORMAT_VERSION,
-            "tenant": tenant,
-            "seed": seed,
-            "n_actions": len(actions),
-            "actions": actions,
-        }
+        filesystem refused (the old checkpoint + log stay authoritative).
+
+        *texts* holds each action's :func:`canonical_json` text, in
+        sequence order; they are spliced into the file unchanged.
+        """
+        actions = ",".join(texts)
+        text = (
+            f'{{"actions":[{actions}],"format":{FORMAT_VERSION},'
+            f'"n_actions":{len(texts)},"seed":{canonical_json(seed)},'
+            f'"tenant":{canonical_json(tenant)}}}'
+        )
         directory = self.tenant_dir(tenant)
         directory.mkdir(parents=True, exist_ok=True)
         target = self.checkpoint_path(tenant)
         tmp = directory / (CHECKPOINT_NAME + ".tmp")
         try:
             with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
+                handle.write(text)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, target)
+            # The rename is durable only once the directory entry is;
+            # truncating the log before that could keep the empty log and
+            # lose the new checkpoint, and with it the history.
+            fd = os.open(directory, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
         except OSError:
             # Checkpointing is an optimization over the log; a failed
             # write must never lose the authoritative state. Count it,
@@ -172,13 +215,17 @@ class DurabilityStore:
         if checkpoint_path.exists():
             try:
                 payload = json.loads(checkpoint_path.read_text(encoding="utf-8"))
-                base = list(payload["actions"])
-                seed = payload.get("seed")
-            except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError):
-                # A half-written or rotted checkpoint contributes nothing;
-                # the log may still carry a replayable prefix.
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                payload = None
+            actions = _trusted_actions(payload)
+            if actions is None:
+                # A half-written, rotted or misshapen checkpoint
+                # contributes nothing; the log may still carry a
+                # replayable prefix.
                 METRICS.inc("durability.checkpoint_corrupt")
-                base = []
+            else:
+                base = actions
+                seed = payload.get("seed")
 
         result = read_wal(self.wal_path(tenant))
         if result.stop_reason is not None:

@@ -57,10 +57,24 @@ def _crc32(data: bytes) -> int:
     return zlib.crc32(data) & 0xFFFFFFFF
 
 
+def canonical_json(obj: Any) -> str:
+    """The one canonical JSON text of *obj*: sorted keys, no spaces.
+
+    Log frames and checkpoint files both hold exactly this text, so a
+    record encoded once at append time can be spliced into a checkpoint
+    verbatim.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _frame(text: str) -> bytes:
+    data = text.encode("utf-8")
+    return _HEADER.pack(len(data), _crc32(data)) + data
+
+
 def encode_frame(payload: dict[str, Any]) -> bytes:
     """One action dict -> a framed, CRC-protected log record."""
-    data = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return _HEADER.pack(len(data), _crc32(data)) + data
+    return _frame(canonical_json(payload))
 
 
 @dataclass
@@ -143,9 +157,14 @@ class WalWriter:
         self._op_index = 0
         self._file = open(self.path, "ab")
 
-    def append(self, payload: dict[str, Any]) -> None:
-        """Frame and append one record (write-ahead: called pre-action)."""
-        frame = encode_frame(payload)
+    def append(self, payload: dict[str, Any]) -> str:
+        """Frame and append one record (write-ahead: called pre-action).
+
+        Returns the canonical text that was framed — pristine even when an
+        injected ``"corrupt"`` fault damages the on-disk copy.
+        """
+        text = canonical_json(payload)
+        frame = _frame(text)
         kind = None
         if self._faults is not None:
             kind = self._faults.draw(self._tenant, self._op_index)
@@ -168,7 +187,7 @@ class WalWriter:
         if kind == "fsync":
             METRICS.inc("durability.faults_injected")
             METRICS.inc("durability.fsync_failures")
-            return
+            return text
         if self._fsync:
             try:
                 os.fsync(self._file.fileno())
@@ -178,6 +197,7 @@ class WalWriter:
                 # recovery is prefix-consistent either way. Count it and
                 # keep serving.
                 METRICS.inc("durability.fsync_failures")
+        return text
 
     def truncate(self) -> None:
         """Drop every record (the checkpoint now owns the history)."""

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import stat
 import struct
 import subprocess
 import sys
@@ -51,6 +52,7 @@ from repro.durability import (
     WalFaultSpec,
     WalWriter,
     attach_recorder,
+    canonical_json,
     digest_hash,
     durability_stats_line,
     encode_frame,
@@ -66,6 +68,8 @@ from repro.substrate.relational.schema import PLACE
 from repro.errors import CopyCatError
 from repro.obs import METRICS
 from repro.util.rng import capture_state, restore_state
+
+from .reference_durability import checkpoint_bytes
 
 LABELS = ["Name", "Street", "City"]
 
@@ -324,6 +328,11 @@ def fake_actions(n, start=0):
     return [{"seq": i, "name": "noop", "args": {}} for i in range(start, start + n)]
 
 
+def as_texts(actions):
+    """The canonical texts ``write_checkpoint`` splices, one per action."""
+    return [canonical_json(action) for action in actions]
+
+
 class TestStoreRecovery:
     def test_tenant_dirnames_cannot_collide(self):
         assert tenant_dirname("a/b") != tenant_dirname("a_b")
@@ -333,7 +342,7 @@ class TestStoreRecovery:
         store = DurabilityStore(tmp_path)
         for record in fake_actions(3):
             store.append("t", record)
-        assert store.write_checkpoint("t", fake_actions(3), seed=9)
+        assert store.write_checkpoint("t", as_texts(fake_actions(3)), seed=9)
         store.truncate_wal("t")
         store.append("t", fake_actions(1, start=3)[0])
         store.close()
@@ -348,7 +357,7 @@ class TestStoreRecovery:
         store = DurabilityStore(tmp_path)
         for record in fake_actions(4):
             store.append("t", record)
-        assert store.write_checkpoint("t", fake_actions(2))
+        assert store.write_checkpoint("t", as_texts(fake_actions(2)))
         store.close()
         recovered = DurabilityStore(tmp_path).recover("t")
         assert recovered.from_checkpoint == 2 and recovered.from_wal == 2
@@ -387,9 +396,102 @@ class TestStoreRecovery:
             lambda *a: (_ for _ in ()).throw(OSError("disk full")),
         )
         with metrics_on() as m:
-            assert store.write_checkpoint("t", fake_actions(2)) is False
+            assert store.write_checkpoint("t", as_texts(fake_actions(2))) is False
             assert m.counter_value("durability.fsync_failures") == 1
         assert not store.checkpoint_path("t").exists()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"format": 1, "n_actions": 2, "actions": [1, 2]},
+            {"format": 1, "n_actions": 1, "actions": {"0": {"seq": 0, "name": "noop", "args": {}}}},
+            {"format": 1, "n_actions": 1, "actions": [{"seq": 5, "name": "noop", "args": {}}]},
+            {"format": 1, "n_actions": 3, "actions": fake_actions(1)},
+            {"format": 2, "n_actions": 1, "actions": fake_actions(1)},
+            {"format": 1, "n_actions": 1, "actions": [{"seq": 0, "name": 7, "args": {}}]},
+            {"format": 1, "n_actions": 1, "actions": [{"seq": 0, "name": "noop", "args": []}]},
+            [fake_actions(1)],
+        ],
+        ids=[
+            "non-dict-actions", "actions-dict", "seq-not-index", "n-actions-mismatch",
+            "wrong-format", "name-not-str", "args-not-dict", "not-an-object",
+        ],
+    )
+    def test_misshapen_checkpoint_contributes_nothing(self, tmp_path, payload):
+        store = DurabilityStore(tmp_path)
+        for record in fake_actions(2):
+            store.append("t", record)
+        store.close()
+        path = store.checkpoint_path("t")
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with metrics_on() as m:
+            recovered = DurabilityStore(tmp_path).recover("t")
+            assert m.counter_value("durability.checkpoint_corrupt") == 1
+        # Only the log is trusted, and it starts at seq 0.
+        assert recovered.actions == fake_actions(2)
+        assert recovered.from_checkpoint == 0 and recovered.from_wal == 2
+
+    @pytest.mark.parametrize("actions", [[1, 2], {"0": 1}])
+    def test_misshapen_checkpoint_does_not_break_recover_session(self, tmp_path, actions):
+        store = DurabilityStore(tmp_path)
+        path = store.checkpoint_path("t")
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps({"format": 1, "n_actions": 2, "actions": actions}), encoding="utf-8")
+        recorder, report = recover_session(new_session(build_world()), "t", store, seed=1)
+        store.close()
+        assert report is None and recorder.history == []
+
+    def _recorded(self, tmp_path, n=3):
+        store = DurabilityStore(tmp_path)
+        recorder = SessionRecorder("t", store, checkpoint_interval=0)
+        for _ in range(n):
+            with recorder.action("noop", {}):
+                pass
+        return store, recorder
+
+    def test_checkpoint_syncs_directory_before_truncating(self, tmp_path, monkeypatch):
+        store, recorder = self._recorded(tmp_path)
+        events = []
+        real_fsync, real_replace, real_truncate = os.fsync, os.replace, store.truncate_wal
+
+        def fsync(fd):
+            events.append("fsync-dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync-file")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append("replace")
+            real_replace(src, dst)
+
+        def truncate(tenant):
+            events.append("truncate")
+            real_truncate(tenant)
+
+        monkeypatch.setattr("repro.durability.store.os.fsync", fsync)
+        monkeypatch.setattr("repro.durability.store.os.replace", replace)
+        monkeypatch.setattr(store, "truncate_wal", truncate)
+        assert recorder.checkpoint()
+        assert events == ["fsync-file", "replace", "fsync-dir", "truncate"]
+        store.close()
+
+    def test_failed_directory_sync_keeps_the_log(self, tmp_path, monkeypatch):
+        store, recorder = self._recorded(tmp_path)
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                raise OSError("injected directory fsync failure")
+            real_fsync(fd)
+
+        monkeypatch.setattr("repro.durability.store.os.fsync", fsync)
+        with metrics_on() as m:
+            assert recorder.checkpoint() is False
+            assert m.counter_value("durability.fsync_failures") == 1
+        monkeypatch.undo()
+        assert recorder.checkpoints == 0 and recorder.since_checkpoint == 3
+        assert [r["seq"] for r in read_wal(store.wal_path("t")).records] == [0, 1, 2]
+        store.close()
+        recovered = DurabilityStore(tmp_path).recover("t")
+        assert [a["seq"] for a in recovered.actions] == [0, 1, 2]
 
 
 # ------------------------------------------------------ record/replay parity
@@ -647,6 +749,137 @@ class TestCrossProcessReplay:
         store.close()
         digests = {seed: recover_in_subprocess(tmp_path, seed) for seed in ("0", "1")}
         assert digests == {"0": live, "1": live}
+
+
+# ------------------------------------------------ checkpoint byte identity
+class TestCheckpointBytes:
+    """Checkpoints spliced from append-time texts equal, byte for byte, what
+    the reference ``json.dump`` writer produces for the same history."""
+
+    def test_section8_task(self, tmp_path):
+        world = build_demo_world()
+        session = new_session(world)
+        store = DurabilityStore(tmp_path)
+        recorder, _ = recover_session(session, "erin", store, seed=1)
+        drive_demo_task(session, world)
+        assert recorder.checkpoint()
+        store.close()
+        data = store.checkpoint_path("erin").read_bytes()
+        assert data == checkpoint_bytes("erin", recorder.history, seed=1)
+
+    def test_recovered_history_extended_by_live_actions(self, tmp_path):
+        # Replayed records carry no append-time text; the next checkpoint
+        # encodes them and splices the live ones.
+        world = build_world()
+        session = new_session(world)
+        store = DurabilityStore(tmp_path)
+        recover_session(session, "t", store, seed=1, checkpoint_interval=4)
+        drive_scripted(session, world, n_extra=2, seed=5)
+        store.close()
+
+        restored = new_session(build_world())
+        with DurabilityStore(tmp_path) as store2:
+            recorder, report = recover_session(restored, "t", store2, seed=1, checkpoint_interval=0)
+            assert report is not None and report.applied == 11
+            for _ in range(3):
+                restored.column_suggestions(k=4, refresh=True)
+            assert recorder.checkpoint()
+            data = store2.checkpoint_path("t").read_bytes()
+        assert len(recorder.history) == 14
+        assert data == checkpoint_bytes("t", recorder.history, seed=1)
+
+    def test_live_history_is_not_re_encoded(self, tmp_path, monkeypatch):
+        world = build_world()
+        session = new_session(world)
+        store = DurabilityStore(tmp_path)
+        recorder, _ = recover_session(session, "t", store, seed=1, checkpoint_interval=0)
+        drive_scripted(session, world, n_extra=4, seed=2)
+        encoded = []
+        real_dumps = json.dumps
+
+        def dumps(obj, *args, **kwargs):
+            encoded.append(obj)
+            return real_dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", dumps)
+        monkeypatch.setattr(json, "dump", lambda *a, **k: pytest.fail("checkpoint re-encoded its payload"))
+        assert recorder.checkpoint()
+        monkeypatch.undo()
+        store.close()
+        assert len(recorder.history) == 13
+        # Only the envelope's seed and tenant are encoded, never an action.
+        assert encoded == [1, "t"]
+        data = store.checkpoint_path("t").read_bytes()
+        assert data == checkpoint_bytes("t", recorder.history, seed=1)
+
+    def test_corrupted_append_heals_into_the_checkpoint(self, tmp_path):
+        # Append #3 reaches disk with a flipped byte; the checkpoint after
+        # append #8 must hold the pristine record, not the damaged bytes.
+        world = build_world()
+        session = new_session(world)
+        store = DurabilityStore(tmp_path)
+        with WAL_FAULTS.injected(TearAt(3, kind="corrupt")):
+            recorder, _ = recover_session(session, "t", store, seed=1, checkpoint_interval=8)
+            drive_scripted(session, world)
+        live = session_hash(session)
+        store.close()
+        assert recorder.checkpoints == 1 and len(recorder.history) == 9
+        data = store.checkpoint_path("t").read_bytes()
+        assert data == checkpoint_bytes("t", recorder.history[:8], seed=1)
+
+        restored = new_session(build_world())
+        with DurabilityStore(tmp_path) as store2:
+            recovered = store2.recover("t")
+            assert recovered.from_checkpoint == 8 and recovered.from_wal == 1
+            recover_session(restored, "t", store2, seed=1)
+        assert session_hash(restored) == live
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**200).map(lambda n: n if n % 2 else -n),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 1e308, 5e-324, 0.1]),
+    st.text(),
+    st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\u2028", "é", "日本", "\U0001f600"]),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    calls=st.lists(
+        st.tuples(st.text(max_size=10), st.dictionaries(st.text(max_size=6), _JSON_VALUES, max_size=4)),
+        max_size=8,
+    ),
+    replayed=st.integers(min_value=0, max_value=8),
+    seed=st.none() | st.integers(),
+    tenant=st.text(max_size=10),
+)
+def test_checkpoint_bytes_match_reference_writer(calls, replayed, seed, tenant):
+    """Any JSON-able history — part replayed (encoded at checkpoint time),
+    part recorded live (spliced from the append) — checkpoints to the
+    reference writer's exact bytes, and recovers to itself."""
+    history = [{"seq": i, "name": name, "args": args} for i, (name, args) in enumerate(calls)]
+    k = min(replayed, len(history))
+    with tempfile.TemporaryDirectory() as tmp, DurabilityStore(tmp) as store:
+        recorder = SessionRecorder(tenant, store, seed=seed, checkpoint_interval=0)
+        recorder.restore_history(history[:k])
+        for record in history[k:]:
+            with recorder.action(record["name"], record["args"]):
+                pass
+        assert recorder.checkpoint()
+        data = store.checkpoint_path(tenant).read_bytes()
+        recovered = store.recover(tenant)
+    assert data == checkpoint_bytes(tenant, history, seed=seed)
+    assert recovered.from_checkpoint == len(history) and recovered.from_wal == 0
+    assert recovered.actions == history and recovered.seed == seed
 
 
 # ----------------------------------------------------------------- rng state
