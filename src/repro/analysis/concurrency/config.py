@@ -1,72 +1,22 @@
-"""Race-check configuration: one process-wide switch, env-overridable.
-
-Mirrors :mod:`repro.analysis.config` and the other layer configs: a
-singleton (:data:`RACECHECK`) of plain attributes read directly on hot
-paths, programmatic overrides for tests
-(:meth:`RaceCheckConfig.overridden`), and environment variables read once
-at import:
-
-- ``REPRO_RACECHECK=1`` turns the runtime lockset/race harness **on**
-  (default off): every lock built through
-  :func:`repro.analysis.concurrency.runtime.make_lock` becomes a tracked
-  wrapper recording acquisition order, and the ``note_access`` probes on
-  guarded fields feed the Eraser-style lockset checker. Off, the factory
-  returns plain ``threading`` locks and every probe is a single attribute
-  test — the <5% disabled-overhead bound in
-  ``benchmarks/test_bench_racecheck_overhead.py``.
+"""Race-check knob: the runtime lockset harness, off by default.
 
 The flag is latched per lock at *creation* time: flipping it mid-process
-affects probes immediately but only locks created afterwards are tracked.
-Tests therefore build fresh instances inside ``overridden(enabled=True)``;
-CI's ``race-detect`` job sets the variable for the whole process so even
-the module-level locks (``METRICS``, the intern pool) are tracked.
+affects the ``note_access`` probes at once, but only locks created
+afterwards are tracked. Tests therefore build fresh instances inside
+``RACECHECK.overridden(enabled=True)``; CI's race-detect leg sets
+``REPRO_RACECHECK=1`` for the whole process so the module-level locks
+(``METRICS``, the intern pool) are tracked too.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
-_FALSY = {"0", "false", "no", "off", ""}
+from ...util.knobs import Knob, Knobs
 
 
-def _env_flag(name: str, default: bool = False) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in _FALSY
+class RaceCheckConfig(Knobs):
+    """Knob of the runtime lockset/race harness."""
 
-
-class RaceCheckConfig:
-    """Mutable knobs for the runtime lockset/race harness."""
-
-    def __init__(self) -> None:
-        #: master switch; off keeps every lock a plain threading primitive.
-        self.enabled = _env_flag("REPRO_RACECHECK", False)
-
-    #: knobs :meth:`overridden` accepts.
-    KNOBS = ("enabled",)
-
-    @contextmanager
-    def overridden(self, **knobs):
-        """Temporarily override any named knob (tests and benchmarks)."""
-        for name in knobs:
-            if name not in self.KNOBS:
-                raise ValueError(f"unknown racecheck knob {name!r}; known: {self.KNOBS}")
-        previous = {name: getattr(self, name) for name in knobs}
-        try:
-            for name, value in knobs.items():
-                setattr(self, name, value)
-            yield self
-        finally:
-            for name, value in previous.items():
-                setattr(self, name, value)
-
-    def snapshot(self) -> dict[str, bool]:
-        return {name: getattr(self, name) for name in self.KNOBS}
-
-    def __repr__(self) -> str:
-        return f"RaceCheckConfig({'on' if self.enabled else 'off'})"
+    enabled = Knob("REPRO_RACECHECK", False, "make_lock builds tracked locks; probes record locksets")
 
 
 #: The process-wide race-check configuration.

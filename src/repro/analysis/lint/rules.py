@@ -3,10 +3,10 @@
 Each rule exists because an invariant was only ever enforced by
 convention across the obs/cache/resilience/drift layers:
 
-- **REPRO001** — environment variables are read only in ``config.py``
-  modules, once at import. A stray ``os.environ`` read anywhere else
-  makes behavior depend on *when* a module was imported and escapes the
-  ``disabled()``/``overridden()`` override machinery.
+- **REPRO001** — environment variables are read only in
+  :mod:`repro.util.knobs`, through declared knobs. A stray
+  ``os.environ`` read anywhere else makes behavior depend on *when* a
+  module was imported and escapes the ``overridden()`` machinery.
 - **REPRO002** — every metric name passed to ``METRICS.inc`` / ``gauge``
   / ``observe`` / ``timer`` must match a pattern declared in
   :mod:`repro.obs.registry`, so counters cannot silently diverge from
@@ -38,8 +38,8 @@ from ...obs.registry import declared_samples, is_declared
 from ..diagnostics import ERROR, Diagnostic
 from .engine import SourceFile
 
-#: files in which REPRO001 allows environment reads.
-_ENV_ALLOWED_FILES = {"config.py"}
+#: the one module in which REPRO001 allows environment reads.
+_ENV_ALLOWED_PARTS = ("repro", "util", "knobs.py")
 #: files in which REPRO005 allows raw randomness / clock reads.
 _RNG_ALLOWED_FILES = {"rng.py"}
 
@@ -52,9 +52,9 @@ _CLOCK_FNS = {"time", "time_ns"}
 _DATETIME_FNS = {"now", "utcnow", "today"}
 
 
-# -- REPRO001: env reads live in config modules -------------------------------
+# -- REPRO001: env reads live in the knobs module -----------------------------
 def rule_env_reads(sf: SourceFile) -> Iterable[Diagnostic]:
-    if sf.name in _ENV_ALLOWED_FILES:
+    if sf.path.parts[-3:] == _ENV_ALLOWED_PARTS:
         return
     os_env_names: set[str] = set()
     for node in ast.walk(sf.tree):
@@ -73,8 +73,8 @@ def rule_env_reads(sf: SourceFile) -> Iterable[Diagnostic]:
         if hit:
             yield Diagnostic(
                 "REPRO001", ERROR,
-                f"{hit} read outside a config module; route it through the "
-                f"layer's config.py so disabled()/overridden() can see it",
+                f"{hit} read outside repro/util/knobs.py; declare a Knob in "
+                f"the layer's config.py so overridden() can see it",
                 path=sf.location(node.lineno),
             )
 

@@ -65,7 +65,7 @@ def cache_stats_line(metrics=None) -> str:
     link_hits = int(m.counter_value("linking.feature_memo.hits"))
     link_misses = int(m.counter_value("linking.feature_memo.misses"))
     link_evictions = int(m.counter_value("linking.feature_memo.evictions"))
-    off = [layer for layer, on in CACHE.snapshot().items() if not on]
+    off = [layer for layer in CACHE.LAYERS if not getattr(CACHE, layer)]
     line = (
         f"cache: plan {plan_hits}h/{plan_misses}m/{plan_evictions}e · "
         f"service {service_hits}h/{service_misses}m · "

@@ -24,13 +24,16 @@ from ..learning.integration.queries import IntegrationQuery
 from ..learning.model.type_learner import SemanticTypeLearner
 from ..learning.structure.learner import StructureLearner
 from ..obs import METRICS
-from ..resilience.config import RESILIENCE
 from ..server.overload import check_deadline
 from ..substrate.documents.clipboard import CopyEvent
 from ..substrate.relational.schema import ANY
 from ..util.text import normalize
 from .engine import QueryEngine
 from .suggestions import ColumnSuggestion, QuerySuggestion, RowSuggestion, TypeSuggestion
+
+#: ranking cost a column suggestion pays per service that failed while
+#: computing it.
+DEGRADED_PENALTY = 0.75
 
 
 class AutoCompleteGenerator:
@@ -133,7 +136,7 @@ class AutoCompleteGenerator:
             # the column), but rank-penalized per failed service and
             # flagged so the user sees why values are missing.
             degraded = result.degraded_services()
-            score = completion.cost + RESILIENCE.degraded_penalty * len(degraded)
+            score = completion.cost + DEGRADED_PENALTY * len(degraded)
             if degraded and METRICS.enabled:
                 METRICS.inc("resilience.degraded_suggestions")
             suggestions.append(

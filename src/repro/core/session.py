@@ -62,7 +62,6 @@ from ..learning.transforms import Transform, TransformLearner
 from ..linking.linker import LearnedLinker, LinkExample
 from ..linking.similarity import FieldPair
 from ..provenance.explain import Explanation
-from ..resilience.config import RESILIENCE
 from ..server.config import OVERLOAD
 from ..server.overload import LEVEL_DEGRADED, LEVEL_NORMAL
 from ..substrate.documents.clipboard import Clipboard, CopyEvent
@@ -573,12 +572,11 @@ class CopyCatSession:
         recompute. ``refresh=True`` forces one unconditionally (the old
         default), ``refresh=False`` reuses whatever batch is standing.
         """
-        if RESILIENCE.enabled:
-            # Operational trust feedback: fold observed service failure
-            # rates into edge weights *before* computing the signature, so
-            # newly degraded health both perturbs the signature (forcing a
-            # recompute) and sinks chronically failing services in ranking.
-            self.integration_learner.absorb_service_health()
+        # Operational trust feedback: fold observed service failure
+        # rates into edge weights *before* computing the signature, so
+        # newly degraded health both perturbs the signature (forcing a
+        # recompute) and sinks chronically failing services in ranking.
+        self.integration_learner.absorb_service_health()
         if DRIFT.enabled:
             # Same for extraction-side trust: drift history and quarantine
             # fold into edge costs before the signature is computed.

@@ -1,114 +1,24 @@
-"""Drift-layer configuration: one process-wide switch set, env-overridable.
+"""Drift-layer knobs.
 
-Mirrors :mod:`repro.resilience.config`: a singleton (:data:`DRIFT`) of plain
-attributes that hot call sites read directly, with programmatic overrides
-for tests (:meth:`DriftConfig.disabled`, :meth:`DriftConfig.overridden`) and
-environment variables read once at import:
-
-- ``REPRO_DRIFT=0`` disables the drift detection / verification /
-  self-healing layer entirely (extraction, commit, and resync behave
-  exactly as before this layer existed);
-- ``REPRO_DRIFT_TYPE_THRESHOLD`` is the per-column token-pattern similarity
-  below which an extraction is declared drifted (Section 3.2's statistical
-  distribution matching, applied defensively);
-- ``REPRO_DRIFT_MIN_ROW_FRACTION`` / ``REPRO_DRIFT_MAX_ROW_MULTIPLE`` bound
-  record-count sanity relative to the induction-time row count;
-- ``REPRO_DRIFT_MIN_EXAMPLE_COVERAGE`` is the fraction of stored user
-  examples that must still be extractable (anchored by value);
-- ``REPRO_DRIFT_PENALTY`` / ``REPRO_QUARANTINE_PENALTY`` control how hard
-  drift history and wholesale quarantine push a source's edges up in the
-  source graph (the analogue of ``REPRO_FAILURE_PENALTY`` for services);
-- ``REPRO_QUARANTINE_TRUST_FACTOR`` scales a source's trust down when its
-  re-induction fails and it is quarantined wholesale.
+``DRIFT.enabled`` off skips verification, healing and quarantine; the
+drift-recovery and analysis-overhead benchmarks use it as their
+reference leg.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
-_FALSY = {"0", "false", "no", "off", ""}
+from ..util.knobs import Knob, Knobs
 
 
-def _env_flag(name: str, default: bool = True) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in _FALSY
+class DriftConfig(Knobs):
+    """Knobs of drift verification, healing and quarantine."""
 
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    return float(raw) if raw is not None else default
-
-
-class DriftConfig:
-    """Mutable knobs for drift verification, healing, and quarantine."""
-
-    def __init__(self) -> None:
-        #: master switch; off reproduces the pre-drift-layer behavior
-        #: bit-for-bit (no verification, no healing, no quarantine).
-        self.enabled = _env_flag("REPRO_DRIFT", True)
-        #: per-column similarity vs. the induction-time type signature below
-        #: which the column's token-pattern distribution counts as diverged.
-        self.type_divergence_threshold = _env_float("REPRO_DRIFT_TYPE_THRESHOLD", 0.5)
-        #: a re-extraction yielding fewer than this fraction of the
-        #: induction-time row count is suspicious (template loss, truncation).
-        self.min_row_fraction = _env_float("REPRO_DRIFT_MIN_ROW_FRACTION", 0.5)
-        #: ... and more than this multiple is suspicious too (rule suddenly
-        #: matching chrome or other columns).
-        self.max_row_multiple = _env_float("REPRO_DRIFT_MAX_ROW_MULTIPLE", 3.0)
-        #: fraction of the stored user examples that must re-extract,
-        #: matched by value (the landmark-coverage check).
-        self.min_example_coverage = _env_float("REPRO_DRIFT_MIN_EXAMPLE_COVERAGE", 0.5)
-        #: extra edge cost per unit drift rate (drift events / resyncs) on a
-        #: source's graph edges; the analogue of ``failure_penalty``.
-        self.drift_penalty = _env_float("REPRO_DRIFT_PENALTY", 1.0)
-        #: flat extra edge cost for a quarantined source — above the default
-        #: relevance threshold (2.0), so quarantined sources stop being
-        #: suggested at all until they heal.
-        self.quarantine_penalty = _env_float("REPRO_QUARANTINE_PENALTY", 2.5)
-        #: multiplicative trust hit when a source is quarantined wholesale.
-        self.quarantine_trust_factor = _env_float("REPRO_QUARANTINE_TRUST_FACTOR", 0.5)
-
-    #: knobs :meth:`overridden` accepts (everything mutable above).
-    KNOBS = (
-        "enabled", "type_divergence_threshold", "min_row_fraction",
-        "max_row_multiple", "min_example_coverage", "drift_penalty",
-        "quarantine_penalty", "quarantine_trust_factor",
+    enabled = Knob("REPRO_DRIFT", True, "off skips drift verification, healing and quarantine")
+    type_divergence_threshold = Knob(
+        "REPRO_DRIFT_TYPE_THRESHOLD", 0.5,
+        "per-column token-pattern similarity below which a column counts as drifted",
     )
-
-    @contextmanager
-    def disabled(self):
-        """Temporarily turn the drift layer off."""
-        with self.overridden(enabled=False):
-            yield self
-
-    @contextmanager
-    def overridden(self, **knobs):
-        """Temporarily override any named knob (tests and benchmarks)."""
-        for name in knobs:
-            if name not in self.KNOBS:
-                raise ValueError(f"unknown drift knob {name!r}; known: {self.KNOBS}")
-        previous = {name: getattr(self, name) for name in knobs}
-        try:
-            for name, value in knobs.items():
-                setattr(self, name, value)
-            yield self
-        finally:
-            for name, value in previous.items():
-                setattr(self, name, value)
-
-    def snapshot(self) -> dict[str, float | bool]:
-        return {name: getattr(self, name) for name in self.KNOBS}
-
-    def __repr__(self) -> str:
-        state = "on" if self.enabled else "off"
-        return (
-            f"DriftConfig({state}, type_threshold="
-            f"{self.type_divergence_threshold:g}, rows=[{self.min_row_fraction:g}x,"
-            f" {self.max_row_multiple:g}x])"
-        )
+    drift_penalty = Knob("REPRO_DRIFT_PENALTY", 1.0, "extra edge cost per unit of a source's drift rate")
 
 
 #: The process-wide drift configuration every layer consults.

@@ -22,13 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..substrate.relational.catalog import Catalog
-from .config import DRIFT
 
 #: metadata-notes keys the drift layer maintains on catalog sources.
 QUARANTINE_NOTE = "quarantined"
 DRIFT_EVENTS_NOTE = "drift_events"
 DRIFT_RESYNCS_NOTE = "drift_resyncs"
 PROVENANCE_NOTE = "provenance"
+
+#: multiplicative trust hit when a source is quarantined wholesale.
+QUARANTINE_TRUST_FACTOR = 0.5
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,7 @@ def quarantine_source_in_catalog(catalog: Catalog, source: str, reason: str) -> 
     """Mark *source* quarantined: note + trust hit + version bump."""
     metadata = catalog.metadata(source)
     metadata.notes[QUARANTINE_NOTE] = reason
-    metadata.trust = max(0.05, metadata.trust * DRIFT.quarantine_trust_factor)
+    metadata.trust = max(0.05, metadata.trust * QUARANTINE_TRUST_FACTOR)
     _touch()
     catalog.bump_version()
 

@@ -20,7 +20,8 @@ verified against that snapshot:
   catches silent field reorders: positions still extract, but the street
   column suddenly "looks like" names.
 
-All thresholds come from :data:`repro.drift.config.DRIFT`.
+The count and coverage bounds are the constants below; the column
+threshold comes from :data:`repro.drift.config.DRIFT`.
 """
 
 from __future__ import annotations
@@ -34,6 +35,15 @@ from .config import DRIFT
 
 #: Longest plausible extracted cell; beyond this the rule is eating template.
 MAX_CELL_LEN = 200
+#: fewer valid rows than this fraction of the induction-time count is
+#: suspicious (template loss, truncation) ...
+MIN_ROW_FRACTION = 0.5
+#: ... and more than this multiple too (the rule matching chrome or
+#: other columns).
+MAX_ROW_MULTIPLE = 3.0
+#: fraction of the user's example rows, matched by value, that must
+#: still extract (the landmark-coverage check).
+MIN_EXAMPLE_COVERAGE = 0.5
 
 
 @dataclass(frozen=True)
@@ -188,22 +198,22 @@ def verify_extraction(
         )
 
     if check_counts and snapshot.n_rows:
-        if len(valid) < DRIFT.min_row_fraction * snapshot.n_rows:
+        if len(valid) < MIN_ROW_FRACTION * snapshot.n_rows:
             reasons.append(
                 f"row count collapsed: {len(valid)} valid vs {snapshot.n_rows} "
-                f"at induction (min fraction {DRIFT.min_row_fraction:g})"
+                f"at induction (min fraction {MIN_ROW_FRACTION:g})"
             )
-        elif len(valid) > DRIFT.max_row_multiple * snapshot.n_rows:
+        elif len(valid) > MAX_ROW_MULTIPLE * snapshot.n_rows:
             reasons.append(
                 f"row count exploded: {len(valid)} valid vs {snapshot.n_rows} "
-                f"at induction (max multiple {DRIFT.max_row_multiple:g})"
+                f"at induction (max multiple {MAX_ROW_MULTIPLE:g})"
             )
 
     coverage = example_coverage(snapshot.examples, valid)
-    if check_examples and snapshot.examples and coverage < DRIFT.min_example_coverage:
+    if check_examples and snapshot.examples and coverage < MIN_EXAMPLE_COVERAGE:
         reasons.append(
             f"landmark coverage lost: only {coverage:.0%} of the user's "
-            f"example rows still extract (min {DRIFT.min_example_coverage:.0%})"
+            f"example rows still extract (min {MIN_EXAMPLE_COVERAGE:.0%})"
         )
 
     column_scores: list[float | None] = []

@@ -5,8 +5,8 @@ pastes, accepts/rejects, link examples, trust feedback — and before this
 layer all of it lived in memory and died with the process. This package
 makes a session's history durable and its state reconstructible:
 
-- :mod:`~repro.durability.config` — the :data:`DURABILITY` switch set
-  (``REPRO_DURABILITY=0`` reproduces in-memory behavior bit-for-bit);
+- :mod:`~repro.durability.config` — the :data:`DURABILITY` knobs
+  (persistence is on only where a durability root is configured);
 - :mod:`~repro.durability.wal` — the append-only CRC-framed log with
   prefix-consistent reads;
 - :mod:`~repro.durability.recorder` — write-ahead event sourcing at the
@@ -125,12 +125,9 @@ def durability_stats_line(metrics: Any = None) -> str:
     crc = int(m.counter_value("durability.recovery_crc_failures"))
     gaps = int(m.counter_value("durability.recovery_seq_gaps"))
     faults = int(m.counter_value("durability.faults_injected"))
-    line = (
+    return (
         f"durability: {logged} actions logged · {checkpoints} checkpoints · "
         f"{recovered} sessions recovered ({replayed} actions replayed) · "
         f"damage absorbed: {torn} torn / {crc} crc / {gaps} gaps · "
         f"{faults} faults injected"
     )
-    if not DURABILITY.enabled:
-        line += " · disabled"
-    return line

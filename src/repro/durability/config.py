@@ -1,125 +1,24 @@
-"""Durability configuration: one process-wide switch set.
+"""Durability knobs.
 
-Mirrors the other layers' config singletons (:mod:`repro.server.config`,
-:mod:`repro.cache.config`, …): plain attributes on :data:`DURABILITY`,
-programmatic overrides for tests and benchmarks
-(:meth:`DurabilityConfig.disabled`, :meth:`DurabilityConfig.overridden`),
-and environment variables read once at import:
-
-- ``REPRO_DURABILITY=0`` disables the durable-session layer entirely —
-  no recorder is attached, no files are touched, and every session
-  reproduces pre-durability in-memory behavior bit-for-bit (the
-  env-toggle contract every prior layer honors);
-- ``REPRO_DURABILITY_ROOT`` names the directory holding per-tenant
-  checkpoint + write-ahead-log files. Persistence is *active* only when
-  both the flag is on and a root is configured (here or per
-  :class:`~repro.server.manager.SessionManager`), so library users who
-  never opt into a durability root keep today's purely in-memory
-  sessions;
-- ``REPRO_DURABILITY_CHECKPOINT`` — recorded actions between automatic
-  checkpoints (compaction of the log into ``checkpoint.json``;
-  default 64);
-- ``REPRO_DURABILITY_FSYNC=1`` — fsync the log after every appended
-  record and every checkpoint (defaults off: tests and benchmarks
-  exercise crash-consistency via injected faults, not physical sync);
-- ``REPRO_DURABILITY_FAULT_RATE`` / ``REPRO_DURABILITY_FAULT_SEED`` —
-  ambient seeded write-fault injection for the log (torn final records,
-  CRC corruption, truncation, fsync failures), the PR-3 chaos knob
-  pattern applied to storage.
+Persistence is opt-in: sessions are recorded only when a durability root
+is configured, here or per :class:`~repro.server.manager.SessionManager`.
+``fsync`` defaults off because tests and benchmarks check crash
+consistency through injected write faults, not physical sync.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
-_FALSY = {"0", "false", "no", "off", ""}
+from ..util.knobs import Knob, Knobs
 
 
-def _env_flag(name: str, default: bool = True) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in _FALSY
+class DurabilityConfig(Knobs):
+    """Knobs of the durable-session layer."""
 
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    return int(raw) if raw is not None else default
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    return float(raw) if raw is not None else default
-
-
-def _env_str(name: str, default: str) -> str:
-    raw = os.environ.get(name)
-    return raw if raw is not None else default
-
-
-class DurabilityConfig:
-    """Mutable knobs for the durable-session layer."""
-
-    def __init__(self) -> None:
-        #: master switch; off means no recorder is ever attached.
-        self.enabled = _env_flag("REPRO_DURABILITY", True)
-        #: directory for per-tenant checkpoint + WAL files ("" = no
-        #: persistence unless a manager passes an explicit root).
-        self.root = _env_str("REPRO_DURABILITY_ROOT", "")
-        #: recorded actions between automatic log compactions.
-        self.checkpoint_interval = _env_int("REPRO_DURABILITY_CHECKPOINT", 64)
-        #: fsync the log after every record and checkpoint.
-        self.fsync = _env_flag("REPRO_DURABILITY_FSYNC", False)
-        #: ambient write-fault probability per log operation.
-        self.fault_rate = _env_float("REPRO_DURABILITY_FAULT_RATE", 0.0)
-        #: seed for the hash-derived write-fault decisions.
-        self.fault_seed = _env_int("REPRO_DURABILITY_FAULT_SEED", 0)
-
-    #: knobs :meth:`overridden` accepts (everything mutable above).
-    KNOBS = (
-        "enabled",
-        "root",
-        "checkpoint_interval",
-        "fsync",
-        "fault_rate",
-        "fault_seed",
-    )
-
-    @contextmanager
-    def disabled(self):
-        """Temporarily force pure in-memory sessions (no recording)."""
-        with self.overridden(enabled=False):
-            yield self
-
-    @contextmanager
-    def overridden(self, **knobs):
-        """Temporarily override any named knob (tests and benchmarks)."""
-        for name in knobs:
-            if name not in self.KNOBS:
-                raise ValueError(
-                    f"unknown durability knob {name!r}; known: {self.KNOBS}"
-                )
-        previous = {name: getattr(self, name) for name in knobs}
-        try:
-            for name, value in knobs.items():
-                setattr(self, name, value)
-            yield self
-        finally:
-            for name, value in previous.items():
-                setattr(self, name, value)
-
-    def snapshot(self) -> dict[str, int | float | bool | str]:
-        return {name: getattr(self, name) for name in self.KNOBS}
-
-    def __repr__(self) -> str:
-        state = "on" if self.enabled else "off"
-        root = self.root or "<memory-only>"
-        return (
-            f"DurabilityConfig({state}, root={root!r}, "
-            f"checkpoint_interval={self.checkpoint_interval}, "
-            f"fsync={self.fsync})"
-        )
+    root = Knob("REPRO_DURABILITY_ROOT", "", "directory of per-tenant checkpoint + log ('' = none)")
+    checkpoint_interval = Knob("REPRO_DURABILITY_CHECKPOINT", 64, "recorded actions between log compactions")
+    fsync = Knob("REPRO_DURABILITY_FSYNC", False, "fsync the log after every record and checkpoint")
+    fault_rate = Knob("REPRO_DURABILITY_FAULT_RATE", 0.0, "injected write-fault probability per log op")
+    fault_seed = Knob("REPRO_DURABILITY_FAULT_SEED", 0, "seed of the hash-derived write-fault decisions")
 
 
 #: The process-wide durability configuration recorders and stores consult.

@@ -195,9 +195,8 @@ class SessionRecorder:
 def recorded(method: Callable) -> Callable:
     """Decorator: log this session method's calls through the recorder.
 
-    Sessions without a recorder (``session.durability is None`` — the
-    ``REPRO_DURABILITY=0`` path and every pre-existing standalone use)
-    pay one attribute check and dispatch straight to the method,
+    Sessions without a recorder (``session.durability is None`` — every
+    session with no durability root) pay one attribute check and dispatch straight to the method,
     preserving in-memory behavior bit-for-bit.
     """
     name = method.__name__

@@ -28,7 +28,6 @@ from ...drift.quarantine import (
 )
 from ...errors import CatalogError, GraphError, IntegrationError
 from ...obs import METRICS
-from ...resilience.config import RESILIENCE
 from ...substrate.relational.catalog import Catalog
 from ...util.text import normalize
 from .associations import discover_associations
@@ -40,6 +39,11 @@ from .steiner import SteinerTree, exact_top_k_steiner
 
 #: Above this many non-terminal nodes, fall back to SPCSH automatically.
 EXACT_NODE_BUDGET = 14
+#: extra edge cost per unit of a service's observed failure rate.
+FAILURE_PENALTY = 2.0
+#: flat extra edge cost for a quarantined source: above the default
+#: relevance threshold (2.0), so it stops being suggested until it heals.
+QUARANTINE_PENALTY = 2.5
 
 
 @dataclass
@@ -118,7 +122,7 @@ class IntegrationLearner:
 
         The paper's trust-feedback mechanism driven by operational signals:
         every edge touching a service pays an extra cost of
-        ``RESILIENCE.failure_penalty × failure_rate``, so chronically
+        ``FAILURE_PENALTY × failure_rate``, so chronically
         failing services sink in plan ranking (and, once the penalty pushes
         an edge past the relevance threshold, stop being suggested at all).
         The penalty is applied as a delta against what was previously
@@ -150,7 +154,7 @@ class IntegrationLearner:
                 except CatalogError:
                     continue
                 rate = max(rate, service.health.failure_rate())
-            penalty = RESILIENCE.failure_penalty * rate
+            penalty = FAILURE_PENALTY * rate
             previous = self._health_penalty.get(edge.key, 0.0)
             if abs(penalty - previous) > 1e-12:
                 self.graph.weights[edge.key] = (
@@ -174,7 +178,7 @@ class IntegrationLearner:
         edge touching a drifting relation pays ``DRIFT.drift_penalty × drift
         rate`` (detected drift events over resync attempts, so a healed
         drift decays as clean resyncs accrue), and an edge touching a
-        *quarantined* relation pays the flat ``DRIFT.quarantine_penalty`` —
+        *quarantined* relation pays the flat :data:`QUARANTINE_PENALTY` —
         above the default relevance threshold, so quarantined sources stop
         being suggested at all until they heal. Deltas are tracked per edge
         so repeated calls converge and never clobber MIRA-learned weights.
@@ -206,7 +210,7 @@ class IntegrationLearner:
         penalties: dict[str, float] = {}
         for name, events, _resyncs, quarantined in state:
             if quarantined:
-                penalties[name] = DRIFT.quarantine_penalty
+                penalties[name] = QUARANTINE_PENALTY
             elif events:
                 penalties[name] = DRIFT.drift_penalty * drift_rate(self.catalog, name)
         changed = 0

@@ -7,9 +7,8 @@ package supplies the four pieces that make the suggestion pipeline survive
 unreliable backends:
 
 - :mod:`~repro.resilience.config` — the process-wide knob set
-  (:data:`RESILIENCE`), env-overridable, with ``disabled()`` /
-  ``overridden()`` context managers so A/B tests compare the resilient and
-  legacy paths;
+  (:data:`RESILIENCE`): retry, deadline, breaker and fault-injection
+  settings;
 - :mod:`~repro.resilience.faults` — the deterministic fault-injection
   harness (:class:`FaultPolicy`, the global :data:`FAULTS` injector):
   seeded transient/persistent failures, injected latency, and flapping
@@ -76,8 +75,6 @@ def resilience_stats_line(metrics=None) -> str:
         f"(short-circuited {shorted}) · degraded rows {degraded} · "
         f"deadline expired {deadline}"
     )
-    if not RESILIENCE.enabled:
-        line += " · disabled"
     if FAULTS.active is not None:
         line += f" · injecting: {FAULTS.active!r}"
     return line

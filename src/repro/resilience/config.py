@@ -1,125 +1,26 @@
-"""Resilience configuration: one process-wide switch set, env-overridable.
+"""Resilience knobs: retries, deadlines, breakers and fault injection.
 
-Mirrors :mod:`repro.cache.config`: a singleton (:data:`RESILIENCE`) of plain
-attributes that hot call sites read directly, with programmatic overrides
-for tests (:meth:`ResilienceConfig.disabled`, :meth:`ResilienceConfig.
-overridden`) and environment variables read once at import:
-
-- ``REPRO_RESILIENCE=0`` disables the resilient invocation path entirely
-  (service calls behave exactly as before this layer existed);
-- ``REPRO_RETRY_MAX`` / ``REPRO_RETRY_BASE_MS`` / ``REPRO_RETRY_MULTIPLIER``
-  / ``REPRO_RETRY_JITTER`` shape the backoff schedule;
-- ``REPRO_DEADLINE_MS`` is the per-invocation deadline budget (retries
-  included);
-- ``REPRO_BREAKER_THRESHOLD`` / ``REPRO_BREAKER_COOLDOWN_MS`` tune the
-  per-service circuit breaker;
-- ``REPRO_FAULT_RATE`` / ``REPRO_FAULT_SEED`` / ``REPRO_FAULT_LATENCY_MS``
-  arm the deterministic fault-injection harness globally (see
-  :mod:`repro.resilience.faults`);
-- ``REPRO_DEGRADED_PENALTY`` / ``REPRO_FAILURE_PENALTY`` control how hard
-  degraded results and chronic failure rates push suggestions down the
-  ranking.
+``REPRO_FAULT_RATE`` arms the seeded fault injector for the whole
+process (see :mod:`repro.resilience.faults`); the chaos CI leg runs the
+test suite that way, with fast retries.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
-_FALSY = {"0", "false", "no", "off", ""}
+from ..util.knobs import Knob, Knobs
 
 
-def _env_flag(name: str, default: bool = True) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in _FALSY
+class ResilienceConfig(Knobs):
+    """Knobs of retries, deadlines, breakers and fault injection."""
 
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    return float(raw) if raw is not None else default
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    return int(raw) if raw is not None else default
-
-
-class ResilienceConfig:
-    """Mutable knobs for retries, deadlines, breakers, and fault injection."""
-
-    def __init__(self) -> None:
-        #: master switch for the resilient invocation path; off reproduces
-        #: the pre-resilience behavior bit-for-bit.
-        self.enabled = _env_flag("REPRO_RESILIENCE", True)
-        #: total attempts per invocation (first try + retries).
-        self.retry_max = _env_int("REPRO_RETRY_MAX", 3)
-        #: base backoff before the first retry, milliseconds.
-        self.retry_base_ms = _env_float("REPRO_RETRY_BASE_MS", 1.0)
-        #: exponential backoff multiplier between consecutive retries.
-        self.retry_multiplier = _env_float("REPRO_RETRY_MULTIPLIER", 2.0)
-        #: jitter fraction in [0, 1]: each delay is scaled by a seeded
-        #: uniform draw from [1, 1 + jitter].
-        self.retry_jitter = _env_float("REPRO_RETRY_JITTER", 0.5)
-        #: per-invocation deadline budget (all attempts + backoff), ms.
-        self.deadline_ms = _env_float("REPRO_DEADLINE_MS", 2000.0)
-        #: consecutive backend failures that open a service's breaker.
-        self.breaker_threshold = _env_int("REPRO_BREAKER_THRESHOLD", 8)
-        #: how long an open breaker rejects calls before allowing a probe, ms.
-        self.breaker_cooldown_ms = _env_float("REPRO_BREAKER_COOLDOWN_MS", 50.0)
-        #: ranking penalty added to a suggestion's cost per degraded service.
-        self.degraded_penalty = _env_float("REPRO_DEGRADED_PENALTY", 0.75)
-        #: scale mapping a service's observed failure rate into extra edge
-        #: cost in the source graph (the operational trust-feedback signal).
-        self.failure_penalty = _env_float("REPRO_FAILURE_PENALTY", 2.0)
-        #: seed for fault schedules and backoff jitter streams.
-        self.seed = _env_int("REPRO_FAULT_SEED", 20090104)
-        #: env-armed global fault injection: transient-failure probability
-        #: and added latency (see :func:`repro.resilience.faults.
-        #: _policy_from_env`, which reads these instead of os.environ).
-        self.fault_rate = _env_float("REPRO_FAULT_RATE", 0.0)
-        self.fault_latency_ms = _env_float("REPRO_FAULT_LATENCY_MS", 0.0)
-
-    #: knobs :meth:`overridden` accepts (everything mutable above).
-    KNOBS = (
-        "enabled", "retry_max", "retry_base_ms", "retry_multiplier",
-        "retry_jitter", "deadline_ms", "breaker_threshold",
-        "breaker_cooldown_ms", "degraded_penalty", "failure_penalty", "seed",
-        "fault_rate", "fault_latency_ms",
-    )
-
-    @contextmanager
-    def disabled(self):
-        """Temporarily turn the resilient invocation path off."""
-        with self.overridden(enabled=False):
-            yield self
-
-    @contextmanager
-    def overridden(self, **knobs):
-        """Temporarily override any named knob (tests and benchmarks)."""
-        for name in knobs:
-            if name not in self.KNOBS:
-                raise ValueError(f"unknown resilience knob {name!r}; known: {self.KNOBS}")
-        previous = {name: getattr(self, name) for name in knobs}
-        try:
-            for name, value in knobs.items():
-                setattr(self, name, value)
-            yield self
-        finally:
-            for name, value in previous.items():
-                setattr(self, name, value)
-
-    def snapshot(self) -> dict[str, float | int | bool]:
-        return {name: getattr(self, name) for name in self.KNOBS}
-
-    def __repr__(self) -> str:
-        state = "on" if self.enabled else "off"
-        return (
-            f"ResilienceConfig({state}, retry_max={self.retry_max}, "
-            f"deadline_ms={self.deadline_ms:g}, breaker={self.breaker_threshold}"
-            f"@{self.breaker_cooldown_ms:g}ms)"
-        )
+    retry_max = Knob("REPRO_RETRY_MAX", 3, "attempts per invocation (first try + retries)")
+    retry_base_ms = Knob("REPRO_RETRY_BASE_MS", 1.0, "backoff before the first retry, ms")
+    deadline_ms = Knob("REPRO_DEADLINE_MS", 2000.0, "per-invocation budget (all attempts + backoff), ms")
+    breaker_threshold = Knob("REPRO_BREAKER_THRESHOLD", 8, "backend failures in a row that open a breaker")
+    breaker_cooldown_ms = Knob("REPRO_BREAKER_COOLDOWN_MS", 50.0, "how long an open breaker rejects calls")
+    seed = Knob("REPRO_FAULT_SEED", 20090104, "seed of fault schedules and backoff jitter")
+    fault_rate = Knob("REPRO_FAULT_RATE", 0.0, "injected transient-failure probability per call")
+    fault_latency_ms = Knob("REPRO_FAULT_LATENCY_MS", 0.0, "injected latency per call, ms")
 
 
 #: The process-wide resilience configuration every layer consults.

@@ -16,6 +16,11 @@ from typing import Callable
 from ..util.rng import derive_rng, make_rng
 from .config import RESILIENCE
 
+#: backoff growth between consecutive retries.
+BACKOFF_MULTIPLIER = 2.0
+#: each delay is scaled by a seeded uniform draw from [1, 1 + jitter].
+BACKOFF_JITTER = 0.5
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -31,8 +36,8 @@ class RetryPolicy:
         return cls(
             max_attempts=max(1, RESILIENCE.retry_max),
             base_ms=max(0.0, RESILIENCE.retry_base_ms),
-            multiplier=max(1.0, RESILIENCE.retry_multiplier),
-            jitter=max(0.0, RESILIENCE.retry_jitter),
+            multiplier=BACKOFF_MULTIPLIER,
+            jitter=BACKOFF_JITTER,
         )
 
     def backoff_ms(self, attempt: int, rng) -> float:

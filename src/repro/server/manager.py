@@ -58,7 +58,9 @@ from ..util.rng import DEFAULT_SEED, seed_for
 from .base import SharedBase
 from .config import OVERLOAD, SERVER
 from .overload import (
+    BROWNOUT_SHRINK,
     LEVEL_NORMAL,
+    RETRY_AFTER_MS,
     LoadController,
     Overloaded,
     RequestExpired,
@@ -127,13 +129,13 @@ class SessionManager:
         self._session_factory = session_factory or self._default_factory
         self._clock = clock
         # Durable sessions: with a root configured (argument, or the
-        # REPRO_DURABILITY_ROOT knob) and the layer enabled, every tenant
-        # session records its actions write-ahead; eviction checkpoints
+        # REPRO_DURABILITY_ROOT knob), every tenant session records its
+        # actions write-ahead; eviction checkpoints
         # instead of dropping, and first attach after a restart recovers
         # the tenant from checkpoint + log tail.
         root = durability_root if durability_root is not None else (DURABILITY.root or None)
         self.store: DurabilityStore | None = (
-            DurabilityStore(root) if (DURABILITY.enabled and root) else None
+            DurabilityStore(root) if root else None
         )
         self._registry: "OrderedDict[str, _Entry]" = OrderedDict()
         self._registry_lock = make_lock("SessionManager._registry_lock")
@@ -326,19 +328,19 @@ class SessionManager:
         if not admitted_by_bucket:
             self._shed("rate", tenant_id, bucket_retry, f"token bucket empty at {cfg.rate:g}/s")
         if depth >= depth_limit:
-            retry = cfg.retry_after_ms * (1.0 + depth / depth_limit)
+            retry = RETRY_AFTER_MS * (1.0 + depth / depth_limit)
             self._shed("queue", tenant_id, retry, f"dispatch queue at {depth}/{depth_limit}")
         inflight = self.inflight
         limit = max(1, cfg.max_inflight)
         if inflight >= limit:
             self._shed(
-                "inflight", tenant_id, cfg.retry_after_ms * 2.0,
+                "inflight", tenant_id, RETRY_AFTER_MS * 2.0,
                 f"server inflight at {inflight}/{limit}",
             )
         pressure = inflight / limit
         if self._shed_policy.should_shed(tenant_id, index, pressure, cfg.shed_soft):
             self._shed(
-                "early", tenant_id, cfg.retry_after_ms,
+                "early", tenant_id, RETRY_AFTER_MS,
                 f"seeded ramp at pressure {pressure:.2f} (soft {cfg.shed_soft:g})",
             )
 
@@ -503,7 +505,7 @@ class SessionManager:
                     f"deadline of {request.deadline.budget_ms:g}ms expired "
                     f"before dispatch for {entry.tenant_id!r}",
                     checkpoint="dequeue",
-                    retry_after_ms=max(1.0, OVERLOAD.retry_after_ms),
+                    retry_after_ms=RETRY_AFTER_MS,
                     tenant=entry.tenant_id,
                 )
             )
@@ -629,7 +631,7 @@ class SessionManager:
             # Brownout: shrink the shared tiers for memory headroom;
             # sessions pick the degraded level up lazily on their next
             # request (inside their serialized streams).
-            self.base.tiers.shrink(OVERLOAD.brownout_shrink)
+            self.base.tiers.shrink(BROWNOUT_SHRINK)
             if METRICS.enabled:
                 METRICS.inc("overload.brownout_entered")
                 METRICS.gauge("overload.level", 1.0)

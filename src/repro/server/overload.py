@@ -71,6 +71,11 @@ __all__ = [
 LEVEL_NORMAL = "normal"
 LEVEL_DEGRADED = "degraded"
 
+#: base retry hint (ms) carried by shed and expiry errors.
+RETRY_AFTER_MS = 50.0
+#: divisor of every shared cache-tier capacity while browned out.
+BROWNOUT_SHRINK = 4
+
 
 class SessionError(CopyCatError):
     """Raised for session-manager lifecycle misuse (unknown/closed state)."""
@@ -171,7 +176,7 @@ def check_deadline(checkpoint: str) -> None:
             f"deadline of {deadline.budget_ms:g}ms expired at {checkpoint} "
             f"({deadline.elapsed_ms():.1f}ms elapsed)",
             checkpoint=checkpoint,
-            retry_after_ms=max(1.0, OVERLOAD.retry_after_ms),
+            retry_after_ms=RETRY_AFTER_MS,
         )
 
 

@@ -99,12 +99,11 @@ class Service:
         Returns a list of full-schema row dicts (inputs echoed + outputs).
         An empty list is a *definitive* no-match — the dependent join treats
         it as "no answer for these inputs" and it is memoizable. A backend
-        *failure* is different: under the resilient path
-        (:data:`repro.resilience.RESILIENCE` enabled) transient errors are
-        retried with seeded exponential backoff inside a per-invocation
-        deadline, gated by this service's circuit breaker; once the budget
-        is exhausted :class:`ServiceLookupFailed` is raised, and — unlike a
-        definitive no-match — is **never** cached, so a flaky moment cannot
+        *failure* is different: transient errors are retried with seeded
+        exponential backoff inside a per-invocation deadline, gated by
+        this service's circuit breaker; once the budget is exhausted
+        :class:`ServiceLookupFailed` is raised, and — unlike a definitive
+        no-match — is **never** cached, so a flaky moment cannot
         poison the memo. Repeated successful invocations with the same
         bound inputs are served from a per-service LRU memo
         (:data:`repro.cache.CACHE` ``.service``) without touching the
@@ -131,10 +130,7 @@ class Service:
             self._backend_calls += 1
         bound = {name: inputs[name] for name in self.binding.inputs}
         try:
-            if RESILIENCE.enabled:
-                results = self._resilient_lookup(bound)
-            else:
-                results = self._raw_lookup(bound)
+            results = self._resilient_lookup(bound)
         except ServiceLookupFailed:
             self.health.lookups_failed += 1
             if METRICS.enabled:

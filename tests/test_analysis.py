@@ -391,6 +391,7 @@ class TestAnalysisParity:
 
 def lint_file(tmp_path, text, name="sample.py"):
     path = tmp_path / name
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
     return Linter().run([path])
 
@@ -419,8 +420,13 @@ class TestRepro001EnvReads:
         assert [d.code for d in diags] == ["REPRO001"]
 
     def test_config_module_exempt(self, tmp_path):
-        diags = lint_file(tmp_path, "import os\nX = os.environ.get('A')\n", name="config.py")
-        assert diags == []
+        # Only the knobs module may read the environment; a layer's
+        # config.py declares Knobs instead, and a stray knobs.py elsewhere
+        # is not exempt either.
+        text = "import os\nX = os.environ.get('A')\n"
+        for name in ("config.py", "knobs.py", "notrepro/util/knobs.py"):
+            assert [d.code for d in lint_file(tmp_path, text, name=name)] == ["REPRO001"]
+        assert lint_file(tmp_path, text, name="repro/util/knobs.py") == []
 
     def test_suppressed(self, tmp_path):
         diags = lint_file(

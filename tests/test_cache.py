@@ -96,12 +96,16 @@ class TestLRUCache:
             LRUCache(capacity=0)
 
 
+def _layer_flags():
+    return [getattr(CACHE, layer) for layer in CACHE.LAYERS]
+
+
 class TestCacheConfig:
     def test_disabled_restores_flags(self):
         assert CACHE.plan and CACHE.service
         with CACHE.disabled():
-            assert not any(CACHE.snapshot().values())
-        assert all(CACHE.snapshot().values())
+            assert not any(_layer_flags())
+        assert all(_layer_flags())
 
     def test_disabled_single_layer(self):
         with CACHE.disabled("plan"):
@@ -118,7 +122,7 @@ class TestCacheConfig:
         with pytest.raises(RuntimeError):
             with CACHE.disabled():
                 raise RuntimeError("boom")
-        assert all(CACHE.snapshot().values())
+        assert all(_layer_flags())
 
 
 class TestPlanFingerprint:

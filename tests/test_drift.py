@@ -35,6 +35,7 @@ from repro.drift import (
     verify_extraction,
 )
 from repro.errors import DocumentError, FeedbackError, LearningError, NavigationError, NoHypothesisError
+from repro.learning.integration.learner import QUARANTINE_PENALTY
 from repro.learning.structure.learner import StructureLearner
 from repro.learning.structure.wrapper_induction import LandmarkRule, induce_table
 from repro.obs import METRICS
@@ -87,7 +88,7 @@ class TestDriftConfig:
     def test_defaults(self):
         assert DRIFT.enabled is True
         assert 0 < DRIFT.type_divergence_threshold < 1
-        assert DRIFT.quarantine_penalty > 2.0  # above the relevance threshold
+        assert QUARANTINE_PENALTY > 2.0  # above the relevance threshold
 
     def test_overridden_restores(self):
         before = DRIFT.snapshot()
@@ -102,7 +103,7 @@ class TestDriftConfig:
         assert DRIFT.enabled
 
     def test_unknown_knob_rejected(self):
-        with pytest.raises(ValueError, match="unknown drift knob"):
+        with pytest.raises(ValueError, match="unknown DriftConfig knob 'nope'"):
             with DRIFT.overridden(nope=1):
                 pass
 
@@ -360,7 +361,7 @@ class TestQuarantineDegradation:
         assert learner.absorb_drift_events() >= len(edges)
         for edge in edges:
             assert learner.graph.weights[edge.key] == pytest.approx(
-                before[edge.key] + DRIFT.quarantine_penalty
+                before[edge.key] + QUARANTINE_PENALTY
             )
         # Recovery restores the original weights (delta-tracked).
         release_source_in_catalog(catalog, "Shelters")

@@ -13,7 +13,8 @@ Contracts under test:
   actions reaches the same :func:`state_digest` as the live session,
   including RNG stream position (later live actions still match);
 - **parity** — a recorder is pure observation: recording a session
-  changes nothing, and ``REPRO_DURABILITY=0`` never attaches one;
+  changes nothing, and a manager with no durability root never attaches
+  one;
 - **cross-process replay** — a recorded Section-8 task recovers to the
   live digest in fresh interpreters under different ``PYTHONHASHSEED``s;
 - **crash property** (hypothesis) — a random usersim-style action
@@ -659,12 +660,14 @@ class TestDurableSessions:
             recover_session(restored, "dave", store2, seed=1)
         assert session_hash(restored) == live
 
-    def test_disabled_layer_attaches_nothing(self, tmp_path):
+    def test_disabled_layer_attaches_nothing(self, tmp_path, monkeypatch):
+        """With no durability root the layer is off: no recorder, no files."""
         from repro.server import SessionManager, SharedBase
 
+        monkeypatch.chdir(tmp_path)
         world = build_world()
-        with DURABILITY.disabled():
-            manager = SessionManager(SharedBase(world.catalog), durability_root=tmp_path)
+        with DURABILITY.overridden(root=""):
+            manager = SessionManager(SharedBase(world.catalog))
             assert manager.store is None
             assert manager.session("t").durability is None
             manager.shutdown()
@@ -912,10 +915,6 @@ class TestStatsLine:
             line = durability_stats_line()
         assert line.startswith("durability:")
         assert "9 actions logged" in line
-
-    def test_disabled_suffix(self):
-        with DURABILITY.disabled():
-            assert durability_stats_line().endswith("disabled")
 
 
 # ------------------------------------------------------ kill/restore sweep

@@ -17,7 +17,8 @@ from repro.errors import (
     ServiceLookupFailed,
     TransientServiceError,
 )
-from repro.learning.integration.learner import IntegrationLearner
+from repro.core.autocomplete import DEGRADED_PENALTY
+from repro.learning.integration.learner import FAILURE_PENALTY, IntegrationLearner
 from repro.resilience import (
     CLOSED,
     FAULTS,
@@ -231,7 +232,7 @@ class TestFaultPolicy:
         service = make_zip_service()
         policy = FaultPolicy(seed=1, default=FaultSpec(persistent=True))
         policy.wrap(service)
-        with RESILIENCE.disabled(), pytest.raises(ServiceLookupFailed):
+        with pytest.raises(ServiceLookupFailed):
             service.invoke({"City": "Creek"})
         FaultPolicy.unwrap(service)
         rows = service.invoke({"City": "Creek"})
@@ -366,20 +367,6 @@ class TestResilientInvoke:
         assert service.invoke({"City": "Atlantis"}) == []
         assert service.backend_calls == before
 
-    def test_disabled_path_reproduces_raw_behavior(self):
-        resilient = make_zip_service()
-        legacy = make_zip_service()
-        with RESILIENCE.disabled():
-            legacy_rows = legacy.invoke({"City": "Creek"})
-        resilient_rows = resilient.invoke({"City": "Creek"})
-        assert legacy_rows == resilient_rows
-        # disabled: injected faults surface raw, with no retries or health
-        FaultPolicy(seed=1, default=FaultSpec(transient_rate=1.0)).wrap(legacy)
-        with RESILIENCE.disabled(), pytest.raises(TransientServiceError):
-            legacy.invoke({"City": "Park"})
-        assert legacy.health.retries == 0
-        assert legacy.health.failures == 0
-
 
 # --------------------------------------------------------------- binding-error messages
 class TestBindingErrorMessages:
@@ -467,7 +454,7 @@ class TestHealthAbsorption:
         service.health.successes = 1
         changed = learner.absorb_service_health()
         assert changed >= 1
-        expected = baseline + RESILIENCE.failure_penalty * 0.75
+        expected = baseline + FAILURE_PENALTY * 0.75
         assert learner.graph.weights[key] == pytest.approx(expected)
         # re-absorbing the same health is a no-op (delta-tracked)
         assert learner.absorb_service_health() == 0
@@ -502,7 +489,7 @@ class TestHealthAbsorption:
         service.health.successes = 999  # backend recovers
         learner.absorb_service_health()
         assert learner.graph.weights[key] == pytest.approx(
-            baseline + RESILIENCE.failure_penalty * (1 / 1000), rel=1e-6
+            baseline + FAILURE_PENALTY * (1 / 1000), rel=1e-6
         )
 
     def test_chronic_failure_sinks_below_relevance_threshold(self):
@@ -566,7 +553,7 @@ class TestSessionUnderFaults:
         assert suggestion.degraded == ("Geocoder",)
         assert "DEGRADED(Geocoder)" in suggestion.describe()
         assert suggestion.score == pytest.approx(
-            suggestion.completion.cost + RESILIENCE.degraded_penalty
+            suggestion.completion.cost + DEGRADED_PENALTY
         )
         # the explanation pane names the failed service
         index = suggestions.index(suggestion)
@@ -589,7 +576,7 @@ class TestStatsLine:
 
     def test_config_snapshot_roundtrip(self):
         snap = RESILIENCE.snapshot()
-        assert snap["enabled"] is True
+        assert set(snap) == set(RESILIENCE.KNOBS)
         with RESILIENCE.overridden(retry_max=9):
             assert RESILIENCE.retry_max == 9
         assert RESILIENCE.retry_max == snap["retry_max"]

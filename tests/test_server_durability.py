@@ -9,9 +9,10 @@ Contracts under test:
 - **restart recovery** — a brand-new manager over the same durability
   root rebuilds every tenant on first attach;
 - **shutdown** — persists all live tenants and closes the store;
-- **layer toggles** — ``REPRO_DURABILITY=0`` attaches nothing (pre-PR
-  in-memory eviction semantics, bit-for-bit), and the durability root
-  can come from the config knob instead of the constructor.
+- **layer toggles** — a manager with no durability root attaches
+  nothing (in-memory eviction semantics, no file touched), and the
+  durability root can come from the config knob instead of the
+  constructor.
 """
 
 from __future__ import annotations
@@ -34,15 +35,6 @@ from repro.durability.store import tenant_dirname
 from repro.server import OVERLOAD, Overloaded, SERVER, SessionManager, SharedBase
 
 from .test_durability import Driver, drive_scripted
-
-
-@pytest.fixture(autouse=True)
-def _durability_enabled():
-    """Keep the durable-manager contracts testable under the CI parity
-    leg (``REPRO_DURABILITY=0`` tier-1 run): force the layer on here;
-    the disabled-path tests below re-disable it explicitly."""
-    with DURABILITY.overridden(enabled=True):
-        yield
 
 
 def build_world():
@@ -289,19 +281,21 @@ class TestKillDuringBrownout:
 
 
 class TestLayerToggles:
-    def test_disabled_durability_reproduces_in_memory_eviction(self, tmp_path):
+    def test_disabled_durability_reproduces_in_memory_eviction(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         world = build_world()
-        with DURABILITY.disabled():
-            with manager_over(world, root=tmp_path) as manager:
+        with DURABILITY.overridden(root=""):
+            with manager_over(world) as manager:
                 assert manager.store is None
                 fresh = session_hash(manager.session("alice"))
                 manager.evict("alice")
                 driven = drive_tenant(manager, world, "alice")
                 assert driven != fresh
                 manager.evict("alice")
-                # Pre-durability semantics: the state is simply gone.
+                # In-memory semantics: the state is simply gone.
                 assert session_hash(manager.session("alice")) == fresh
                 assert manager.stats()["checkpointed"] == 0
+        assert list(tmp_path.iterdir()) == []  # no files ever touched
 
     def test_no_root_means_no_persistence(self):
         world = build_world()

@@ -1,4 +1,4 @@
-"""Tests for repro.util: rng, text tokenization, string similarity."""
+"""Tests for repro.util: rng, text tokenization, string similarity, knobs."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.util.knobs import _FALSY, Knob, Knobs
 from repro.util.rng import DEFAULT_SEED, derive_rng, make_rng, stable_shuffle, weighted_choice
 from repro.util.strings import (
     jaro,
@@ -165,3 +166,86 @@ class TestTokenSimilarities:
     def test_common_prefix_suffix(self):
         assert longest_common_prefix("monarch", "monaco") == 4
         assert longest_common_suffix("creek blvd", "park blvd") == 6  # "k blvd"
+
+
+class _Sample(Knobs):
+    enabled = Knob("SAMPLE_FLAG", True, "a switch")
+    count = Knob("SAMPLE_COUNT", 3, "an int")
+    ratio = Knob("SAMPLE_RATIO", 0.5, "a float")
+    label = Knob("SAMPLE_LABEL", "x", "a str")
+
+
+class TestKnobs:
+    def test_defaults_when_unset(self):
+        assert _Sample().snapshot() == {"enabled": True, "count": 3, "ratio": 0.5, "label": "x"}
+
+    @pytest.mark.parametrize("raw", sorted(_FALSY) + [" OFF ", "False", "No"])
+    def test_falsy_spellings_turn_a_bool_off(self, monkeypatch, raw):
+        monkeypatch.setenv("SAMPLE_FLAG", raw)
+        assert _Sample().enabled is False
+
+    @pytest.mark.parametrize("raw", ["1", "true", "yes", "on", "anything"])
+    def test_other_spellings_turn_a_bool_on(self, monkeypatch, raw):
+        monkeypatch.setenv("SAMPLE_FLAG", raw)
+        assert _Sample().enabled is True
+
+    def test_int_float_and_str_parse(self, monkeypatch):
+        monkeypatch.setenv("SAMPLE_COUNT", " 12 ")
+        monkeypatch.setenv("SAMPLE_RATIO", "2")
+        monkeypatch.setenv("SAMPLE_LABEL", " spaced ")
+        knobs = _Sample()
+        assert knobs.count == 12 and type(knobs.count) is int
+        assert knobs.ratio == 2.0 and type(knobs.ratio) is float
+        assert knobs.label == " spaced "
+
+    @pytest.mark.parametrize(
+        ("env", "raw", "kind"),
+        [("SAMPLE_COUNT", "abc", "int"), ("SAMPLE_COUNT", "2.5", "int"), ("SAMPLE_RATIO", "fast", "float")],
+    )
+    def test_malformed_value_names_the_variable(self, monkeypatch, env, raw, kind):
+        monkeypatch.setenv(env, raw)
+        with pytest.raises(ValueError, match=f"{env}='{raw}' is not a valid {kind}"):
+            _Sample()
+
+    def test_unknown_override_raises_and_changes_nothing(self):
+        knobs = _Sample()
+        with pytest.raises(ValueError, match="unknown _Sample knob 'nope'"):
+            with knobs.overridden(count=9, nope=1):
+                pass  # pragma: no cover
+        assert knobs.count == 3
+
+    def test_overridden_restores_after_an_exception(self):
+        knobs = _Sample()
+        with pytest.raises(RuntimeError):
+            with knobs.overridden(count=9, label="y"):
+                assert (knobs.count, knobs.label) == (9, "y")
+                raise RuntimeError("boom")
+        assert (knobs.count, knobs.label) == (3, "x")
+
+    def test_disabled_turns_enabled_off_for_the_block(self):
+        knobs = _Sample()
+        with knobs.disabled():
+            assert knobs.enabled is False
+        assert knobs.enabled is True
+
+    def test_declarations_leave_the_class(self):
+        # Reads of knobs sit on hot paths; a same-named class attribute
+        # would stop CPython from specialising them.
+        assert not set(_Sample.KNOBS) & set(vars(_Sample))
+
+    def test_repr_lists_every_knob(self):
+        assert repr(_Sample()) == "_Sample(enabled=True, count=3, ratio=0.5, label='x')"
+
+    def test_no_variable_is_declared_twice(self):
+        from repro.analysis.concurrency.config import RACECHECK
+        from repro.analysis.config import ANALYSIS
+        from repro.cache.config import CACHE
+        from repro.drift.config import DRIFT
+        from repro.durability.config import DURABILITY
+        from repro.resilience.config import RESILIENCE
+        from repro.server.config import OVERLOAD, SERVER
+
+        singletons = (ANALYSIS, CACHE, DRIFT, DURABILITY, OVERLOAD, RACECHECK, RESILIENCE, SERVER)
+        names = [knob.env for config in singletons for knob in config.KNOBS.values()]
+        assert all(name.startswith("REPRO_") for name in names)
+        assert len(names) == len(set(names))
