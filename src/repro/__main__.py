@@ -2,8 +2,9 @@
 
 ``python -m repro --trace`` runs the same demo with the observability
 layer enabled and, after the demo output, prints the hierarchical span
-tree plus a metrics summary (see ``repro.obs``). CI smoke-tests this
-path and greps the output for the ``session.paste`` span.
+tree plus the registry-driven metrics summary (see
+``repro.obs.render_summary``). CI smoke-tests this path and greps the
+output for the ``session.paste`` span and the summary's group lines.
 """
 
 import runpy
@@ -38,6 +39,7 @@ def _run_demo() -> None:
 
 def _print_observability() -> None:
     from repro import obs
+    from repro.analysis.concurrency import conc_stats_line
 
     print()
     print("=" * 72)
@@ -46,40 +48,12 @@ def _print_observability() -> None:
     for line in obs.render_span_tree(obs.TRACER.roots()):
         print(line)
 
-    snapshot = obs.METRICS.snapshot()
     print()
     print("=" * 72)
-    print("METRICS")
+    print("METRICS (one line per registry group, then histograms and knobs)")
     print("=" * 72)
-    for name, value in sorted(snapshot["counters"].items()):
-        print(f"  counter    {name} = {value:g}")
-    for name, value in sorted(snapshot["gauges"].items()):
-        print(f"  gauge      {name} = {value:g}")
-    for name, summary in sorted(snapshot["histograms"].items()):
-        print(
-            f"  histogram  {name}: count={summary['count']:g} "
-            f"mean={summary['mean']:.3f} p50={summary['p50']:.3f} "
-            f"p95={summary['p95']:.3f} max={summary['max']:.3f}"
-        )
-
-    from repro.analysis import analysis_stats_line
-    from repro.analysis.concurrency import conc_stats_line
-    from repro.cache import cache_stats_line
-    from repro.drift import drift_stats_line
-    from repro.durability import durability_stats_line
-    from repro.resilience import resilience_stats_line
-    from repro.server import overload_stats_line, server_stats_line
-    from repro.substrate.relational import columnar_stats_line
-
-    print()
-    print(cache_stats_line())
-    print(resilience_stats_line())
-    print(drift_stats_line())
-    print(analysis_stats_line())
-    print(columnar_stats_line())
-    print(server_stats_line())
-    print(overload_stats_line())
-    print(durability_stats_line())
+    for line in obs.render_summary():
+        print(line)
     print(conc_stats_line())
 
 

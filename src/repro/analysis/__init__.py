@@ -43,7 +43,6 @@ __all__ = [
     "AnalysisReport",
     "Diagnostic",
     "PlanAnalyzer",
-    "analysis_stats_line",
     "predicate_attributes",
 ]
 
@@ -61,23 +60,3 @@ def __getattr__(name: str):
 
 def __dir__():
     return sorted(set(globals()) | set(_LAZY))
-
-
-def analysis_stats_line(metrics=None) -> str:
-    """One-line summary of the analysis counters (``--trace`` output)."""
-    from ..obs import METRICS
-
-    m = metrics or METRICS
-    checked = int(m.counter_value("analysis.plans_checked"))
-    memo_hits = int(m.counter_value("analysis.memo.hits"))
-    memo_misses = int(m.counter_value("analysis.memo.misses"))
-    errors = int(m.counter_value("analysis.errors"))
-    warnings = int(m.counter_value("analysis.warnings"))
-    line = (
-        f"analysis: plans checked {checked} "
-        f"(memo {memo_hits}h/{memo_misses}m) · "
-        f"errors {errors} warnings {warnings}"
-    )
-    if not ANALYSIS.enabled:
-        line += " · disabled"
-    return line

@@ -18,11 +18,11 @@ convention across the obs/cache/resilience/drift layers:
   deterministic paths: module-level ``random.*`` calls, argless
   ``random.Random()``, ``time.time()``, and ``datetime.now()`` must go
   through :mod:`repro.util.rng` (or be suppressed with justification).
-- **REPRO006** — every ``@recorded`` method on ``CopyCatSession`` must
-  have a registered encoder/applier pair in
-  :mod:`repro.durability.actions` (reflective: it imports the codec
-  table): a decorated method without a codec logs actions that crash
-  write-ahead replay.
+- **REPRO006** — no ``@recorded`` method on ``CopyCatSession`` may be
+  listed in :data:`repro.durability.actions.UNRECORDED` (reflective: it
+  imports the list). Those methods take arguments that cannot round-trip
+  through the log, so recording one would write actions replay cannot
+  re-apply.
 
 Every diagnostic carries ``file:line``; see :mod:`~repro.analysis.lint.
 engine` for the suppression syntax.
@@ -209,7 +209,7 @@ def rule_determinism(sf: SourceFile) -> Iterable[Diagnostic]:
             )
 
 
-# -- REPRO006: every @recorded session method has a durability codec ----------
+# -- REPRO006: no @recorded session method is listed as unrecorded -----------
 def _recorded_methods(cls: ast.ClassDef) -> Iterable[tuple[str, int]]:
     for item in cls.body:
         if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -226,8 +226,13 @@ def _recorded_methods(cls: ast.ClassDef) -> Iterable[tuple[str, int]]:
                 break
 
 
-def rule_recorded_codecs(files: list[SourceFile]) -> Iterable[Diagnostic]:
-    """Reflective check: ``@recorded`` methods vs the action codec table."""
+def rule_unrecorded_stays_unrecorded(files: list[SourceFile]) -> Iterable[Diagnostic]:
+    """Reflective check: ``@recorded`` methods vs ``actions.UNRECORDED``.
+
+    Every ``@recorded`` method has a codec (the generic one, when no
+    hand-written one exists), so the one way to go wrong is to record a
+    method the durability contract says stays out of the log.
+    """
     targets = [
         (sf, node)
         for sf in files
@@ -238,10 +243,9 @@ def rule_recorded_codecs(files: list[SourceFile]) -> Iterable[Diagnostic]:
     if not targets:
         return
     try:
-        from ...durability.actions import UNRECORDED, recordable_actions
+        from ...durability.actions import UNRECORDED
     except ImportError:
         return  # durability layer absent from this checkout: nothing to compare
-    registered = set(recordable_actions())
     unrecorded = set(UNRECORDED)
     for sf, cls in targets:
         for name, lineno in _recorded_methods(cls):
@@ -252,14 +256,7 @@ def rule_recorded_codecs(files: list[SourceFile]) -> Iterable[Diagnostic]:
                     f"actions.UNRECORDED; drop the decorator or the listing",
                     path=sf.location(lineno),
                 )
-            elif name not in registered:
-                yield Diagnostic(
-                    "REPRO006", ERROR,
-                    f"@recorded method {name!r} has no encoder/applier pair in "
-                    f"repro/durability/actions.py; a durable session would "
-                    f"crash write-ahead logging this action",
-                    path=sf.location(lineno),
-                )
+
 
 
 FILE_RULES = (
@@ -268,4 +265,4 @@ FILE_RULES = (
     rule_overbroad_except,
     rule_determinism,
 )
-PROJECT_RULES = (rule_recorded_codecs,)
+PROJECT_RULES = (rule_unrecorded_stays_unrecorded,)

@@ -78,7 +78,6 @@ __all__ = [
     "add_provenance_note",
     "apply_wrapper",
     "drift_rate",
-    "drift_stats_line",
     "example_coverage",
     "note_drift_event",
     "note_resync",
@@ -94,25 +93,3 @@ __all__ = [
     "validate_rows",
     "verify_extraction",
 ]
-
-
-def drift_stats_line(metrics=None) -> str:
-    """One-line summary of the drift counters (``--trace`` output)."""
-    from ..obs import METRICS
-
-    m = metrics or METRICS
-    resyncs = int(m.counter_value("drift.resyncs"))
-    clean = int(m.counter_value("drift.resyncs_clean"))
-    detected = int(m.counter_value("drift.detected"))
-    reinduced = int(m.counter_value("drift.reinduced"))
-    sources_quarantined = int(m.counter_value("drift.sources_quarantined"))
-    rows_quarantined = int(m.counter_value("drift.rows_quarantined"))
-    empty_cells = int(m.counter_value("structure.empty_cells_dropped"))
-    line = (
-        f"drift: resyncs {resyncs} (clean {clean}) · detected {detected} · "
-        f"reinduced {reinduced} · quarantined sources {sources_quarantined} "
-        f"rows {rows_quarantined} · empty cells dropped {empty_cells}"
-    )
-    if not DRIFT.enabled:
-        line += " · disabled"
-    return line

@@ -29,7 +29,7 @@ attach after a restart.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from .actions import (
     UNRECORDED,
@@ -70,7 +70,6 @@ __all__ = [
     "attach_recorder",
     "canonical_json",
     "digest_hash",
-    "durability_stats_line",
     "encode_action",
     "encode_frame",
     "event_from_dict",
@@ -110,24 +109,3 @@ def recover_session(
         report = replay(session, recovered.actions)
         recorder.mark_replayed_tail(recovered.from_wal)
     return recorder, report
-
-
-def durability_stats_line(metrics: Any = None) -> str:
-    """One-line summary of durability activity (``--trace`` output)."""
-    from ..obs import METRICS
-
-    m = metrics or METRICS
-    logged = int(m.counter_value("durability.actions_logged"))
-    checkpoints = int(m.counter_value("durability.checkpoints"))
-    recovered = int(m.counter_value("durability.sessions_recovered"))
-    replayed = int(m.counter_value("durability.actions_replayed"))
-    torn = int(m.counter_value("durability.recovery_torn_records"))
-    crc = int(m.counter_value("durability.recovery_crc_failures"))
-    gaps = int(m.counter_value("durability.recovery_seq_gaps"))
-    faults = int(m.counter_value("durability.faults_injected"))
-    return (
-        f"durability: {logged} actions logged · {checkpoints} checkpoints · "
-        f"{recovered} sessions recovered ({replayed} actions replayed) · "
-        f"damage absorbed: {torn} torn / {crc} crc / {gaps} gaps · "
-        f"{faults} faults injected"
-    )

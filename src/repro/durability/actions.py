@@ -1,15 +1,19 @@
-"""Per-action codecs: session calls -> JSON payloads -> session calls.
+"""Action codecs: session calls -> JSON payloads -> session calls.
 
-Every recordable :class:`~repro.core.session.CopyCatSession` method has
-an **encoder** (called write-ahead, before the method body runs) that
-captures its arguments as a JSON-able payload, and an **applier** that
-re-invokes the method from a decoded payload during replay. Replay goes
-through the *same public methods* as the original interaction — there is
-no parallel "restore" code path to drift out of sync — so a replayed
+Every :func:`~repro.durability.recorder.recorded` session method is an
+action. Its **encoder** runs write-ahead, before the method body, and
+captures the call as a JSON-able payload; its **applier** re-invokes the
+method from a decoded payload during replay. Replay goes through the
+*same public methods* as the original interaction, so a replayed
 session re-earns its state: the structure learner re-induces, MIRA
 re-updates, provenance re-derives.
 
-Two encoders do more than transcribe arguments:
+Most actions need no codec of their own. Their payload is the call's
+arguments bound to the method signature, defaults filled in, and replay
+calls the method with that payload as keywords. A bad call fails that
+binding with ``TypeError`` before anything is written ahead. Seven
+actions have hand-written encoders, because their payload is not simply
+the bound arguments:
 
 - ``paste`` resolves the implicit clipboard event and serializes the
   copied document world (:mod:`repro.durability.docs`) so replay does
@@ -18,7 +22,12 @@ Two encoders do more than transcribe arguments:
   live page at resync time. A resync is the one action whose outcome
   depends on external state (the site may have drifted since commit);
   logging the refetched content pins that outcome, and the applier
-  injects it into the replayed container before re-running the resync.
+  injects it into the replayed container before re-running the resync;
+- ``set_column_type`` and ``add_derived_column`` change argument types
+  (a :class:`SemanticType`, a dict keyed by row number);
+- ``add_link_example``, ``accept_row_suggestions`` and ``union_sources``
+  turn rows and iterables into plain dicts and lists, which their
+  methods take as they are, so these three replay generically.
 
 Methods whose arguments cannot round-trip through JSON — ``adopt_query``
 (carries a live :class:`QuerySuggestion`) and
@@ -29,6 +38,7 @@ durability section for the contract.
 
 from __future__ import annotations
 
+import inspect
 from typing import Any, Callable
 
 from ..substrate.documents.clipboard import CopyEvent, SourceContext
@@ -63,8 +73,17 @@ UNRECORDED = (
     "cell_alternatives",
 )
 
+#: Every recorded method's signature without ``self``, by action name.
+_SIGNATURES: dict[str, inspect.Signature] = {}
 _ENCODERS: dict[str, Callable[..., dict[str, Any]]] = {}
 _APPLIERS: dict[str, Callable[[Any, dict[str, Any]], Any]] = {}
+
+
+def register_action(method: Callable) -> None:
+    """Make *method* an action; :func:`recorded` calls this once per method."""
+    signature = inspect.signature(method)
+    parameters = list(signature.parameters.values())[1:]
+    _SIGNATURES[method.__name__] = signature.replace(parameters=parameters)
 
 
 def _encoder(name: str):
@@ -83,27 +102,36 @@ def _applier(name: str):
     return register
 
 
-def encode_action(name: str, session: Any, args: tuple, kwargs: dict) -> dict[str, Any]:
-    """The JSON payload for one method call (mirrors its signature)."""
+def _signature(name: str) -> inspect.Signature:
     try:
-        encoder = _ENCODERS[name]
+        return _SIGNATURES[name]
     except KeyError:
         raise SerializationError(f"no action codec registered for {name!r}") from None
-    return encoder(session, *args, **kwargs)
+
+
+def encode_action(name: str, session: Any, args: tuple, kwargs: dict) -> dict[str, Any]:
+    """The JSON payload for one method call (mirrors its signature)."""
+    signature = _signature(name)
+    encoder = _ENCODERS.get(name)
+    if encoder is not None:
+        return encoder(session, *args, **kwargs)
+    bound = signature.bind(*args, **kwargs)
+    bound.apply_defaults()
+    return bound.arguments
 
 
 def apply_action(session: Any, name: str, payload: dict[str, Any]) -> Any:
     """Re-invoke one logged action against *session* (replay path)."""
-    try:
-        applier = _APPLIERS[name]
-    except KeyError:
-        raise SerializationError(f"no action codec registered for {name!r}") from None
-    return applier(session, payload)
+    _signature(name)  # a name read from disk must be an action, not any method
+    applier = _APPLIERS.get(name)
+    if applier is not None:
+        return applier(session, payload)
+    return getattr(session, name)(**payload)
 
 
 def recordable_actions() -> tuple[str, ...]:
-    """Every action name with both an encoder and an applier."""
-    return tuple(sorted(set(_ENCODERS) & set(_APPLIERS)))
+    """Every action name: the ``@recorded`` session methods."""
+    return tuple(sorted(_SIGNATURES))
 
 
 # ------------------------------------------------------------- copy events
@@ -215,33 +243,6 @@ def _enc_accept_rows(session, tab=None, indices=None):
     return {"tab": tab, "indices": None if indices is None else list(indices)}
 
 
-@_applier("accept_row_suggestions")
-def _app_accept_rows(session, payload):
-    return session.accept_row_suggestions(
-        tab=payload["tab"], indices=payload["indices"]
-    )
-
-
-@_encoder("reject_row_suggestions")
-def _enc_reject_rows(session, tab=None):
-    return {"tab": tab}
-
-
-@_applier("reject_row_suggestions")
-def _app_reject_rows(session, payload):
-    return session.reject_row_suggestions(tab=payload["tab"])
-
-
-@_encoder("label_column")
-def _enc_label_column(session, col, name, tab=None):
-    return {"col": col, "name": name, "tab": tab}
-
-
-@_applier("label_column")
-def _app_label_column(session, payload):
-    return session.label_column(payload["col"], payload["name"], tab=payload["tab"])
-
-
 @_encoder("set_column_type")
 def _enc_set_column_type(session, col, semantic_type, tab=None, learn_from_values=True):
     if isinstance(semantic_type, str):
@@ -269,16 +270,6 @@ def _app_set_column_type(session, payload):
         tab=payload["tab"],
         learn_from_values=payload["learn_from_values"],
     )
-
-
-@_encoder("commit_source")
-def _enc_commit_source(session, tab=None, name=None):
-    return {"tab": tab, "name": name}
-
-
-@_applier("commit_source")
-def _app_commit_source(session, payload):
-    return session.commit_source(tab=payload["tab"], name=payload["name"])
 
 
 # ------------------------------------------------------------ drift resync
@@ -320,77 +311,6 @@ def _app_resync_source(session, payload):
     return session.resync_source(name)
 
 
-# -------------------------------------------------------- integration mode
-@_encoder("start_integration")
-def _enc_start_integration(session, source, tab=None):
-    return {"source": source, "tab": tab}
-
-
-@_applier("start_integration")
-def _app_start_integration(session, payload):
-    return session.start_integration(payload["source"], tab=payload["tab"])
-
-
-@_encoder("set_service_level")
-def _enc_set_service_level(session, level="normal"):
-    return {"level": level}
-
-
-@_applier("set_service_level")
-def _app_set_service_level(session, payload):
-    return session.set_service_level(payload["level"])
-
-
-@_encoder("column_suggestions")
-def _enc_column_suggestions(session, k=5, refresh=None):
-    return {"k": k, "refresh": refresh}
-
-
-@_applier("column_suggestions")
-def _app_column_suggestions(session, payload):
-    return session.column_suggestions(k=payload["k"], refresh=payload["refresh"])
-
-
-@_encoder("preview_column")
-def _enc_preview_column(session, index=0):
-    return {"index": index}
-
-
-@_applier("preview_column")
-def _app_preview_column(session, payload):
-    return session.preview_column(payload["index"])
-
-
-@_encoder("choose_alternative")
-def _enc_choose_alternative(session, row, choice):
-    return {"row": row, "choice": choice}
-
-
-@_applier("choose_alternative")
-def _app_choose_alternative(session, payload):
-    return session.choose_alternative(payload["row"], payload["choice"])
-
-
-@_encoder("accept_column")
-def _enc_accept_column(session, index=None):
-    return {"index": index}
-
-
-@_applier("accept_column")
-def _app_accept_column(session, payload):
-    return session.accept_column(index=payload["index"])
-
-
-@_encoder("reject_column")
-def _enc_reject_column(session, index=None):
-    return {"index": index}
-
-
-@_applier("reject_column")
-def _app_reject_column(session, payload):
-    return session.reject_column(index=payload["index"])
-
-
 # ------------------------------------------------------- link feedback
 @_encoder("add_link_example")
 def _enc_add_link_example(
@@ -407,55 +327,7 @@ def _enc_add_link_example(
     }
 
 
-@_applier("add_link_example")
-def _app_add_link_example(session, payload):
-    return session.add_link_example(
-        payload["left_row"],
-        payload["right_row"],
-        edge_key=payload["edge_key"],
-        is_match=payload["is_match"],
-        right_pool=payload["right_pool"],
-    )
-
-
-# ------------------------------------------------------- tuple feedback
-@_encoder("promote_row")
-def _enc_promote_row(session, row, tab=None):
-    return {"row": row, "tab": tab}
-
-
-@_applier("promote_row")
-def _app_promote_row(session, payload):
-    return session.promote_row(payload["row"], tab=payload["tab"])
-
-
-@_encoder("demote_row")
-def _enc_demote_row(session, row, tab=None, distrust_base_rows=False):
-    return {"row": row, "tab": tab, "distrust_base_rows": distrust_base_rows}
-
-
-@_applier("demote_row")
-def _app_demote_row(session, payload):
-    return session.demote_row(
-        payload["row"],
-        tab=payload["tab"],
-        distrust_base_rows=payload["distrust_base_rows"],
-    )
-
-
-# ----------------------------------------------------------- editing
-@_encoder("edit_cell")
-def _enc_edit_cell(session, row, col, value, tab=None):
-    return {"row": row, "col": col, "value": value, "tab": tab}
-
-
-@_applier("edit_cell")
-def _app_edit_cell(session, payload):
-    return session.edit_cell(
-        payload["row"], payload["col"], payload["value"], tab=payload["tab"]
-    )
-
-
+# ------------------------------------------------------ derived columns
 @_encoder("add_derived_column")
 def _enc_add_derived_column(session, name, examples, tab=None):
     return {
@@ -471,62 +343,7 @@ def _app_add_derived_column(session, payload):
     return session.add_derived_column(payload["name"], examples, tab=payload["tab"])
 
 
-@_encoder("enter_cleaning_mode")
-def _enc_enter_cleaning(session):
-    return {}
-
-
-@_applier("enter_cleaning_mode")
-def _app_enter_cleaning(session, payload):
-    return session.enter_cleaning_mode()
-
-
-@_encoder("exit_cleaning_mode")
-def _enc_exit_cleaning(session):
-    return {}
-
-
-@_applier("exit_cleaning_mode")
-def _app_exit_cleaning(session, payload):
-    return session.exit_cleaning_mode()
-
-
-@_encoder("undo")
-def _enc_undo(session):
-    return {}
-
-
-@_applier("undo")
-def _app_undo(session, payload):
-    return session.undo()
-
-
 # ----------------------------------------------------------- views / unions
 @_encoder("union_sources")
 def _enc_union_sources(session, sources, tab=None):
     return {"sources": list(sources), "tab": tab}
-
-
-@_applier("union_sources")
-def _app_union_sources(session, payload):
-    return session.union_sources(payload["sources"], tab=payload["tab"])
-
-
-@_encoder("save_view")
-def _enc_save_view(session, name):
-    return {"name": name}
-
-
-@_applier("save_view")
-def _app_save_view(session, payload):
-    return session.save_view(payload["name"])
-
-
-@_encoder("refresh_view")
-def _enc_refresh_view(session, name):
-    return {"name": name}
-
-
-@_applier("refresh_view")
-def _app_refresh_view(session, payload):
-    return session.refresh_view(payload["name"])

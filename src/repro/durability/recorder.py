@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from ..analysis.concurrency.runtime import RACECHECK, TRACKER, make_rlock
 from ..obs import METRICS
 from ..server.overload import shielded_deadline
-from .actions import encode_action
+from .actions import encode_action, register_action
 from .config import DURABILITY
 from .wal import canonical_json
 
@@ -200,6 +200,7 @@ def recorded(method: Callable) -> Callable:
     preserving in-memory behavior bit-for-bit.
     """
     name = method.__name__
+    register_action(method)
 
     @functools.wraps(method)
     def wrapper(self, *args, **kwargs):

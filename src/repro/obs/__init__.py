@@ -12,7 +12,7 @@ Enable everything, run a workload, read it back::
     obs.enable()
     ...                               # any session / engine / learner work
     print("\\n".join(obs.render_span_tree(obs.TRACER.roots())))
-    print(obs.METRICS.snapshot())
+    print("\\n".join(obs.render_summary()))
     obs.disable(); obs.reset()
 """
 
@@ -23,6 +23,7 @@ from .trace import NULL_SPAN, TRACER, Span, Tracer, traced
 from .export import (
     observability_snapshot,
     render_span_tree,
+    render_summary,
     span_to_dict,
     spans_to_dicts,
     to_json,
@@ -39,6 +40,7 @@ __all__ = [
     "percentile",
     "observability_snapshot",
     "render_span_tree",
+    "render_summary",
     "span_to_dict",
     "spans_to_dicts",
     "to_json",

@@ -160,7 +160,6 @@ DECLARED_GAUGES: dict[str, str] = {
     "overload.inflight": "admitted requests currently queued or running",
     "overload.level": "brownout level (0 normal, 1 degraded)",
     "server.sessions_active": "sessions currently registered with the manager",
-    "text.normalize.eviction_rate": "normalize() memo evictions per miss",
 }
 
 #: Histograms / timers: value reservoirs (``observe`` / ``timer``).

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import time
+from contextvars import ContextVar
 from typing import Any, Callable, Sequence
 
 
@@ -132,12 +133,18 @@ class Tracer:
 
     ``finished_roots`` holds every completed top-level span in completion
     order; an exporter reads them out (and ``clear()`` resets).
+
+    The stack of open spans lives in a :class:`~contextvars.ContextVar`,
+    so each thread (and each ``contextvars`` context) nests its spans
+    under its own parents: two server workers tracing at once build two
+    trees, not one interleaved one. A push sets a new tuple rather than
+    mutating a shared one.
     """
 
     def __init__(self, enabled: bool = False):
         self.enabled = enabled
         self.finished_roots: list[Span] = []
-        self._stack: list[Span] = []
+        self._stack: ContextVar[tuple[Span, ...]] = ContextVar("Tracer._stack", default=())
 
     # -- span creation -------------------------------------------------------
     def span(self, name: str):
@@ -148,17 +155,16 @@ class Tracer:
 
     # -- stack maintenance (called by Span) ----------------------------------
     def _push(self, span: Span) -> None:
-        if self._stack:
-            span.parent = self._stack[-1]
+        stack = self._stack.get()
+        if stack:
+            span.parent = stack[-1]
             span.parent.children.append(span)
-        self._stack.append(span)
+        self._stack.set((*stack, span))
 
     def _pop(self, span: Span) -> None:
         # Tolerate out-of-order exits (generators, exceptions): unwind to it.
-        while self._stack:
-            top = self._stack.pop()
-            if top is span:
-                break
+        stack = self._stack.get()
+        self._stack.set(stack[: stack.index(span)] if span in stack else ())
         if span.parent is None:
             self.finished_roots.append(span)
 
@@ -170,13 +176,15 @@ class Tracer:
         self.enabled = False
 
     def clear(self) -> None:
+        """Drop finished spans, and forget open ones in every context."""
         self.finished_roots = []
-        self._stack = []
+        self._stack = ContextVar("Tracer._stack", default=())
 
     @property
     def current(self) -> Span | None:
-        """The innermost open span, or None."""
-        return self._stack[-1] if self._stack else None
+        """The innermost open span of this context, or None."""
+        stack = self._stack.get()
+        return stack[-1] if stack else None
 
     def roots(self) -> Sequence[Span]:
         return tuple(self.finished_roots)

@@ -53,28 +53,4 @@ __all__ = [
     "ServiceHealth",
     "degraded_source",
     "is_degraded_source",
-    "resilience_stats_line",
 ]
-
-
-def resilience_stats_line(metrics=None) -> str:
-    """One-line summary of the resilience counters (``--trace`` output)."""
-    from ..obs import METRICS
-
-    m = metrics or METRICS
-    retries = int(m.counter_value("resilience.retries"))
-    faults = int(m.counter_value("resilience.transient_faults"))
-    lookups_failed = int(m.counter_value("resilience.lookups_failed"))
-    opened = int(m.counter_value("resilience.breaker.opened"))
-    shorted = int(m.counter_value("resilience.breaker.short_circuits"))
-    degraded = int(m.counter_value("resilience.degraded_rows"))
-    deadline = int(m.counter_value("resilience.deadline_expired"))
-    line = (
-        f"resilience: retries {retries} · transient faults {faults} · "
-        f"lookups failed {lookups_failed} · breaker opened {opened} "
-        f"(short-circuited {shorted}) · degraded rows {degraded} · "
-        f"deadline expired {deadline}"
-    )
-    if FAULTS.active is not None:
-        line += f" · injecting: {FAULTS.active!r}"
-    return line

@@ -46,7 +46,6 @@ from .overload import (
     check_deadline,
     current_deadline,
     deadline_scope,
-    overload_stats_line,
     shielded_deadline,
 )
 
@@ -66,8 +65,6 @@ __all__ = [
     "check_deadline",
     "current_deadline",
     "deadline_scope",
-    "overload_stats_line",
-    "server_stats_line",
     "shielded_deadline",
 ]
 
@@ -82,34 +79,3 @@ def __getattr__(name: str):
     value = getattr(import_module(module_name, __name__), name)
     globals()[name] = value
     return value
-
-
-def server_stats_line(manager=None, metrics=None) -> str:
-    """One-line summary of server activity (``--trace`` output)."""
-    if manager is not None:
-        stats = manager.stats()
-        shed = stats["overload"]["shed"]
-        return (
-            f"server: {stats['active']} active · {stats['created']} created · "
-            f"{stats['evicted']} evicted · {stats['expired']} expired · "
-            f"{stats['requests']} requests ({stats['request_errors']} errors, "
-            f"{shed} shed)"
-        )
-    from ..obs import METRICS
-
-    m = metrics or METRICS
-    created = int(m.counter_value("server.sessions_created"))
-    evicted = int(m.counter_value("server.sessions_evicted"))
-    expired = int(m.counter_value("server.sessions_expired"))
-    requests = int(m.counter_value("server.requests"))
-    errors = int(m.counter_value("server.request_errors"))
-    shed = int(m.counter_value("server.requests_shed"))
-    active = m.gauge_value("server.sessions_active")
-    line = (
-        f"server: {int(active) if active is not None else 0} active · "
-        f"{created} created · {evicted} evicted · {expired} expired · "
-        f"{requests} requests ({errors} errors, {shed} shed)"
-    )
-    if not SERVER.enabled:
-        line += " · disabled"
-    return line

@@ -63,7 +63,6 @@ __all__ = [
     "check_deadline",
     "current_deadline",
     "deadline_scope",
-    "overload_stats_line",
     "shielded_deadline",
 ]
 
@@ -310,40 +309,3 @@ class LoadController:
             f"LoadController({self.level}, entered={self.entered}, "
             f"exited={self.exited}, p95={self.p95_ms():.1f}ms)"
         )
-
-
-# -- trace line --------------------------------------------------------------
-def overload_stats_line(manager=None, metrics=None) -> str:
-    """One-line summary of overload activity (``--trace`` output)."""
-    if manager is not None:
-        o = manager.stats()["overload"]
-        reasons = o["shed_reasons"]
-        shed, expired, canceled = o["shed"], o["expired"], o["canceled"]
-        entered, exited, level = o["brownout_entered"], o["brownout_exited"], o["level"]
-        inflight = o["inflight"]
-    else:
-        m = metrics
-        if m is None:
-            m = METRICS
-        reasons = {
-            name: int(m.counter_value(f"overload.shed_{name}"))
-            for name in ("queue", "inflight", "rate", "early")
-        }
-        shed = sum(reasons.values())
-        expired = int(m.counter_value("overload.shed_deadline"))
-        canceled = int(m.counter_value("overload.canceled"))
-        entered = int(m.counter_value("overload.brownout_entered"))
-        exited = int(m.counter_value("overload.brownout_exited"))
-        gauge = m.gauge_value("overload.level")
-        level = LEVEL_DEGRADED if gauge else LEVEL_NORMAL
-        inflight_gauge = m.gauge_value("overload.inflight")
-        inflight = int(inflight_gauge) if inflight_gauge is not None else 0
-    line = (
-        f"overload: {shed} shed (queue {reasons['queue']} · "
-        f"inflight {reasons['inflight']} · rate {reasons['rate']} · "
-        f"early {reasons['early']}) · {expired} expired · {canceled} canceled · "
-        f"brownout {entered} in / {exited} out ({level}) · {inflight} inflight"
-    )
-    if not OVERLOAD.enabled:
-        line += " · disabled"
-    return line

@@ -68,29 +68,5 @@ __all__ = [
     "Limit", "Not", "NotNull", "Or", "Plan", "Predicate", "Project",
     "RecordLinkJoin", "Relation", "Rename", "Result", "Row", "RowLinker", "Scan",
     "Schema", "Select", "SemanticType", "SourceMetadata", "TupleId", "Union",
-    "builtin_type", "columnar_stats_line", "eq", "relation_from_dicts", "schema_of", "walk",
+    "builtin_type", "eq", "relation_from_dicts", "schema_of", "walk",
 ]
-
-
-def columnar_stats_line(metrics=None) -> str:
-    """One-line summary of the evaluator's counters (``--trace`` output)."""
-    from ...obs import METRICS
-    from ...util.text import INTERN, normalize_cache_stats
-
-    m = metrics or METRICS
-    plans = int(m.counter_value("columnar.plans"))
-    compile_hits = int(m.counter_value("columnar.compile.hits"))
-    compile_misses = int(m.counter_value("columnar.compile.misses"))
-    scan_hits = int(m.counter_value("columnar.scan.hits"))
-    scan_misses = int(m.counter_value("columnar.scan.misses"))
-    normalize = normalize_cache_stats()
-    if m.enabled:
-        m.gauge("columnar.intern.size", float(len(INTERN)))
-        m.gauge("text.normalize.eviction_rate", normalize["eviction_rate"])
-    return (
-        f"columnar: plans {plans} · "
-        f"compile {compile_hits}/{compile_hits + compile_misses} hits · "
-        f"scan {scan_hits}/{scan_hits + scan_misses} hits · "
-        f"interned {len(INTERN)} · "
-        f"normalize evict rate {normalize['eviction_rate']:.3f}"
-    )

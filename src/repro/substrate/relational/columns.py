@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Sequence
 
+from ...obs import METRICS
 from ...provenance.expressions import Provenance, Var
 from ...util.text import INTERN
 from .rows import Row, TupleId
@@ -75,6 +76,8 @@ class ColumnBatch:
         else:
             columns = [[] for _ in schema.names]
         columns = [INTERN.intern_all(column) for column in columns]
+        if METRICS.enabled:
+            METRICS.gauge("columnar.intern.size", float(len(INTERN)))
         provs: list[Provenance] = [
             Var(TupleId(source, index)) for index in range(len(rows))
         ]

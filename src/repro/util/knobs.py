@@ -13,6 +13,7 @@ when some other module happened to be imported.
 from __future__ import annotations
 
 import os
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, ClassVar, Iterator
@@ -73,6 +74,7 @@ class Knobs:
     def __init__(self) -> None:
         for name, knob in self.KNOBS.items():
             setattr(self, name, knob.read())
+        _INSTANCES.add(self)
 
     @contextmanager
     def overridden(self, **values: Any) -> Iterator[Any]:
@@ -106,3 +108,19 @@ class Knobs:
     def __repr__(self) -> str:
         values = ", ".join(f"{name}={value!r}" for name, value in self.snapshot().items())
         return f"{type(self).__name__}({values})"
+
+
+#: every live :class:`Knobs` instance: the layers' singletons, plus any
+#: short-lived one a test builds.
+_INSTANCES: "weakref.WeakSet[Knobs]" = weakref.WeakSet()
+
+
+def changed_knobs() -> dict[str, Any]:
+    """Each knob whose value differs from its declared default, by variable."""
+    changed = {
+        knob.env: value
+        for knobs in list(_INSTANCES)
+        for name, knob in knobs.KNOBS.items()
+        if (value := getattr(knobs, name)) != knob.default
+    }
+    return dict(sorted(changed.items()))

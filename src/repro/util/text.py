@@ -112,8 +112,8 @@ class InternPool:
     Interning is capped: once ``capacity`` distinct strings are pooled,
     further values pass through un-interned (correctness is unaffected;
     only the sharing stops). Hit/miss counters are kept locally (the pool
-    sits in hot loops) and surfaced via :meth:`stats` and the ``columnar:``
-    trace line.
+    sits in hot loops) and surfaced via :meth:`stats`; the pool's size is
+    the ``columnar.intern.size`` gauge.
 
     Thread safety: the pool is process-global mutable state, shared by
     every concurrent session. The hit path is **lock-free** — a plain dict

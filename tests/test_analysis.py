@@ -21,7 +21,6 @@ from repro.analysis import (
     ANALYSIS,
     AnalysisReport,
     PlanAnalyzer,
-    analysis_stats_line,
     predicate_attributes,
 )
 from repro.analysis.lint import Linter, parse_source
@@ -345,8 +344,8 @@ class TestEngineIntegration:
             engine.run(Limit(Scan("S"), 0))  # warning, not an error
             assert obs.METRICS.counter_value("analysis.plans_checked") == 1
             assert obs.METRICS.counter_value("analysis.warnings") == 1
-            line = analysis_stats_line()
-            assert line.startswith("analysis: plans checked 1")
+            line = next(line for line in obs.render_summary() if line.startswith("analysis:"))
+            assert " plans_checked=1 " in line and line.endswith(" warnings=1")
         finally:
             obs.disable()
             obs.reset()

@@ -13,7 +13,6 @@ from repro import CopyCatSession, build_scenario, obs
 from repro.cache import (
     CACHE,
     LRUCache,
-    cache_stats_line,
     linker_token,
     plan_fingerprint,
 )
@@ -420,12 +419,11 @@ class TestCacheStatsLine:
             evaluator.run(JOIN_PLAN)
             catalog.service("Z").invoke({"City": "Creek"})
             catalog.service("Z").invoke({"City": "Creek"})
-            line = cache_stats_line()
+            summary = obs.render_summary()
         finally:
             obs.disable()
             obs.reset()
-        assert line.startswith("cache: plan ")
-        assert "1h/1m" in line  # one plan-cache hit, one miss
-        assert "service 1h/1m" in line
+        assert " plan.hits=1 plan.misses=1 " in next(line for line in summary if line.startswith("cache:"))
+        assert " cache.hits=1 cache.misses=1 " in next(line for line in summary if line.startswith("service:"))
         with CACHE.disabled("blocking"):
-            assert "disabled: blocking" in cache_stats_line()
+            assert "REPRO_CACHE_BLOCKING=False" in obs.render_summary()[-1]

@@ -55,7 +55,6 @@ from repro.substrate.relational import (
     Schema,
     Select,
     Union,
-    columnar_stats_line,
     eq,
     schema_of,
 )
@@ -707,6 +706,6 @@ class TestBlockingHelpers:
 # -------------------------------------------------------------- stats line
 class TestStatsLine:
     def test_line_shape(self):
-        line = columnar_stats_line()
-        assert line.startswith("columnar: plans ")
-        assert "interned" in line and "normalize evict rate" in line
+        line = next(line for line in obs.render_summary() if line.startswith("columnar:"))
+        for name in ("plans", "compile.hits", "scan.hits", "intern.size"):
+            assert f" {name}=" in line

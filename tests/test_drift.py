@@ -21,7 +21,6 @@ from repro.drift import (
     RECOVERABLE,
     UNRECOVERABLE,
     drift_rate,
-    drift_stats_line,
     example_coverage,
     note_drift_event,
     note_resync,
@@ -38,7 +37,7 @@ from repro.errors import DocumentError, FeedbackError, LearningError, Navigation
 from repro.learning.integration.learner import QUARANTINE_PENALTY
 from repro.learning.structure.learner import StructureLearner
 from repro.learning.structure.wrapper_induction import LandmarkRule, induce_table
-from repro.obs import METRICS
+from repro.obs import METRICS, render_summary
 from repro.substrate.relational.algebra import Scan
 from repro.util.text import clean_cell, is_blank, normalize, strip_invisible, tokenize
 
@@ -322,8 +321,8 @@ class TestResync:
             assert METRICS.counter_value("drift.resyncs_clean") == 1
             assert METRICS.counter_value("drift.detected") == 1
             assert METRICS.counter_value("drift.reinduced") == 1
-            line = drift_stats_line()
-            assert "resyncs 2" in line and "reinduced 1" in line
+            line = next(line for line in render_summary() if line.startswith("drift:"))
+            assert " reinduced=1 " in line and " resyncs=2 " in line
         finally:
             METRICS.reset()
             METRICS.disable()

@@ -24,6 +24,7 @@ Contracts under test:
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import random
@@ -34,6 +35,7 @@ import sys
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -47,15 +49,17 @@ from repro.durability import (
     UNRECORDED,
     DurabilityStore,
     InjectedWalFault,
+    SerializationError,
     SessionRecorder,
     WAL_FAULTS,
     WalFaultPolicy,
     WalFaultSpec,
     WalWriter,
+    apply_action,
     attach_recorder,
     canonical_json,
     digest_hash,
-    durability_stats_line,
+    encode_action,
     encode_frame,
     read_wal,
     recordable_actions,
@@ -67,7 +71,7 @@ from repro.durability.store import tenant_dirname
 from repro.substrate.documents import CellRange
 from repro.substrate.relational.schema import PLACE
 from repro.errors import CopyCatError
-from repro.obs import METRICS
+from repro.obs import METRICS, render_summary
 from repro.util.rng import capture_state, restore_state
 
 from .reference_durability import checkpoint_bytes
@@ -578,6 +582,89 @@ class TestRecordReplay:
         assert report.errors[0][1] == "start_integration"
 
 
+# ------------------------------------------------------------ action codec
+#: One call per action whose codec is derived from the method signature,
+#: and the exact payload a log holds for it. Logs already on disk must
+#: replay unchanged, so these payloads may not change.
+GENERIC_GOLDEN = [
+    ("reject_row_suggestions", (), {"tab": "T2"}, {"tab": "T2"}),
+    ("label_column", (0, "Name"), {}, {"col": 0, "name": "Name", "tab": None}),
+    ("commit_source", (), {"name": "Shelters"}, {"tab": None, "name": "Shelters"}),
+    ("start_integration", ("Shelters",), {}, {"source": "Shelters", "tab": None}),
+    ("set_service_level", (), {}, {"level": "normal"}),
+    ("column_suggestions", (), {"k": 4, "refresh": True}, {"k": 4, "refresh": True}),
+    ("preview_column", (2,), {}, {"index": 2}),
+    ("choose_alternative", (3, 1), {}, {"row": 3, "choice": 1}),
+    ("accept_column", (), {}, {"index": None}),
+    ("reject_column", (1,), {}, {"index": 1}),
+    ("promote_row", (2,), {"tab": "T1"}, {"row": 2, "tab": "T1"}),
+    (
+        "demote_row", (4,), {"distrust_base_rows": True},
+        {"row": 4, "tab": None, "distrust_base_rows": True},
+    ),
+    ("edit_cell", (1, 2, "Creek"), {}, {"row": 1, "col": 2, "value": "Creek", "tab": None}),
+    ("enter_cleaning_mode", (), {}, {}),
+    ("exit_cleaning_mode", (), {}, {}),
+    ("undo", (), {}, {}),
+    ("save_view", ("v",), {}, {"name": "v"}),
+    ("refresh_view", (), {"name": "v"}, {"name": "v"}),
+]
+
+
+def bound_call(name, args, kwargs):
+    """A call's arguments as the method binds them, defaults filled in."""
+    bound = inspect.signature(getattr(SessionClass, name)).bind(None, *args, **kwargs)
+    bound.apply_defaults()
+    return bound.arguments
+
+
+class TestActionCodec:
+    @pytest.mark.parametrize(
+        ("name", "args", "kwargs", "payload"), GENERIC_GOLDEN, ids=[row[0] for row in GENERIC_GOLDEN]
+    )
+    def test_generic_payload_is_golden_and_replays_the_call(self, name, args, kwargs, payload):
+        encoded = encode_action(name, mock.MagicMock(spec=SessionClass), args, kwargs)
+        assert canonical_json(encoded) == canonical_json(payload)
+        session = mock.MagicMock(spec=SessionClass)
+        apply_action(session, name, json.loads(canonical_json(encoded)))
+        replayed = getattr(session, name).call_args
+        assert bound_call(name, replayed.args, replayed.kwargs) == bound_call(name, args, kwargs)
+
+    def test_golden_table_covers_every_generic_action(self):
+        hand_written = {
+            "paste", "resync_source", "set_column_type", "add_derived_column",
+            "add_link_example", "accept_row_suggestions", "union_sources",
+        }
+        assert {row[0] for row in GENERIC_GOLDEN} == set(recordable_actions()) - hand_written
+        assert len(recordable_actions()) == 25
+
+    @pytest.mark.parametrize(
+        ("call", "kwargs"),
+        [(("label_column", (0,)), {}), (("edit_cell", (0, 0, "x")), {"bogus": 1})],
+        ids=["missing-argument", "unknown-keyword"],
+    )
+    def test_bad_call_raises_before_anything_is_written(self, tmp_path, call, kwargs):
+        name, args = call
+        world = build_world()
+        session = new_session(world)
+        with DurabilityStore(tmp_path) as store:
+            recorder, _ = recover_session(session, "t", store, seed=1)
+            drive_scripted(session, world)
+            history = list(recorder.history)
+            wal = store.wal_path("t").read_bytes()
+            with pytest.raises(TypeError):
+                getattr(session, name)(*args, **kwargs)
+            assert recorder.history == history
+            assert store.wal_path("t").read_bytes() == wal
+
+    @pytest.mark.parametrize("name", ["close", "explain", "__init__"])
+    def test_replaying_an_unrecorded_name_calls_nothing(self, name):
+        session = mock.MagicMock(spec=SessionClass)
+        with pytest.raises(SerializationError, match=repr(name)):
+            apply_action(session, name, {})
+        assert session.mock_calls == []
+
+
 # ------------------------------------------------- store-backed sessions
 class TestDurableSessions:
     def test_recover_session_roundtrip(self, tmp_path):
@@ -912,9 +999,8 @@ class TestStatsLine:
         attach_recorder(session, SessionRecorder())
         with metrics_on():
             drive_scripted(session, world)
-            line = durability_stats_line()
-        assert line.startswith("durability:")
-        assert "9 actions logged" in line
+            (line,) = [line for line in render_summary() if line.startswith("durability:")]
+        assert " actions_logged=9 " in line
 
 
 # ------------------------------------------------------ kill/restore sweep

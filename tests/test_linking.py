@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.cache import cache_stats_line
 from repro.data import build_scenario
 from repro.errors import LearningError
 from repro.linking import (
@@ -178,9 +177,9 @@ class TestLearnedLinker:
             right = {"Shelter": "Monarch HS", "Address": "12 Oak St"}
             linker.score(left, right)
             linker.score(left, right)
-            line = cache_stats_line()
+            line = next(line for line in obs.render_summary() if line.startswith("linking:"))
         finally:
             obs.disable()
             obs.reset()
         # A None field scores zeros without consulting the memo.
-        assert "link features 1h/1m/0e" in line
+        assert line == "linking: feature_memo.evictions=0 feature_memo.hits=1 feature_memo.misses=1"

@@ -6,7 +6,6 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.cache import cache_stats_line
 from repro.errors import LearningError
 from repro.io import type_learner_from_dict, type_learner_to_dict
 from repro.learning.model import (
@@ -280,11 +279,11 @@ class TestRecognizeMemo:
             learner = learner_from(self.BASE)
             learner.recognize(COLUMN)
             learner.recognize(COLUMN)
-            line = cache_stats_line()
+            line = next(line for line in obs.render_summary() if line.startswith("types:"))
         finally:
             obs.disable()
             obs.reset()
-        assert "types 1h/1m/0e" in line
+        assert "recognize_memo.evictions=0 recognize_memo.hits=1 recognize_memo.misses=1" in line
 
 
 class TestSourceDescription:

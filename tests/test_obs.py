@@ -8,9 +8,13 @@ exporter round-tripping cleanly through ``json.loads``.
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
+from repro import obs
+from repro.cache import CACHE
 from repro.obs import (
     METRICS,
     NULL_SPAN,
@@ -20,10 +24,13 @@ from repro.obs import (
     observability_snapshot,
     percentile,
     render_span_tree,
+    render_summary,
     span_to_dict,
     to_json,
     traced,
 )
+from repro.obs.registry import DECLARED_COUNTERS, DECLARED_GAUGES
+from repro.server import SERVER
 
 
 @pytest.fixture
@@ -99,6 +106,60 @@ class TestSpans:
         assert [r.name for r in tracer.roots()] == ["first", "second"]
         tracer.clear()
         assert list(tracer.roots()) == []
+
+    def test_threads_nest_spans_under_their_own_parents(self, tracer):
+        # Both threads hold their root open while the other opens a
+        # child, so a shared stack would cross-link the two trees.
+        barrier = threading.Barrier(2, timeout=5.0)
+
+        def work(tag):
+            with tracer.span(f"{tag}.root"):
+                barrier.wait()
+                with tracer.span(f"{tag}.child"):
+                    barrier.wait()
+                barrier.wait()
+
+        threads = [threading.Thread(target=work, args=(tag,)) for tag in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        roots = sorted(tracer.roots(), key=lambda span: span.name)
+        assert [root.name for root in roots] == ["a.root", "b.root"]
+        for root, tag in zip(roots, "ab"):
+            (child,) = root.children
+            assert child.name == f"{tag}.child" and child.parent is root
+            assert child.children == []
+        assert tracer.current is None
+
+    def test_many_threads_keep_every_tree_whole(self, tracer):
+        n_threads, rounds = 8, 50
+        start = threading.Barrier(n_threads, timeout=5.0)
+
+        def work(tag):
+            start.wait()
+            for _ in range(rounds):
+                with tracer.span(tag):
+                    with tracer.span(tag):
+                        with tracer.span(tag):
+                            pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(f"t{i}",)) for i in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        roots = tracer.roots()
+        assert len(roots) == n_threads * rounds
+        for root in roots:
+            assert [span.name for span in root.iter()] == [root.name] * 3
 
     def test_traced_decorator_wraps_calls(self, tracer):
         @traced("my.op", tracer=tracer)
@@ -297,3 +358,57 @@ class TestGlobalSingletons:
         CopyCatSession(catalog=scenario.catalog, seed=1)
         assert list(TRACER.roots()) == []
         assert METRICS.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
+
+
+def parse_summary(lines):
+    """``{full metric name: value}`` from the summary's group lines."""
+    printed: dict[str, float] = {}
+    for line in lines:
+        if line.startswith(("histogram ", "knobs:")):
+            continue
+        group, _, values = line.partition(":")
+        for token in values.split():
+            name, _, value = token.partition("=")
+            full = f"{group}.{name}"
+            assert full not in printed, f"{full} printed twice"
+            printed[full] = float(value)
+    return printed
+
+
+class TestSummary:
+    def test_one_line_per_group_with_every_value_once(self):
+        from .test_obs_overhead import run_fig1_import
+
+        obs.reset()
+        obs.enable()
+        try:
+            run_fig1_import()
+            lines = render_summary()
+            printed = parse_summary(lines)
+            gauges = METRICS.snapshot()["gauges"]
+            recorded = {**METRICS.snapshot()["counters"], **gauges}
+            expected = {
+                name: METRICS.gauge_value(name) if name in gauges else METRICS.counter_value(name)
+                for name in printed
+            }
+            histograms = sorted(METRICS.snapshot()["histograms"])
+            with CACHE.disabled("blocking"), SERVER.disabled():
+                knobs = render_summary()[-1]
+        finally:
+            obs.disable()
+            obs.reset()
+        declared = [*DECLARED_COUNTERS, *DECLARED_GAUGES]
+        groups = {line.partition(":")[0] for line in lines}
+        assert groups >= {name.partition(".")[0] for name in declared}
+        for prefix in (
+            "cache", "resilience", "drift", "analysis", "columnar",
+            "server", "durability", "overload", "knobs",
+        ):
+            assert prefix in groups
+        # Every declared name shows (0 when unrecorded), and so does every
+        # recorded one, wildcard-covered names included.
+        assert set(printed) >= {name for name in declared if "*" not in name} | set(recorded)
+        assert printed == expected
+        assert printed["session.pastes"] == 2
+        assert [line.split()[1].rstrip(":") for line in lines if line.startswith("histogram ")] == histograms
+        assert "REPRO_CACHE_BLOCKING=False" in knobs and "REPRO_SERVER=False" in knobs

@@ -33,7 +33,7 @@ import pytest
 from repro import CopyCatSession
 from repro.cache.tiers import CacheTiers
 from repro.errors import FeedbackError
-from repro.obs import METRICS
+from repro.obs import METRICS, render_summary
 from repro.resilience.retry import Deadline
 from repro.server import (
     OVERLOAD,
@@ -49,7 +49,6 @@ from repro.server import (
     check_deadline,
     current_deadline,
     deadline_scope,
-    overload_stats_line,
     shielded_deadline,
 )
 from repro.substrate.relational import (
@@ -705,19 +704,16 @@ class TestStatsAndObs:
                         manager.submit("a", lambda s: None)
                     gate.release.set()
                     blocked.result(timeout=5.0)
-                    line = overload_stats_line(manager)
-        assert line.startswith("overload: 1 shed (queue 1")
-        assert "brownout 0 in / 0 out (normal)" in line
+                    stats = manager.stats()["overload"]
+        assert stats["shed"] == 1 and stats["shed_reasons"]["queue"] == 1
+        assert (stats["brownout_entered"], stats["brownout_exited"], stats["level"]) == (0, 0, "normal")
 
     def test_stats_line_from_metrics_and_disabled_marker(self):
-        line = overload_stats_line()
-        assert line.startswith("overload:")
+        assert any(line.startswith("overload: brownout_entered=") for line in render_summary())
         with OVERLOAD.disabled():
-            assert overload_stats_line().endswith("disabled")
+            assert "REPRO_OVERLOAD=False" in render_summary()[-1]
 
     def test_server_stats_line_includes_shed_count(self):
-        from repro.server import server_stats_line
-
         gate = Gate()
         with SERVER.overridden(enabled=True, workers=1):
             with OVERLOAD.overridden(queue_depth=1):
@@ -729,7 +725,8 @@ class TestStatsAndObs:
                         manager.submit("a", lambda s: None)
                     gate.release.set()
                     blocked.result(timeout=5.0)
-                    assert "1 shed" in server_stats_line(manager)
+                    stats = manager.stats()
+        assert stats["overload"]["shed"] == 1
 
     def test_shed_metrics_are_registered(self):
         METRICS.enable()

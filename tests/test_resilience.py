@@ -32,8 +32,8 @@ from repro.resilience import (
     RetryPolicy,
     degraded_source,
     is_degraded_source,
-    resilience_stats_line,
 )
+from repro.obs import render_summary
 from repro.substrate.relational import Catalog, DependentJoin, Evaluator, Relation, Scan, schema_of
 from repro.substrate.relational.schema import BindingPattern
 from repro.substrate.services.base import FunctionService, TableBackedService
@@ -570,9 +570,8 @@ class TestSessionUnderFaults:
 # ------------------------------------------------------------------------ stats line
 class TestStatsLine:
     def test_stats_line_renders(self):
-        line = resilience_stats_line()
-        assert line.startswith("resilience:")
-        assert "breaker opened" in line
+        line = next(line for line in render_summary() if line.startswith("resilience:"))
+        assert " breaker.opened=" in line and " retries=" in line
 
     def test_config_snapshot_roundtrip(self):
         snap = RESILIENCE.snapshot()

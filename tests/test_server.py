@@ -25,13 +25,13 @@ import pytest
 from repro import CopyCatSession
 from repro.cache.tiers import CacheTiers
 from repro.errors import CatalogError
+from repro.obs import render_summary
 from repro.server import (
     OVERLOAD,
     SERVER,
     SessionError,
     SessionManager,
     SharedBase,
-    server_stats_line,
 )
 from repro.substrate.relational import Catalog, Relation, Scan, schema_of
 from repro.util.rng import seed_for
@@ -390,13 +390,13 @@ class TestServerDisabled:
 
     def test_stats_line_mentions_disabled(self):
         with SERVER.disabled():
-            assert "disabled" in server_stats_line()
+            assert "REPRO_SERVER=False" in render_summary()[-1]
 
     def test_stats_line_with_manager(self):
         with SessionManager(SharedBase(small_catalog())) as manager:
             manager.call("a", lambda s: None)
-            line = server_stats_line(manager)
-            assert "1 active" in line and "1 requests" in line
+            stats = manager.stats()
+            assert stats["active"] == 1 and stats["requests"] == 1
 
 
 class TestConfig:
