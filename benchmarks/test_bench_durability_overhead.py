@@ -10,8 +10,10 @@ durable session's suggestion batches are *identical* to the plain ones
 under the 10% ceiling.
 
 The A/B burst never crosses the checkpoint interval, so checkpointing is
-timed on its own: a compaction of a history past one interval, whose
-bytes must equal the reference ``json.dump`` writer's.
+timed on its own: a snapshot of a session past one interval, which must
+load back to the same state, and the recovery a tenant pays after
+eviction: evict (snapshot) and re-attach (load + empty tail) one
+65-action tenant under a session manager.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import tempfile
 import time
 
 from repro import CopyCatSession, build_scenario
-from repro.durability import DURABILITY, DurabilityStore, recover_session
-from tests.reference_durability import checkpoint_bytes
+from repro.durability import DURABILITY, DurabilityStore, digest_hash, recover_session, snapshot, state_digest
+from repro.server import SessionManager, SharedBase
 
 from .common import (
     format_table,
@@ -145,10 +147,36 @@ class TestDurabilityOverhead:
         with tempfile.TemporaryDirectory() as root:
             session, store = _integration_session(root)
             recorder = session.durability
-            while len(recorder.history) < DURABILITY.checkpoint_interval:
+            while recorder.actions_recorded < DURABILITY.checkpoint_interval:
                 session.column_suggestions(k=K, refresh=True)
 
             assert benchmark(recorder.checkpoint)
-            data = store.checkpoint_path(recorder.tenant).read_bytes()
-            assert data == checkpoint_bytes(recorder.tenant, recorder.history, seed=recorder.seed)
+            header, payload = snapshot.read_header(store.checkpoint_path(recorder.tenant).read_bytes())
+            assert header["n_actions"] == recorder.next_seq
+            restored = CopyCatSession(catalog=build_scenario(seed=5, n_shelters=10, noise=1).catalog, seed=1)
+            snapshot.load(restored, payload)
+            assert digest_hash(state_digest(restored)) == digest_hash(state_digest(session))
             store.close()
+
+    def test_bench_durable_recover(self, benchmark):
+        """Evict and re-attach one 65-action tenant: the eviction snapshot
+        plus the recovery its next request pays."""
+        scenario = build_scenario(seed=5, n_shelters=10, noise=1)
+        with tempfile.TemporaryDirectory() as root:
+            manager = SessionManager(SharedBase(scenario.catalog), durability_root=root)
+            session = manager.session("bench")
+            import_shelters_via_session(scenario, session)
+            import_contacts_via_session(scenario, session)
+            session.start_integration("Shelters")
+            while session.durability.next_seq < 65:
+                session.column_suggestions(k=K, refresh=True)
+            live = digest_hash(state_digest(session))
+
+            def evict_and_reattach():
+                manager.evict("bench")
+                return manager.session("bench")
+
+            restored = benchmark(evict_and_reattach)
+            assert restored.durability.next_seq == 65 and restored.durability.history == []
+            assert digest_hash(state_digest(restored)) == live
+            manager.shutdown()

@@ -133,6 +133,11 @@ class LRUCache:
                 "size": len(self._data),
             }
 
+    def __reduce__(self):
+        """Pickle as an empty cache of the same capacity: a memo is derived
+        state, and its lock is process-local."""
+        return LRUCache, (self.capacity, self.metrics_prefix)
+
     def __deepcopy__(self, memo: dict) -> "LRUCache":
         """An independent cache: copied entries and counters, its own lock."""
         clone = LRUCache(self.capacity, self.metrics_prefix)

@@ -40,6 +40,9 @@ from .plan_cache import PlanResultCache
 class CacheTiers:
     """The full set of evaluation memos, private or shared across sessions."""
 
+    #: the attribute name of every tier.
+    NAMES = ("plan", "analysis", "compile", "scan")
+
     def __init__(self):
         self.plan = PlanResultCache()
         self.analysis = LRUCache(ANALYSIS.memo_capacity, metrics_prefix="analysis.memo")
@@ -47,10 +50,7 @@ class CacheTiers:
         self.scan = LRUCache(CACHE.scan_capacity, metrics_prefix="columnar.scan")
         # Configured capacities, remembered so a brownout shrink can be
         # undone exactly (restore() after the load controller recovers).
-        self._full_capacities = {
-            name: getattr(self, name).capacity
-            for name in ("plan", "analysis", "compile", "scan")
-        }
+        self._full_capacities = {name: getattr(self, name).capacity for name in self.NAMES}
         self.shrunk = False
         self._flight_master = make_lock("CacheTiers._flight_master")
         self._flights: dict = {}

@@ -148,7 +148,7 @@ class CopyCatSession:
         self.engine = QueryEngine(self.catalog, cache_tiers)
         # Let the static plan analyzer cross-check DependentJoin bindings
         # against the learned source graph (repro.analysis PLAN003).
-        self.engine.graph_supplier = lambda: self.integration_learner.graph
+        self.engine.graph_supplier = self._source_graph
         self.autocomplete = AutoCompleteGenerator(
             self.engine,
             self.structure_learner,
@@ -180,6 +180,9 @@ class CopyCatSession:
         # Overload layer: the server's load controller moves sessions between
         # "normal" and "degraded" (brownout) service via set_service_level.
         self.service_level: str = LEVEL_NORMAL
+
+    def _source_graph(self):
+        return self.integration_learner.graph
 
     # ------------------------------------------------------------------ linkers
     def _linker_for(self, edge: Association) -> LearnedLinker:

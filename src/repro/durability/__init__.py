@@ -1,4 +1,4 @@
-"""Durable sessions: write-ahead action log, checkpoint/replay, recovery.
+"""Durable sessions: write-ahead action log, snapshots, recovery.
 
 The paper's workflow is a long-lived accumulation of user intent —
 pastes, accepts/rejects, link examples, trust feedback — and before this
@@ -10,12 +10,15 @@ makes a session's history durable and its state reconstructible:
 - :mod:`~repro.durability.wal` — the append-only CRC-framed log with
   prefix-consistent reads;
 - :mod:`~repro.durability.recorder` — write-ahead event sourcing at the
-  :class:`~repro.core.session.CopyCatSession` boundary, with periodic
-  compaction of the log into a checkpoint file;
+  :class:`~repro.core.session.CopyCatSession` boundary, with a periodic
+  checkpoint that snapshots the session and truncates the log;
+- :mod:`~repro.durability.snapshot` — the checkpoint format: a header
+  line and a pickle of the session's state, shared objects (base
+  catalog, services, cache tiers) referenced rather than copied;
 - :mod:`~repro.durability.actions` / :mod:`~repro.durability.docs` —
   per-action JSON codecs, including the copied documents themselves;
-- :mod:`~repro.durability.replay` — deterministic re-execution and the
-  bit-identity :func:`state_digest`;
+- :mod:`~repro.durability.replay` — deterministic re-execution of a log
+  tail and the bit-identity :func:`state_digest`;
 - :mod:`~repro.durability.store` — per-tenant checkpoint + log files
   under a durability root, with damage-tolerant recovery;
 - :mod:`~repro.durability.faults` — seeded torn-write / corruption /
@@ -23,8 +26,8 @@ makes a session's history durable and its state reconstructible:
 
 The session server composes these: :class:`~repro.server.manager.
 SessionManager` checkpoints sessions through eviction instead of
-dropping them, and recovers tenants from checkpoint + log tail on first
-attach after a restart.
+dropping them, and on first attach recovers a tenant by loading its
+snapshot and replaying only the log tail after it.
 """
 
 from __future__ import annotations
@@ -91,15 +94,14 @@ def recover_session(
     seed: int | None = None,
     checkpoint_interval: int | None = None,
 ) -> tuple[SessionRecorder, ReplayReport | None]:
-    """Attach a recorder to a fresh session, replaying any stored history.
+    """Attach a recorder to a fresh session, restoring any stored state.
 
-    The one-call recovery path: recover the trusted action prefix for
-    *tenant*, hook a recorder onto *session*, re-apply the history, and
+    The one-call recovery path: load *tenant*'s snapshot into *session*,
+    hook a recorder onto it, replay the log tail after the snapshot, and
     leave the recorder positioned so the next live action continues the
-    sequence (the replayed log tail still counts toward the next
-    checkpoint).
+    sequence (the replayed tail still counts toward the next checkpoint).
     """
-    recovered = store.recover(tenant)
+    recovered = store.recover(tenant, session)
     recorder = SessionRecorder(
         tenant, store, seed=seed, checkpoint_interval=checkpoint_interval
     )
@@ -107,5 +109,5 @@ def recover_session(
     report: ReplayReport | None = None
     if recovered.actions:
         report = replay(session, recovered.actions)
-        recorder.mark_replayed_tail(recovered.from_wal)
+    recorder.resume(recovered.next_seq, recovered.actions)
     return recorder, report

@@ -14,20 +14,19 @@ is an action; inner calls are its implementation detail and replaying
 them separately would double-apply state. The recorder therefore tracks
 call depth and records at depth zero only.
 
-Checkpoints are **compacted history**, not state snapshots: the
-checkpoint file holds the full serialized action sequence so far, and
-recovery is always "fresh session, replay checkpoint actions + log
-tail". One recovery code path, and bit-identity falls out of replay
-re-running the real methods under the REPRO005 invariants (seeded RNG,
-no wall clock) instead of a hand-written state serializer chasing every
-learner's internals.
+Checkpoints are **state snapshots**: the session's own state, pickled
+(:mod:`~repro.durability.snapshot`), covering every action recorded so
+far. Recovery is "fresh session, load the snapshot, replay the log tail".
+Bit-identity still falls out of replay re-running the real methods under
+the REPRO005 invariants (seeded RNG, no wall clock) for the tail, and out
+of pickling the session's own objects for the rest, instead of a
+hand-written state serializer chasing every learner's internals.
 
-Each action is encoded once. Beside :attr:`SessionRecorder.history` the
-recorder keeps, under its lock, the canonical text the log append
-framed for each record; a checkpoint splices those texts into the file
-rather than re-encoding the history. A record without one — replayed
-history, a recorder with no store, an append torn mid-write — is
-encoded at the next checkpoint.
+:attr:`SessionRecorder.history` is the log tail: the records appended
+(or replayed) since the last checkpoint, so it is bounded by the
+checkpoint interval. A snapshot is taken only while no recorded action
+body runs: one requested from inside an action is deferred to that
+action's end.
 """
 
 from __future__ import annotations
@@ -41,9 +40,9 @@ from ..obs import METRICS
 from ..server.overload import shielded_deadline
 from .actions import encode_action, register_action
 from .config import DURABILITY
-from .wal import canonical_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.session import CopyCatSession
     from .store import DurabilityStore
 
 
@@ -66,23 +65,30 @@ class SessionRecorder:
             if checkpoint_interval is None
             else checkpoint_interval
         )
-        #: the full compacted action history (checkpoint base + tail).
+        #: the session a checkpoint snapshots (set by ``attach_recorder``).
+        self.session: "CopyCatSession | None" = None
+        #: the records since the last checkpoint (the log tail).
         self.history: list[dict[str, Any]] = []
-        # history[i]'s canonical text, or None until a checkpoint needs it.
-        self._texts: list[str | None] = []
-        #: actions appended since the last checkpoint (tail length).
-        self.since_checkpoint = 0
+        #: the seq the next record gets: every action so far, checkpointed or not.
+        self.next_seq = 0
         self.replaying = False
+        self.sealed = False
         self._depth = 0
+        self._deferred: str | None = None  # "checkpoint" or "seal", run at depth 0
         self._lock = make_rlock("SessionRecorder._lock")
         # Lifetime counters (always on; mirrored into METRICS when enabled).
         self.actions_recorded = 0
         self.checkpoints = 0
 
+    @property
+    def since_checkpoint(self) -> int:
+        """Actions since the last checkpoint (the tail length)."""
+        return len(self.history)
+
     # -- recording -----------------------------------------------------------
     @property
     def should_record(self) -> bool:
-        return not self.replaying and self._depth == 0
+        return not self.replaying and self._depth == 0 and not self.sealed
 
     @contextmanager
     def action(self, name: str, payload: dict[str, Any]):
@@ -90,18 +96,22 @@ class SessionRecorder:
         with self._lock:
             if RACECHECK.enabled:
                 TRACKER.note_access("SessionRecorder.history", self)
-            record = {"seq": len(self.history), "name": name, "args": payload}
-            self.history.append(record)
-            self._texts.append(None)
-            self.since_checkpoint += 1
-            self.actions_recorded += 1
-            if self.store is not None:
-                # Write-ahead ordering: the record must be durable before the
-                # body runs, and seq order must match append order, so the
-                # fsync (and the store's failure counters) stay under the
-                # action lock.
-                self._texts[-1] = self.store.append(self.tenant, record)  # lint: allow=CONC002,CONC004 -- write-ahead ordering requires IO under the action lock
-            self._depth += 1
+            # Sealed after this call's should_record check: run unrecorded.
+            record = None if self.sealed else {"seq": self.next_seq, "name": name, "args": payload}
+            if record is not None:
+                if self.store is not None:
+                    # Write-ahead ordering: the record must be durable before
+                    # the body runs, and seq order must match append order,
+                    # so the fsync (and the store's failure counters) stay
+                    # under the action lock.
+                    self.store.append(self.tenant, record)  # lint: allow=CONC002,CONC004 -- write-ahead ordering requires IO under the action lock
+                self.history.append(record)
+                self.next_seq += 1
+                self.actions_recorded += 1
+                self._depth += 1
+        if record is None:
+            yield None
+            return
         if METRICS.enabled:
             METRICS.inc("durability.actions_logged")
         try:
@@ -109,33 +119,27 @@ class SessionRecorder:
         finally:
             with self._lock:
                 self._depth -= 1
-            if (
-                self._depth == 0
-                and self.store is not None
+                deferred, self._deferred = self._deferred, None
+            if deferred == "seal":
+                self.seal()
+            elif deferred == "checkpoint" or (
+                self.store is not None
                 and self.checkpoint_interval > 0
                 and self.since_checkpoint >= self.checkpoint_interval
             ):
                 self.checkpoint()
 
-    def restore_history(self, actions: list[dict[str, Any]]) -> None:
-        """Adopt a replayed action sequence as this recorder's history.
+    def resume(self, next_seq: int, tail: list[dict[str, Any]]) -> None:
+        """Position the recorder after recovery.
 
-        Its texts are left for the next checkpoint to encode, so recovery
-        itself encodes nothing.
-        """
-        with self._lock:
-            self.history = [dict(a) for a in actions]
-            self._texts = [None] * len(self.history)
-
-    def mark_replayed_tail(self, count: int) -> None:
-        """Position the checkpoint counter after recovery.
-
-        The replayed WAL tail still counts toward the next checkpoint;
+        *tail* is the replayed log tail (it still counts toward the next
+        checkpoint) and *next_seq* the seq the next live action gets;
         taken under the recording lock so a racing first live action
         cannot interleave with the repositioning.
         """
         with self._lock:
-            self.since_checkpoint = count
+            self.history = list(tail)
+            self.next_seq = next_seq
 
     @contextmanager
     def replay_mode(self):
@@ -149,36 +153,50 @@ class SessionRecorder:
 
     # -- checkpointing -------------------------------------------------------
     def checkpoint(self) -> bool:
-        """Compact the log into the checkpoint file; True on success.
+        """Snapshot the session into the checkpoint file; True on success.
 
-        The file is built from each action's append-time text (records
-        without one are encoded now). The write is atomic (tmp + rename +
-        directory fsync) and the log is truncated only *after* the rename
-        is durable, all under the recording lock — a crash at any point
-        leaves either the old checkpoint + full log or the new checkpoint
-        + empty log, both of which replay to the same state.
+        The write is atomic (tmp + rename + directory fsync) and the log is
+        truncated only *after* the rename is durable, all under the
+        recording lock — a crash at any point leaves either the old
+        checkpoint + full log or the new checkpoint + stale-or-empty log,
+        both of which recover to the same state. Called while a recorded
+        action body runs, the snapshot is deferred to that action's end
+        (False now).
         """
-        if self.store is None:
+        if self.store is None or self.session is None:
             return False
         with self._lock:
-            self._texts = [
-                canonical_json(record) if text is None else text
-                for text, record in zip(self._texts, self.history, strict=True)
-            ]
-            # Compact-then-truncate must be atomic with respect to new
-            # appends or replayed-to state and logged tail could diverge,
+            if self._depth > 0:
+                self._deferred = self._deferred or "checkpoint"
+                return False
+            # Snapshot-then-truncate must be atomic with respect to new
+            # appends or the snapshot and the logged tail could diverge,
             # so the checkpoint IO stays under the recording lock.
-            wrote = self.store.write_checkpoint(  # lint: allow=CONC002,CONC004 -- checkpoint+truncate must be atomic vs appends
-                self.tenant, self._texts, seed=self.seed
+            wrote = self.store.write_checkpoint(  # lint: allow=CONC002,CONC004 -- snapshot+truncate must be atomic vs appends
+                self.tenant, self.session, n_actions=self.next_seq, seed=self.seed
             )
             if wrote:
                 self.store.truncate_wal(self.tenant)
-                self.since_checkpoint = 0
+                self.history = []
                 self.checkpoints += 1
         if wrote and METRICS.enabled:
             METRICS.inc("durability.checkpoints")
             METRICS.inc("durability.log_truncations")
         return wrote
+
+    def seal(self) -> None:
+        """Take a last checkpoint, close the log, and record nothing more.
+
+        Called while a recorded action body runs, the seal is deferred to
+        that action's end.
+        """
+        with self._lock:
+            if self._depth > 0:
+                self._deferred = "seal"
+                return
+            self.sealed = True  # from here on no action records
+        self.checkpoint()
+        self.close()
 
     def close(self) -> None:
         if self.store is not None:
@@ -187,8 +205,8 @@ class SessionRecorder:
     def __repr__(self) -> str:
         mode = "replaying" if self.replaying else "recording"
         return (
-            f"SessionRecorder({self.tenant!r}, {mode}, "
-            f"{len(self.history)} actions, {self.checkpoints} checkpoints)"
+            f"SessionRecorder({self.tenant!r}, {mode}, {self.next_seq} actions, "
+            f"{len(self.history)} since the last of {self.checkpoints} checkpoints)"
         )
 
 

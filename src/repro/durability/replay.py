@@ -1,7 +1,8 @@
 """Deterministic replay and the bit-identity state digest.
 
-:func:`replay` re-applies a recovered action sequence to a *fresh*
-session through the same public methods the user originally called. The
+:func:`replay` re-applies a recovered log tail — to a *fresh* session,
+or to one that loaded the tenant's snapshot — through the same public
+methods the user originally called. The
 REPRO005 invariants (seeded RNG, no wall-clock reads outside
 ``util/rng.py``) plus the write-ahead log's pinned external inputs
 (serialized copy events, resync-time page snapshots) make the rebuilt
@@ -49,9 +50,8 @@ class ReplayReport:
 def replay(session: "CopyCatSession", actions: list[dict[str, Any]]) -> ReplayReport:
     """Re-apply *actions* to *session* (recording suppressed throughout).
 
-    The session's recorder — when attached — ends up holding the full
-    replayed history, so subsequent live actions continue the sequence
-    and the next checkpoint compacts everything.
+    *actions* is a log tail: the whole history on an empty session, or
+    the records after a snapshot on one that loaded it.
     """
     recorder = session.durability or SessionRecorder()
     applied = 0
@@ -69,14 +69,13 @@ def replay(session: "CopyCatSession", actions: list[dict[str, Any]]) -> ReplayRe
                 METRICS.inc("durability.replay_action_errors")
             applied += 1
             METRICS.inc("durability.actions_replayed")
-    if session.durability is not None:
-        session.durability.restore_history(actions)
     return ReplayReport(applied=applied, errors=errors)
 
 
 def attach_recorder(session: "CopyCatSession", recorder: SessionRecorder) -> SessionRecorder:
     """Hook *recorder* onto *session* (the ``session.durability`` slot)."""
     session.durability = recorder
+    recorder.session = session
     return recorder
 
 

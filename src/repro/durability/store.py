@@ -2,21 +2,26 @@
 
 Layout under a durability root::
 
-    <root>/<tenant-dir>/checkpoint.json   # compacted action history
+    <root>/<tenant-dir>/checkpoint.json   # header line + session snapshot
     <root>/<tenant-dir>/wal.log           # CRC-framed tail since then
 
 ``<tenant-dir>`` is the tenant id sanitized for the filesystem plus a
-short hash (so ``"a/b"`` and ``"a_b"`` cannot collide).
+short hash (so ``"a/b"`` and ``"a_b"`` cannot collide). The checkpoint
+keeps its old name; its format is :mod:`~repro.durability.snapshot`'s.
 
 Recovery (:meth:`DurabilityStore.recover`) is prefix-consistent and
 total — it never raises for damaged files, it just trusts less:
 
-1. read ``checkpoint.json``; a missing file contributes no actions, and
-   so does one that fails to parse or whose shape does not check out
-   (wrong ``format``, ``n_actions`` not counting ``actions``, or an action
-   that is not a dict with ``seq`` equal to its index, a string name and
-   dict args) — counted as ``durability.checkpoint_corrupt``, after which
-   the log alone may still replay;
+1. read ``checkpoint.json``. A snapshot (format 2) must match its
+   header's digest, tenant and Python version before it is unpickled
+   into the fresh session; it covers the first ``n_actions`` actions. A
+   format-1 checkpoint, the action list older builds wrote, is a long
+   log tail replayed from empty (its shape must check out: ``n_actions``
+   counting ``actions``, each a dict with ``seq`` equal to its index, a
+   string name and dict args). A missing file covers nothing; an
+   unreadable, misshapen, foreign or unloadable one covers nothing and is
+   counted as ``durability.checkpoint_corrupt``, after which the log
+   alone may still replay;
 2. scan ``wal.log`` forward, stopping at the first torn / truncated /
    CRC-mismatched frame (each stop cause has its own counter);
 3. stitch: log records must continue the checkpoint's sequence exactly.
@@ -29,31 +34,32 @@ Checkpoint writes are atomic: write to a temp file in the same
 directory, fsync, ``os.replace``, fsync the directory. The log is
 truncated only after the rename is durable. A crash anywhere in that
 protocol leaves either the old checkpoint with the full log or the new
-checkpoint with a stale-or-empty log — both replay to the same state.
+checkpoint with a stale-or-empty log — both recover to the same state.
 
-A checkpoint is not re-encoded from the action dicts: the caller hands
-over each action's canonical text (:func:`~repro.durability.wal.canonical_json`,
-the same text its log frame holds), and the file is those texts spliced
-into the envelope — byte for byte what ``json.dump(payload,
-sort_keys=True, separators=(",", ":"))`` of the whole payload writes.
+Unpickling runs code: a store reads snapshots only from its own root,
+which must be as trusted as the process itself.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..obs import METRICS
+from . import snapshot
 from .faults import WAL_FAULTS
-from .wal import WalWriter, canonical_json, read_wal
+from .wal import WalWriter, read_wal
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.session import CopyCatSession
 
 CHECKPOINT_NAME = "checkpoint.json"
 WAL_NAME = "wal.log"
-FORMAT_VERSION = 1
+#: the checkpoint format older builds wrote: the action list as JSON.
+ACTION_LIST_FORMAT = 1
 
 _SAFE = re.compile(r"[^A-Za-z0-9_.-]+")
 
@@ -79,7 +85,7 @@ def _trusted_actions(payload: Any) -> list[dict[str, Any]] | None:
     Anything looser would crash replay or mis-stitch the log tail, which
     continues at ``seq == len(actions)``.
     """
-    if not isinstance(payload, dict) or payload.get("format") != FORMAT_VERSION:
+    if not isinstance(payload, dict) or payload.get("format") != ACTION_LIST_FORMAT:
         return None
     actions = payload.get("actions")
     if not isinstance(actions, list) or payload.get("n_actions") != len(actions):
@@ -96,7 +102,13 @@ def _trusted_actions(payload: Any) -> list[dict[str, Any]] | None:
 
 
 class RecoveredState:
-    """What :meth:`DurabilityStore.recover` found for one tenant."""
+    """What :meth:`DurabilityStore.recover` found for one tenant.
+
+    ``actions`` is the tail to replay: the log records after the
+    snapshot, preceded by a format-1 checkpoint's actions when that is
+    what the file held. ``from_checkpoint`` counts the actions the
+    checkpoint covers, ``from_wal`` the log records in the tail.
+    """
 
     def __init__(
         self,
@@ -106,20 +118,29 @@ class RecoveredState:
         from_wal: int = 0,
         stop_reason: str | None = None,
         seed: int | None = None,
+        has_snapshot: bool = False,
     ):
         self.actions = actions
         self.from_checkpoint = from_checkpoint
         self.from_wal = from_wal
         self.stop_reason = stop_reason
         self.seed = seed
+        #: True when a valid snapshot covers the first ``from_checkpoint``.
+        self.has_snapshot = has_snapshot
+
+    @property
+    def next_seq(self) -> int:
+        """The seq the next live action continues at."""
+        return self.from_checkpoint + self.from_wal
 
     def __bool__(self) -> bool:
-        return bool(self.actions)
+        return self.has_snapshot or bool(self.actions)
 
     def __repr__(self) -> str:
+        base = "snapshot" if self.has_snapshot else "checkpointed"
         return (
-            f"RecoveredState({len(self.actions)} actions: "
-            f"{self.from_checkpoint} checkpointed + {self.from_wal} tail, "
+            f"RecoveredState({len(self.actions)} actions to replay: "
+            f"{self.from_checkpoint} {base} + {self.from_wal} tail, "
             f"stop={self.stop_reason!r})"
         )
 
@@ -166,27 +187,24 @@ class DurabilityStore:
 
     # -- checkpointing -------------------------------------------------------
     def write_checkpoint(
-        self, tenant: str, texts: list[str], *, seed: int | None = None
+        self,
+        tenant: str,
+        session: "CopyCatSession",
+        *,
+        n_actions: int,
+        seed: int | None = None,
     ) -> bool:
-        """Atomically persist the compacted history; False when the
-        filesystem refused (the old checkpoint + log stay authoritative).
-
-        *texts* holds each action's :func:`canonical_json` text, in
-        sequence order; they are spliced into the file unchanged.
-        """
-        actions = ",".join(texts)
-        text = (
-            f'{{"actions":[{actions}],"format":{FORMAT_VERSION},'
-            f'"n_actions":{len(texts)},"seed":{canonical_json(seed)},'
-            f'"tenant":{canonical_json(tenant)}}}'
-        )
+        """Atomically persist a snapshot of *session* covering its first
+        *n_actions* actions; False when the filesystem refused (the old
+        checkpoint + log stay authoritative)."""
+        data = snapshot.encode(session, tenant, n_actions, seed)
         directory = self.tenant_dir(tenant)
         directory.mkdir(parents=True, exist_ok=True)
         target = self.checkpoint_path(tenant)
         tmp = directory / (CHECKPOINT_NAME + ".tmp")
         try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            with open(tmp, "wb") as handle:
+                handle.write(data)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, target)
@@ -207,37 +225,55 @@ class DurabilityStore:
         return True
 
     # -- recovery ------------------------------------------------------------
-    def recover(self, tenant: str) -> RecoveredState:
-        """The trusted action prefix for one tenant (never raises)."""
-        base: list[dict[str, Any]] = []
-        seed: int | None = None
-        checkpoint_path = self.checkpoint_path(tenant)
-        if checkpoint_path.exists():
-            try:
-                payload = json.loads(checkpoint_path.read_text(encoding="utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                payload = None
-            actions = _trusted_actions(payload)
-            if actions is None:
-                # A half-written, rotted or misshapen checkpoint
-                # contributes nothing; the log may still carry a
-                # replayable prefix.
-                METRICS.inc("durability.checkpoint_corrupt")
-            else:
-                base = actions
-                seed = payload.get("seed")
+    def _read_checkpoint(
+        self, tenant: str, session: "CopyCatSession | None"
+    ) -> tuple[int, list[dict[str, Any]], int | None, bool]:
+        """``(actions covered, actions to replay, seed, snapshot?)``.
+
+        With *session*, a snapshot is loaded into it; without, it is only
+        checked against its header.
+        """
+        path = self.checkpoint_path(tenant)
+        if not path.exists():
+            return 0, [], None, False
+        try:
+            header, payload = snapshot.read_header(path.read_bytes())
+            if isinstance(header, dict) and header.get("format") == ACTION_LIST_FORMAT:
+                actions = _trusted_actions(header)
+                if actions is None:
+                    raise snapshot.SnapshotError("misshapen action-list checkpoint")
+                seed = header.get("seed")
+                return len(actions), actions, seed, False
+            n_actions, seed = snapshot.check(header, payload, tenant)
+            if session is not None:
+                snapshot.load(session, payload)
+            return n_actions, [], seed, True
+        except Exception:
+            # A half-written, rotted, foreign or unloadable checkpoint
+            # contributes nothing; the log may still carry a replayable
+            # prefix.
+            METRICS.inc("durability.checkpoint_corrupt")
+            return 0, [], None, False
+
+    def recover(self, tenant: str, session: "CopyCatSession | None" = None) -> RecoveredState:
+        """The trusted state for one tenant (never raises).
+
+        With *session* — a freshly built one — the snapshot is loaded
+        into it, and the returned actions are the tail to replay on top.
+        """
+        covered, base, seed, has_snapshot = self._read_checkpoint(tenant, session)
 
         result = read_wal(self.wal_path(tenant))
         if result.stop_reason is not None:
             METRICS.inc(_STOP_COUNTERS[result.stop_reason])
 
-        next_seq = len(base)
+        next_seq = covered
         tail: list[dict[str, Any]] = []
         stop_reason = result.stop_reason
         for record in result.records:
             seq = record.get("seq")
             if not isinstance(seq, int) or seq < next_seq:
-                continue  # stale pre-checkpoint record (crash mid-compaction)
+                continue  # stale pre-checkpoint record (crash before truncation)
             if seq != next_seq:
                 # The tail does not continue the trusted prefix: nothing
                 # at or after the gap can be ordered, so none of it is
@@ -248,16 +284,17 @@ class DurabilityStore:
             tail.append(record)
             next_seq += 1
 
-        actions = base + tail
-        if actions and METRICS.enabled:
-            METRICS.inc("durability.sessions_recovered")
-        return RecoveredState(
-            actions,
-            from_checkpoint=len(base),
+        recovered = RecoveredState(
+            base + tail,
+            from_checkpoint=covered,
             from_wal=len(tail),
             stop_reason=stop_reason,
             seed=seed,
+            has_snapshot=has_snapshot,
         )
+        if recovered and METRICS.enabled:
+            METRICS.inc("durability.sessions_recovered")
+        return recovered
 
     # -- lifecycle -----------------------------------------------------------
     def close_tenant(self, tenant: str) -> None:

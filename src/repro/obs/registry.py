@@ -61,9 +61,9 @@ DECLARED_COUNTERS: dict[str, str] = {
     "drift.verifications": "extraction verifications run",
     # -- durability (write-ahead log + checkpoint/replay) --------------------
     "durability.actions_logged": "session actions appended to a write-ahead log",
-    "durability.checkpoints": "action histories compacted into checkpoint files",
+    "durability.checkpoints": "session snapshots written to checkpoint files",
     "durability.log_truncations": "write-ahead logs truncated after a checkpoint",
-    "durability.sessions_recovered": "sessions rebuilt from checkpoint + log tail",
+    "durability.sessions_recovered": "sessions rebuilt from snapshot + log tail",
     "durability.actions_replayed": "logged actions re-applied during recovery",
     "durability.replay_action_errors": "replayed actions that re-raised (as originally)",
     "durability.recovery_torn_records": "recoveries stopped at a torn final record",

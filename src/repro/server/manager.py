@@ -43,6 +43,7 @@ server bit-for-bit.
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -89,6 +90,12 @@ class _Request:
     tracked: bool = False
 
 
+def _set_event() -> threading.Event:
+    event = threading.Event()
+    event.set()
+    return event
+
+
 @dataclass
 class _Entry:
     """Registry slot: the session plus its dispatch and lifecycle state."""
@@ -100,8 +107,14 @@ class _Entry:
     tenant_id: str = ""
     lock: Any = field(default_factory=lambda: make_lock("_Entry.lock"))
     queue: deque = field(default_factory=deque)
-    #: True while a drain task for this session is live on the pool.
-    scheduled: bool = False
+    #: set while no drain task for this session is live on the pool.
+    parked: threading.Event = field(default_factory=_set_event)
+    #: the thread running a request on this session, while one does.
+    running_on: int | None = None
+    #: True once eviction began snapshotting: new requests go elsewhere.
+    retired: bool = False
+    #: set when eviction has snapshotted and detached the session.
+    sealed: threading.Event = field(default_factory=threading.Event)
     #: deficit-round-robin credit for the current drain turn.
     deficit: int = 0
     #: monotonically increasing admission attempt index (seeded shed draws).
@@ -138,6 +151,8 @@ class SessionManager:
             DurabilityStore(root) if root else None
         )
         self._registry: "OrderedDict[str, _Entry]" = OrderedDict()
+        # Evicted entries whose snapshot has not landed yet, by tenant.
+        self._retiring: dict[str, _Entry] = {}
         self._registry_lock = make_lock("SessionManager._registry_lock")
         self._pool: ThreadPoolExecutor | None = None
         self._closed = False
@@ -173,46 +188,29 @@ class SessionManager:
     def _entry(self, tenant_id: str) -> _Entry:
         if self._closed:
             raise SessionError("session manager is shut down")
-        evicted: list[_Entry] = []
-        with self._registry_lock:
-            entry = self._registry.get(tenant_id)
-            if entry is not None:
-                entry.last_used = self._clock()
-                self._registry.move_to_end(tenant_id)
-                return entry
-            seed = seed_for(self.seed, tenant_id)
-            tiers = self.base.tiers if SERVER.enabled else None
-            session = self._session_factory(
-                catalog=self.base.fork_catalog(), seed=seed, cache_tiers=tiers
-            )
-            if self.store is not None:
-                # Recover-on-attach: replay whatever this tenant's
-                # checkpoint + log tail holds (a no-op for new tenants).
-                # Runs under the registry lock so two racing first
-                # requests can never double-replay one history.
-                recover_session(session, tenant_id, self.store, seed=seed)  # lint: allow=CONC004 -- recovery must stay under the registry lock (no double-replay); emits only leaf durability counters
-            now = self._clock()
-            entry = _Entry(
-                session=session,
-                seed=seed,
-                created=now,
-                last_used=now,
-                tenant_id=tenant_id,
-            )
-            if RACECHECK.enabled:
-                TRACKER.note_access("SessionManager._registry", self)
-            self._registry[tenant_id] = entry
-            with self._counters_lock:
-                self.sessions_created += 1
-            while len(self._registry) > max(1, SERVER.max_sessions):
-                _, victim = self._registry.popitem(last=False)
-                evicted.append(victim)
-                with self._counters_lock:
-                    self.sessions_evicted += 1
-        for victim in evicted:
-            # Evict-through: persist before dropping (outside the lock —
-            # checkpoint writes are file IO).
-            self._checkpoint_through(victim.session)
+        while True:
+            with self._registry_lock:
+                entry = self._registry.get(tenant_id)
+                if entry is not None:
+                    entry.last_used = self._clock()
+                    self._registry.move_to_end(tenant_id)
+                    return entry
+                retiring = self._retiring.get(tenant_id)
+                if retiring is None:
+                    entry, evicted = self._create_entry(tenant_id)  # lint: allow=CONC004 -- recovery must stay under the registry lock (no double-replay); emits only leaf durability counters
+                    break
+            # The tenant's evicted entry is still draining into its last
+            # snapshot; recovering before that lands would read a stale
+            # root and race its log. From inside that entry's own request
+            # (which the snapshot waits for) the entry is still the
+            # tenant's session.
+            with retiring.lock:
+                if retiring.running_on == threading.get_ident():
+                    return retiring
+            retiring.sealed.wait()
+        # Evict-through: persist before dropping (outside the lock —
+        # checkpoint writes are file IO).
+        self._checkpoint_all(evicted)
         if METRICS.enabled:
             METRICS.inc("server.sessions_created")
             if evicted:
@@ -220,22 +218,83 @@ class SessionManager:
             METRICS.gauge("server.sessions_active", float(len(self._registry)))
         return entry
 
-    def _checkpoint_through(self, session: CopyCatSession) -> None:
-        """Persist an evicted session's history, then detach its recorder.
-
-        After detachment the (possibly still-referenced) session object
-        keeps working purely in memory — the pre-durability eviction
-        semantics — while the durable history ends cleanly at the
-        eviction point; the next attach for the tenant recovers it.
-        """
-        recorder = session.durability
-        if recorder is None or recorder.store is None:
-            return
-        recorder.checkpoint()
-        recorder.close()
-        session.durability = None
+    def _create_entry(self, tenant_id: str) -> tuple[_Entry, list[_Entry]]:
+        """Register a new entry for the tenant (caller holds the registry
+        lock); returns it and the LRU victims it pushed out."""
+        seed = seed_for(self.seed, tenant_id)
+        tiers = self.base.tiers if SERVER.enabled else None
+        session = self._session_factory(
+            catalog=self.base.fork_catalog(), seed=seed, cache_tiers=tiers
+        )
+        if self.store is not None:
+            # Recover-on-attach: load this tenant's snapshot and replay its
+            # log tail (a no-op for new tenants). Runs under the registry
+            # lock so two racing first requests can never double-replay
+            # one history.
+            recover_session(session, tenant_id, self.store, seed=seed)
+        now = self._clock()
+        entry = _Entry(
+            session=session,
+            seed=seed,
+            created=now,
+            last_used=now,
+            tenant_id=tenant_id,
+        )
+        if RACECHECK.enabled:
+            TRACKER.note_access("SessionManager._registry", self)
+        self._registry[tenant_id] = entry
         with self._counters_lock:
-            self.sessions_checkpointed += 1
+            self.sessions_created += 1
+        evicted: list[_Entry] = []
+        while len(self._registry) > max(1, SERVER.max_sessions):
+            _, victim = self._registry.popitem(last=False)
+            self._retiring[victim.tenant_id] = victim
+            evicted.append(victim)
+            with self._counters_lock:
+                self.sessions_evicted += 1
+        return entry, evicted
+
+    def _checkpoint_through(self, entry: _Entry) -> None:
+        """Snapshot an evicted session, then detach its recorder.
+
+        The snapshot waits until the entry's drain has run every request
+        queued before the eviction and parked, so it never pickles a
+        session mid-request. An eviction from inside the session's own
+        request cannot wait for itself; there the recorder defers the
+        snapshot to the end of a running action. After detachment the
+        (possibly still-referenced) session object keeps working purely
+        in memory — the pre-durability eviction semantics — while the
+        durable history ends cleanly at the eviction point; the next
+        attach for the tenant recovers it.
+        """
+        try:
+            session = entry.session
+            recorder = session.durability
+            if recorder is None or recorder.store is None:
+                return
+            with entry.lock:
+                entry.retired = True
+                own_request = entry.running_on == threading.get_ident()
+            if not own_request:
+                entry.parked.wait()
+            recorder.seal()
+            session.durability = None
+            with self._counters_lock:
+                self.sessions_checkpointed += 1
+        finally:
+            entry.sealed.set()
+            with self._registry_lock:
+                if self._retiring.get(entry.tenant_id) is entry:
+                    del self._retiring[entry.tenant_id]
+
+    def _checkpoint_all(self, entries: list[_Entry]) -> None:
+        """Checkpoint every entry through, even past one that raises (a
+        skipped entry would stay retiring and block its tenant)."""
+        if entries:
+            try:
+                self._checkpoint_through(entries[0])
+            finally:
+                self._checkpoint_all(entries[1:])
 
     def evict(self, tenant_id: str) -> bool:
         """Evict the tenant's session (checkpointed first when durable);
@@ -245,10 +304,11 @@ class SessionManager:
                 TRACKER.note_access("SessionManager._registry", self)
             entry = self._registry.pop(tenant_id, None)
             if entry is not None:
+                self._retiring[tenant_id] = entry
                 with self._counters_lock:
                     self.sessions_evicted += 1
         if entry is not None:
-            self._checkpoint_through(entry.session)
+            self._checkpoint_through(entry)
             if METRICS.enabled:
                 METRICS.inc("server.sessions_evicted")
                 METRICS.gauge("server.sessions_active", float(len(self._registry)))
@@ -270,12 +330,12 @@ class SessionManager:
             for tenant_id, entry in list(self._registry.items()):
                 if now - entry.last_used > limit:
                     del self._registry[tenant_id]
+                    self._retiring[tenant_id] = entry
                     expired.append(tenant_id)
                     victims.append(entry)
                     with self._counters_lock:
                         self.sessions_expired += 1
-        for entry in victims:
-            self._checkpoint_through(entry.session)
+        self._checkpoint_all(victims)
         if expired and METRICS.enabled:
             METRICS.inc("server.sessions_expired", len(expired))
             METRICS.gauge("server.sessions_active", float(len(self._registry)))
@@ -396,11 +456,18 @@ class SessionManager:
             fn=fn, future=future, deadline=deadline,
             enqueued=self._clock(), tracked=True,
         )
-        with entry.lock:
-            entry.queue.append(request)
-            schedule = not entry.scheduled
-            if schedule:
-                entry.scheduled = True
+        while True:
+            with entry.lock:
+                # A retired entry takes only its own requests' submits (its
+                # drain runs them before it parks); others wait for its
+                # snapshot and go to the tenant's next entry.
+                if not entry.retired or entry.running_on == threading.get_ident():
+                    entry.queue.append(request)
+                    schedule = entry.parked.is_set()
+                    if schedule:
+                        entry.parked.clear()
+                    break
+            entry = self._entry(tenant_id)
         if schedule:
             self._schedule_drain(entry)
         return future
@@ -436,7 +503,7 @@ class SessionManager:
             self._executor().submit(self._drain, entry)
         except RuntimeError:
             with entry.lock:
-                entry.scheduled = False
+                entry.parked.set()
             self._strand_queue(entry)
 
     def _drain(self, entry: _Entry) -> None:
@@ -451,7 +518,7 @@ class SessionManager:
         while True:
             with entry.lock:
                 if not entry.queue:
-                    entry.scheduled = False
+                    entry.parked.set()
                     entry.deficit = 0
                     return
                 if quantum > 0 and entry.deficit <= 0:
@@ -478,12 +545,12 @@ class SessionManager:
             except BaseException:
                 # A KeyboardInterrupt/SystemExit re-raised by _execute ends
                 # this drain task. Leave the queue to a fresh one (or park
-                # cleanly) — otherwise `scheduled` stays True forever and
+                # cleanly) — otherwise the entry never parks again and
                 # the tenant's later requests are never dispatched.
                 with entry.lock:
                     reschedule = bool(entry.queue)
                     if not reschedule:
-                        entry.scheduled = False
+                        entry.parked.set()
                         entry.deficit = 0
                 if reschedule:
                     self._schedule_drain(entry)
@@ -585,6 +652,8 @@ class SessionManager:
             self._request_done(request)
             return
         self._touch(entry)
+        with entry.lock:
+            entry.running_on = threading.get_ident()
         protected = OVERLOAD.enabled and SERVER.enabled
         started = self._clock()
         if protected:
@@ -618,6 +687,8 @@ class SessionManager:
                 else:
                     future.set_result(result)
         finally:
+            with entry.lock:
+                entry.running_on = None
             self._request_done(request)
             if protected:
                 self._observe_load(started)
@@ -704,8 +775,7 @@ class SessionManager:
             self._registry.clear()
         for entry in victims:
             self._strand_queue(entry)
-        for entry in victims:
-            self._checkpoint_through(entry.session)
+        self._checkpoint_all(victims)
         if self.store is not None:
             self.store.close()
 

@@ -69,6 +69,8 @@ class Catalog:
         self._frozen = False
         self._fork_pristine = False
         self._scope_lock = make_lock("Catalog._scope_lock")
+        #: the catalog this one was forked from (None for a root catalog).
+        self._base: Catalog | None = None
 
     # -- multi-tenant sharing ----------------------------------------------------
     @property
@@ -105,7 +107,25 @@ class Catalog:
         child._frozen = False
         child._fork_pristine = True
         child._scope_lock = make_lock("Catalog._scope_lock")
+        child._base = self
         return child
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = dict(self.__dict__)
+        del state["_scope_lock"], state["_scope"]
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        """A loaded catalog never reuses a pickled scope: scopes are
+        process-local, and the catalog it was pickled from may still be
+        alive. A pristine fork rejoins its base's scope; any other takes a
+        fresh one."""
+        self.__dict__.update(state)
+        self._scope_lock = make_lock("Catalog._scope_lock")
+        base = self._base
+        self._scope = (  # lint: allow=CONC003 -- unpublished until __setstate__ returns, like __init__
+            base.cache_scope if self._fork_pristine and base is not None else next(_SCOPE_COUNTER)
+        )
 
     def _mutated(self) -> None:
         """Guard + scope divergence, called before every registry mutation."""

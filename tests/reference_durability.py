@@ -1,11 +1,11 @@
-"""Reference checkpoint writer: the oracle for spliced checkpoint files.
+"""Reference format-1 checkpoint writer: a root left by an older build.
 
-This is how :meth:`repro.durability.DurabilityStore.write_checkpoint`
-serialized a checkpoint before it learned to splice each action's
-append-time canonical text into the envelope: one ``json.dump`` of the
-whole payload, which re-encodes every action dict through the pure-Python
-``iterencode``. Every checkpoint file the store writes must equal
-:func:`checkpoint_bytes` of the same history byte for byte.
+Before checkpoints became session snapshots, a checkpoint file was the
+whole action history so far, written as one ``json.dump`` of this
+payload. A store must still recover such a file: its actions are a long
+log tail, replayed from an empty session. :func:`checkpoint_bytes`
+writes exactly what those builds wrote, so tests can lay down a
+format-1 root.
 """
 
 from __future__ import annotations
@@ -14,15 +14,16 @@ import io
 import json
 from typing import Any
 
-from repro.durability.store import FORMAT_VERSION
+#: the ``format`` field older builds wrote.
+FORMAT_ACTION_LIST = 1
 
 
 def checkpoint_bytes(
     tenant: str, actions: list[dict[str, Any]], *, seed: int | None = None
 ) -> bytes:
-    """The checkpoint file the reference writer produces for *actions*."""
+    """The format-1 checkpoint file for *actions*."""
     payload = {
-        "format": FORMAT_VERSION,
+        "format": FORMAT_ACTION_LIST,
         "tenant": tenant,
         "seed": seed,
         "n_actions": len(actions),

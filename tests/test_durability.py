@@ -7,8 +7,14 @@ Contracts under test:
   garbage length, non-dict payload); it never raises for damage;
 - **write-fault injection** — the seeded policy deterministically tears,
   corrupts, or fails-to-sync chosen appends, and recovery absorbs each;
-- **checkpoint + stitching** — compaction is atomic, stale pre-checkpoint
-  log records are skipped, sequence gaps drop the tail;
+- **checkpoint + stitching** — a checkpoint is a session snapshot written
+  atomically, stale pre-checkpoint log records are skipped, sequence gaps
+  drop the tail, and a damaged, foreign or unloadable snapshot counts as
+  corrupt without ever raising;
+- **snapshot oracle** — replay from empty stays the reference: a session
+  recovered from snapshot + tail answers every later action exactly like
+  one rebuilt by replaying the whole history (a format-1 root, the action
+  list older builds wrote, recovers through the same replay path);
 - **record/replay bit-identity** — a fresh session replaying the logged
   actions reaches the same :func:`state_digest` as the live session,
   including RNG stream position (later live actions still match);
@@ -16,17 +22,22 @@ Contracts under test:
   changes nothing, and a manager with no durability root never attaches
   one;
 - **cross-process replay** — a recorded Section-8 task recovers to the
-  live digest in fresh interpreters under different ``PYTHONHASHSEED``s;
+  live digest in fresh interpreters under different ``PYTHONHASHSEED``s,
+  and a snapshot written in one interpreter continues the task in
+  another;
 - **crash property** (hypothesis) — a random usersim-style action
   sequence, killed at an arbitrary log byte (truncation or bit flip),
-  recovers to exactly the state after some prefix of its actions.
+  recovers to exactly the state after some prefix of its actions, with
+  or without a snapshot before the cut.
 """
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import json
 import os
+import pickle
 import random
 import stat
 import struct
@@ -67,8 +78,10 @@ from repro.durability import (
     replay,
     state_digest,
 )
+from repro.durability import snapshot
 from repro.durability.store import tenant_dirname
 from repro.substrate.documents import CellRange
+from repro.substrate.relational.relation import Relation
 from repro.substrate.relational.schema import PLACE
 from repro.errors import CopyCatError
 from repro.obs import METRICS, render_summary
@@ -89,6 +102,31 @@ def new_session(world, seed=1):
 
 def session_hash(session):
     return digest_hash(state_digest(session))
+
+
+class Capturing(SessionRecorder):
+    """A recorder that also keeps every record, checkpointed or not.
+
+    ``history`` holds only the tail since the last checkpoint; an oracle
+    replaying from empty needs the whole history.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.records = []
+
+    @contextmanager
+    def action(self, name, payload):
+        with super().action(name, payload) as record:
+            if record is not None:
+                self.records.append(dict(record))
+            yield record
+
+
+def checkpoint_header(path):
+    """The parsed header line of a checkpoint file."""
+    header, _payload = snapshot.read_header(Path(path).read_bytes())
+    return header
 
 
 @contextmanager
@@ -333,9 +371,9 @@ def fake_actions(n, start=0):
     return [{"seq": i, "name": "noop", "args": {}} for i in range(start, start + n)]
 
 
-def as_texts(actions):
-    """The canonical texts ``write_checkpoint`` splices, one per action."""
-    return [canonical_json(action) for action in actions]
+def blank_session():
+    """A session with nothing in it: the cheapest thing to snapshot."""
+    return CopyCatSession(seed=1)
 
 
 class TestStoreRecovery:
@@ -347,12 +385,16 @@ class TestStoreRecovery:
         store = DurabilityStore(tmp_path)
         for record in fake_actions(3):
             store.append("t", record)
-        assert store.write_checkpoint("t", as_texts(fake_actions(3)), seed=9)
+        assert store.write_checkpoint("t", blank_session(), n_actions=3, seed=9)
         store.truncate_wal("t")
         store.append("t", fake_actions(1, start=3)[0])
         store.close()
+        header = checkpoint_header(store.checkpoint_path("t"))
+        assert header["format"] == 2 and header["n_actions"] == 3 and header["tenant"] == "t"
         recovered = DurabilityStore(tmp_path).recover("t")
-        assert [a["seq"] for a in recovered.actions] == [0, 1, 2, 3]
+        # The snapshot covers seq 0..2; only the log tail is left to replay.
+        assert [a["seq"] for a in recovered.actions] == [3]
+        assert recovered.has_snapshot and recovered.next_seq == 4
         assert recovered.from_checkpoint == 3 and recovered.from_wal == 1
         assert recovered.seed == 9
 
@@ -362,11 +404,11 @@ class TestStoreRecovery:
         store = DurabilityStore(tmp_path)
         for record in fake_actions(4):
             store.append("t", record)
-        assert store.write_checkpoint("t", as_texts(fake_actions(2)))
+        assert store.write_checkpoint("t", blank_session(), n_actions=2)
         store.close()
         recovered = DurabilityStore(tmp_path).recover("t")
         assert recovered.from_checkpoint == 2 and recovered.from_wal == 2
-        assert [a["seq"] for a in recovered.actions] == [0, 1, 2, 3]
+        assert [a["seq"] for a in recovered.actions] == [2, 3]
 
     def test_seq_gap_drops_tail(self, tmp_path):
         store = DurabilityStore(tmp_path)
@@ -401,7 +443,7 @@ class TestStoreRecovery:
             lambda *a: (_ for _ in ()).throw(OSError("disk full")),
         )
         with metrics_on() as m:
-            assert store.write_checkpoint("t", as_texts(fake_actions(2))) is False
+            assert store.write_checkpoint("t", blank_session(), n_actions=2) is False
             assert m.counter_value("durability.fsync_failures") == 1
         assert not store.checkpoint_path("t").exists()
 
@@ -444,11 +486,11 @@ class TestStoreRecovery:
         path.write_text(json.dumps({"format": 1, "n_actions": 2, "actions": actions}), encoding="utf-8")
         recorder, report = recover_session(new_session(build_world()), "t", store, seed=1)
         store.close()
-        assert report is None and recorder.history == []
+        assert report is None and recorder.history == [] and recorder.next_seq == 0
 
     def _recorded(self, tmp_path, n=3):
         store = DurabilityStore(tmp_path)
-        recorder = SessionRecorder("t", store, checkpoint_interval=0)
+        recorder = attach_recorder(blank_session(), SessionRecorder("t", store, checkpoint_interval=0))
         for _ in range(n):
             with recorder.action("noop", {}):
                 pass
@@ -495,8 +537,12 @@ class TestStoreRecovery:
         assert recorder.checkpoints == 0 and recorder.since_checkpoint == 3
         assert [r["seq"] for r in read_wal(store.wal_path("t")).records] == [0, 1, 2]
         store.close()
+        # The rename landed before the directory sync failed, so the new
+        # snapshot covers what the kept log holds: nothing is replayed
+        # twice, nothing is lost.
         recovered = DurabilityStore(tmp_path).recover("t")
-        assert [a["seq"] for a in recovered.actions] == [0, 1, 2]
+        assert recovered.has_snapshot and recovered.from_checkpoint == 3
+        assert recovered.actions == [] and recovered.next_seq == 3
 
 
 # ------------------------------------------------------ record/replay parity
@@ -671,7 +717,8 @@ class TestDurableSessions:
         world = build_world()
         session = new_session(world)
         store = DurabilityStore(tmp_path)
-        recorder, report = recover_session(session, "alice", store, seed=1)
+        # The default interval, pinned: no checkpoint before the end.
+        recorder, report = recover_session(session, "alice", store, seed=1, checkpoint_interval=64)
         assert report is None  # brand-new tenant: nothing to replay
         drive_scripted(session, world, n_extra=6, seed=9)
         live = session_hash(session)
@@ -694,12 +741,15 @@ class TestDurableSessions:
         assert recorder.since_checkpoint < 4
         live = session_hash(session)
         store.close()
-        checkpoint = json.loads(store.checkpoint_path("bob").read_text(encoding="utf-8"))
-        assert checkpoint["n_actions"] >= 8
+        header = checkpoint_header(store.checkpoint_path("bob"))
+        assert header["format"] == 2 and header["n_actions"] >= 8
+        assert header["n_actions"] + recorder.since_checkpoint == recorder.next_seq == 14
 
         restored = new_session(build_world())
         with DurabilityStore(tmp_path) as store2:
-            recover_session(restored, "bob", store2, seed=1)
+            _, report = recover_session(restored, "bob", store2, seed=1)
+        # Only the tail after the last snapshot is replayed.
+        assert (report.applied if report else 0) == recorder.since_checkpoint
         assert session_hash(restored) == live
 
     def test_torn_write_recovers_state_as_if_action_completed(self, tmp_path):
@@ -710,7 +760,7 @@ class TestDurableSessions:
         session = new_session(world)
         store = DurabilityStore(tmp_path)
         with WAL_FAULTS.injected(TearAt(6)):
-            recover_session(session, "carol", store, seed=1)
+            recover_session(session, "carol", store, seed=1, checkpoint_interval=64)
             driver = Driver(session, world, seed=0)
             with pytest.raises(InjectedWalFault):
                 for _ in range(9):
@@ -761,6 +811,177 @@ class TestDurableSessions:
         assert list(tmp_path.iterdir()) == []  # no files ever touched
 
 
+# ------------------------------------------------------ snapshot recovery
+def output_key(value):
+    """A comparable rendering of what one session call returned."""
+    if isinstance(value, Relation):
+        return ("relation", value.name, repr(value.schema), [list(row.values) for row in value])
+    text = repr(value)
+    assert " at 0x" not in text, text
+    return text
+
+
+def run_op(op):
+    try:
+        return output_key(op())
+    except InjectedWalFault:
+        raise
+    except CopyCatError as exc:
+        return ("error", type(exc).__name__, str(exc))
+
+
+def record_with_snapshots(root, *, n_extra, seed, interval, tenant="t"):
+    """Drive a store-backed session; returns (world, session, recorder)."""
+    world = build_world()
+    session = new_session(world)
+    store = DurabilityStore(root)
+    recorder = attach_recorder(session, Capturing(tenant, store, seed=1, checkpoint_interval=interval))
+    drive_scripted(session, world, n_extra=n_extra, seed=seed)
+    store.close()
+    return world, session, recorder
+
+
+def damage_payload(data):
+    header, payload = snapshot.read_header(data)
+    middle = len(payload) // 2
+    return canonical_json(header).encode() + b"\n" + payload[:middle] + bytes([payload[middle] ^ 0xFF]) + payload[middle + 1:]
+
+
+def reheader(data, **changes):
+    header, payload = snapshot.read_header(data)
+    return canonical_json({**header, **changes}).encode() + b"\n" + payload
+
+
+class Dangling:
+    """Pickles as a shared reference no session can resolve."""
+
+    def __reduce__(self):
+        return snapshot._shared, (("service", "NoSuchService"),)
+
+
+def repickle(data, obj):
+    """A snapshot whose digest checks out but whose payload is *obj*."""
+    payload = pickle.dumps(obj)
+    return reheader(data, sha256=hashlib.sha256(payload).hexdigest()).partition(b"\n")[0] + b"\n" + payload
+
+
+class TestSnapshotRecovery:
+    @pytest.mark.parametrize("driver_seed", [0, 3, 7])
+    def test_snapshot_and_full_replay_agree_step_by_step(self, tmp_path, driver_seed):
+        """The oracle: replay from empty stays the reference. A session
+        recovered from its snapshot + log tail and one rebuilt by replaying
+        the whole history must answer the same continuation identically —
+        every output and every digest, which also pins the learned
+        signatures, MIRA history and RNG position a digest alone misses."""
+        world, live, recorder = record_with_snapshots(tmp_path, n_extra=12, seed=driver_seed, interval=5)
+        assert recorder.checkpoints == 4 and recorder.since_checkpoint == 1
+        store = DurabilityStore(tmp_path)
+        from_snapshot = new_session(build_world())
+        _, report = recover_session(from_snapshot, "t", store, seed=1, checkpoint_interval=4)
+        assert report is not None and report.applied == 1
+        from_empty = new_session(build_world())
+        assert replay(from_empty, recorder.records).applied == 21
+        assert session_hash(from_snapshot) == session_hash(from_empty) == session_hash(live)
+
+        drivers = []
+        for session in (from_snapshot, from_empty, live):
+            driver = Driver(session, world, seed=100 + driver_seed)
+            driver._script = iter(())  # the import is history; random ops only
+            drivers.append(driver)
+        live.durability = None  # the recorder's store is closed
+        for step in range(15):
+            outputs = [run_op(driver._random_op()) for driver in drivers]
+            assert outputs[0] == outputs[1] == outputs[2], step
+            hashes = {session_hash(driver.session) for driver in drivers}
+            assert len(hashes) == 1, step
+        assert from_snapshot.durability.checkpoints >= 3  # snapshots taken mid-continuation too
+        store.close()
+
+    def test_snapshot_with_empty_tail_counts_as_a_recovery(self, tmp_path):
+        _, live, recorder = record_with_snapshots(tmp_path, n_extra=3, seed=1, interval=12)
+        assert recorder.since_checkpoint == 0
+        with metrics_on() as m, DurabilityStore(tmp_path) as store:
+            restored = new_session(build_world())
+            recovered = store.recover("t", restored)
+            assert m.counter_value("durability.sessions_recovered") == 1
+        assert recovered.actions == [] and recovered.from_checkpoint == 12
+        assert session_hash(restored) == session_hash(live)
+
+    def test_snapshot_with_empty_tail_is_a_truthy_recovery(self, tmp_path):
+        record_with_snapshots(tmp_path, n_extra=3, seed=1, interval=12)
+        with DurabilityStore(tmp_path) as store:
+            recovered = store.recover("t")
+            assert recovered.has_snapshot and recovered.actions == []
+            assert recovered
+            assert not store.recover("nobody")
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda data: data[: len(data) // 2],
+            lambda data: data[: data.index(b"\n") // 2],
+            lambda data: data[: data.index(b"\n") + 1],
+            damage_payload,
+            lambda data: reheader(data, python="2.7"),
+            lambda data: reheader(data, tenant="mallory"),
+            lambda data: reheader(data, n_actions=-1),
+            lambda data: reheader(data, format=3),
+            lambda data: repickle(data, ["not", "a", "state", "dict"]),
+            lambda data: repickle(data, {"catalog": Dangling()}),
+            lambda data: repickle(data, {"catalog": None}),
+            lambda data: reheader(data, sha256=hashlib.sha256(b"junk").hexdigest()).partition(b"\n")[0] + b"\njunk",
+        ],
+        ids=[
+            "truncated-payload", "truncated-header", "header-only", "flipped-payload-byte",
+            "foreign-python", "foreign-tenant", "negative-n-actions", "unknown-format",
+            "not-a-state-dict", "dangling-reference", "other-build-state", "garbage-with-valid-digest",
+        ],
+    )
+    def test_damaged_snapshot_contributes_nothing(self, tmp_path, damage):
+        record_with_snapshots(tmp_path, n_extra=3, seed=1, interval=8)
+        path = DurabilityStore(tmp_path).checkpoint_path("t")
+        path.write_bytes(damage(path.read_bytes()))
+        fresh = session_hash(new_session(build_world()))
+        restored = new_session(build_world())
+        with metrics_on() as m, DurabilityStore(tmp_path) as store:
+            recorder, report = recover_session(restored, "t", store, seed=1)
+            assert m.counter_value("durability.checkpoint_corrupt") == 1
+            assert m.counter_value("durability.recovery_seq_gaps") == 1
+        # The log continues at seq 8, which nothing trusted reaches: the
+        # tenant restarts empty rather than from a guess.
+        assert report is None and recorder.next_seq == 0
+        assert session_hash(restored) == fresh
+
+    def test_format1_root_recovers_to_the_same_digest(self, tmp_path):
+        """A root an older build left — an action-list checkpoint plus the
+        log after it — replays as one long tail, and the next checkpoint
+        turns it into a snapshot."""
+        world = build_world()
+        session = new_session(world)
+        recorder = attach_recorder(session, Capturing())
+        drive_scripted(session, world, n_extra=6, seed=2)
+        history, live = recorder.records, session_hash(session)
+        store = DurabilityStore(tmp_path)
+        path = store.checkpoint_path("t")
+        path.parent.mkdir(parents=True)
+        path.write_bytes(checkpoint_bytes("t", history[:9], seed=1))
+        for record in history[7:]:  # two stale records, as after a crash before truncation
+            store.append("t", record)
+        store.close()
+
+        restored = new_session(build_world())
+        with DurabilityStore(tmp_path) as store2:
+            recorder2, report = recover_session(restored, "t", store2, seed=1)
+            assert report.applied == len(history) == recorder2.next_seq == 15
+            assert session_hash(restored) == live
+            assert recorder2.checkpoint()
+        assert checkpoint_header(path)["format"] == 2
+        again = new_session(build_world())
+        with DurabilityStore(tmp_path) as store3:
+            _, report3 = recover_session(again, "t", store3, seed=1)
+        assert report3 is None and session_hash(again) == live
+
+
 # --------------------------------------------------- cross-process replay
 def build_demo_world():
     return build_scenario(seed=5, n_shelters=10, noise=1)
@@ -769,6 +990,12 @@ def build_demo_world():
 def drive_demo_task(session, world):
     """The Section-8 task: import shelters and contacts, then accept the
     zip, geocode and contact completions (each runs MIRA updates)."""
+    import_demo_sources(session, world)
+    integrate_demo_columns(session)
+
+
+def import_demo_sources(session, world):
+    """The task's first 16 actions: import both sources, start integrating."""
     browser = Browser(session.clipboard, world.website)
     browser.navigate(world.list_urls()[0])
     listing = browser.page.dom.find("table", "listing")
@@ -790,6 +1017,10 @@ def drive_demo_task(session, world):
     session.set_column_type(0, PLACE, learn_from_values=False)
     session.commit_source()
     session.start_integration("Shelters")
+
+
+def integrate_demo_columns(session):
+    """The task's last 6 actions: preview and accept three completions."""
     for source, attrs in (("ZipcodeResolver", {"Zip"}), ("Geocoder", {"Lat", "Lon"}),
                           ("Contacts", {"Contact", "Phone"})):
         suggestions = session.column_suggestions(k=10)
@@ -815,14 +1046,42 @@ print(digest_hash(state_digest(session)))
 """
 
 
-def recover_in_subprocess(root, hash_seed: str) -> str:
-    src = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+#: Phase "write" runs the first 16 actions of the Section-8 task for
+#: tenant "erin" at argv[1], snapshotting after the 10th; phase
+#: "continue" recovers snapshot + tail and runs the rest. Each prints its
+#: digest.
+SNAPSHOT_SCRIPT = """
+import sys
+from repro import CopyCatSession, build_scenario
+from repro.durability import DurabilityStore, digest_hash, recover_session, state_digest
+from tests.test_durability import import_demo_sources, integrate_demo_columns
+
+world = build_scenario(seed=5, n_shelters=10, noise=1)
+session = CopyCatSession(catalog=world.catalog, seed=1)
+with DurabilityStore(sys.argv[1]) as store:
+    recorder, report = recover_session(session, "erin", store, seed=1, checkpoint_interval=10)
+    if sys.argv[2] == "write":
+        import_demo_sources(session, world)
+        assert recorder.checkpoints == 1 and recorder.since_checkpoint == 6
+    else:
+        assert report.applied == 6 and recorder.next_seq == 16
+        integrate_demo_columns(session)
+print(digest_hash(state_digest(session)))
+"""
+
+
+def run_in_subprocess(script, hash_seed: str, *args) -> str:
+    repo = Path(repro.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=f"{repo / 'src'}{os.pathsep}{repo}")
     done = subprocess.run(
-        [sys.executable, "-c", RECOVER_SCRIPT, str(root)],
+        [sys.executable, "-c", script, *map(str, args)],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     return done.stdout.strip()
+
+
+def recover_in_subprocess(root, hash_seed: str) -> str:
+    return run_in_subprocess(RECOVER_SCRIPT, hash_seed, root)
 
 
 class TestCrossProcessReplay:
@@ -840,11 +1099,24 @@ class TestCrossProcessReplay:
         digests = {seed: recover_in_subprocess(tmp_path, seed) for seed in ("0", "1")}
         assert digests == {"0": live, "1": live}
 
+    def test_snapshot_continues_under_another_hash_seed(self, tmp_path):
+        # A snapshot pickled in one interpreter is loaded, extended by its
+        # log tail and driven on in another whose string hashing differs:
+        # the task must end where an uninterrupted in-memory run ends.
+        world = build_demo_world()
+        reference = new_session(world)
+        drive_demo_task(reference, world)
+        halfway = run_in_subprocess(SNAPSHOT_SCRIPT, "0", tmp_path, "write")
+        assert checkpoint_header(DurabilityStore(tmp_path).checkpoint_path("erin"))["n_actions"] == 10
+        assert halfway != session_hash(reference)
+        assert run_in_subprocess(SNAPSHOT_SCRIPT, "1", tmp_path, "continue") == session_hash(reference)
 
-# ------------------------------------------------ checkpoint byte identity
+
+# ------------------------------------------------------- checkpoint contents
 class TestCheckpointBytes:
-    """Checkpoints spliced from append-time texts equal, byte for byte, what
-    the reference ``json.dump`` writer produces for the same history."""
+    """A checkpoint is a header line and a pickle of the session's state:
+    it loads back to the same state, holds no action, and covers exactly
+    the actions recorded so far."""
 
     def test_section8_task(self, tmp_path):
         world = build_demo_world()
@@ -855,11 +1127,24 @@ class TestCheckpointBytes:
         assert recorder.checkpoint()
         store.close()
         data = store.checkpoint_path("erin").read_bytes()
-        assert data == checkpoint_bytes("erin", recorder.history, seed=1)
+        header, payload = snapshot.read_header(data)
+        assert data == canonical_json(header).encode("utf-8") + b"\n" + payload
+        assert header == {
+            "format": 2,
+            "n_actions": recorder.next_seq,
+            "python": snapshot.PYTHON,
+            "seed": 1,
+            "sha256": header["sha256"],
+            "tenant": "erin",
+        }
+        assert snapshot.check(header, payload, "erin") == (recorder.next_seq, 1)
+        restored = new_session(build_demo_world())
+        snapshot.load(restored, payload)
+        assert session_hash(restored) == session_hash(session)
 
     def test_recovered_history_extended_by_live_actions(self, tmp_path):
-        # Replayed records carry no append-time text; the next checkpoint
-        # encodes them and splices the live ones.
+        # The seq continues across the recover seam: the next snapshot
+        # covers the recovered actions plus the live ones.
         world = build_world()
         session = new_session(world)
         store = DurabilityStore(tmp_path)
@@ -870,13 +1155,19 @@ class TestCheckpointBytes:
         restored = new_session(build_world())
         with DurabilityStore(tmp_path) as store2:
             recorder, report = recover_session(restored, "t", store2, seed=1, checkpoint_interval=0)
-            assert report is not None and report.applied == 11
+            assert report is not None and report.applied == 3  # 11 actions, snapshot at 8
+            assert recorder.next_seq == 11
             for _ in range(3):
                 restored.column_suggestions(k=4, refresh=True)
+            assert [a["seq"] for a in recorder.history] == list(range(8, 14))
             assert recorder.checkpoint()
-            data = store2.checkpoint_path("t").read_bytes()
-        assert len(recorder.history) == 14
-        assert data == checkpoint_bytes("t", recorder.history, seed=1)
+            assert recorder.history == []
+        assert checkpoint_header(store2.checkpoint_path("t"))["n_actions"] == 14
+        again = new_session(build_world())
+        with DurabilityStore(tmp_path) as store3:
+            _, report3 = recover_session(again, "t", store3, seed=1)
+        assert report3 is None
+        assert session_hash(again) == session_hash(restored)
 
     def test_live_history_is_not_re_encoded(self, tmp_path, monkeypatch):
         world = build_world()
@@ -896,15 +1187,13 @@ class TestCheckpointBytes:
         assert recorder.checkpoint()
         monkeypatch.undo()
         store.close()
-        assert len(recorder.history) == 13
-        # Only the envelope's seed and tenant are encoded, never an action.
-        assert encoded == [1, "t"]
-        data = store.checkpoint_path("t").read_bytes()
-        assert data == checkpoint_bytes("t", recorder.history, seed=1)
+        assert recorder.next_seq == 13 and recorder.history == []
+        # Only the header is encoded, never an action.
+        assert [sorted(obj) for obj in encoded] == [["format", "n_actions", "python", "seed", "sha256", "tenant"]]
 
     def test_corrupted_append_heals_into_the_checkpoint(self, tmp_path):
-        # Append #3 reaches disk with a flipped byte; the checkpoint after
-        # append #8 must hold the pristine record, not the damaged bytes.
+        # Append #3 reaches disk with a flipped byte; the snapshot after
+        # append #8 covers it, so recovery never reads the damaged frame.
         world = build_world()
         session = new_session(world)
         store = DurabilityStore(tmp_path)
@@ -913,9 +1202,8 @@ class TestCheckpointBytes:
             drive_scripted(session, world)
         live = session_hash(session)
         store.close()
-        assert recorder.checkpoints == 1 and len(recorder.history) == 9
-        data = store.checkpoint_path("t").read_bytes()
-        assert data == checkpoint_bytes("t", recorder.history[:8], seed=1)
+        assert recorder.checkpoints == 1 and recorder.next_seq == 9
+        assert checkpoint_header(store.checkpoint_path("t"))["n_actions"] == 8
 
         restored = new_session(build_world())
         with DurabilityStore(tmp_path) as store2:
@@ -948,28 +1236,26 @@ _JSON_VALUES = st.recursive(
         st.tuples(st.text(max_size=10), st.dictionaries(st.text(max_size=6), _JSON_VALUES, max_size=4)),
         max_size=8,
     ),
-    replayed=st.integers(min_value=0, max_value=8),
+    checkpointed=st.integers(min_value=0, max_value=8),
     seed=st.none() | st.integers(),
     tenant=st.text(max_size=10),
 )
-def test_checkpoint_bytes_match_reference_writer(calls, replayed, seed, tenant):
-    """Any JSON-able history — part replayed (encoded at checkpoint time),
-    part recorded live (spliced from the append) — checkpoints to the
-    reference writer's exact bytes, and recovers to itself."""
+def test_checkpoint_bytes_match_reference_writer(calls, checkpointed, seed, tenant):
+    """Any JSON-able history in a format-1 root — the reference writer's
+    checkpoint of a prefix, the log holding the rest — recovers to itself,
+    as one tail, continuing the sequence."""
     history = [{"seq": i, "name": name, "args": args} for i, (name, args) in enumerate(calls)]
-    k = min(replayed, len(history))
+    k = min(checkpointed, len(history))
     with tempfile.TemporaryDirectory() as tmp, DurabilityStore(tmp) as store:
-        recorder = SessionRecorder(tenant, store, seed=seed, checkpoint_interval=0)
-        recorder.restore_history(history[:k])
-        for record in history[k:]:
-            with recorder.action(record["name"], record["args"]):
-                pass
-        assert recorder.checkpoint()
-        data = store.checkpoint_path(tenant).read_bytes()
+        path = store.checkpoint_path(tenant)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(checkpoint_bytes(tenant, history[:k], seed=seed))
+        for record in history:  # records below k are stale, as after a crash before truncation
+            store.append(tenant, record)
         recovered = store.recover(tenant)
-    assert data == checkpoint_bytes(tenant, history, seed=seed)
-    assert recovered.from_checkpoint == len(history) and recovered.from_wal == 0
+    assert recovered.from_checkpoint == k and recovered.from_wal == len(history) - k
     assert recovered.actions == history and recovered.seed == seed
+    assert not recovered.has_snapshot and recovered.next_seq == len(history)
 
 
 # ----------------------------------------------------------------- rng state
@@ -1004,37 +1290,62 @@ class TestStatsLine:
 
 
 # ------------------------------------------------------ kill/restore sweep
-@pytest.mark.parametrize(
-    ("driver_seed", "tear_at"),
-    [(0, 3), (1, 6), (2, 10), (3, 13)],
-)
-def test_kill_restore_sweep(tmp_path, driver_seed, tear_at):
-    """Seeded kill matrix (the CI ``crash-recovery`` sweep): tear the log
-    mid-append at several points across several random action sequences;
-    recovery must always equal an uninterrupted run of the pre-tear
-    prefix."""
+KILL_MATRIX = [(0, 3), (1, 6), (2, 10), (3, 13)]
+
+
+def torn_run(root, driver_seed, tear_at, interval):
+    """Drive a store-backed session until append #tear_at tears."""
     world = build_world()
     session = new_session(world)
-    store = DurabilityStore(tmp_path)
+    store = DurabilityStore(root)
     with WAL_FAULTS.injected(TearAt(tear_at)):
-        recover_session(session, "sweep", store, seed=1)
+        recover_session(session, "sweep", store, seed=1, checkpoint_interval=interval)
         driver = Driver(session, world, seed=driver_seed)
         with pytest.raises(InjectedWalFault):
             for _ in range(16):
                 driver.step()
     store.close()
 
+
+@pytest.mark.parametrize(("driver_seed", "tear_at"), KILL_MATRIX)
+def test_kill_restore_sweep(tmp_path, driver_seed, tear_at):
+    """Seeded kill matrix (the CI ``crash-recovery`` sweep): tear the log
+    mid-append at several points across several random action sequences;
+    recovery must always equal an uninterrupted run of the pre-tear
+    prefix."""
+    torn_run(tmp_path, driver_seed, tear_at, interval=64)  # the default: all in the log
+
     restored = new_session(build_world())
     with DurabilityStore(tmp_path) as store2:
         _, report = recover_session(restored, "sweep", store2, seed=1)
     assert report is not None and report.applied == tear_at
 
-    reference_world = build_world()
-    reference = new_session(reference_world)
-    reference_driver = Driver(reference, reference_world, seed=driver_seed)
-    for _ in range(tear_at):
-        reference_driver.step()
-    assert session_hash(restored) == session_hash(reference)
+    assert session_hash(restored) == prefix_hash(driver_seed, tear_at)
+
+
+def prefix_hash(driver_seed, n):
+    """The digest of an uninterrupted in-memory run of *n* driver steps."""
+    world = build_world()
+    reference = new_session(world)
+    driver = Driver(reference, world, seed=driver_seed)
+    for _ in range(n):
+        driver.step()
+    return session_hash(reference)
+
+
+@pytest.mark.parametrize(("driver_seed", "tear_at"), KILL_MATRIX)
+def test_kill_restore_sweep_with_snapshots(tmp_path, driver_seed, tear_at):
+    """The same kill matrix over a root snapshotted every 4 actions: the
+    torn append lands after the last snapshot, and recovery is that
+    snapshot plus the intact log tail."""
+    torn_run(tmp_path, driver_seed, tear_at, interval=4)
+
+    restored = new_session(build_world())
+    with DurabilityStore(tmp_path) as store2:
+        recorder, report = recover_session(restored, "sweep", store2, seed=1)
+    assert recorder.next_seq == tear_at
+    assert (report.applied if report else 0) == tear_at % 4
+    assert session_hash(restored) == prefix_hash(driver_seed, tear_at)
 
 
 # ------------------------------------------------------- crash property test
@@ -1093,3 +1404,66 @@ def test_crash_at_random_log_offset_recovers_a_consistent_prefix(recorded_run, f
     report = replay(replica, recovered.actions)
     assert report.applied == k
     assert session_hash(replica) == recorded_run["digests"][k]
+
+
+@pytest.fixture(scope="module")
+def snapshotted_run(tmp_path_factory):
+    """A recorded run that snapshots every 8 actions: per-count digests,
+    the last snapshot and the log tail after it."""
+    root = tmp_path_factory.mktemp("durability-snapshot-prop")
+    world = build_world()
+    session = new_session(world)
+    store = DurabilityStore(root)
+    recorder = attach_recorder(session, Capturing("prop", store, seed=1, checkpoint_interval=8))
+    digests = [session_hash(session)]
+    driver = Driver(session, world, seed=7)
+    for _ in range(22):
+        driver.step()
+        if recorder.next_seq == len(digests):
+            digests.append(session_hash(session))
+    store.close()
+    assert recorder.checkpoints == 2 and len(digests) == recorder.next_seq + 1 == 23
+    return {
+        "history": recorder.records,
+        "digests": digests,
+        "checkpoint": store.checkpoint_path("prop").read_bytes(),
+        "wal": store.wal_path("prop").read_bytes(),
+        "tenant": "prop",
+    }
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    frac=st.floats(min_value=0.0, max_value=1.0),
+    damage=st.sampled_from(["truncate", "flip"]),
+    target=st.sampled_from(["wal", "checkpoint"]),
+)
+def test_crash_after_a_snapshot_recovers_a_consistent_prefix(snapshotted_run, frac, damage, target):
+    """Kill at any byte of a root holding a snapshot: damage to the log
+    tail lands on the snapshot plus a prefix of the tail; damage to the
+    snapshot itself leaves nothing trusted (the tail cannot continue an
+    empty history), so the tenant restarts from empty. Never a crash,
+    never a state no prefix had."""
+    files = {"wal": snapshotted_run["wal"], "checkpoint": snapshotted_run["checkpoint"]}
+    data = files[target]
+    offset = min(len(data) - 1, int(frac * len(data)))
+    if damage == "truncate":
+        files[target] = data[:offset]
+    else:
+        files[target] = data[:offset] + bytes([data[offset] ^ 0xFF]) + data[offset + 1 :]
+    with tempfile.TemporaryDirectory() as tmp:
+        tenant_dir = Path(tmp) / tenant_dirname(snapshotted_run["tenant"])
+        tenant_dir.mkdir(parents=True)
+        (tenant_dir / "wal.log").write_bytes(files["wal"])
+        (tenant_dir / "checkpoint.json").write_bytes(files["checkpoint"])
+        replica = new_session(build_world())
+        with DurabilityStore(tmp) as store:
+            recorder, _ = recover_session(replica, snapshotted_run["tenant"], store, seed=1)
+
+    history = snapshotted_run["history"]
+    k = recorder.next_seq
+    assert recorder.history == history[k - len(recorder.history) : k]
+    assert k in (0, *range(16, len(history) + 1))
+    if target == "checkpoint":
+        assert k == 0
+    assert session_hash(replica) == snapshotted_run["digests"][k]
