@@ -15,7 +15,6 @@ from __future__ import annotations
 import time
 
 from repro import CopyCatSession, build_scenario
-from repro.analysis import ANALYSIS
 from repro.cache import CACHE
 
 from .common import (
@@ -109,59 +108,6 @@ class TestSuggestionRefresh:
         session.promote_row(0)  # trust feedback bumps the catalog version
         refreshed = session.column_suggestions(k=K)
         assert refreshed is not first
-
-    def test_analysis_overhead_under_five_percent(self):
-        """The static plan analyzer must cost <5% on a refresh burst.
-
-        Forced refreshes (no batch reuse) so every candidate plan actually
-        flows through ``QueryEngine.run`` — the analyzer's hot path. Each
-        mode takes its best of three bursts to damp scheduler noise; the
-        analysis memo is what keeps the steady-state cost near zero.
-        """
-
-        def timed_burst(session) -> float:
-            start = time.perf_counter()
-            _refresh_burst(session, forced=True)
-            return time.perf_counter() - start
-
-        # One session per mode, warmed, then interleaved timed bursts so
-        # slow drift (thermal, scheduler) hits both modes equally; best-of
-        # damps the remaining noise on these ~50ms measurements.
-        with ANALYSIS.disabled():
-            baseline_session = _integration_session()
-            timed_burst(baseline_session)
-        analyzed_session = _integration_session()
-        timed_burst(analyzed_session)
-        baseline_times, analyzed_times = [], []
-        for _ in range(10):
-            with ANALYSIS.disabled():
-                baseline_times.append(timed_burst(baseline_session))
-            analyzed_times.append(timed_burst(analyzed_session))
-        baseline_s, analyzed_s = min(baseline_times), min(analyzed_times)
-
-        overhead_pct = (analyzed_s / baseline_s - 1.0) * 100.0
-        headers = ["mode", "refreshes", "best burst ms", "ms/refresh"]
-        rows = [
-            ("analysis off", N_REFRESHES, f"{baseline_s * 1000:.1f}",
-             f"{baseline_s * 1000 / N_REFRESHES:.2f}"),
-            ("analysis on", N_REFRESHES, f"{analyzed_s * 1000:.1f}",
-             f"{analyzed_s * 1000 / N_REFRESHES:.2f}"),
-        ]
-        write_report(
-            "analysis_overhead",
-            format_table(headers, rows)
-            + ["", f"analyzer overhead {overhead_pct:+.1f}% on a forced "
-                   f"{N_REFRESHES}-refresh burst (5% ceiling)"],
-            series={
-                "table": table_series(headers, rows),
-                "overhead_pct": overhead_pct,
-                "n_refreshes": N_REFRESHES,
-            },
-        )
-        assert overhead_pct < 5.0, (
-            f"static analysis costs {overhead_pct:.1f}% on suggestion "
-            f"refresh, over the 5% budget"
-        )
 
     def test_bench_suggestion_refresh_cached(self, benchmark):
         session = _integration_session()

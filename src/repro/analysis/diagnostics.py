@@ -1,28 +1,25 @@
-"""Diagnostics: the shared finding type for both analysis levels.
+"""Diagnostics: the shared finding type for plan checks and the linters.
 
-The plan analyzer (level 1) and the repo linter (level 2) both report
+Plan checks, the repo linter and the concurrency pass all report
 :class:`Diagnostic` records — a stable code, a severity, a message, and a
 location. Plan diagnostics locate themselves by *operator* (the offending
 plan node's ``describe()``); lint diagnostics by *path* (``file:line``).
 
 Codes
 -----
-Plan analyzer (``PLAN``):
+Plan checks (``PLAN``), raised as :class:`~repro.errors.PlanAnalysisError`
+while the evaluator compiles a plan, before anything executes:
 
 - ``PLAN001`` — unknown or wrong-kind source (scan of a missing relation,
-  scan of a service, dependent join on a missing service);
+  scan of a service, dependent join on a missing service or a relation);
 - ``PLAN002`` — unknown attribute (projection, rename, selection
   predicate, join key, grouping key, aggregate input, binding source);
 - ``PLAN003`` — unsatisfiable binding pattern (service inputs left
-  unbound by the dependent-join input map or the source-graph node);
-- ``PLAN004`` — provenance unsoundness (a leaf source unreachable from
-  ``Plan.sources()``: some node overrides ``_collect_sources`` badly);
-- ``PLAN005`` — unknown plan node type (no analyzer check for its class
-  name);
-- ``PLAN101`` — potential cartesian blowup (warning);
-- ``PLAN102`` — unbounded/over-wide union (warning);
-- ``PLAN103`` — degenerate operator parameter (warning: threshold that
-  links everything, non-positive limit).
+  unbound by the dependent-join input map);
+- ``PLAN005`` — unknown plan node type (no evaluator for its class name).
+
+``PLAN004`` (the leaves a walk reaches equal ``Plan.sources()``) is a
+property test over generated plans, not a runtime check.
 
 Repo linter (``REPRO``): see :mod:`repro.analysis.lint.rules`.
 """
@@ -31,10 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import PlanAnalysisError
-
 ERROR = "error"
-WARNING = "warning"
 
 
 @dataclass(frozen=True)
@@ -47,47 +41,6 @@ class Diagnostic:
     operator: str | None = None   # plan diagnostics: offending node describe()
     path: str | None = None       # lint diagnostics: "file:line"
 
-    @property
-    def is_error(self) -> bool:
-        return self.severity == ERROR
-
     def render(self) -> str:
         location = self.path or self.operator or "<plan>"
         return f"{location}: {self.severity} {self.code}: {self.message}"
-
-
-@dataclass(frozen=True)
-class AnalysisReport:
-    """The outcome of one analysis pass: every diagnostic, split by severity."""
-
-    diagnostics: tuple[Diagnostic, ...] = ()
-
-    @property
-    def errors(self) -> tuple[Diagnostic, ...]:
-        return tuple(d for d in self.diagnostics if d.is_error)
-
-    @property
-    def warnings(self) -> tuple[Diagnostic, ...]:
-        return tuple(d for d in self.diagnostics if not d.is_error)
-
-    @property
-    def ok(self) -> bool:
-        """True when no *error* was found (warnings do not block)."""
-        return not self.errors
-
-    def raise_if_errors(self) -> None:
-        """Raise :class:`PlanAnalysisError` carrying every error found."""
-        errors = self.errors
-        if errors:
-            summary = "; ".join(d.render() for d in errors[:3])
-            if len(errors) > 3:
-                summary += f" (+{len(errors) - 3} more)"
-            raise PlanAnalysisError(
-                f"plan failed static analysis with {len(errors)} error(s): {summary}",
-                diagnostics=errors,
-            )
-
-    def render(self) -> str:
-        if not self.diagnostics:
-            return "analysis: clean"
-        return "\n".join(d.render() for d in self.diagnostics)

@@ -60,7 +60,7 @@ def plan_fingerprint(plan: Plan) -> Hashable:
 
     Raises ``TypeError`` when a field holds an unhashable value (or the
     node is not a dataclass): callers that merely *want* caching (the
-    evaluator, the analysis memo) catch it and run uncached.
+    evaluator's compile memo and subplan cache) catch it and run uncached.
     """
     fingerprint = _node_token(plan)
     hash(fingerprint)  # fail here, not at the caller's cache probe

@@ -3,10 +3,9 @@
 One :class:`CacheTiers` bundle holds every memo an evaluation stack uses:
 
 - **plan** — the :class:`~repro.cache.plan_cache.PlanResultCache` of
-  materialized subplan results (PR 2);
-- **analysis** — the static plan-analyzer report memo (PR 5);
-- **compile** / **scan** — the evaluator's compiled-closure and
-  scan-transpose memos (PR 6).
+  materialized subplan results;
+- **compile** / **scan** — the evaluator's compiled-plan (closure and root
+  schema) and scan-transpose memos.
 
 A standalone session owns a private bundle. The server promotes one bundle
 to a *shared tier* consulted by every tenant:
@@ -31,7 +30,6 @@ from contextlib import contextmanager
 from typing import Hashable
 
 from ..analysis.concurrency.runtime import RACECHECK, TRACKER, make_lock
-from ..analysis.config import ANALYSIS
 from .config import CACHE
 from .lru import LRUCache
 from .plan_cache import PlanResultCache
@@ -41,11 +39,10 @@ class CacheTiers:
     """The full set of evaluation memos, private or shared across sessions."""
 
     #: the attribute name of every tier.
-    NAMES = ("plan", "analysis", "compile", "scan")
+    NAMES = ("plan", "compile", "scan")
 
     def __init__(self):
         self.plan = PlanResultCache()
-        self.analysis = LRUCache(ANALYSIS.memo_capacity, metrics_prefix="analysis.memo")
         self.compile = LRUCache(CACHE.compile_capacity, metrics_prefix="columnar.compile")
         self.scan = LRUCache(CACHE.scan_capacity, metrics_prefix="columnar.scan")
         # Configured capacities, remembered so a brownout shrink can be
@@ -109,14 +106,12 @@ class CacheTiers:
     def clear(self) -> None:
         """Drop every tier's entries (lifetime stats survive)."""
         self.plan.clear()
-        self.analysis.clear()
         self.compile.clear()
         self.scan.clear()
 
     def stats(self) -> dict[str, dict[str, int]]:
         return {
             "plan": self.plan.stats(),
-            "analysis": self.analysis.stats(),
             "compile": self.compile.stats(),
             "scan": self.scan.stats(),
         }

@@ -143,12 +143,9 @@ class CopyCatSession:
             linker_factory=self._linker_for,
         )
         # cache_tiers: the session server passes one shared bundle so every
-        # tenant's evaluator amortizes the fleet's plan/analysis/columnar
+        # tenant's evaluator amortizes the fleet's plan, compile and scan
         # work; standalone sessions keep private tiers (the default).
         self.engine = QueryEngine(self.catalog, cache_tiers)
-        # Let the static plan analyzer cross-check DependentJoin bindings
-        # against the learned source graph (repro.analysis PLAN003).
-        self.engine.graph_supplier = self._source_graph
         self.autocomplete = AutoCompleteGenerator(
             self.engine,
             self.structure_learner,
@@ -180,9 +177,6 @@ class CopyCatSession:
         # Overload layer: the server's load controller moves sessions between
         # "normal" and "degraded" (brownout) service via set_service_level.
         self.service_level: str = LEVEL_NORMAL
-
-    def _source_graph(self):
-        return self.integration_learner.graph
 
     # ------------------------------------------------------------------ linkers
     def _linker_for(self, edge: Association) -> LearnedLinker:

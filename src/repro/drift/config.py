@@ -1,8 +1,7 @@
 """Drift-layer knobs.
 
 ``DRIFT.enabled`` off skips verification, healing and quarantine; the
-drift-recovery and analysis-overhead benchmarks use it as their
-reference leg.
+drift-recovery benchmark uses it as its reference leg.
 """
 
 from __future__ import annotations

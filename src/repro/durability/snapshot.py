@@ -18,8 +18,8 @@ them is copied into the snapshot:
   fresh session at load: the session itself (its bound methods reach it),
   the base catalog a tenant's catalog was forked from and that base's
   relations, every service, and the cache-tier bundle with each of its
-  tiers (so ``Evaluator.plan_cache`` and the analysis memo, which alias
-  tiers, stay aliases of the fleet's shared tiers);
+  tiers (so ``Evaluator.plan_cache``, which aliases a tier, stays an
+  alias of the fleet's shared tier);
 - **private memos** (:class:`~repro.cache.lru.LRUCache`) come back empty,
   with the same capacity;
 - **locks and cache scopes** are process-local and come back fresh

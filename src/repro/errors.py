@@ -121,21 +121,18 @@ class ExportError(CopyCatError):
     """Export to an external format failed."""
 
 
-class AnalysisError(CopyCatError):
-    """Static analysis (plan checks or repo lint) failed."""
+class PlanAnalysisError(SchemaError, EvaluationError):
+    """A plan failed a check as it compiled; nothing of it has executed.
 
-
-class PlanAnalysisError(AnalysisError):
-    """A plan failed its pre-execution static checks.
-
-    ``diagnostics`` carries the individual findings
-    (:class:`repro.analysis.diagnostics.Diagnostic`), each naming the
-    offending operator and the precise problem, so callers can surface
-    them without re-running the analyzer.
+    ``diagnostic`` (:class:`repro.analysis.diagnostics.Diagnostic`) carries
+    the check's code (``PLAN001``–``PLAN003``, ``PLAN005``) and the
+    offending operator's ``describe()``. Node schema rules and the
+    evaluator's compiler raise it, so it is both a schema and an
+    evaluation error.
     """
 
-    def __init__(self, message: str, diagnostics: tuple = ()):
-        self.diagnostics = tuple(diagnostics)
+    def __init__(self, message: str, diagnostic=None):
+        self.diagnostic = diagnostic
         super().__init__(message)
 
 

@@ -21,14 +21,9 @@ import re
 
 #: Counters: monotonically increasing event counts.
 DECLARED_COUNTERS: dict[str, str] = {
-    # -- analysis (static plan checks) -------------------------------------
-    "analysis.plans_checked": "plans statically analyzed before evaluation",
-    "analysis.errors": "error diagnostics raised by the plan analyzer",
-    "analysis.warnings": "warning diagnostics emitted by the plan analyzer",
+    # -- analysis (compile-time plan checks) -------------------------------
+    "analysis.errors": "plans that failed a PLAN check while compiling",
     "analysis.fingerprint_unregistered": "plan nodes evaluated uncached (unhashable fingerprint)",
-    "analysis.memo.hits": "plan-analysis memo hits",
-    "analysis.memo.misses": "plan-analysis memo misses",
-    "analysis.memo.evictions": "plan-analysis memo evictions",
     # -- cache -------------------------------------------------------------
     "cache.blocking.joins": "record-link joins routed through token blocking",
     # -- columnar (batch execution) ----------------------------------------

@@ -16,8 +16,7 @@ concurrently on a bounded worker pool:
   the frozen base;
 - **shared caching** — every session's evaluator consults the
   :class:`~repro.server.base.SharedBase`'s shared tier bundle, so tenant
-  A's compiled plan closure, analyzer verdict, or materialized join is a
-  hit for tenant B;
+  A's compiled plan closure or materialized join is a hit for tenant B;
 - **determinism** — each tenant's stochastic components are seeded by
   :func:`repro.util.rng.seed_for` over ``(manager seed, tenant id)``,
   which depends on *labels only* — never on creation order or thread

@@ -12,11 +12,11 @@ how-provenance is the product of the contributing variables).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from ...errors import EvaluationError
 from ...provenance.expressions import Provenance, times
-from .algebra import Plan
+from .algebra import Plan, missing_attribute, require_attributes
 from .catalog import Catalog
 from .schema import ANY, NUMBER, Attribute, Schema
 
@@ -115,11 +115,13 @@ class GroupBy(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
 
-    def output_schema(self, catalog: Catalog) -> Schema:
-        child_schema = self.child.output_schema(catalog)
+    def derive_schema(self, catalog: Catalog, inputs: Sequence[Schema]) -> Schema:
+        child_schema = inputs[0]
+        require_attributes(self, child_schema, self.keys, "grouping key")
         attrs = [child_schema.attribute(key) for key in self.keys]
         for spec in self.aggregates:
-            child_schema.position(spec.attribute)  # validate it exists
+            if spec.attribute not in child_schema:
+                raise missing_attribute(self, spec.attribute, child_schema, f"aggregate {spec.fn}()")
             semantic = NUMBER if spec.fn in _NUMERIC_AGGS else ANY
             attrs.append(Attribute(spec.alias, semantic))
         return Schema(attrs)

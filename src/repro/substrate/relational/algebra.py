@@ -7,16 +7,23 @@ projections, equijoins (conjunction of all shared-attribute predicates),
 Zipcode Resolver pattern), record-linking joins (approximate joins), unions
 with null padding, and renames.
 
-``output_schema(catalog)`` computes the schema bottom-up so the workspace
-and suggestion machinery can reason about plans without executing them.
+Each node has one schema rule, ``derive_schema(catalog, inputs)``: its
+output schema from its children's. ``output_schema(catalog)`` applies the
+rules bottom-up so the workspace and suggestion machinery can reason about
+plans without executing them, and the evaluator applies the same rules as
+it compiles. A rule that finds the plan malformed raises
+:class:`~repro.errors.PlanAnalysisError` naming the node: ``PLAN001`` for
+an unknown or wrong-kind source, ``PLAN002`` for an unknown attribute,
+``PLAN003`` for a service input left unbound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ...errors import EvaluationError, SchemaError
+from ...analysis.diagnostics import ERROR, Diagnostic
+from ...errors import CatalogError, EvaluationError, PlanAnalysisError, SchemaError
 from .predicates import Predicate
 from .rows import Row
 from .schema import Schema
@@ -25,10 +32,43 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .catalog import Catalog
 
 
+def plan_error(plan: "Plan", code: str, message: str) -> PlanAnalysisError:
+    """The compile-time error for *plan* failing check *code*."""
+    diagnostic = Diagnostic(code, ERROR, message, operator=plan.describe())
+    return PlanAnalysisError(diagnostic.render(), diagnostic)
+
+
+def missing_attribute(
+    plan: "Plan", name: str, schema: Schema, role: str
+) -> PlanAnalysisError:
+    """``PLAN002``: *role* in *plan* names *name*, which *schema* lacks."""
+    return plan_error(
+        plan, "PLAN002",
+        f"{role} references unknown attribute {name!r} "
+        f"(available: {', '.join(schema.names)})",
+    )
+
+
+def require_attributes(
+    plan: "Plan", schema: Schema, names: Iterable[str], role: str
+) -> None:
+    """Raise ``PLAN002`` for the first of *names* that *schema* lacks."""
+    for name in names:
+        if name not in schema:
+            raise missing_attribute(plan, name, schema, role)
+
+
 class Plan:
     """Base class for logical plan nodes."""
 
     def output_schema(self, catalog: "Catalog") -> Schema:
+        """The node's output schema, derived bottom-up."""
+        inputs = [child.output_schema(catalog) for child in self.children()]
+        return self.derive_schema(catalog, inputs)
+
+    def derive_schema(self, catalog: "Catalog", inputs: Sequence[Schema]) -> Schema:
+        """This node's output schema from its children's (*inputs*, in
+        ``children()`` order); raises PlanAnalysisError on a malformed node."""
         raise NotImplementedError
 
     def children(self) -> tuple["Plan", ...]:
@@ -62,8 +102,21 @@ class Scan(Plan):
 
     source: str
 
-    def output_schema(self, catalog: "Catalog") -> Schema:
-        return catalog.relation(self.source).schema
+    def derive_schema(self, catalog: "Catalog", inputs: Sequence[Schema]) -> Schema:
+        try:
+            return catalog.relation(self.source).schema
+        except CatalogError:
+            if catalog.is_service(self.source):
+                raise plan_error(
+                    self, "PLAN001",
+                    f"{self.source!r} is a service with binding restrictions; "
+                    f"Scan reads base relations — use DependentJoin to invoke it",
+                ) from None
+            raise plan_error(
+                self, "PLAN001",
+                f"scan of unknown source {self.source!r} "
+                f"(catalog has: {', '.join(catalog.source_names()) or 'nothing'})",
+            ) from None
 
     def _collect_sources(self, out: set[str]) -> None:
         out.add(self.source)
@@ -80,8 +133,8 @@ class Select(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
 
-    def output_schema(self, catalog: "Catalog") -> Schema:
-        return self.child.output_schema(catalog)
+    def derive_schema(self, catalog: "Catalog", inputs: Sequence[Schema]) -> Schema:
+        return inputs[0]
 
     def describe(self) -> str:
         return f"Select[{self.predicate}]"
@@ -98,8 +151,9 @@ class Project(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
 
-    def output_schema(self, catalog: "Catalog") -> Schema:
-        return self.child.output_schema(catalog).project(self.names)
+    def derive_schema(self, catalog: "Catalog", inputs: Sequence[Schema]) -> Schema:
+        require_attributes(self, inputs[0], self.names, "projection")
+        return inputs[0].project(self.names)
 
     def describe(self) -> str:
         return f"Project[{', '.join(self.names)}]"
@@ -116,8 +170,14 @@ class Rename(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
 
-    def output_schema(self, catalog: "Catalog") -> Schema:
-        return self.child.output_schema(catalog).rename(dict(self.mapping))
+    def derive_schema(self, catalog: "Catalog", inputs: Sequence[Schema]) -> Schema:
+        require_attributes(self, inputs[0], (old for old, _ in self.mapping), "rename")
+        try:
+            return inputs[0].rename(dict(self.mapping))
+        except SchemaError as exc:
+            raise plan_error(
+                self, "PLAN002", f"rename produces an invalid schema: {exc}"
+            ) from None
 
     def describe(self) -> str:
         pairs = ", ".join(f"{old}->{new}" for old, new in self.mapping)
@@ -145,9 +205,13 @@ class Join(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.left, self.right)
 
-    def output_schema(self, catalog: "Catalog") -> Schema:
-        left_schema = self.left.output_schema(catalog)
-        right_schema = self.right.output_schema(catalog)
+    def derive_schema(self, catalog: "Catalog", inputs: Sequence[Schema]) -> Schema:
+        left_schema, right_schema = inputs
+        for left, right in self.conditions:
+            if left not in left_schema:
+                raise missing_attribute(self, left, left_schema, "join key (left side)")
+            if right not in right_schema:
+                raise missing_attribute(self, right, right_schema, "join key (right side)")
         right_join_attrs = {right for _, right in self.conditions}
         remaining = [
             attr for attr in right_schema if attr.name not in right_join_attrs
@@ -182,20 +246,34 @@ class DependentJoin(Plan):
         out.add(self.service)
         super()._collect_sources(out)
 
-    def output_schema(self, catalog: "Catalog") -> Schema:
-        child_schema = self.child.output_schema(catalog)
-        service = catalog.service(self.service)
+    def derive_schema(self, catalog: "Catalog", inputs: Sequence[Schema]) -> Schema:
+        child_schema = inputs[0]
+        try:
+            service = catalog.service(self.service)
+        except CatalogError:
+            if self.service in catalog:
+                raise plan_error(
+                    self, "PLAN001",
+                    f"{self.service!r} is a base relation, not a service; "
+                    f"use Join/Scan instead of DependentJoin",
+                ) from None
+            raise plan_error(
+                self, "PLAN001", f"dependent join on unknown service {self.service!r}"
+            ) from None
         mapped_inputs = {service_input for service_input, _ in self.input_map}
         missing = [name for name in service.input_names if name not in mapped_inputs]
         if missing:
-            raise SchemaError(
-                f"dependent join on {self.service!r} leaves inputs unbound: {missing}"
+            raise plan_error(
+                self, "PLAN003",
+                f"binding pattern unsatisfied: service {self.service!r} requires "
+                f"inputs {list(service.input_names)} but the input map leaves "
+                f"{missing} unbound",
             )
         for service_input, child_attr in self.input_map:
             if child_attr not in child_schema:
-                raise SchemaError(
-                    f"dependent join binds {service_input!r} from missing child "
-                    f"attribute {child_attr!r}"
+                raise missing_attribute(
+                    self, child_attr, child_schema,
+                    f"binding of service input {service_input!r}",
                 )
         outputs = [service.schema.attribute(name) for name in service.output_names]
         return child_schema.concat(Schema(outputs), disambiguate=True)
@@ -223,10 +301,9 @@ class RecordLinkJoin(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.left, self.right)
 
-    def output_schema(self, catalog: "Catalog") -> Schema:
-        return self.left.output_schema(catalog).concat(
-            self.right.output_schema(catalog), disambiguate=True
-        )
+    def derive_schema(self, catalog: "Catalog", inputs: Sequence[Schema]) -> Schema:
+        left_schema, right_schema = inputs
+        return left_schema.concat(right_schema, disambiguate=True)
 
     def describe(self) -> str:
         mode = "best" if self.best_only else "all"
@@ -268,10 +345,10 @@ class Union(Plan):
     def children(self) -> tuple[Plan, ...]:
         return self.parts
 
-    def output_schema(self, catalog: "Catalog") -> Schema:
-        merged = self.parts[0].output_schema(catalog)
-        for part in self.parts[1:]:
-            merged = merged.merge_for_union(part.output_schema(catalog))
+    def derive_schema(self, catalog: "Catalog", inputs: Sequence[Schema]) -> Schema:
+        merged = inputs[0]
+        for schema in inputs[1:]:
+            merged = merged.merge_for_union(schema)
         return merged
 
     def describe(self) -> str:
@@ -287,8 +364,8 @@ class Distinct(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
 
-    def output_schema(self, catalog: "Catalog") -> Schema:
-        return self.child.output_schema(catalog)
+    def derive_schema(self, catalog: "Catalog", inputs: Sequence[Schema]) -> Schema:
+        return inputs[0]
 
     def describe(self) -> str:
         return "Distinct"
@@ -302,8 +379,8 @@ class Limit(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
 
-    def output_schema(self, catalog: "Catalog") -> Schema:
-        return self.child.output_schema(catalog)
+    def derive_schema(self, catalog: "Catalog", inputs: Sequence[Schema]) -> Schema:
+        return inputs[0]
 
     def describe(self) -> str:
         return f"Limit[{self.count}]"

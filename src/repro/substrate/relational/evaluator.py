@@ -7,10 +7,13 @@ converted "into feedback over the queries that created the data".
 
 Every plan is compiled — once per ``(plan fingerprint, catalog version)``
 — into a tree of closures over per-column value arrays (:mod:`.columns`).
-Compilation resolves each node's output schema (``node.output_schema``),
-its attribute positions and its predicate mask functions
-(:func:`.predicates.compile_predicate`), so execution moves whole columns
-per operator and allocates Rows only at the ``Result`` boundary. Relations
+Compilation walks the tree once, bottom-up: it compiles a node's children,
+derives the node's output schema from theirs (``node.derive_schema``, the
+same rule ``output_schema`` applies), then resolves its attribute positions
+and predicate mask functions (:func:`.predicates.compile_predicate`), so
+execution moves whole columns per operator and allocates Rows only at the
+``Result`` boundary. A malformed plan fails that walk with
+:class:`~repro.errors.PlanAnalysisError` before any of it executes. Relations
 at the paper's target scale ("KB or MB of data, but probably not GB")
 comfortably fit in memory, so operators evaluate their inputs whole. The
 exception is ``Limit``: it hands a row cap down through Project, Rename and
@@ -37,7 +40,12 @@ from ...cache.fingerprint import plan_fingerprint
 from ...cache.tiers import CacheTiers
 from ...drift.config import DRIFT
 from ...drift.quarantine import QUARANTINE_NOTE
-from ...errors import EvaluationError, ServiceLookupFailed
+from ...errors import (
+    EvaluationError,
+    PlanAnalysisError,
+    ServiceLookupFailed,
+    UnknownAttributeError,
+)
 from ...obs import METRICS
 from ...provenance.expressions import Provenance, Var, plus, times
 from ...resilience.degrade import Degradation, degraded_source
@@ -55,6 +63,8 @@ from .algebra import (
     Scan,
     Select,
     Union,
+    missing_attribute,
+    plan_error,
 )
 from .catalog import Catalog
 from .columns import ColumnBatch
@@ -147,6 +157,10 @@ _CACHEABLE_NODES = frozenset(
     {"Join", "DependentJoin", "RecordLinkJoin", "Union", "Distinct", "GroupBy"}
 )
 
+#: Nodes that hand a consumer's row cap on to their child; ``Limit`` first
+#: tightens it to its own count. Every other node needs its whole input.
+_CAP_PASSING = frozenset({"Project", "Rename", "Limit"})
+
 _MISS = object()
 
 #: A compiled plan: a closure producing the result batch for the evaluator
@@ -156,6 +170,8 @@ _MISS = object()
 #: scope, each execution reading the invoking evaluator's catalog state
 #: (metadata notes, service objects) and degradation list.
 BatchThunk = Callable[["Evaluator"], ColumnBatch]
+#: A compiled node: its closure and its output schema.
+Compiled = tuple[BatchThunk, Schema]
 
 
 def _batch_rows(batch: ColumnBatch) -> list[Row]:
@@ -182,9 +198,10 @@ def _row_mask(predicate: Predicate, schema: Schema, cap: int | None):
     """Mask function for a predicate with no vectorized form.
 
     Calls ``predicate.matches`` on one Row per examined value tuple, so a
-    custom subclass keeps its semantics and a missing attribute fails per
-    row, only when a row is examined. Stops examining once *cap* rows have
-    matched; unexamined rows are simply absent from the (shorter) mask.
+    custom subclass keeps its semantics: an attribute it reads that the
+    schema lacks fails per row, only when a row is examined. Stops
+    examining once *cap* rows have matched; unexamined rows are simply
+    absent from the (shorter) mask.
     """
     matches = predicate.matches
     from_values = Row.from_values
@@ -213,7 +230,7 @@ class Evaluator:
     tenant's compilation is every tenant's hit. Plan nodes dispatch by
     class name: a subclass that keeps its parent's name compiles as the
     parent, one with a new name has no compiler and raises
-    :class:`~repro.errors.EvaluationError`.
+    :class:`~repro.errors.PlanAnalysisError` ``PLAN005``.
     """
 
     def __init__(self, catalog: Catalog, tiers: CacheTiers | None = None):
@@ -237,7 +254,6 @@ class Evaluator:
 
     def run(self, plan: Plan) -> Result:
         check_deadline("evaluator.run")
-        schema = plan.output_schema(self.catalog)
         self._degraded = []
         version = self.catalog.version
         self._run_scope = scope = self.catalog.cache_scope
@@ -251,41 +267,56 @@ class Evaluator:
             if key is None:
                 # An unhashable field: without a fingerprint the memo has
                 # no sound key, so the plan compiles afresh every run.
-                batch = self._compile(plan, version)[0](self)
+                thunk, schema = self._compile_root(plan, version)
+                batch = thunk(self)
             else:
                 # Single-flight on the root plan: when N tenants miss the
                 # shared tier on the same plan simultaneously, one computes
                 # (and populates the tier) while the rest wait, then hit.
                 with self.tiers.flight(key):
-                    batch = self._compiled(plan, key)(self)  # lint: allow=CONC004 -- single-flight deliberately computes under the per-key lock; only leaf metrics emit inside
+                    thunk, schema = self._compiled(plan, key)  # lint: allow=CONC004 -- single-flight deliberately computes under the per-key lock; only leaf metrics emit inside
+                    batch = thunk(self)
             return Result(schema, batch.to_annotated(), degraded=tuple(self._degraded))
         finally:
             self._run_scope = None
 
-    def _compiled(self, plan: Plan, key: tuple) -> BatchThunk:
-        """The memoized closure for *plan* under ``key``."""
-        thunk = self.tiers.compile.get(key, _MISS)
-        if thunk is _MISS:
-            thunk, _ = self._compile(plan, key[2])
-            self.tiers.compile.put(key, thunk)
-        return thunk
+    def _compiled(self, plan: Plan, key: tuple) -> Compiled:
+        """The memoized closure and root schema for *plan* under ``key``."""
+        compiled = self.tiers.compile.get(key, _MISS)
+        if compiled is _MISS:
+            compiled = self._compile_root(plan, key[2])
+            self.tiers.compile.put(key, compiled)
+        return compiled
+
+    def _compile_root(self, plan: Plan, version: Any) -> Compiled:
+        """Compile a whole plan, counting a failed check."""
+        try:
+            return self._compile(plan, version)
+        except PlanAnalysisError:
+            if METRICS.enabled:
+                METRICS.inc("analysis.errors")
+            raise
 
     # -- compilation -----------------------------------------------------------
-    def _compile(
-        self, plan: Plan, version: Any, cap: int | None = None
-    ) -> tuple[BatchThunk, Schema]:
+    def _compile(self, plan: Plan, version: Any, cap: int | None = None) -> Compiled:
         """Compile *plan* into ``(closure, output schema)``.
 
-        *cap*, when set, says the consumer needs at most that many leading
-        rows (a ``Limit`` above, through row-preserving nodes only: Project,
-        Rename and Limit pass it on, Select consumes it).
+        Children compile first; the node's schema comes from theirs, so the
+        walk visits each node once. *cap*, when set, says the consumer needs
+        at most that many leading rows (a ``Limit`` above, through
+        row-preserving nodes only: Project, Rename and Limit pass it on,
+        Select consumes it).
         """
         kind = type(plan).__name__
         compiler = getattr(self, f"_compile_{kind.lower()}", None)
         if compiler is None:
-            raise EvaluationError(f"no evaluator for plan node {kind}")
-        schema = plan.output_schema(self.catalog)
-        thunk = compiler(plan, schema, version, cap)
+            raise plan_error(plan, "PLAN005", f"no evaluator for plan node {kind!r}")
+        child_cap = cap if kind in _CAP_PASSING else None
+        if kind == "Limit":
+            child_cap = plan.count if cap is None else min(cap, plan.count)
+        children = [self._compile(child, version, child_cap) for child in plan.children()]
+        schema = plan.derive_schema(self.catalog, [child_schema for _, child_schema in children])
+        thunk = compiler(plan, schema, children, version, cap)
         if kind in _CACHEABLE_NODES:
             try:
                 fingerprint = plan_fingerprint(plan)
@@ -326,7 +357,7 @@ class Evaluator:
         return thunk
 
     # -- per-node compilers ---------------------------------------------------
-    def _compile_scan(self, plan: Scan, schema, version, cap) -> BatchThunk:
+    def _compile_scan(self, plan: Scan, schema, children, version, cap) -> BatchThunk:
         source = plan.source
 
         def thunk(ev: Evaluator) -> ColumnBatch:
@@ -374,12 +405,17 @@ class Evaluator:
             self.tiers.scan.put(key, batch)
         return batch
 
-    def _compile_select(self, plan: Select, schema, version, cap) -> BatchThunk:
+    def _compile_select(self, plan: Select, schema, children, version, cap) -> BatchThunk:
         # A Select drops rows, so the cap bounds only this node's own output:
         # its child must be whole, or a row failing this predicate would take
         # the place of one further down that passes it.
-        child, child_schema = self._compile(plan.child, version)
-        mask_fn = compile_predicate(plan.predicate, child_schema)
+        [(child, child_schema)] = children
+        try:
+            mask_fn = compile_predicate(plan.predicate, child_schema)
+        except UnknownAttributeError as exc:
+            raise missing_attribute(
+                plan, exc.name, child_schema, "selection predicate"
+            ) from None
         if mask_fn is None:
             mask_fn = _row_mask(plan.predicate, child_schema, cap)
 
@@ -395,8 +431,8 @@ class Evaluator:
 
         return thunk
 
-    def _compile_project(self, plan: Project, schema, version, cap) -> BatchThunk:
-        child, child_schema = self._compile(plan.child, version, cap)
+    def _compile_project(self, plan: Project, schema, children, version, cap) -> BatchThunk:
+        [(child, child_schema)] = children
         positions = [child_schema.position(name) for name in plan.names]
 
         def thunk(ev: Evaluator) -> ColumnBatch:
@@ -408,24 +444,22 @@ class Evaluator:
 
         return thunk
 
-    def _compile_rename(self, plan: Rename, schema, version, cap) -> BatchThunk:
-        child, _ = self._compile(plan.child, version, cap)
+    def _compile_rename(self, plan: Rename, schema, children, version, cap) -> BatchThunk:
+        [(child, _)] = children
 
         def thunk(ev: Evaluator) -> ColumnBatch:
             return child(ev).with_schema(schema)
 
         return thunk
 
-    def _compile_limit(self, plan: Limit, schema, version, cap) -> BatchThunk:
+    def _compile_limit(self, plan: Limit, schema, children, version, cap) -> BatchThunk:
         count = plan.count
         if count <= 0:
             # Nothing is pulled, so the child never runs: no service calls,
             # no scan-time degradation notes.
             empty = ColumnBatch(schema, [[] for _ in schema.names], [])
             return lambda ev: empty
-        child, _ = self._compile(
-            plan.child, version, count if cap is None else min(cap, count)
-        )
+        [(child, _)] = children
 
         def thunk(ev: Evaluator) -> ColumnBatch:
             batch = child(ev)
@@ -435,9 +469,8 @@ class Evaluator:
 
         return thunk
 
-    def _compile_join(self, plan: Join, schema, version, cap) -> BatchThunk:
-        left, left_schema = self._compile(plan.left, version)
-        right, right_schema = self._compile(plan.right, version)
+    def _compile_join(self, plan: Join, schema, children, version, cap) -> BatchThunk:
+        (left, left_schema), (right, right_schema) = children
         left_positions = [
             left_schema.position(name) for name, _ in plan.conditions
         ]
@@ -485,9 +518,9 @@ class Evaluator:
         return thunk
 
     def _compile_dependentjoin(
-        self, plan: DependentJoin, schema, version, cap
+        self, plan: DependentJoin, schema, children, version, cap
     ) -> BatchThunk:
-        child, child_schema = self._compile(plan.child, version)
+        [(child, child_schema)] = children
         # dict() keeps each duplicate service input's first position and
         # last binding.
         input_positions = [
@@ -583,10 +616,9 @@ class Evaluator:
         return thunk
 
     def _compile_recordlinkjoin(
-        self, plan: RecordLinkJoin, schema, version, cap
+        self, plan: RecordLinkJoin, schema, children, version, cap
     ) -> BatchThunk:
-        left, _ = self._compile(plan.left, version)
-        right, _ = self._compile(plan.right, version)
+        (left, _), (right, _) = children
         linker = plan.linker
         threshold = plan.threshold
         best_only = plan.best_only
@@ -681,8 +713,7 @@ class Evaluator:
         empty: list[int] = []
         return lambda i: pairs.get(i, empty)
 
-    def _compile_union(self, plan: Union, schema, version, cap) -> BatchThunk:
-        parts = [self._compile(part, version) for part in plan.parts]
+    def _compile_union(self, plan: Union, schema, children, version, cap) -> BatchThunk:
         # Position of each target attribute in each part (None => pad with
         # NULL onto the merged schema).
         mappings = [
@@ -690,13 +721,13 @@ class Evaluator:
                 part_schema.position(name) if name in part_schema else None
                 for name in schema.names
             ]
-            for _, part_schema in parts
+            for _, part_schema in children
         ]
 
         def thunk(ev: Evaluator) -> ColumnBatch:
             columns: list[list[Any]] = [[] for _ in schema.names]
             provs: list[Provenance] = []
-            for (part_thunk, _), mapping in zip(parts, mappings):
+            for (part_thunk, _), mapping in zip(children, mappings):
                 batch = part_thunk(ev)
                 for k, position in enumerate(mapping):
                     if position is None:
@@ -708,8 +739,8 @@ class Evaluator:
 
         return thunk
 
-    def _compile_distinct(self, plan: Distinct, schema, version, cap) -> BatchThunk:
-        child, _ = self._compile(plan.child, version)
+    def _compile_distinct(self, plan: Distinct, schema, children, version, cap) -> BatchThunk:
+        [(child, _)] = children
 
         def thunk(ev: Evaluator) -> ColumnBatch:
             batch = child(ev)
@@ -737,10 +768,10 @@ class Evaluator:
 
         return thunk
 
-    def _compile_groupby(self, plan, schema, version, cap) -> BatchThunk:
+    def _compile_groupby(self, plan, schema, children, version, cap) -> BatchThunk:
         from .aggregates import evaluate_groupby_columnar
 
-        child, _ = self._compile(plan.child, version)
+        [(child, _)] = children
 
         def thunk(ev: Evaluator) -> ColumnBatch:
             return evaluate_groupby_columnar(plan, child(ev), schema)

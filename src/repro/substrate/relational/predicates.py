@@ -330,10 +330,6 @@ _COMPILERS: dict[type, Callable[[Any, Schema], MaskFn]] = {
 }
 
 
-class _Uncompilable(Exception):
-    """Internal: the predicate tree contains an unknown (sub)type."""
-
-
 def is_compilable(predicate: Predicate) -> bool:
     """True when every node of the tree is a known, exact predicate type."""
     compiler = _COMPILERS.get(type(predicate))
@@ -347,24 +343,17 @@ def is_compilable(predicate: Predicate) -> bool:
 
 
 def _compile(predicate: Predicate, schema: Schema) -> MaskFn:
-    compiler = _COMPILERS.get(type(predicate))
-    if compiler is None:
-        raise _Uncompilable(type(predicate).__name__)
-    return compiler(predicate, schema)
+    return _COMPILERS[type(predicate)](predicate, schema)
 
 
 def compile_predicate(predicate: Predicate, schema: Schema) -> MaskFn | None:
     """Compile *predicate* against *schema* into a columnar mask function.
 
-    Returns ``None`` when the tree is not compilable — an unknown predicate
-    subclass (its overridden ``matches`` cannot be vectorized), or an
-    attribute the schema lacks (``matches`` surfaces that error lazily, only
-    when a row is actually evaluated, so compilation must not raise
-    eagerly). The evaluator then calls ``matches`` row by row.
+    Returns ``None`` when the tree holds an unknown predicate subclass: its
+    overridden ``matches`` cannot be vectorized, so the evaluator calls it
+    row by row. A built-in tree naming an attribute the schema lacks raises
+    :class:`~repro.errors.UnknownAttributeError` here, at compile time.
     """
-    from ...errors import UnknownAttributeError
-
-    try:
-        return _compile(predicate, schema)
-    except (_Uncompilable, UnknownAttributeError):
+    if not is_compilable(predicate):
         return None
+    return _compile(predicate, schema)

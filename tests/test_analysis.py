@@ -1,12 +1,13 @@
-"""Tests for the static-analysis subsystem (repro.analysis).
+"""Tests for the static-analysis subsystem.
 
-Level 1 (plan analyzer): every check has a positive case (a malformed
-plan is rejected with a precise diagnostic) and the clean plans the
-integration learner legitimately produces pass untouched — enforced
-globally by the ``REPRO_ANALYSIS=0`` parity test at the bottom.
+Plan checks: every PLAN code a plan can fail while it compiles has a
+positive case — a malformed plan is rejected by ``engine.run`` with a
+precise diagnostic before any of it executes (no scan is read) — and the
+clean plans pass untouched. PLAN004 is a property over generated plans
+(``tests/test_property_based.py``).
 
-Level 2 (repo linter): every REPRO rule has a firing case, a suppressed
-case, and the whole ``src/`` tree must lint clean.
+Repo linter: every REPRO rule has a firing case, a suppressed case, and
+the whole ``src/`` tree must lint clean.
 """
 
 from __future__ import annotations
@@ -16,19 +17,12 @@ from pathlib import Path
 
 import pytest
 
-from repro import CopyCatSession, build_scenario, obs
-from repro.analysis import (
-    ANALYSIS,
-    AnalysisReport,
-    PlanAnalyzer,
-    predicate_attributes,
-)
+from repro import obs
 from repro.analysis.lint import Linter, parse_source
 from repro.analysis.lint.engine import main as lint_main
-from repro.errors import CopyCatError, PlanAnalysisError
-from repro.learning.integration.source_graph import SourceGraph, SourceNode
+from repro.core.engine import QueryEngine
+from repro.errors import PlanAnalysisError
 from repro.obs.registry import declared_samples, is_declared
-from repro.substrate.documents import Browser
 from repro.substrate.relational import (
     AggSpec,
     Catalog,
@@ -38,10 +32,8 @@ from repro.substrate.relational import (
     Join,
     Limit,
     Project,
-    RecordLinkJoin,
     Relation,
     Rename,
-    RowLinker,
     Scan,
     Select,
     Union,
@@ -73,52 +65,18 @@ def catalog():
     return cat
 
 
-@pytest.fixture()
-def analyzer(catalog):
-    return PlanAnalyzer(catalog)
-
-
-def codes(report: AnalysisReport) -> list[str]:
-    return [d.code for d in report.diagnostics]
-
-
-class PlainLinker(RowLinker):
-    """A linker with no derivable blocking keys (block pairs stay None)."""
-
-    def score(self, left, right):  # pragma: no cover - never evaluated
-        return 0.0
-
-
-class TestAnalysisConfig:
-    def test_disabled_restores(self):
-        assert ANALYSIS.enabled
-        with ANALYSIS.disabled():
-            assert not ANALYSIS.enabled
-        assert ANALYSIS.enabled
-
-    def test_overridden_knob_and_restore_on_error(self):
-        with pytest.raises(RuntimeError):
-            with ANALYSIS.overridden(max_union_parts=2):
-                assert ANALYSIS.max_union_parts == 2
-                raise RuntimeError("boom")
-        assert ANALYSIS.max_union_parts != 2
-
-    def test_unknown_knob_rejected(self):
-        with pytest.raises(ValueError):
-            with ANALYSIS.overridden(nope=1):
-                pass  # pragma: no cover
-
-
-class TestPredicateAttributes:
-    def test_collects_through_combinators(self):
-        from repro.substrate.relational.predicates import And, Not, NotNull
-
-        pred = And((eq("A", 1), Not(NotNull("B"))))
-        assert predicate_attributes(pred) == {"A", "B"}
+def rejected(catalog, plan):
+    """The diagnostic ``engine.run(plan)`` fails with; nothing executed."""
+    engine = QueryEngine(catalog)
+    with pytest.raises(PlanAnalysisError) as exc:
+        engine.run(plan)
+    assert len(engine._evaluator.tiers.scan) == 0  # no scan thunk ran
+    assert str(exc.value) == exc.value.diagnostic.render()
+    return exc.value.diagnostic
 
 
 class TestPlanAnalyzerClean:
-    def test_valid_plans_pass(self, analyzer):
+    def test_valid_plans_pass(self, catalog):
         plans = [
             Scan("S"),
             Select(Scan("D"), eq("Damage", "minor")),
@@ -129,165 +87,99 @@ class TestPlanAnalyzerClean:
             Distinct(Limit(Scan("S"), 2)),
             GroupBy(Scan("D"), ("Damage",), (AggSpec("count", "City", "n"),)),
         ]
+        engine = QueryEngine(catalog)
         for plan in plans:
-            report = analyzer.check(plan)
-            assert report.diagnostics == (), plan.describe()
-
-    def test_report_render_clean(self, analyzer):
-        assert analyzer.check(Scan("S")).render() == "analysis: clean"
+            result = engine.run(plan)
+            assert result.schema == plan.output_schema(catalog), plan.describe()
 
 
 class TestPlanAnalyzerErrors:
-    def test_unknown_source(self, analyzer):
-        report = analyzer.check(Scan("Missing"))
-        assert codes(report) == ["PLAN001"]
-        assert "Missing" in report.errors[0].message
-        assert "catalog has" in report.errors[0].message
+    def test_unknown_source(self, catalog):
+        diagnostic = rejected(catalog, Scan("Missing"))
+        assert diagnostic.code == "PLAN001"
+        assert "Missing" in diagnostic.message
+        assert "catalog has" in diagnostic.message
 
-    def test_scan_of_service(self, analyzer):
-        report = analyzer.check(Scan("Z"))
-        assert codes(report) == ["PLAN001"]
-        assert "DependentJoin" in report.errors[0].message
+    def test_scan_of_service(self, catalog):
+        diagnostic = rejected(catalog, Scan("Z"))
+        assert diagnostic.code == "PLAN001"
+        assert "DependentJoin" in diagnostic.message
 
-    def test_bad_projection(self, analyzer):
-        report = analyzer.check(Project(Scan("S"), ("Name", "Zip")))
-        assert codes(report) == ["PLAN002"]
-        assert "'Zip'" in report.errors[0].message
-        assert "Name, City" in report.errors[0].message  # available attrs listed
+    def test_bad_projection(self, catalog):
+        diagnostic = rejected(catalog, Project(Scan("S"), ("Name", "Zip")))
+        assert diagnostic.code == "PLAN002"
+        assert diagnostic.operator == "Project[Name, Zip]"
+        assert "'Zip'" in diagnostic.message
+        assert "available: Name, City" in diagnostic.message
 
-    def test_bad_selection_predicate(self, analyzer):
-        report = analyzer.check(Select(Scan("S"), eq("Damage", "minor")))
-        assert codes(report) == ["PLAN002"]
+    def test_bad_selection_predicate(self, catalog):
+        diagnostic = rejected(catalog, Select(Scan("S"), eq("Damage", "minor")))
+        assert diagnostic.code == "PLAN002"
+        assert "'Damage'" in diagnostic.message
 
-    def test_bad_join_keys_both_sides(self, analyzer):
-        report = analyzer.check(Join(Scan("S"), Scan("D"), (("Zip", "Zip"),)))
-        assert codes(report) == ["PLAN002", "PLAN002"]
+    def test_bad_join_keys_both_sides(self, catalog):
+        # Both keys are missing; the left side is checked first.
+        diagnostic = rejected(catalog, Join(Scan("S"), Scan("D"), (("Zip", "Zip"),)))
+        assert diagnostic.code == "PLAN002"
+        assert "join key (left side)" in diagnostic.message
 
-    def test_bad_rename(self, analyzer):
-        report = analyzer.check(Rename(Scan("S"), (("Street", "Road"),)))
-        assert codes(report) == ["PLAN002"]
+    def test_bad_rename(self, catalog):
+        # Schema.rename ignores unknown names; the schema rule does not.
+        plan = Rename(Scan("S"), (("Street", "Road"),))
+        diagnostic = rejected(catalog, plan)
+        assert diagnostic.code == "PLAN002"
+        assert "'Street'" in diagnostic.message
+        with pytest.raises(PlanAnalysisError):
+            plan.output_schema(catalog)
 
-    def test_error_above_error_does_not_cascade(self, analyzer):
+    def test_error_above_error_does_not_cascade(self, catalog):
         # The projection over an unknown source reports only the scan
-        # problem: no schema means the projection check is skipped.
-        report = analyzer.check(Project(Scan("Missing"), ("Name",)))
-        assert codes(report) == ["PLAN001"]
+        # problem: the walk stops at the first node that fails.
+        diagnostic = rejected(catalog, Project(Scan("Missing"), ("Name",)))
+        assert diagnostic.code == "PLAN001"
 
-    def test_dependent_join_on_relation(self, analyzer):
-        report = analyzer.check(DependentJoin(Scan("S"), "D", (("City", "City"),)))
-        assert codes(report) == ["PLAN001"]
-        assert "not a service" in report.errors[0].message
+    def test_dependent_join_on_relation(self, catalog):
+        diagnostic = rejected(catalog, DependentJoin(Scan("S"), "D", (("City", "City"),)))
+        assert diagnostic.code == "PLAN001"
+        assert "not a service" in diagnostic.message
 
-    def test_dependent_join_unbound_input(self, analyzer):
-        report = analyzer.check(DependentJoin(Scan("S"), "Z", ()))
-        assert "PLAN003" in codes(report)
-        assert "'City'" in report.errors[0].message
+    def test_dependent_join_unbound_input(self, catalog):
+        diagnostic = rejected(catalog, DependentJoin(Scan("S"), "Z", ()))
+        assert diagnostic.code == "PLAN003"
+        assert "'City'" in diagnostic.message
 
-    def test_dependent_join_extra_binding_warns(self, analyzer):
-        plan = DependentJoin(Scan("S"), "Z", (("City", "City"), ("Bogus", "Name")))
-        report = analyzer.check(plan)
-        assert report.ok
-        assert [d.code for d in report.warnings] == ["PLAN003"]
+    def test_dependent_join_binding_from_missing_attr(self, catalog):
+        diagnostic = rejected(catalog, DependentJoin(Scan("D"), "Z", (("City", "Town"),)))
+        assert diagnostic.code == "PLAN002"
+        assert "'Town'" in diagnostic.message
 
-    def test_dependent_join_binding_from_missing_attr(self, analyzer):
-        report = analyzer.check(DependentJoin(Scan("D"), "Z", (("City", "Town"),)))
-        assert codes(report) == ["PLAN002"]
-
-    def test_groupby_unknown_key_and_aggregate(self, analyzer):
+    def test_groupby_unknown_key_and_aggregate(self, catalog):
+        # Both are missing; the grouping key is checked first.
         plan = GroupBy(Scan("S"), ("Zip",), (AggSpec("count", "Damage", "n"),))
-        report = analyzer.check(plan)
-        assert codes(report) == ["PLAN002", "PLAN002"]
+        diagnostic = rejected(catalog, plan)
+        assert diagnostic.code == "PLAN002"
+        assert "grouping key references unknown attribute 'Zip'" in diagnostic.message
 
-    def test_multiple_errors_all_reported(self, analyzer):
+    def test_multiple_errors_all_reported(self, catalog):
+        # Only the first error is reported: children compile bottom-up,
+        # left before right, so the projection fails before the scan.
         plan = Join(Project(Scan("S"), ("Nope",)), Scan("Missing"), (("City", "City"),))
-        found = codes(analyzer.check(plan))
-        assert "PLAN001" in found and "PLAN002" in found
-
-
-class TestGraphBindingCrossCheck:
-    def test_graph_declared_inputs_enforced(self, catalog):
-        graph = SourceGraph()
-        graph.add_node(SourceNode(
-            name="Z", schema=schema_of("City", "State", "Zip"),
-            is_service=True, inputs=("City", "State"),
-        ))
-        analyzer = PlanAnalyzer(catalog, graph=graph)
-        # The catalog's binding pattern (City) is satisfied, but the source
-        # graph says the node also needs State: the stricter view wins.
-        report = analyzer.check(DependentJoin(Scan("S"), "Z", (("City", "City"),)))
-        assert codes(report) == ["PLAN003"]
-        assert "source-graph" in report.errors[0].message
-
-    def test_graph_without_node_is_ignored(self, catalog):
-        analyzer = PlanAnalyzer(catalog, graph=SourceGraph())
-        report = analyzer.check(DependentJoin(Scan("S"), "Z", (("City", "City"),)))
-        assert report.diagnostics == ()
-
-
-class TestPlanAnalyzerWarnings:
-    def test_over_wide_union(self, analyzer):
-        parts = tuple(Project(Scan("S"), ("City",)) for _ in range(3))
-        with ANALYSIS.overridden(max_union_parts=2):
-            report = analyzer.check(Union(parts))
-        assert report.ok
-        assert [d.code for d in report.warnings] == ["PLAN102"]
-
-    def test_unblocked_link_join_blowup(self, analyzer):
-        plan = RecordLinkJoin(Scan("S"), Scan("D"), PlainLinker())
-        with ANALYSIS.overridden(max_link_pairs=1):
-            report = analyzer.check(plan)
-        assert report.ok
-        assert [d.code for d in report.warnings] == ["PLAN101"]
-        # Under the default budget the same plan is fine (3x2 pairs).
-        assert analyzer.check(plan).diagnostics == ()
-
-    def test_degenerate_link_threshold(self, analyzer):
-        plan = RecordLinkJoin(Scan("S"), Scan("D"), PlainLinker(), threshold=0.0)
-        report = analyzer.check(plan)
-        assert [d.code for d in report.warnings] == ["PLAN103"]
-
-    def test_blocking_key_missing_warns(self, analyzer):
-        from repro.linking.linker import LearnedLinker
-        from repro.linking.similarity import FieldPair
-
-        plan = RecordLinkJoin(Scan("S"), Scan("D"), LearnedLinker([FieldPair("Name", "Road")]))
-        report = analyzer.check(plan)
-        assert report.ok
-        assert {d.code for d in report.warnings} == {"PLAN002"}
-
-    def test_nonpositive_limit(self, analyzer):
-        report = analyzer.check(Limit(Scan("S"), 0))
-        assert [d.code for d in report.warnings] == ["PLAN103"]
-
-
-class TestProvenanceSoundness:
-    def test_lying_collect_sources_detected(self, catalog):
-        # Keeps the name "Scan", so the analyzer dispatches it as a Scan.
-        def lying_collect(self, out):
-            out.add("Ghost")  # lies: hides the real source, invents one
-
-        SneakyScan = type("Scan", (Scan,), {"_collect_sources": lying_collect})
-        try:
-            report = PlanAnalyzer(catalog).check(SneakyScan("S"))
-            assert codes(report) == ["PLAN004", "PLAN004"]
-            messages = " ".join(d.message for d in report.errors)
-            assert "'S'" in messages and "'Ghost'" in messages
-        finally:
-            del SneakyScan
-            gc.collect()
+        diagnostic = rejected(catalog, plan)
+        assert diagnostic.code == "PLAN002"
+        assert "'Nope'" in diagnostic.message
 
 
 class TestUnregisteredNodeTypes:
     def test_unknown_node_reports_both_gaps(self, catalog):
-        # A new class name has no analyzer check: one PLAN005, and the
-        # analyzer still descends into the children it can check.
+        # A new class name has no compiler: PLAN005, found before its
+        # (also malformed) child is compiled.
         class Mystery(Distinct):
             pass
 
         try:
-            report = PlanAnalyzer(catalog).check(Mystery(Project(Scan("S"), ("Zip",))))
-            assert codes(report) == ["PLAN005", "PLAN002"]
-            assert "'Mystery'" in report.errors[0].message
+            diagnostic = rejected(catalog, Mystery(Project(Scan("S"), ("Zip",))))
+            assert diagnostic.code == "PLAN005"
+            assert "'Mystery'" in diagnostic.message
         finally:
             del Mystery
             gc.collect()
@@ -295,95 +187,26 @@ class TestUnregisteredNodeTypes:
 
 class TestEngineIntegration:
     def test_engine_rejects_malformed_plan(self, catalog):
-        from repro.core.engine import QueryEngine
-
         engine = QueryEngine(catalog)
         with pytest.raises(PlanAnalysisError) as exc:
             engine.run(Project(Scan("S"), ("Name", "Zip")))
-        assert any(d.code == "PLAN002" for d in exc.value.diagnostics)
+        assert exc.value.diagnostic.code == "PLAN002"
         assert "'Zip'" in str(exc.value)
 
-    def test_disabled_reproduces_runtime_error(self, catalog):
-        from repro.core.engine import QueryEngine
-
-        engine = QueryEngine(catalog)
-        with ANALYSIS.disabled():
-            with pytest.raises(CopyCatError) as exc:
-                engine.run(Project(Scan("S"), ("Name", "Zip")))
-        assert not isinstance(exc.value, PlanAnalysisError)
-
-    def test_verdicts_memoized_on_fingerprint(self, catalog):
-        from repro.core.engine import QueryEngine
-
-        engine = QueryEngine(catalog)
-        plan = Join(Scan("S"), Scan("D"), (("City", "City"),))
-        engine.run(plan)
-        engine.run(plan)
-        assert engine._analysis_memo.hits >= 1
-
-    def test_graph_supplier_consulted(self, catalog):
-        from repro.core.engine import QueryEngine
-
-        graph = SourceGraph()
-        graph.add_node(SourceNode(
-            name="Z", schema=schema_of("City", "State", "Zip"),
-            is_service=True, inputs=("City", "State"),
-        ))
-        engine = QueryEngine(catalog)
-        engine.graph_supplier = lambda: graph
-        with pytest.raises(PlanAnalysisError):
-            engine.run(DependentJoin(Scan("S"), "Z", (("City", "City"),)))
-
     def test_metrics_and_stats_line(self, catalog):
-        from repro.core.engine import QueryEngine
-
         obs.reset()
         obs.enable()
         try:
             engine = QueryEngine(catalog)
-            engine.run(Limit(Scan("S"), 0))  # warning, not an error
-            assert obs.METRICS.counter_value("analysis.plans_checked") == 1
-            assert obs.METRICS.counter_value("analysis.warnings") == 1
+            engine.run(Limit(Scan("S"), 0))
+            with pytest.raises(PlanAnalysisError):
+                engine.run(Project(Scan("S"), ("Zip",)))
+            assert obs.METRICS.counter_value("analysis.errors") == 1
             line = next(line for line in obs.render_summary() if line.startswith("analysis:"))
-            assert " plans_checked=1 " in line and line.endswith(" warnings=1")
+            assert " errors=1" in line
         finally:
             obs.disable()
             obs.reset()
-
-
-def _build_session():
-    scenario = build_scenario(seed=5, n_shelters=8, noise=1)
-    session = CopyCatSession(catalog=scenario.catalog, seed=1)
-    browser = Browser(session.clipboard, scenario.website)
-    browser.navigate(scenario.list_urls()[0])
-    listing = browser.page.dom.find("table", "listing")
-    rows = [n for n in listing.children if "record" in n.css_classes]
-    browser.copy_record(rows[0], "Shelters")
-    session.paste()
-    session.accept_row_suggestions()
-    for index, name in enumerate(["Name", "Street", "City"]):
-        session.label_column(index, name)
-    session.commit_source()
-    session.start_integration("Shelters")
-    return session
-
-
-def _suggestion_trace(session):
-    first = [s.describe() for s in session.column_suggestions(k=4)]
-    again = [s.describe() for s in session.column_suggestions(k=4)]  # cached batch
-    return first, again
-
-
-class TestAnalysisParity:
-    def test_disabled_is_bit_for_bit_identical(self):
-        """REPRO_ANALYSIS=0 must reproduce pre-analysis behavior exactly,
-        including results served from the suggestion/plan caches."""
-        enabled_first, enabled_again = _suggestion_trace(_build_session())
-        with ANALYSIS.disabled():
-            disabled_first, disabled_again = _suggestion_trace(_build_session())
-        assert enabled_first == disabled_first
-        assert enabled_again == disabled_again
-        assert enabled_first == enabled_again  # the cached batch is identical
 
 
 # -- Level 2: the repo linter -------------------------------------------------

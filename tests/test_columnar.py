@@ -15,7 +15,7 @@ import pytest
 
 from repro import obs
 from repro.cache.config import CACHE
-from repro.errors import EvaluationError, UnknownAttributeError
+from repro.errors import EvaluationError, PlanAnalysisError, UnknownAttributeError
 from repro.linking.blocking import (
     candidate_pairs,
     candidate_pairs_from_keys,
@@ -188,11 +188,13 @@ class TestCompilePredicate:
         assert not is_compilable(And((TRUE, Weird())))
         assert compile_predicate(Not(Weird()), MIXED) is None
 
-    def test_missing_attribute_returns_none(self):
-        # The row path raises lazily, per row evaluated; compilation must
-        # refuse rather than raise eagerly.
-        assert compile_predicate(Compare("nope", "==", 1), MIXED) is None
-        assert compile_predicate(AttrCompare("a", "<", "nope"), MIXED) is None
+    def test_missing_attribute_raises_at_compile(self):
+        # A built-in tree resolves every attribute as it compiles, so a
+        # missing one fails before any row is read.
+        with pytest.raises(UnknownAttributeError, match="nope"):
+            compile_predicate(Compare("nope", "==", 1), MIXED)
+        with pytest.raises(UnknownAttributeError, match="nope"):
+            compile_predicate(AttrCompare("a", "<", "nope"), MIXED)
 
     def test_typeerror_rows_compare_false_not_raise(self):
         mask_fn = compile_predicate(Compare("b", ">", 10), MIXED)
@@ -508,6 +510,16 @@ class CountingOddBeds(Predicate):
         return "CountingOddBeds"
 
 
+class ReadsNope(Predicate):
+    """A custom predicate reading an attribute no test relation has."""
+
+    def matches(self, row):
+        return row["Nope"] == 1
+
+    def __str__(self):
+        return "ReadsNope"
+
+
 class TestFallbacks:
     """Shapes the compiler handles by a fallback inside the one engine: a
     predicate with no mask function falls back to row-wise ``matches``,
@@ -584,13 +596,21 @@ class TestFallbacks:
         assert [row["Beds"] for row in result.plain_rows()] == [25]
 
     def test_predicate_missing_attribute_fails_per_row(self, catalog):
-        plan = Select(Scan("S"), Compare("Nope", "==", 1))
+        # A built-in predicate is checked as the plan compiles: PLAN002,
+        # even over an input with no rows.
+        catalog.add_relation(Relation("E", schema_of("Name")))
+        for source in ("S", "E"):
+            with pytest.raises(PlanAnalysisError) as exc:
+                Evaluator(catalog).run(Select(Scan(source), Compare("Nope", "==", 1)))
+            assert exc.value.diagnostic.code == "PLAN002"
+        # Only a custom predicate keeps the per-row path: it fails on the
+        # first row it examines, and never on an empty input.
+        plan = Select(Scan("S"), ReadsNope())
         with pytest.raises(UnknownAttributeError):
             Evaluator(catalog).run(plan)
         with pytest.raises(UnknownAttributeError):
             reference(catalog, plan)
-        catalog.add_relation(Relation("E", schema_of("Name")))
-        assert_parity(catalog, Select(Scan("E"), Compare("Nope", "==", 1)))
+        assert_parity(catalog, Select(Scan("E"), ReadsNope()))
 
     @staticmethod
     def _unhashable_distinct():
@@ -604,9 +624,9 @@ class TestFallbacks:
         )
 
     def test_checkerless_subclass_compiles(self, catalog):
-        # Keeps its parent's name, so it dispatches (and is analyzed) as a
-        # Distinct with no registration of its own; the schema comes from
-        # output_schema, so it compiles and is memoized.
+        # Keeps its parent's name, so it dispatches as a Distinct with no
+        # registration of its own; the schema comes from the inherited
+        # schema rule, so it compiles and is memoized.
         cls = type("Distinct", (Distinct,), {})
         plan = cls(Project(Scan("S"), ("City",)))
         evaluator = Evaluator(catalog)

@@ -15,6 +15,7 @@ import pytest
 
 from repro import Browser, CopyCatSession, SpreadsheetApp, build_scenario, to_map_html, to_xml
 from repro.substrate.documents import CellRange
+from repro.substrate.relational import DependentJoin, walk
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +107,19 @@ class TestDemoTask:
                     correct += 1
         assert linked >= 0.8 * table.n_rows
         assert correct >= 0.8 * linked
+
+    def test_learned_dependent_joins_bind_every_graph_input(self, completed_session):
+        # A service's binding restriction is its source-graph node's inputs;
+        # the learner maps every one of them when it builds a DependentJoin.
+        _, session = completed_session
+        learner = session.integration_learner
+        query = session.current_query
+        plans = [query.plan] + [c.query.plan for c in learner.column_completions(query, k=10)]
+        joins = [node for plan in plans for node in walk(plan) if isinstance(node, DependentJoin)]
+        assert {join.service for join in joins} >= {"ZipcodeResolver", "Geocoder"}
+        for join in joins:
+            bound = {service_input for service_input, _ in join.input_map}
+            assert set(learner.graph.node(join.service).inputs) <= bound, join.describe()
 
     def test_every_cell_committed(self, completed_session):
         _, session = completed_session

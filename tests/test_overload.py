@@ -630,11 +630,11 @@ class TestBrownout:
         tiers = CacheTiers()
         full = tiers.plan.capacity
         for i in range(20):
-            tiers.analysis.put(("k", i), i)
+            tiers.compile.put(("k", i), i)
         tiers.shrink(4)
         assert tiers.shrunk
         assert tiers.plan.capacity == max(8, full // 4)
-        assert len(tiers.analysis) <= tiers.analysis.capacity
+        assert len(tiers.compile) <= tiers.compile.capacity
         assert tiers.shrink(4) == 0  # idempotent until restore
         tiers.restore()
         assert tiers.plan.capacity == full

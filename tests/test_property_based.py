@@ -352,8 +352,8 @@ _STREAMING = ("select", "project", "rename", "limit")
 @st.composite
 def _plans(draw, depth=2, ops=_OPERATORS):
     from repro.substrate.relational import (
-        AggSpec, AttrCompare, Distinct, GroupBy, Join, Limit, Project, RecordLinkJoin, Rename,
-        Scan, Select, Union,
+        AggSpec, AttrCompare, DependentJoin, Distinct, GroupBy, Join, Limit, Project,
+        RecordLinkJoin, Rename, Scan, Select, Union,
     )
 
     if depth == 0:
@@ -395,6 +395,11 @@ def _plans(draw, depth=2, ops=_OPERATORS):
         left = draw(st.sampled_from(["a == b", "a"]))
         right = draw(st.sampled_from(["c", "b == c"]))
         return Select(child, AttrCompare(left, "==", right)), names
+    if op == "dependent":
+        # Drawn only by the sources property: these plans never evaluate,
+        # so the service need not exist and its outputs are not tracked.
+        bound = draw(st.sampled_from(sorted(names)))
+        return DependentJoin(child, draw(st.sampled_from(["S0", "S1"])), (("k", bound),)), names
     if op == "groupby":
         key = draw(st.sampled_from(sorted(names)))
         agg = draw(st.sampled_from(sorted(names)))
@@ -439,6 +444,24 @@ def test_limit_over_streaming_chains_matches_oracle(catalog, plan_and_names, cou
     from repro.substrate.relational import Limit
 
     _assert_oracle_parity(catalog, Limit(plan_and_names[0], count))
+
+
+@given(_plans(depth=3, ops=_OPERATORS + ("link", "dependent")))
+@settings(max_examples=200, deadline=None)
+def test_walked_leaves_equal_sources(plan_and_names):
+    """PLAN004: ``sources()`` names exactly the scanned relations and
+    invoked services a walk of the tree reaches, so provenance and trust
+    feedback cover every source a plan reads."""
+    from repro.substrate.relational import DependentJoin, Scan, walk
+
+    plan = plan_and_names[0]
+    leaves = set()
+    for node in walk(plan):
+        if isinstance(node, Scan):
+            leaves.add(node.source)
+        elif isinstance(node, DependentJoin):
+            leaves.add(node.service)
+    assert leaves == plan.sources()
 
 
 # ------------------------------------------------------ plan fingerprints

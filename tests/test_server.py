@@ -104,7 +104,7 @@ class TestCacheTiers:
 
     def test_stats_shape(self):
         stats = CacheTiers().stats()
-        assert set(stats) == {"plan", "analysis", "compile", "scan"}
+        assert set(stats) == {"plan", "compile", "scan"}
 
 
 class TestLifecycle:

@@ -167,7 +167,6 @@ class TestEvictThrough:
                 evaluator = restored.engine._evaluator
                 assert evaluator.tiers is tiers
                 assert evaluator.plan_cache is tiers.plan
-                assert restored.engine._analysis_memo is tiers.analysis
                 assert restored.catalog._base is base
                 for name in base.relation_names():
                     assert restored.catalog.relation(name) is base.relation(name)

@@ -102,7 +102,7 @@ class TestManagerStress:
                 assert manager.requests == N_THREADS
                 assert manager.request_errors == 0
                 stats = manager.stats()
-        for name in ("plan", "analysis", "compile", "scan"):
+        for name in ("plan", "compile", "scan"):
             tier = stats["tiers"][name]
             assert tier["hits"] >= 0 and tier["misses"] >= 0
         return dict(zip(tenants, results))
