@@ -12,12 +12,12 @@ deadline-carrying requests and measure end-to-end latency.
   ``retry_after_ms`` hint, the per-tenant queue never exceeds its bound,
   and the interactive p95 stays under ``INTERACTIVE_P95_MS`` because the
   DRR quantum preempts the flooders' drains;
-- **protection off** (``REPRO_OVERLOAD=0`` semantics) — the same storm
-  sheds nothing and the flooders' queues grow far past the bound: the
-  unprotected server accepts unbounded work (the failure mode the layer
-  exists to prevent);
-- **parity** — on a normal (non-storm) workload, dispatch with the layer
-  disabled — and with it enabled at default knobs — reproduces the PR-8
+- **protection off** (``OVERLOAD.unbounded()``: the same manager with
+  every limit out of reach) — the same storm sheds nothing and the
+  flooders' queues grow far past the bound: the unprotected server
+  accepts unbounded work (the failure mode the layer exists to prevent);
+- **parity** — on a normal (non-storm) workload, dispatch with every
+  limit out of reach — and at default knobs — reproduces the
   isolated-session outputs bit for bit (rows, provenance, trust, learned
   weights): protection is pure overhead-free policy until pressure exists.
 
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import nullcontext
 
 from repro.obs.metrics import percentile
 from repro.server import (
@@ -164,9 +165,9 @@ def run_storm(*, protected: bool) -> dict:
             drr_quantum=DRR_QUANTUM,
         )
         if protected
-        else OVERLOAD.disabled()
+        else OVERLOAD.unbounded()
     )
-    with SERVER.overridden(enabled=True, workers=WORKERS, max_sessions=64):
+    with SERVER.overridden(workers=WORKERS, max_sessions=64):
         with knobs:
             with SessionManager(SharedBase(storm_catalog())) as manager:
                 for tenant in abusive + interactive:
@@ -205,7 +206,7 @@ def run_storm(*, protected: bool) -> dict:
 def run_parity_leg(plans, tenants, knobs) -> dict:
     """The scale_tenants tenant script through a concurrent manager under
     *knobs*; returns per-tenant outputs for bit-for-bit comparison."""
-    with SERVER.overridden(enabled=True, workers=WORKERS, max_sessions=64):
+    with SERVER.overridden(workers=WORKERS, max_sessions=64):
         with knobs:
             with SessionManager(SharedBase(tenant_catalog())) as manager:
                 for tenant in tenants:
@@ -271,7 +272,7 @@ class TestOverloadStorm:
         ]
         rows = [
             leg_row("protected (bounded queues + DRR)", protected),
-            leg_row("unprotected (REPRO_OVERLOAD=0)", unprotected),
+            leg_row("unprotected (unbounded knobs)", unprotected),
         ]
         write_report(
             "overload_storm",
@@ -296,17 +297,17 @@ class TestOverloadStorm:
             },
         )
 
-    def test_disabled_and_default_knobs_are_bit_for_bit_with_isolated(self):
+    def test_unbounded_and_default_knobs_are_bit_for_bit_with_isolated(self):
         plans = plan_variants()[:N_PARITY_PLANS]
         tenants = [f"tenant-{i}" for i in range(N_PARITY_TENANTS)]
         isolated = {tenant: run_isolated(tenant, plans) for tenant in tenants}
 
-        off = run_parity_leg(plans, tenants, OVERLOAD.disabled())
-        on = run_parity_leg(plans, tenants, OVERLOAD.overridden(enabled=True))
+        off = run_parity_leg(plans, tenants, OVERLOAD.unbounded())
+        on = run_parity_leg(plans, tenants, nullcontext())
 
         for tenant in tenants:
             assert off[tenant] == isolated[tenant], (
-                f"REPRO_OVERLOAD=0 leg diverged for {tenant}"
+                f"unbounded-knob leg diverged for {tenant}"
             )
             assert on[tenant] == isolated[tenant], (
                 f"default-knob protected leg diverged for {tenant}"

@@ -8,13 +8,13 @@ transposes). This benchmark is the gate for that server:
 - **throughput** — N simulated users (``ScpUser`` scripts: a batch of
   integration-shaped plan evaluations, an integration phase with column
   auto-completion feedback, then a trust-divergence tail) run once
-  serialized on a single thread with *private* caches (``REPRO_SERVER=0``
-  semantics) and once concurrently on the 8-worker pool with *shared*
-  tiers. The concurrent leg must clear ``SPEEDUP_FLOOR``x aggregate
-  throughput. Because this is pure Python under the GIL, the win is the
-  shared tiers doing the work once — tenant A's evaluated plan, compiled
-  closure, and scan transpose are hits for tenants B..H — not parallel
-  compute;
+  serialized on the calling thread, each in a plain ``CopyCatSession``
+  over its own fork of the base with *private* caches, and once
+  concurrently on the 8-worker pool with *shared* tiers. The concurrent
+  leg must clear ``SPEEDUP_FLOOR``x aggregate throughput. Because this
+  is pure Python under the GIL, the win is the shared tiers doing the
+  work once — tenant A's evaluated plan, compiled closure, and scan
+  transpose are hits for tenants B..H — not parallel compute;
 - **isolation** — every tenant's full output (plan results with
   provenance, accepted columns, workspace rows, trust map, learned edge
   weights) must be bit-for-bit identical, in both legs, to the same script
@@ -232,35 +232,48 @@ def run_isolated(tenant_id: str, plans: list[Plan]):
 
 
 def run_leg_once(plans: list[Plan], *, concurrent: bool):
-    """Drive all tenants through a fresh manager; returns
-    (wall seconds, per-tenant outputs, per-request latencies)."""
+    """Drive all tenants over a fresh base; returns
+    (wall seconds, per-tenant outputs, per-request latencies).
+
+    The concurrent leg serves them through a manager on shared tiers. The
+    serialized leg builds the same tenant sessions as plain
+    ``CopyCatSession`` objects on private tiers (a 1-worker manager would
+    share tiers and measure something else) and runs them one after
+    another on this thread. Session setup is untimed in both legs."""
     tenants = [f"tenant-{i}" for i in range(N_TENANTS)]
     latencies: list[float] = []
-    knobs = {"enabled": concurrent, "workers": WORKERS, "max_sessions": 64}
-    with SERVER.overridden(**knobs):
-        with SessionManager(SharedBase(tenant_catalog())) as manager:
-            for tenant in tenants:  # session setup is untimed in both legs
+    base = SharedBase(tenant_catalog())
+    if not concurrent:
+        sessions = {
+            tenant: CopyCatSession(
+                catalog=base.fork_catalog(), seed=seed_for(DEFAULT_SEED, tenant)
+            )
+            for tenant in tenants
+        }
+        start = time.perf_counter()
+        outputs = {
+            tenant: [
+                _timed(op, latencies)(session)
+                for op in tenant_ops(plans, _tenant_offset(tenant))
+            ]
+            for tenant, session in sessions.items()
+        }
+        return time.perf_counter() - start, outputs, latencies
+    with SERVER.overridden(workers=WORKERS, max_sessions=64):
+        with SessionManager(base) as manager:
+            for tenant in tenants:
                 manager.session(tenant)
             start = time.perf_counter()
-            if concurrent:
-                futures = {
-                    tenant: [
-                        manager.submit(tenant, _timed(op, latencies))
-                        for op in tenant_ops(plans, _tenant_offset(tenant))
-                    ]
-                    for tenant in tenants
-                }
-                outputs = {
-                    tenant: [f.result() for f in futs] for tenant, futs in futures.items()
-                }
-            else:
-                outputs = {
-                    tenant: [
-                        manager.call(tenant, _timed(op, latencies))
-                        for op in tenant_ops(plans, _tenant_offset(tenant))
-                    ]
-                    for tenant in tenants
-                }
+            futures = {
+                tenant: [
+                    manager.submit(tenant, _timed(op, latencies))
+                    for op in tenant_ops(plans, _tenant_offset(tenant))
+                ]
+                for tenant in tenants
+            }
+            outputs = {
+                tenant: [f.result() for f in futs] for tenant, futs in futures.items()
+            }
             wall = time.perf_counter() - start
     return wall, outputs, latencies
 
@@ -346,19 +359,10 @@ class TestScaleTenants:
             f"multi-tenant speedup x{speedup:.2f} below the {SPEEDUP_FLOOR}x floor"
         )
 
-    def test_server_off_is_bit_for_bit_single_session_behavior(self):
-        """REPRO_SERVER=0 must reproduce plain sessions exactly."""
-        plans = plan_variants()[:3]
-        tenant = "tenant-0"
-        with SERVER.disabled():
-            with SessionManager(SharedBase(tenant_catalog())) as manager:
-                served = [manager.call(tenant, op) for op in tenant_ops(plans)]
-        assert served == run_isolated(tenant, plans)
-
     def test_bench_tenant_request(self, benchmark):
         """Trend line: one warm plan-eval request through the manager."""
         plans = plan_variants()
-        with SERVER.overridden(enabled=True, workers=WORKERS):
+        with SERVER.overridden(workers=WORKERS):
             with SessionManager(SharedBase(tenant_catalog())) as manager:
                 manager.call("tenant-0", lambda s: s.engine.run(plans[0]))
                 result = benchmark(

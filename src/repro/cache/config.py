@@ -2,14 +2,12 @@
 
 Each layer can be switched off on its own, so the cached-vs-uncached
 benchmarks and the correctness A/B tests toggle layers without
-monkeypatching. ``REPRO_CACHE=0`` switches every layer off at import.
+monkeypatching; :meth:`CacheConfig.disabled` switches several at once.
 """
 
 from __future__ import annotations
 
 from ..util.knobs import Knob, Knobs
-
-_ALL_LAYERS = Knob("REPRO_CACHE", True, "off switches every cache layer off")
 
 
 class CacheConfig(Knobs):
@@ -32,12 +30,6 @@ class CacheConfig(Knobs):
         "REPRO_COLUMNAR_COMPILE_CAPACITY", 512, "compiled-plan memo capacity (fingerprint x version)"
     )
     scan_capacity = Knob("REPRO_COLUMNAR_SCAN_CAPACITY", 128, "scan-transpose memo capacity")
-
-    def __init__(self) -> None:
-        super().__init__()
-        if not _ALL_LAYERS.read():
-            for layer in self.LAYERS:
-                setattr(self, layer, False)
 
     def disabled(self, *layers: str):
         """Switch the named layers (all, when none are named) off for the ``with`` block."""

@@ -62,7 +62,6 @@ from ..learning.transforms import Transform, TransformLearner
 from ..linking.linker import LearnedLinker, LinkExample
 from ..linking.similarity import FieldPair
 from ..provenance.explain import Explanation
-from ..server.config import OVERLOAD
 from ..server.overload import LEVEL_DEGRADED, LEVEL_NORMAL
 from ..substrate.documents.clipboard import Clipboard, CopyEvent
 from ..substrate.relational.catalog import Catalog, SourceMetadata
@@ -579,8 +578,7 @@ class CopyCatSession:
             # fold into edge costs before the signature is computed.
             self.integration_learner.absorb_drift_events()
         if (
-            OVERLOAD.enabled
-            and self.service_level != LEVEL_NORMAL
+            self.service_level != LEVEL_NORMAL
             and refresh is not True
             and self._column_suggestions
         ):

@@ -4,9 +4,9 @@ The paper's Smart Copy & Paste vision is an *interactive service* — many
 users simultaneously pasting, accepting, and resyncing. This package turns
 the single-session library into that shape:
 
-- :mod:`~repro.server.config` — the :data:`SERVER` and :data:`OVERLOAD`
-  switch sets (``REPRO_SERVER=0`` reproduces single-session behavior
-  exactly; ``REPRO_OVERLOAD=0`` reproduces unprotected dispatch);
+- :mod:`~repro.server.config` — the :data:`SERVER` (pool size, session
+  cap, idle TTL) and :data:`OVERLOAD` (admission, fairness and brownout
+  limits) knob sets;
 - :mod:`~repro.server.base` — :class:`SharedBase`: the frozen base catalog
   plus the shared cache-tier bundle every tenant's evaluator consults;
 - :mod:`~repro.server.manager` — :class:`SessionManager`: session registry

@@ -1,9 +1,8 @@
 """Session-server and overload-protection knobs.
 
-``SERVER.enabled`` off runs every request inline on the calling thread
-with private per-session cache tiers; ``OVERLOAD.enabled`` off runs
-dispatch unprotected. The tenants and storm benchmarks use both as the
-reference legs of their A/B comparisons.
+There is one dispatch path and it is always protected. An unprotected
+reference leg sets the limits out of reach with
+:meth:`OverloadConfig.unbounded` instead of switching the layer off.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from ..util.knobs import Knob, Knobs
 class ServerConfig(Knobs):
     """Knobs of the multi-tenant session server."""
 
-    enabled = Knob("REPRO_SERVER", True, "off runs requests inline with private cache tiers")
     workers = Knob("REPRO_SERVER_WORKERS", 8, "worker threads dispatching per-session requests")
     max_sessions = Knob("REPRO_SERVER_MAX_SESSIONS", 64, "live-session cap; LRU eviction beyond it")
     idle_ttl = Knob("REPRO_SERVER_IDLE_TTL", 900.0, "idle seconds before evict_idle() expires a session")
@@ -23,7 +21,6 @@ class ServerConfig(Knobs):
 class OverloadConfig(Knobs):
     """Knobs of admission control, deadlines, fairness and brownout."""
 
-    enabled = Knob("REPRO_OVERLOAD", True, "off: no admission, deadlines, fairness or brownout")
     queue_depth = Knob("REPRO_SERVER_QUEUE_DEPTH", 128, "per-tenant queue bound; submits past it are shed")
     max_inflight = Knob("REPRO_OVERLOAD_MAX_INFLIGHT", 1024, "server-wide cap on unfinished requests")
     shed_soft = Knob("REPRO_OVERLOAD_SHED_SOFT", 0.75, "pressure where the seeded early-shed ramp starts")
@@ -36,6 +33,22 @@ class OverloadConfig(Knobs):
     brownout_pressure = Knob("REPRO_BROWNOUT_PRESSURE", 0.85, "inflight fraction that counts as pressure")
     brownout_exit = Knob("REPRO_BROWNOUT_EXIT", 0.5, "inflight fraction below which recovery counts")
     brownout_hold = Knob("REPRO_BROWNOUT_HOLD", 8, "hot/cool observations in a row to flip level")
+
+    def unbounded(self):
+        """Put every limit out of reach for the ``with`` block.
+
+        Nothing is shed, queues grow without bound, each drain runs its
+        queue to empty and brownout never enters: the unprotected
+        reference dispatch. A request's own ``deadline_ms`` still applies.
+        """
+        return self.overridden(
+            queue_depth=10**9,
+            max_inflight=10**9,
+            shed_soft=1.0,
+            rate=0.0,
+            drr_quantum=0,
+            brownout_p95_ms=float("inf"),
+        )
 
 
 #: The process-wide server configuration the session manager consults.

@@ -33,11 +33,10 @@ concurrently on a bounded worker pool:
   a worker hostage; and a :class:`~repro.server.overload.LoadController`
   flips sessions into brownout under sustained pressure.
 
-With ``REPRO_SERVER=0`` (:data:`~repro.server.config.SERVER` disabled) the
-manager keeps the same API but runs every request inline on the calling
-thread with *private* per-session cache tiers — pre-server behavior,
-exactly. With ``REPRO_OVERLOAD=0`` dispatch is the unprotected PR-7/8
-server bit-for-bit.
+Every request takes this one path. A single-session reference is a plain
+:class:`~repro.core.session.CopyCatSession` over ``base.fork_catalog()``
+with private tiers; an unprotected reference is this manager under
+``OVERLOAD.unbounded()``, which sets every limit out of reach.
 """
 
 from __future__ import annotations
@@ -84,9 +83,8 @@ class _Request:
     future: "Future[Any]"
     deadline: Deadline | None = None
     enqueued: float = 0.0
-    #: True when admission counted this request against the inflight
-    #: watermark (pooled dispatch only) — it must be released exactly once.
-    tracked: bool = False
+    #: True while the request holds an inflight slot; released exactly once.
+    tracked: bool = True
 
 
 def _set_event() -> threading.Event:
@@ -221,9 +219,8 @@ class SessionManager:
         """Register a new entry for the tenant (caller holds the registry
         lock); returns it and the LRU victims it pushed out."""
         seed = seed_for(self.seed, tenant_id)
-        tiers = self.base.tiers if SERVER.enabled else None
         session = self._session_factory(
-            catalog=self.base.fork_catalog(), seed=seed, cache_tiers=tiers
+            catalog=self.base.fork_catalog(), seed=seed, cache_tiers=self.base.tiers
         )
         if self.store is not None:
             # Recover-on-attach: load this tenant's snapshot and replay its
@@ -378,7 +375,7 @@ class SessionManager:
             depth = len(entry.queue)
             if cfg.rate > 0:
                 bucket = entry.bucket
-                if bucket is None or bucket.rate != cfg.rate:
+                if bucket is None or not bucket.built_for(cfg.rate, cfg.burst):
                     bucket = entry.bucket = TokenBucket(cfg.rate, cfg.burst, now)
                 admitted_by_bucket = bucket.try_acquire(now)
                 bucket_retry = bucket.retry_after_ms()
@@ -414,35 +411,22 @@ class SessionManager:
         """Run ``fn(session)`` for the tenant; returns a Future.
 
         Requests for one tenant execute FIFO (a session is single-threaded
-        state); requests across tenants run concurrently on the pool. With
-        the server disabled, the call runs inline on the calling thread and
-        the returned future is already resolved.
+        state); requests across tenants run concurrently on the pool.
 
-        ``deadline_ms`` (overload layer on) starts the request's budget
-        *now* — queue wait included. An expired request is shed at dequeue
-        without running; one that expires mid-run aborts at the next
-        cooperative checkpoint. Either way the future raises
+        ``deadline_ms`` starts the request's budget *now* — queue wait
+        included. An expired request is shed at dequeue without running;
+        one that expires mid-run aborts at the next cooperative
+        checkpoint. Either way the future raises
         :class:`~repro.server.overload.RequestExpired`. A submit refused
         by admission control raises
         :class:`~repro.server.overload.Overloaded` synchronously.
         """
         entry = self._entry(tenant_id)
-        protected = OVERLOAD.enabled
         deadline = (
-            Deadline(deadline_ms, clock=self._clock)
-            if (protected and deadline_ms is not None)
-            else None
+            Deadline(deadline_ms, clock=self._clock) if deadline_ms is not None else None
         )
         future: "Future[Any]" = Future()
-        if not SERVER.enabled:
-            with self._counters_lock:
-                self.requests += 1
-            if METRICS.enabled:
-                METRICS.inc("server.requests")
-            self._execute(entry, _Request(fn=fn, future=future, deadline=deadline))
-            return future
-        if protected:
-            self._admit(entry)
+        self._admit(entry)
         with self._counters_lock:
             if RACECHECK.enabled:
                 TRACKER.note_access("SessionManager._inflight", self)
@@ -451,10 +435,7 @@ class SessionManager:
         if METRICS.enabled:
             METRICS.inc("server.requests")
             METRICS.gauge("overload.inflight", float(self.inflight))
-        request = _Request(
-            fn=fn, future=future, deadline=deadline,
-            enqueued=self._clock(), tracked=True,
-        )
+        request = _Request(fn=fn, future=future, deadline=deadline, enqueued=self._clock())
         while True:
             with entry.lock:
                 # A retired entry takes only its own requests' submits (its
@@ -506,11 +487,11 @@ class SessionManager:
             self._strand_queue(entry)
 
     def _drain(self, entry: _Entry) -> None:
-        """Worker task: run queued requests FIFO, then park — or, with the
-        overload layer on, yield the worker after ``drr_quantum`` requests
+        """Worker task: run queued requests FIFO, then park — or, with a
+        positive ``drr_quantum``, yield the worker after that many requests
         and requeue itself so other tenants' drains interleave (deficit
         round-robin; the pool's FIFO makes the rotation fair)."""
-        quantum = OVERLOAD.drr_quantum if OVERLOAD.enabled else 0
+        quantum = OVERLOAD.drr_quantum
         if quantum > 0:
             with entry.lock:
                 entry.deficit += quantum
@@ -528,11 +509,7 @@ class SessionManager:
                 # Quantum spent with work left: go to the back of the line.
                 self._schedule_drain(entry)
                 return
-            if (
-                OVERLOAD.enabled
-                and request.deadline is not None
-                and request.deadline.expired
-            ):
+            if request.deadline is not None and request.deadline.expired:
                 self._shed_expired(entry, request)
                 continue
             with entry.lock:
@@ -653,14 +630,10 @@ class SessionManager:
         self._touch(entry)
         with entry.lock:
             entry.running_on = threading.get_ident()
-        protected = OVERLOAD.enabled and SERVER.enabled
         started = self._clock()
-        if protected:
-            if METRICS.enabled and request.tracked:
-                METRICS.observe(
-                    "overload.queue_wait_ms", (started - request.enqueued) * 1000.0
-                )
-            self._apply_service_level(entry)
+        if METRICS.enabled:
+            METRICS.observe("overload.queue_wait_ms", (started - request.enqueued) * 1000.0)
+        self._apply_service_level(entry)
         try:
             with METRICS.timer("server.request_ms"):
                 try:
@@ -689,8 +662,7 @@ class SessionManager:
             with entry.lock:
                 entry.running_on = None
             self._request_done(request)
-            if protected:
-                self._observe_load(started)
+            self._observe_load(started)
 
     def _observe_load(self, started: float) -> None:
         """Feed the brownout controller; act on a level transition."""

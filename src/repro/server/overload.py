@@ -33,8 +33,10 @@ This module holds the four mechanisms the
   reuse, cache-tier shrink, dependent-join calls degraded through the
   resilience path), recovering with the same hysteresis.
 
-Everything is gated on ``OVERLOAD.enabled`` (``REPRO_OVERLOAD=0``), under
-which dispatch reproduces the unprotected server bit-for-bit.
+All four are always on. Each limit is a knob in
+:data:`~repro.server.config.OVERLOAD`, and a limit set out of reach
+(``shed_soft=1.0``, ``rate=0.0``, ``drr_quantum=0``, ...) never fires,
+which is how the storm benchmark builds its unprotected reference leg.
 """
 
 from __future__ import annotations
@@ -161,14 +163,12 @@ def shielded_deadline():
 def check_deadline(checkpoint: str) -> None:
     """Cooperative cancellation point: raise once the budget is spent.
 
-    A no-op when no deadline is in scope or the overload layer is off, so
-    sprinkling checkpoints through evaluation loops costs one thread-local
-    read on the common path.
+    A no-op when no deadline is in scope, so sprinkling checkpoints
+    through evaluation loops costs one thread-local read on the common
+    path.
     """
     deadline = getattr(_TLS, "deadline", None)
-    if deadline is None or not OVERLOAD.enabled:
-        return
-    if deadline.expired:
+    if deadline is not None and deadline.expired:
         if METRICS.enabled:
             METRICS.inc("overload.canceled")
         raise RequestExpired(
@@ -195,6 +195,10 @@ class TokenBucket:
         self.burst = float(max(1, burst))
         self.tokens = self.burst
         self.stamp = now
+
+    def built_for(self, rate: float, burst: int) -> bool:
+        """True when the bucket was built from these knob values."""
+        return self.rate == rate and self.burst == max(1, burst)
 
     def try_acquire(self, now: float) -> bool:
         if self.rate <= 0:
@@ -255,10 +259,9 @@ class LoadController:
     regime's latencies don't vote on the new one.
     """
 
-    def __init__(self, config=None):
-        self._config = config if config is not None else OVERLOAD
+    def __init__(self):
         self._lock = make_lock("LoadController._lock")
-        self._window: deque[float] = deque(maxlen=max(4, self._config.brownout_window))
+        self._window: deque[float] = deque(maxlen=max(4, OVERLOAD.brownout_window))
         self._streak = 0
         self.level = LEVEL_NORMAL
         self.entered = 0
@@ -274,7 +277,7 @@ class LoadController:
 
     def observe(self, latency_ms: float, pressure: float) -> str | None:
         """Fold one observation in; ``"enter"``/``"exit"`` on a transition."""
-        cfg = self._config
+        cfg = OVERLOAD
         with self._lock:
             if RACECHECK.enabled:
                 TRACKER.note_access("LoadController._window", self)

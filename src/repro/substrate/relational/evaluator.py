@@ -49,7 +49,6 @@ from ...errors import (
 from ...obs import METRICS
 from ...provenance.expressions import Provenance, Var, plus, times
 from ...resilience.degrade import Degradation, degraded_source
-from ...server.config import OVERLOAD
 from ...server.overload import LEVEL_NORMAL, check_deadline
 from .algebra import (
     DependentJoin,
@@ -553,7 +552,7 @@ class Evaluator:
             # of a queue of service round-trips. The level cannot change
             # mid-run (it is set between requests inside the tenant's
             # serialized stream).
-            browned_out = OVERLOAD.enabled and ev.service_level != LEVEL_NORMAL
+            browned_out = ev.service_level != LEVEL_NORMAL
             for i in range(batch.n_rows):
                 # Cooperative cancellation every 64 rows: cheap enough for
                 # the batch loop, fine-grained enough to stop abandoned work.

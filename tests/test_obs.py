@@ -392,7 +392,7 @@ class TestSummary:
                 for name in printed
             }
             histograms = sorted(METRICS.snapshot()["histograms"])
-            with CACHE.disabled("blocking"), SERVER.disabled():
+            with CACHE.disabled("blocking"), SERVER.overridden(workers=2):
                 knobs = render_summary()[-1]
         finally:
             obs.disable()
@@ -411,4 +411,4 @@ class TestSummary:
         assert printed == expected
         assert printed["session.pastes"] == 2
         assert [line.split()[1].rstrip(":") for line in lines if line.startswith("histogram ")] == histograms
-        assert "REPRO_CACHE_BLOCKING=False" in knobs and "REPRO_SERVER=False" in knobs
+        assert "REPRO_CACHE_BLOCKING=False" in knobs and "REPRO_SERVER_WORKERS=2" in knobs

@@ -20,8 +20,9 @@ Contracts under test:
   service with hysteresis: standing suggestion batches are reused,
   dependent-join service calls shed through the resilience degradation
   path, cache tiers shrink; recovery restores all of it;
-- **REPRO_OVERLOAD=0** — dispatch reproduces the unprotected server
-  bit-for-bit: no admission, no deadlines, no brownout.
+- **unbounded knobs** — with every limit out of reach
+  (``OVERLOAD.unbounded()``) dispatch never sheds and requests without a
+  ``deadline_ms`` never expire; outputs match the default-knob server.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from repro.server import (
     Overloaded,
     RequestExpired,
     SessionManager,
-    SessionError,
     SharedBase,
     ShedPolicy,
     TokenBucket,
@@ -60,15 +60,6 @@ from repro.substrate.relational import (
     Scan,
     schema_of,
 )
-
-
-@pytest.fixture(autouse=True)
-def _overload_enabled():
-    """Keep the protection contracts testable under the CI parity leg
-    (``REPRO_OVERLOAD=0`` tier-1 run): force the layer on here; the
-    disabled-path tests below re-disable it explicitly."""
-    with OVERLOAD.overridden(enabled=True):
-        yield
 
 
 def small_catalog() -> Catalog:
@@ -265,14 +256,6 @@ class TestDeadlinePropagation:
             with pytest.raises(RequestExpired):
                 check_deadline("outside shield")
 
-    def test_disabled_layer_never_cancels(self):
-        now = [0.0]
-        deadline = Deadline(10.0, clock=lambda: now[0])
-        now[0] = 5.0
-        with OVERLOAD.disabled():
-            with deadline_scope(deadline):
-                check_deadline("anywhere")  # expired but layer off
-
     def test_evaluator_aborts_an_expired_run(self):
         session = CopyCatSession(catalog=small_catalog())
         now = [0.0]
@@ -317,7 +300,7 @@ class TestDeadlinePropagation:
 class TestAdmission:
     def test_queue_bound_sheds_with_retry_hint(self):
         gate = Gate()
-        with SERVER.overridden(enabled=True, workers=1):
+        with SERVER.overridden(workers=1):
             with OVERLOAD.overridden(queue_depth=2):
                 with SessionManager(SharedBase(small_catalog())) as manager:
                     blocked = manager.submit("a", gate)
@@ -336,7 +319,7 @@ class TestAdmission:
 
     def test_inflight_watermark_sheds_server_wide(self):
         gate = Gate()
-        with SERVER.overridden(enabled=True, workers=1):
+        with SERVER.overridden(workers=1):
             with OVERLOAD.overridden(max_inflight=2):
                 with SessionManager(SharedBase(small_catalog())) as manager:
                     first = manager.submit("a", gate)
@@ -354,26 +337,41 @@ class TestAdmission:
 
     def test_token_bucket_sheds_per_tenant(self):
         now = [0.0]
-        with SERVER.overridden(enabled=True):
-            with OVERLOAD.overridden(rate=1.0, burst=2):
-                with manager_with_clock(now) as manager:
-                    futures = [manager.submit("a", lambda s: "ok") for _ in range(2)]
-                    with pytest.raises(Overloaded) as err:
-                        manager.submit("a", lambda s: "over")
-                    assert err.value.reason == "rate"
-                    assert err.value.retry_after_ms >= 1.0
-                    # Another tenant has its own bucket.
-                    assert manager.call("b", lambda s: "fresh") == "fresh"
-                    # Time refills tenant a.
-                    now[0] = 5.0
-                    assert manager.call("a", lambda s: "refilled") == "refilled"
-                    assert all(f.result(timeout=5.0) == "ok" for f in futures)
+        with OVERLOAD.overridden(rate=1.0, burst=2):
+            with manager_with_clock(now) as manager:
+                futures = [manager.submit("a", lambda s: "ok") for _ in range(2)]
+                with pytest.raises(Overloaded) as err:
+                    manager.submit("a", lambda s: "over")
+                assert err.value.reason == "rate"
+                assert err.value.retry_after_ms >= 1.0
+                # Another tenant has its own bucket.
+                assert manager.call("b", lambda s: "fresh") == "fresh"
+                # Time refills tenant a.
+                now[0] = 5.0
+                assert manager.call("a", lambda s: "refilled") == "refilled"
+                assert all(f.result(timeout=5.0) == "ok" for f in futures)
+
+    def test_token_bucket_rebuilds_when_burst_changes(self):
+        now = [0.0]
+        with manager_with_clock(now) as manager:
+            with OVERLOAD.overridden(rate=0.001, burst=1):
+                assert manager.call("a", lambda s: "ok") == "ok"  # bucket now empty
+            admitted = 0
+            with OVERLOAD.overridden(rate=0.001, burst=5):
+                for _ in range(6):
+                    try:
+                        manager.call("a", lambda s: None)
+                        admitted += 1
+                    except Overloaded as exc:
+                        assert exc.reason == "rate"
+        # A fresh bucket at the new burst, not the drained one at burst=1.
+        assert admitted == 5
 
     def test_early_shed_is_seeded_deterministic(self):
         def shed_indices(seed):
             gate = Gate()
             indices = []
-            with SERVER.overridden(enabled=True, workers=1):
+            with SERVER.overridden(workers=1):
                 with OVERLOAD.overridden(
                     max_inflight=64, shed_soft=0.1, queue_depth=10_000, shed_seed=seed
                 ):
@@ -399,7 +397,7 @@ class TestAdmission:
     def test_sheds_are_synchronous_and_never_execute(self):
         ran = []
         gate = Gate()
-        with SERVER.overridden(enabled=True, workers=1):
+        with SERVER.overridden(workers=1):
             with OVERLOAD.overridden(queue_depth=1):
                 with SessionManager(SharedBase(small_catalog())) as manager:
                     blocked = manager.submit("a", gate)
@@ -417,7 +415,7 @@ class TestDeadlineDispatch:
     def test_expired_in_queue_is_shed_at_dequeue(self):
         gate = Gate()
         now = [0.0]
-        with SERVER.overridden(enabled=True, workers=1):
+        with SERVER.overridden(workers=1):
             with manager_with_clock(now) as manager:
                 blocked = manager.submit("a", gate)
                 assert gate.entered.wait(timeout=5.0)
@@ -438,43 +436,40 @@ class TestDeadlineDispatch:
 
     def test_mid_run_expiry_aborts_at_a_checkpoint(self):
         now = [0.0]
-        with SERVER.overridden(enabled=True):
-            with manager_with_clock(now) as manager:
-                def slow(session):
-                    now[0] += 10.0  # the request "takes" 10s
-                    check_deadline("request.body")
-                    return "finished"
+        with manager_with_clock(now) as manager:
+            def slow(session):
+                now[0] += 10.0  # the request "takes" 10s
+                check_deadline("request.body")
+                return "finished"
 
-                with pytest.raises(RequestExpired) as err:
-                    manager.call("a", slow, deadline_ms=100.0)
-                assert err.value.checkpoint == "request.body"
-                assert manager.requests_canceled == 1
-                assert manager.request_errors == 0  # cancellation is not a bug
-                # The worker and session survive.
-                assert manager.call("a", lambda s: "ok") == "ok"
+            with pytest.raises(RequestExpired) as err:
+                manager.call("a", slow, deadline_ms=100.0)
+            assert err.value.checkpoint == "request.body"
+            assert manager.requests_canceled == 1
+            assert manager.request_errors == 0  # cancellation is not a bug
+            # The worker and session survive.
+            assert manager.call("a", lambda s: "ok") == "ok"
 
     def test_deadline_covers_real_evaluation(self):
         now = [0.0]
-        with SERVER.overridden(enabled=True):
-            with manager_with_clock(now) as manager:
-                def query_after_delay(session):
-                    now[0] += 10.0
-                    return session.engine.run(Scan("Cities"))
+        with manager_with_clock(now) as manager:
+            def query_after_delay(session):
+                now[0] += 10.0
+                return session.engine.run(Scan("Cities"))
 
-                with pytest.raises(RequestExpired) as err:
-                    manager.call("a", query_after_delay, deadline_ms=100.0)
-                assert err.value.checkpoint == "evaluator.run"
+            with pytest.raises(RequestExpired) as err:
+                manager.call("a", query_after_delay, deadline_ms=100.0)
+            assert err.value.checkpoint == "evaluator.run"
 
     def test_no_deadline_means_no_cancellation(self):
         now = [0.0]
-        with SERVER.overridden(enabled=True):
-            with manager_with_clock(now) as manager:
-                def slow(session):
-                    now[0] += 1000.0
-                    check_deadline("request.body")
-                    return "finished"
+        with manager_with_clock(now) as manager:
+            def slow(session):
+                now[0] += 1000.0
+                check_deadline("request.body")
+                return "finished"
 
-                assert manager.call("a", slow) == "finished"
+            assert manager.call("a", slow) == "finished"
 
 
 # ------------------------------------------------------------------ fairness
@@ -492,7 +487,7 @@ class TestFairness:
             return fn
 
         gate = Gate()
-        with SERVER.overridden(enabled=True, workers=1):
+        with SERVER.overridden(workers=1):
             with OVERLOAD.overridden(drr_quantum=4, queue_depth=10_000):
                 with SessionManager(SharedBase(small_catalog())) as manager:
                     blocked = manager.submit("a", gate)
@@ -509,7 +504,7 @@ class TestFairness:
 
     def test_fifo_preserved_within_a_tenant_across_turns(self):
         seen = []
-        with SERVER.overridden(enabled=True, workers=2):
+        with SERVER.overridden(workers=2):
             with OVERLOAD.overridden(drr_quantum=2):
                 with SessionManager(SharedBase(small_catalog())) as manager:
                     futures = [
@@ -536,7 +531,7 @@ class TestBrownout:
 
     def test_sustained_latency_enters_brownout(self):
         now = [0.0]
-        with SERVER.overridden(enabled=True, workers=1):
+        with SERVER.overridden(workers=1):
             with OVERLOAD.overridden(
                 brownout_window=4, brownout_hold=2, brownout_p95_ms=100.0
             ):
@@ -552,7 +547,7 @@ class TestBrownout:
 
     def test_recovery_restores_service_and_tiers(self):
         now = [0.0]
-        with SERVER.overridden(enabled=True, workers=1):
+        with SERVER.overridden(workers=1):
             with OVERLOAD.overridden(
                 brownout_window=4, brownout_hold=2, brownout_p95_ms=100.0,
                 brownout_exit=0.9,
@@ -643,58 +638,48 @@ class TestBrownout:
 
 # ----------------------------------------------------------- disabled parity
 class TestOverloadDisabled:
+    """The unprotected reference: every limit out of reach (``OVERLOAD.unbounded()``)."""
+
     def served_values(self, manager):
         return manager.call(
             "t", lambda s: [r.values for r, _ in s.engine.run(Scan("Cities"))]
         )
 
     def test_disabled_matches_enabled_on_a_normal_workload(self):
-        with SERVER.overridden(enabled=True):
+        with SessionManager(SharedBase(small_catalog()), seed=3) as manager:
+            protected = self.served_values(manager)
+        with OVERLOAD.unbounded():
             with SessionManager(SharedBase(small_catalog()), seed=3) as manager:
-                protected = self.served_values(manager)
-            with OVERLOAD.disabled():
-                with SessionManager(SharedBase(small_catalog()), seed=3) as manager:
-                    unprotected = self.served_values(manager)
+                unprotected = self.served_values(manager)
         assert protected == unprotected
 
     def test_disabled_never_sheds_or_cancels(self):
         gate = Gate()
         now = [0.0]
-        with SERVER.overridden(enabled=True, workers=1):
-            with OVERLOAD.disabled():
-                with OVERLOAD.overridden(queue_depth=1, max_inflight=1):
-                    with manager_with_clock(now) as manager:
-                        blocked = manager.submit("a", gate)
-                        assert gate.entered.wait(timeout=5.0)
-                        # Way past every bound — still admitted.
-                        futures = [
-                            manager.submit("a", lambda s: "ok", deadline_ms=1.0)
-                            for _ in range(8)
-                        ]
-                        now[0] = 100.0  # any deadline would be long expired
-                        gate.release.set()
-                        assert blocked.result(timeout=5.0) == "gated"
-                        assert [f.result(timeout=5.0) for f in futures] == ["ok"] * 8
-                        assert manager.requests_shed == 0
-                        assert manager.requests_expired == 0
-                        assert manager.requests_canceled == 0
-
-    def test_disabled_session_ignores_brownout_reuse(self):
-        with OVERLOAD.disabled():
-            session = CopyCatSession(catalog=small_catalog())
-            session._column_suggestions = ["stale"]  # noqa: SLF001
-            session.set_service_level("degraded")
-            # Reuse path is gated off: the normal signature logic runs and,
-            # with no integration underway, fails loudly instead.
-            with pytest.raises(FeedbackError):
-                session.column_suggestions()
+        with SERVER.overridden(workers=1), OVERLOAD.unbounded():
+            with manager_with_clock(now) as manager:
+                blocked = manager.submit("a", gate)
+                assert gate.entered.wait(timeout=5.0)
+                # Far past every default bound — still admitted, and with
+                # no deadline_ms nothing can expire while it waits.
+                futures = [manager.submit("a", lambda s: "ok") for _ in range(200)]
+                assert manager.queue_depths()["a"] == 200
+                now[0] = 1e6
+                gate.release.set()
+                assert blocked.result(timeout=5.0) == "gated"
+                assert [f.result(timeout=5.0) for f in futures] == ["ok"] * 200
+                stats = manager.stats()["overload"]
+        assert manager.requests_shed == 0
+        assert manager.requests_expired == 0
+        assert manager.requests_canceled == 0
+        assert stats["level"] == "normal" and stats["brownout_entered"] == 0
 
 
 # -------------------------------------------------------------- stats & obs
 class TestStatsAndObs:
     def test_stats_line_from_manager(self):
         gate = Gate()
-        with SERVER.overridden(enabled=True, workers=1):
+        with SERVER.overridden(workers=1):
             with OVERLOAD.overridden(queue_depth=1):
                 with SessionManager(SharedBase(small_catalog())) as manager:
                     blocked = manager.submit("a", gate)
@@ -710,12 +695,12 @@ class TestStatsAndObs:
 
     def test_stats_line_from_metrics_and_disabled_marker(self):
         assert any(line.startswith("overload: brownout_entered=") for line in render_summary())
-        with OVERLOAD.disabled():
-            assert "REPRO_OVERLOAD=False" in render_summary()[-1]
+        with OVERLOAD.overridden(queue_depth=7):
+            assert "REPRO_SERVER_QUEUE_DEPTH=7" in render_summary()[-1]
 
     def test_server_stats_line_includes_shed_count(self):
         gate = Gate()
-        with SERVER.overridden(enabled=True, workers=1):
+        with SERVER.overridden(workers=1):
             with OVERLOAD.overridden(queue_depth=1):
                 with SessionManager(SharedBase(small_catalog())) as manager:
                     blocked = manager.submit("a", gate)
@@ -733,7 +718,7 @@ class TestStatsAndObs:
         METRICS.reset()
         try:
             gate = Gate()
-            with SERVER.overridden(enabled=True, workers=1):
+            with SERVER.overridden(workers=1):
                 with OVERLOAD.overridden(queue_depth=1):
                     with SessionManager(SharedBase(small_catalog())) as manager:
                         blocked = manager.submit("a", gate)
@@ -764,7 +749,7 @@ class TestStatsAndObs:
 class TestIntrospection:
     def test_queue_depths_snapshot(self):
         gate = Gate()
-        with SERVER.overridden(enabled=True, workers=1):
+        with SERVER.overridden(workers=1):
             with SessionManager(SharedBase(small_catalog())) as manager:
                 blocked = manager.submit("a", gate)
                 assert gate.entered.wait(timeout=5.0)
@@ -779,7 +764,7 @@ class TestIntrospection:
 
     def test_inflight_tracks_admitted_work(self):
         gate = Gate()
-        with SERVER.overridden(enabled=True, workers=1):
+        with SERVER.overridden(workers=1):
             with SessionManager(SharedBase(small_catalog())) as manager:
                 assert manager.inflight == 0
                 blocked = manager.submit("a", gate)

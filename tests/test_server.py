@@ -12,8 +12,9 @@ Contracts under test:
 - **dispatch** — per-tenant FIFO, per-tenant deterministic seeding
   (label-only, independent of creation order), exceptions propagate
   through futures without killing the pool;
-- **REPRO_SERVER=0** — the manager keeps its API but runs inline with
-  private tiers: plain pre-server behavior.
+- **plain-session parity** — a tenant served through the pool on shared
+  tiers sees exactly what a plain ``CopyCatSession`` seeded the same way
+  sees.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ class TestCacheTiers:
 
 class TestLifecycle:
     def test_lru_eviction_past_max_sessions(self):
-        with SERVER.overridden(enabled=True, max_sessions=2):
+        with SERVER.overridden(max_sessions=2):
             with SessionManager(SharedBase(small_catalog())) as manager:
                 manager.session("a")
                 manager.session("b")
@@ -120,7 +121,7 @@ class TestLifecycle:
 
     def test_idle_ttl_expiry_with_injected_clock(self):
         now = [0.0]
-        with SERVER.overridden(enabled=True, idle_ttl=10.0):
+        with SERVER.overridden(idle_ttl=10.0):
             manager = SessionManager(SharedBase(small_catalog()), clock=lambda: now[0])
             manager.session("a")
             now[0] = 5.0
@@ -173,7 +174,7 @@ class TestDispatch:
             assert n == 6
 
     def test_fifo_order_within_a_tenant(self):
-        with SERVER.overridden(enabled=True, workers=4):
+        with SERVER.overridden(workers=4):
             with SessionManager(SharedBase(small_catalog())) as manager:
                 seen: list[int] = []
                 futures = [
@@ -184,22 +185,20 @@ class TestDispatch:
                 assert seen == list(range(20))
 
     def test_exceptions_propagate_and_pool_survives(self):
-        with SERVER.overridden(enabled=True):
-            with SessionManager(SharedBase(small_catalog())) as manager:
-                def boom(session):
-                    raise ValueError("bad request")
-                with pytest.raises(ValueError, match="bad request"):
-                    manager.call("a", boom)
-                assert manager.request_errors == 1
-                assert manager.call("a", lambda s: "ok") == "ok"
+        with SessionManager(SharedBase(small_catalog())) as manager:
+            def boom(session):
+                raise ValueError("bad request")
+            with pytest.raises(ValueError, match="bad request"):
+                manager.call("a", boom)
+            assert manager.request_errors == 1
+            assert manager.call("a", lambda s: "ok") == "ok"
 
     def test_sessions_share_the_base_tiers_when_enabled(self):
-        with SERVER.overridden(enabled=True):
-            with SessionManager(SharedBase(small_catalog())) as manager:
-                a = manager.session("a")
-                b = manager.session("b")
-                assert a.engine._evaluator.tiers is manager.base.tiers
-                assert b.engine._evaluator.tiers is manager.base.tiers
+        with SessionManager(SharedBase(small_catalog())) as manager:
+            a = manager.session("a")
+            b = manager.session("b")
+            assert a.engine._evaluator.tiers is manager.base.tiers
+            assert b.engine._evaluator.tiers is manager.base.tiers
 
     def test_stats_include_tier_stats(self):
         with SessionManager(SharedBase(small_catalog())) as manager:
@@ -226,7 +225,7 @@ class TestDispatchEdgeCases:
 
     def test_cancel_before_run_skips_the_work(self):
         ran = []
-        with SERVER.overridden(enabled=True, workers=1):
+        with SERVER.overridden(workers=1):
             with SessionManager(SharedBase(small_catalog())) as manager:
                 blocked, release = self._blocked(manager)
                 doomed = manager.submit("a", lambda s: ran.append(True))
@@ -250,7 +249,7 @@ class TestDispatchEdgeCases:
 
     def test_shutdown_strands_queued_futures(self):
         """Futures still queued when the pool stops must fail, not hang."""
-        with SERVER.overridden(enabled=True, workers=1):
+        with SERVER.overridden(workers=1):
             manager = SessionManager(SharedBase(small_catalog()))
             blocked, release = self._blocked(manager)
             queued = [manager.submit("a", lambda s: "never") for _ in range(3)]
@@ -274,7 +273,7 @@ class TestDispatchEdgeCases:
     def test_racing_submits_never_double_drain(self):
         """8 threads submitting to one tenant: every request runs exactly
         once, FIFO per submitting thread, with a coherent final count."""
-        with SERVER.overridden(enabled=True, workers=4), OVERLOAD.overridden(
+        with SERVER.overridden(workers=4), OVERLOAD.overridden(
             queue_depth=1000
         ):
             with SessionManager(SharedBase(small_catalog())) as manager:
@@ -309,7 +308,7 @@ class TestDispatchEdgeCases:
                 assert manager.inflight == 0
 
     def test_stats_are_coherent_under_concurrent_load(self):
-        with SERVER.overridden(enabled=True, workers=8):
+        with SERVER.overridden(workers=8):
             with SessionManager(SharedBase(small_catalog())) as manager:
                 barrier = threading.Barrier(8)
 
@@ -341,22 +340,21 @@ class TestDispatchEdgeCases:
     def test_interrupt_reraises_after_failing_the_future(self):
         """KeyboardInterrupt/SystemExit propagate to the caller through the
         future *and* are re-raised on the worker (never swallowed)."""
-        with SERVER.overridden(enabled=True):
-            with SessionManager(SharedBase(small_catalog())) as manager:
-                def interrupt(session):
-                    raise KeyboardInterrupt("operator hit ^C")
+        with SessionManager(SharedBase(small_catalog())) as manager:
+            def interrupt(session):
+                raise KeyboardInterrupt("operator hit ^C")
 
-                future = manager.submit("a", interrupt)
-                with pytest.raises(KeyboardInterrupt):
-                    future.result(timeout=5.0)
-                assert manager.request_errors == 1
-                # The pool survives one interrupted worker thread.
-                assert manager.call("a", lambda s: "alive") == "alive"
+            future = manager.submit("a", interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                future.result(timeout=5.0)
+            assert manager.request_errors == 1
+            # The pool survives one interrupted worker thread.
+            assert manager.call("a", lambda s: "alive") == "alive"
 
     def test_busy_tenant_is_not_the_lru_victim(self):
         """Satellite fix: dispatch must refresh LRU *order*, not just the
         timestamp — the busiest tenant was previously evictable."""
-        with SERVER.overridden(enabled=True, max_sessions=2):
+        with SERVER.overridden(max_sessions=2):
             with SessionManager(SharedBase(small_catalog())) as manager:
                 manager.call("busy", lambda s: None)
                 manager.session("idle")
@@ -368,29 +366,18 @@ class TestDispatchEdgeCases:
 
 
 class TestServerDisabled:
-    def test_disabled_runs_inline_with_private_tiers(self):
-        with SERVER.disabled():
-            with SessionManager(SharedBase(small_catalog())) as manager:
-                future = manager.submit("a", lambda s: len(s.engine.run(Scan("Cities"))))
-                assert future.done()  # resolved inline, no pool involved
-                assert future.result() == 6
-                session = manager.session("a")
-                assert session.engine._evaluator.tiers is not manager.base.tiers
-                assert manager._pool is None
-
     def test_disabled_matches_plain_session(self):
-        with SERVER.disabled():
-            with SessionManager(SharedBase(small_catalog()), seed=3) as manager:
-                served = manager.call(
-                    "t", lambda s: [r.values for r, _ in s.engine.run(Scan("Cities"))]
-                )
+        with SessionManager(SharedBase(small_catalog()), seed=3) as manager:
+            served = manager.call(
+                "t", lambda s: [r.values for r, _ in s.engine.run(Scan("Cities"))]
+            )
         plain = CopyCatSession(catalog=small_catalog(), seed=seed_for(3, "t"))
         direct = [r.values for r, _ in plain.engine.run(Scan("Cities"))]
         assert served == direct
 
     def test_stats_line_mentions_disabled(self):
-        with SERVER.disabled():
-            assert "REPRO_SERVER=False" in render_summary()[-1]
+        with SERVER.overridden(workers=2):
+            assert "REPRO_SERVER_WORKERS=2" in render_summary()[-1]
 
     def test_stats_line_with_manager(self):
         with SessionManager(SharedBase(small_catalog())) as manager:
@@ -402,7 +389,7 @@ class TestServerDisabled:
 class TestConfig:
     def test_snapshot_and_overridden(self):
         snap = SERVER.snapshot()
-        assert set(snap) == {"enabled", "workers", "max_sessions", "idle_ttl"}
+        assert set(snap) == {"workers", "max_sessions", "idle_ttl"}
         with SERVER.overridden(workers=2):
             assert SERVER.workers == 2
         assert SERVER.workers == snap["workers"]

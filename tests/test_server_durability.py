@@ -83,7 +83,7 @@ class TestEvictThrough:
 
     def test_lru_eviction_no_longer_loses_state(self, tmp_path):
         world = build_world()
-        with SERVER.overridden(enabled=True, max_sessions=2):
+        with SERVER.overridden(max_sessions=2):
             with manager_over(world, root=tmp_path) as manager:
                 live = drive_tenant(manager, world, "alice")
                 manager.session("bob")
@@ -94,7 +94,7 @@ class TestEvictThrough:
     def test_idle_ttl_expiry_checkpoints_through(self, tmp_path):
         world = build_world()
         now = [0.0]
-        with SERVER.overridden(enabled=True, idle_ttl=10.0):
+        with SERVER.overridden(idle_ttl=10.0):
             manager = manager_over(world, root=tmp_path, clock=lambda: now[0])
             live = drive_tenant(manager, world, "alice")
             now[0] = 30.0
@@ -105,7 +105,7 @@ class TestEvictThrough:
     def test_a_failing_checkpoint_does_not_strand_the_other_evictions(self, tmp_path):
         world = build_world()
         now = [0.0]
-        with SERVER.overridden(enabled=True, idle_ttl=10.0):
+        with SERVER.overridden(idle_ttl=10.0):
             manager = manager_over(world, root=tmp_path, clock=lambda: now[0])
             alice = manager.session("alice")
             live_bob = drive_tenant(manager, world, "bob", n_extra=0)
@@ -156,25 +156,24 @@ class TestEvictThrough:
 
     def test_recovered_tenant_shares_the_base_and_the_tiers(self, tmp_path):
         world = build_world()
-        with SERVER.overridden(enabled=True):
-            with manager_over(world, root=tmp_path) as manager:
-                drive_tenant(manager, world, "alice")
-                evicted = manager.session("alice")
-                manager.evict("alice")
-                restored = manager.session("alice")
-                assert restored is not evicted
-                base, tiers = manager.base.catalog, manager.base.tiers
-                evaluator = restored.engine._evaluator
-                assert evaluator.tiers is tiers
-                assert evaluator.plan_cache is tiers.plan
-                assert restored.catalog._base is base
-                for name in base.relation_names():
-                    assert restored.catalog.relation(name) is base.relation(name)
-                for name in base.service_names():
-                    assert restored.catalog.service(name) is base.service(name)
-                # The evicted object may live on in memory: it must never
-                # address the recovered tenant's cache entries.
-                assert restored.catalog.cache_scope != evicted.catalog.cache_scope
+        with manager_over(world, root=tmp_path) as manager:
+            drive_tenant(manager, world, "alice")
+            evicted = manager.session("alice")
+            manager.evict("alice")
+            restored = manager.session("alice")
+            assert restored is not evicted
+            base, tiers = manager.base.catalog, manager.base.tiers
+            evaluator = restored.engine._evaluator
+            assert evaluator.tiers is tiers
+            assert evaluator.plan_cache is tiers.plan
+            assert restored.catalog._base is base
+            for name in base.relation_names():
+                assert restored.catalog.relation(name) is base.relation(name)
+            for name in base.service_names():
+                assert restored.catalog.service(name) is base.service(name)
+            # The evicted object may live on in memory: it must never
+            # address the recovered tenant's cache entries.
+            assert restored.catalog.cache_scope != evicted.catalog.cache_scope
 
     def test_snapshot_holds_no_base_rows(self, tmp_path):
         def snapshot_bytes(rows):
@@ -196,7 +195,7 @@ class TestEvictThrough:
         """Evicting a tenant while one of its recorded actions is blocked
         mid-body snapshots the state after that action completes."""
         world = build_world()
-        with SERVER.overridden(enabled=True, workers=2):
+        with SERVER.overridden(workers=2):
             with manager_over(world, root=tmp_path) as manager:
                 drive_tenant(manager, world, "alice")
                 session = manager.session("alice")
@@ -240,7 +239,7 @@ class TestEvictionStress:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with SERVER.overridden(enabled=True, workers=8), OVERLOAD.overridden(enabled=False):
+            with SERVER.overridden(workers=8), OVERLOAD.unbounded():
                 with DURABILITY.overridden(checkpoint_interval=7):
                     with manager_over(build_world(), root=tmp_path) as manager:
                         stop = threading.Event()
@@ -317,8 +316,8 @@ class TestOverloadDurability:
         no trace in the write-ahead log — replay sees only admitted work."""
         world = build_world()
         # The default interval: no checkpoint empties the history mid-test.
-        with SERVER.overridden(enabled=True, workers=1), DURABILITY.overridden(checkpoint_interval=64):
-            with OVERLOAD.overridden(enabled=True, queue_depth=1):
+        with SERVER.overridden(workers=1), DURABILITY.overridden(checkpoint_interval=64):
+            with OVERLOAD.overridden(queue_depth=1):
                 with manager_over(world, root=tmp_path) as manager:
                     drive_tenant(manager, world, "alice")
                     recorder = manager.session("alice").durability
@@ -362,10 +361,8 @@ class TestOverloadDurability:
         session, brownout window and all."""
         world = build_world()
         now = [0.0]
-        with SERVER.overridden(enabled=True, workers=1):
-            with OVERLOAD.overridden(
-                enabled=True, brownout_window=4, brownout_hold=2, brownout_p95_ms=100.0
-            ):
+        with SERVER.overridden(workers=1):
+            with OVERLOAD.overridden(brownout_window=4, brownout_hold=2, brownout_p95_ms=100.0):
                 manager = SessionManager(
                     SharedBase(world.catalog),
                     durability_root=tmp_path,
@@ -510,19 +507,17 @@ class TestLayerToggles:
 
     def test_inline_dispatch_still_records(self, tmp_path):
         world = build_world()
-        with SERVER.disabled():
-            with manager_over(world, root=tmp_path) as manager:
-                live = manager.call(
-                    "alice",
-                    lambda s: (drive_scripted(s, world), session_hash(s))[1],
-                )
-                manager.evict("alice")
-                assert manager.call("alice", session_hash) == live
+        with manager_over(world, root=tmp_path) as manager:
+            live = manager.call(
+                "alice",
+                lambda s: (drive_scripted(s, world), session_hash(s))[1],
+            )
+            manager.evict("alice")
+            assert manager.call("alice", session_hash) == live
 
     def test_recorder_attached_without_server_layer(self, tmp_path):
         world = build_world()
-        with SERVER.disabled():
-            with manager_over(world, root=tmp_path) as manager:
-                session = manager.session("alice")
-                assert isinstance(session.durability, SessionRecorder)
-                assert session.durability.tenant == "alice"
+        with manager_over(world, root=tmp_path) as manager:
+            session = manager.session("alice")
+            assert isinstance(session.durability, SessionRecorder)
+            assert session.durability.tenant == "alice"

@@ -88,7 +88,7 @@ class TestManagerStress:
         return out
 
     def serve_all(self) -> dict[str, list]:
-        with SERVER.overridden(enabled=True, workers=N_THREADS, max_sessions=64):
+        with SERVER.overridden(workers=N_THREADS, max_sessions=64):
             with SessionManager(SharedBase(stress_catalog())) as manager:
                 tenants = [f"tenant-{i}" for i in range(N_THREADS)]
                 for tenant in tenants:
@@ -117,7 +117,7 @@ class TestManagerStress:
         assert first["tenant-3"] == self.tenant_script(isolated)
 
     def test_concurrent_session_creation_registers_each_tenant_once(self):
-        with SERVER.overridden(enabled=True, workers=N_THREADS, max_sessions=64):
+        with SERVER.overridden(workers=N_THREADS, max_sessions=64):
             with SessionManager(SharedBase(stress_catalog())) as manager:
                 def work(index: int):
                     # All threads race to create the same 4 tenants.
@@ -133,7 +133,7 @@ class TestManagerStress:
                 assert all(len(ids) == 1 for ids in by_tenant.values())
 
     def test_interleaved_submits_keep_fifo_per_tenant(self):
-        with SERVER.overridden(enabled=True, workers=4):
+        with SERVER.overridden(workers=4):
             with SessionManager(SharedBase(stress_catalog())) as manager:
                 logs: dict[str, list[int]] = {f"t{i}": [] for i in range(4)}
 
@@ -168,8 +168,8 @@ class TestOverloadStress:
         typed Overloaded with a retry hint — and the books balance exactly:
         admitted + shed == attempted, with zero inflight left behind."""
         per_thread = 40
-        with SERVER.overridden(enabled=True, workers=2):
-            with OVERLOAD.overridden(enabled=True, queue_depth=8, max_inflight=32):
+        with SERVER.overridden(workers=2):
+            with OVERLOAD.overridden(queue_depth=8, max_inflight=32):
                 with SessionManager(SharedBase(stress_catalog())) as manager:
                     def work(index: int):
                         tenant = f"t{index % 4}"
@@ -207,8 +207,8 @@ class TestOverloadStress:
         from repro.server import RequestExpired
 
         per_thread = 20
-        with SERVER.overridden(enabled=True, workers=2):
-            with OVERLOAD.overridden(enabled=True, queue_depth=10_000):
+        with SERVER.overridden(workers=2):
+            with OVERLOAD.overridden(queue_depth=10_000):
                 with SessionManager(SharedBase(stress_catalog())) as manager:
                     def work(index: int):
                         tenant = f"t{index % 4}"
@@ -291,7 +291,7 @@ class TestSharedStructureStress:
         """Readers pin (scope, version) at run() entry: a concurrent bump
         by a diverging fork never mixes into an in-flight read's keys."""
         base = SharedBase(stress_catalog())
-        with SERVER.overridden(enabled=True, workers=N_THREADS):
+        with SERVER.overridden(workers=N_THREADS):
             with SessionManager(base) as manager:
                 tenants = [f"tenant-{i}" for i in range(N_THREADS)]
                 for tenant in tenants:
