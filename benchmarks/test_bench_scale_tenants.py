@@ -33,6 +33,7 @@ as p50/p95/p99 alongside throughput.
 
 from __future__ import annotations
 
+import gc
 import time
 
 from repro import CopyCatSession, ScpUser
@@ -239,7 +240,9 @@ def run_leg_once(plans: list[Plan], *, concurrent: bool):
     serialized leg builds the same tenant sessions as plain
     ``CopyCatSession`` objects on private tiers (a 1-worker manager would
     share tiers and measure something else) and runs them one after
-    another on this thread. Session setup is untimed in both legs."""
+    another on this thread. Session setup is untimed in both legs, and
+    both collect garbage just before the clock starts, so the wall measures
+    dispatch rather than garbage an earlier benchmark left on the heap."""
     tenants = [f"tenant-{i}" for i in range(N_TENANTS)]
     latencies: list[float] = []
     base = SharedBase(tenant_catalog())
@@ -250,6 +253,7 @@ def run_leg_once(plans: list[Plan], *, concurrent: bool):
             )
             for tenant in tenants
         }
+        gc.collect()
         start = time.perf_counter()
         outputs = {
             tenant: [
@@ -263,6 +267,7 @@ def run_leg_once(plans: list[Plan], *, concurrent: bool):
         with SessionManager(base) as manager:
             for tenant in tenants:
                 manager.session(tenant)
+            gc.collect()
             start = time.perf_counter()
             futures = {
                 tenant: [

@@ -5,9 +5,10 @@ after *every* user action; before the caching layer each
 ``column_suggestions`` call re-evaluated every candidate plan and re-hit
 every service row-by-row. This benchmark drives the Figure-2 session and
 measures a burst of suggestion refreshes with the cache layers on (plan
-cache + service memo + session dirty-flag reuse) versus all layers off —
-asserting the cached batch is *identical* to the uncached one, provenance
-expressions included, and at least 2× faster.
+cache + service memo + session dirty-flag reuse) versus all switchable
+layers off with every refresh forced (``refresh=True``, so the dirty-flag
+reuse never serves a batch) — asserting the cached batch is *identical* to
+the uncached one, provenance expressions included, and at least 2× faster.
 """
 
 from __future__ import annotations

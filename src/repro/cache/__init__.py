@@ -18,8 +18,9 @@ candidate-result caching:
   invalidation.
 
 Service-call memoization lives on :class:`repro.substrate.services.base.
-Service` and session-level suggestion reuse on
-:class:`repro.core.session.CopyCatSession`; both consult :data:`CACHE`.
+Service` and consults :data:`CACHE`; session-level suggestion reuse lives
+on :class:`repro.core.session.CopyCatSession` and always runs
+(``column_suggestions(refresh=True)`` forces a recompute).
 """
 
 from __future__ import annotations

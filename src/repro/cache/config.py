@@ -3,6 +3,8 @@
 Each layer can be switched off on its own, so the cached-vs-uncached
 benchmarks and the correctness A/B tests toggle layers without
 monkeypatching; :meth:`CacheConfig.disabled` switches several at once.
+Session-level suggestion reuse has no switch: its uncached leg is
+``column_suggestions(refresh=True)``, which forces a recompute.
 """
 
 from __future__ import annotations
@@ -14,12 +16,11 @@ class CacheConfig(Knobs):
     """Cache-layer switches and capacities (entries)."""
 
     #: the per-layer switches, also the vocabulary of :meth:`disabled`.
-    LAYERS = ("plan", "service", "blocking", "suggestions")
+    LAYERS = ("plan", "service", "blocking")
 
     plan = Knob("REPRO_CACHE_PLAN", True, "shared-subplan result cache in the evaluator")
     service = Knob("REPRO_CACHE_SERVICE", True, "Service.invoke memoization")
     blocking = Knob("REPRO_CACHE_BLOCKING", True, "blocking-aware RecordLinkJoin candidate generation")
-    suggestions = Knob("REPRO_CACHE_SUGGESTIONS", True, "session-level dirty-flag suggestion reuse")
     # Blocking approximates the full cross, so small inputs keep the cross.
     blocking_min_pairs = Knob(
         "REPRO_CACHE_BLOCKING_MIN_PAIRS", 4096, "left x right pairs below which a join never blocks"

@@ -31,10 +31,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from ..cache.config import CACHE
 from ..cache.tiers import CacheTiers
 from ..drift import (
-    DRIFT,
     QuarantineLog,
     WrapperRecord,
     add_provenance_note,
@@ -96,8 +94,7 @@ class ResyncReport:
     ``action`` is one of ``"clean"`` (wrapper still fits), ``"reinduced"``
     (drift detected, wrapper healed from the stored examples),
     ``"quarantined"`` (drift unrecoverable: last-known-good rows kept,
-    source degraded), or ``"blind"`` (drift layer disabled: whatever the old
-    wrapper extracted was committed, unverified).
+    source degraded).
     """
 
     source: str
@@ -215,7 +212,7 @@ class CopyCatSession:
                 suggestion = self.autocomplete.row_suggestions(event, examples)
             if suggestion is not None:
                 self._generalizations[tab_name] = suggestion.generalization
-                if DRIFT.enabled and suggestion.rows:
+                if suggestion.rows:
                     # Row-level verification of the generalized rows: junk
                     # the wrapper swept up is quarantined, never suggested.
                     arity = len(examples[0]) if examples else len(suggestion.rows[0])
@@ -339,33 +336,22 @@ class CopyCatSession:
             [Attribute(column.name, column.semantic_type) for column in table.columns]
         )
         relation = Relation(source_name, schema)
-        rows = table.committed_rows()
-        if DRIFT.enabled:
-            kept = []
-            for index, row in enumerate(rows):
-                reason = validate_row(row, len(table.columns))
-                if reason is None:
-                    kept.append(row)
-                else:
-                    self.quarantine.add_row(
-                        source_name, row, reason, f"{source_name}[{index}]"
-                    )
-                    METRICS.inc("drift.rows_quarantined")
-            rows = kept
-        for row in rows:
-            relation.add(row)
+        rows = []
+        for index, row in enumerate(table.committed_rows()):
+            reason = validate_row(row, len(table.columns))
+            if reason is None:
+                rows.append(row)
+                relation.add(row)
+            else:
+                self.quarantine.add_row(source_name, row, reason, f"{source_name}[{index}]")
+                METRICS.inc("drift.rows_quarantined")
         event = self._events.get(tab_name)
         metadata = SourceMetadata(
             origin="paste", url=event.context.url if event else None
         )
         self.catalog.add_relation(relation, metadata, replace=True)
         generalization = self._generalizations.get(tab_name)
-        if (
-            DRIFT.enabled
-            and event is not None
-            and generalization is not None
-            and generalization.hypotheses
-        ):
+        if event is not None and generalization is not None and generalization.hypotheses:
             # Snapshot the induced wrapper — hypothesis descriptor, user
             # examples, per-column type signatures — for later verification
             # and self-healing re-induction (see resync_source).
@@ -399,24 +385,12 @@ class CopyCatSession:
         record = self._wrappers.get(name)
         if record is None:
             raise FeedbackError(
-                f"no wrapper recorded for source {name!r}: it was never "
-                f"committed from a paste (or the drift layer was disabled)"
+                f"no wrapper recorded for source {name!r}: it was never committed from a paste"
             )
         with TRACER.span("session.resync_source") as span, METRICS.timer(
             "session.resync_ms"
         ):
             event = refetch_event(record)
-            if not DRIFT.enabled:
-                # Blind resync: the pre-drift-layer behavior — whatever the
-                # old wrapper extracts is committed, unverified.
-                try:
-                    rows = apply_wrapper(self.structure_learner, record, event)
-                except NoHypothesisError:
-                    rows = []
-                if rows:
-                    self._replace_source_rows(name, rows)
-                return ResyncReport(name, "blind", len(rows), 0)
-
             METRICS.inc("drift.resyncs")
             note_resync(self.catalog, name)
             structural_reason: str | None = None
@@ -490,16 +464,9 @@ class CopyCatSession:
         # Keep the metadata object (drift notes, trust) across the replace —
         # add_relation(replace=True) bumps Catalog.version, so fingerprint
         # caches can never serve rows from the superseded wrapper.
-        self._replace_source_rows(name, None, relation=relation)
-        return len(relation), len(report.violations)
-
-    def _replace_source_rows(self, name: str, rows, relation: Relation | None = None) -> None:
-        if relation is None:
-            relation = Relation(name, self.catalog.relation(name).schema)
-            for row in rows:
-                relation.add(list(row))
         self.catalog.add_relation(relation, self.catalog.metadata(name), replace=True)
         self.integration_learner.refresh()
+        return len(relation), len(report.violations)
 
     def _lift_quarantine(self, name: str) -> None:
         if self.quarantine.is_quarantined(name):
@@ -565,18 +532,17 @@ class CopyCatSession:
         (sources, trust, link feedback), the current query, the learned
         edge weights, the committed workspace rows, and ``k`` together form
         a signature; any feedback action perturbs it and forces a
-        recompute. ``refresh=True`` forces one unconditionally (the old
-        default), ``refresh=False`` reuses whatever batch is standing.
+        recompute. ``refresh=True`` forces one unconditionally,
+        ``refresh=False`` reuses whatever batch is standing.
         """
         # Operational trust feedback: fold observed service failure
         # rates into edge weights *before* computing the signature, so
         # newly degraded health both perturbs the signature (forcing a
         # recompute) and sinks chronically failing services in ranking.
         self.integration_learner.absorb_service_health()
-        if DRIFT.enabled:
-            # Same for extraction-side trust: drift history and quarantine
-            # fold into edge costs before the signature is computed.
-            self.integration_learner.absorb_drift_events()
+        # Same for extraction-side trust: drift history and quarantine
+        # fold into edge costs before the signature is computed.
+        self.integration_learner.absorb_drift_events()
         if (
             self.service_level != LEVEL_NORMAL
             and refresh is not True
@@ -589,12 +555,10 @@ class CopyCatSession:
                 METRICS.inc("overload.brownout_reuse")
             METRICS.inc("session.suggestions_reused")
             return self._column_suggestions
-        signature = self._suggestions_signature(k) if CACHE.suggestions else None
+        signature = self._suggestions_signature(k)
         if refresh is None:
             refresh = not (
-                signature is not None
-                and self._column_suggestions
-                and signature == self._suggestion_signature
+                self._column_suggestions and signature == self._suggestion_signature
             )
             if not refresh:
                 METRICS.inc("session.suggestions_reused")

@@ -22,9 +22,9 @@ junk. This package closes that gap in three layers:
   :meth:`~repro.learning.integration.learner.IntegrationLearner.absorb_drift_events`).
 
 :mod:`~repro.drift.perturb` is the deterministic, seeded page-perturbation
-harness the tests and the ``drift_recovery`` benchmark drive. ``REPRO_DRIFT=0``
-(:data:`~repro.drift.config.DRIFT`) restores the prior trust-forever
-behavior bit-for-bit.
+harness the tests and the ``drift_recovery`` benchmark drive. The layer has
+no off switch: every paste, commit and resync is verified, and
+:data:`~repro.drift.config.DRIFT` holds only its thresholds.
 """
 
 from __future__ import annotations

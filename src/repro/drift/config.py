@@ -1,8 +1,4 @@
-"""Drift-layer knobs.
-
-``DRIFT.enabled`` off skips verification, healing and quarantine; the
-drift-recovery benchmark uses it as its reference leg.
-"""
+"""Drift-layer knobs: the thresholds of verification and the drift penalty."""
 
 from __future__ import annotations
 
@@ -12,7 +8,6 @@ from ..util.knobs import Knob, Knobs
 class DriftConfig(Knobs):
     """Knobs of drift verification, healing and quarantine."""
 
-    enabled = Knob("REPRO_DRIFT", True, "off skips drift verification, healing and quarantine")
     type_divergence_threshold = Knob(
         "REPRO_DRIFT_TYPE_THRESHOLD", 0.5,
         "per-column token-pattern similarity below which a column counts as drifted",

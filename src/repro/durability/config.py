@@ -17,8 +17,6 @@ class DurabilityConfig(Knobs):
     root = Knob("REPRO_DURABILITY_ROOT", "", "directory of per-tenant snapshot + log ('' = none)")
     checkpoint_interval = Knob("REPRO_DURABILITY_CHECKPOINT", 64, "recorded actions between session snapshots")
     fsync = Knob("REPRO_DURABILITY_FSYNC", False, "fsync the log after every record and checkpoint")
-    fault_rate = Knob("REPRO_DURABILITY_FAULT_RATE", 0.0, "injected write-fault probability per log op")
-    fault_seed = Knob("REPRO_DURABILITY_FAULT_SEED", 0, "seed of the hash-derived write-fault decisions")
 
 
 #: The process-wide durability configuration recorders and stores consult.

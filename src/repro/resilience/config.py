@@ -1,8 +1,10 @@
 """Resilience knobs: retries, deadlines, breakers and fault injection.
 
 ``REPRO_FAULT_RATE`` arms the seeded fault injector for the whole
-process (see :mod:`repro.resilience.faults`); the chaos CI leg runs the
-test suite that way, with fast retries.
+process with transient failures (see :mod:`repro.resilience.faults`); the
+chaos CI leg runs the test suite that way, with fast retries. Injected
+latency has no knob: a :class:`~repro.resilience.faults.FaultSpec` with
+``latency_ms`` set, armed through ``FAULTS.injected``, adds it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ class ResilienceConfig(Knobs):
     breaker_cooldown_ms = Knob("REPRO_BREAKER_COOLDOWN_MS", 50.0, "how long an open breaker rejects calls")
     seed = Knob("REPRO_FAULT_SEED", 20090104, "seed of fault schedules and backoff jitter")
     fault_rate = Knob("REPRO_FAULT_RATE", 0.0, "injected transient-failure probability per call")
-    fault_latency_ms = Knob("REPRO_FAULT_LATENCY_MS", 0.0, "injected latency per call, ms")
 
 
 #: The process-wide resilience configuration every layer consults.

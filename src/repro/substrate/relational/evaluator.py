@@ -38,7 +38,6 @@ from typing import Any, Callable
 from ...cache.config import CACHE
 from ...cache.fingerprint import plan_fingerprint
 from ...cache.tiers import CacheTiers
-from ...drift.config import DRIFT
 from ...drift.quarantine import QUARANTINE_NOTE
 from ...errors import (
     EvaluationError,
@@ -362,19 +361,14 @@ class Evaluator:
         def thunk(ev: Evaluator) -> ColumnBatch:
             batch = ev._scan_batch(source, version)
             notes = ev.catalog.metadata(source).notes
-            if DRIFT.enabled:
-                quarantined = notes.get(QUARANTINE_NOTE)
-                if quarantined is not None:
-                    # A quarantined source serves its last-known-good rows,
-                    # but the result is flagged so suggestions built from it
-                    # are rank-penalized and DEGRADED-marked like a dead
-                    # service's.
-                    ev._degraded.append(
-                        Degradation(
-                            service=source,
-                            reason=f"source quarantined: {quarantined}",
-                        )
-                    )
+            quarantined = notes.get(QUARANTINE_NOTE)
+            if quarantined is not None:
+                # A quarantined source serves its last-known-good rows, but
+                # the result is flagged so suggestions built from it are
+                # rank-penalized and DEGRADED-marked like a dead service's.
+                ev._degraded.append(
+                    Degradation(service=source, reason=f"source quarantined: {quarantined}")
+                )
             # Cross-learner feedback (paper §5 "Feedback interaction"): tuple
             # demotions can mark specific base rows as distrusted; scans skip
             # them so every downstream suggestion reflects the feedback.

@@ -98,10 +98,6 @@ class Knobs:
             for name, value in previous.items():
                 setattr(self, name, value)
 
-    def disabled(self):
-        """Turn the layer's ``enabled`` switch off for the ``with`` block."""
-        return self.overridden(enabled=False)
-
     def snapshot(self) -> dict[str, Any]:
         return {name: getattr(self, name) for name in self.KNOBS}
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.cache.config import CACHE
-from repro.drift.config import DRIFT
 from repro.drift.quarantine import QUARANTINE_NOTE
 from repro.errors import EvaluationError, ServiceLookupFailed
 from repro.linking.blocking import candidate_pairs, token_block_key
@@ -46,7 +45,7 @@ class _Interpreter:
     def eval_scan(self, plan):
         notes = self.catalog.metadata(plan.source).notes
         quarantined = notes.get(QUARANTINE_NOTE)
-        if DRIFT.enabled and quarantined is not None:
+        if quarantined is not None:
             self.degraded.append(
                 Degradation(service=plan.source, reason=f"source quarantined: {quarantined}")
             )

@@ -109,7 +109,7 @@ class TestCacheConfig:
     def test_disabled_single_layer(self):
         with CACHE.disabled("plan"):
             assert not CACHE.plan
-            assert CACHE.service and CACHE.blocking and CACHE.suggestions
+            assert CACHE.service and CACHE.blocking
         assert CACHE.plan
 
     def test_disabled_unknown_layer_raises(self):
@@ -402,11 +402,6 @@ class TestSessionSuggestionReuse:
     def test_refresh_true_always_recomputes(self, session):
         first = session.column_suggestions(k=4)
         assert session.column_suggestions(k=4, refresh=True) is not first
-
-    def test_disabled_layer_recomputes(self, session):
-        first = session.column_suggestions(k=4)
-        with CACHE.disabled("suggestions"):
-            assert session.column_suggestions(k=4) is not first
 
 
 class TestCacheStatsLine:

@@ -4,8 +4,8 @@ Covers the verification primitives (row validation, record-count sanity,
 example coverage, per-column distribution matching), the seeded perturbation
 harness, the session resync loop across every perturbation kind, quarantine
 degradation through the evaluator and the source graph, cache invalidation
-across drift events, the ``REPRO_DRIFT=0`` parity path, and the hardening
-satellites (unicode-safe tokenization, landmark extraction, type learner
+across drift events, row verification at paste and commit time, and the
+hardening satellites (unicode-safe tokenization, landmark extraction, type learner
 guards, and the sequential-covering fallback under perturbed pages).
 """
 
@@ -17,7 +17,6 @@ from repro import Browser, CopyCatSession, build_scenario
 from repro.drift import (
     DRIFT,
     PERTURBATIONS,
-    QUARANTINE_NOTE,
     RECOVERABLE,
     UNRECOVERABLE,
     drift_rate,
@@ -40,18 +39,6 @@ from repro.learning.structure.wrapper_induction import LandmarkRule, induce_tabl
 from repro.obs import METRICS, render_summary
 from repro.substrate.relational.algebra import Scan
 from repro.util.text import clean_cell, is_blank, normalize, strip_invisible, tokenize
-
-@pytest.fixture(autouse=True)
-def _drift_layer_on():
-    """Pin the layer on regardless of an env-set ``REPRO_DRIFT=0``.
-
-    These tests exercise both sides of the flag explicitly (the disabled
-    ones nest ``DRIFT.disabled()`` inside), so the ambient environment must
-    not pre-disable the layer out from under the enabled-path assertions.
-    """
-    with DRIFT.overridden(enabled=True):
-        yield
-
 
 ROWS = [
     ["Coconut Creek High", "1400 NW 44th Ave", "Coconut Creek"],
@@ -85,7 +72,6 @@ def fresh_import(seed=5, n_shelters=8, **session_kwargs):
 
 class TestDriftConfig:
     def test_defaults(self):
-        assert DRIFT.enabled is True
         assert 0 < DRIFT.type_divergence_threshold < 1
         assert QUARANTINE_PENALTY > 2.0  # above the relevance threshold
 
@@ -95,11 +81,6 @@ class TestDriftConfig:
             assert DRIFT.type_divergence_threshold == 0.9
             assert DRIFT.drift_penalty == 7.0
         assert DRIFT.snapshot() == before
-
-    def test_disabled_contextmanager(self):
-        with DRIFT.disabled():
-            assert not DRIFT.enabled
-        assert DRIFT.enabled
 
     def test_unknown_knob_rejected(self):
         with pytest.raises(ValueError, match="unknown DriftConfig knob 'nope'"):
@@ -338,14 +319,6 @@ class TestQuarantineDegradation:
         assert "Shelters" in result.degraded_services()
         assert any("quarantined" in note.reason for note in result.degraded)
 
-    def test_disabled_scan_not_degraded(self):
-        scenario, session, _ = fresh_import()
-        perturb_page(scenario.website, scenario.list_urls()[0], "blank_page", seed=3)
-        session.resync_source("Shelters")
-        with DRIFT.disabled():
-            result = session.engine.run(Scan("Shelters"))
-        assert not result.is_degraded
-
     def test_absorb_drift_events_penalizes_edges(self, fresh_scenario):
         catalog = fresh_scenario.catalog
         session = CopyCatSession(catalog=catalog, seed=1)
@@ -367,6 +340,20 @@ class TestQuarantineDegradation:
         learner.absorb_drift_events()
         for edge in edges:
             assert learner.graph.weights[edge.key] == pytest.approx(before[edge.key])
+
+    def test_column_suggestions_fold_quarantine_into_edge_costs(self, fresh_scenario):
+        session = CopyCatSession(catalog=fresh_scenario.catalog, seed=1)
+        import_shelters(fresh_scenario, session)
+        session.start_integration("Shelters")
+        learner = session.integration_learner
+        edges = [e for e in learner.graph.edges() if "Shelters" in (e.left, e.right)]
+        before = {e.key: learner.graph.weights[e.key] for e in edges}
+        quarantine_source_in_catalog(fresh_scenario.catalog, "Shelters", "test")
+        session.column_suggestions(refresh=True)
+        for edge in edges:
+            assert learner.graph.weights[edge.key] == pytest.approx(
+                before[edge.key] + QUARANTINE_PENALTY
+            )
 
     def test_drift_rate_decays_with_clean_resyncs(self, fresh_scenario):
         catalog = fresh_scenario.catalog
@@ -411,45 +398,38 @@ class TestCacheInvalidationAcrossDrift:
         assert key(cached) == key(fresh)
 
 
-class TestDisabledParity:
-    def test_import_identical_with_layer_off(self):
-        baselines = []
-        for enabled in (True, False):
-            scenario = build_scenario(seed=5, n_shelters=8)
-            session = CopyCatSession(catalog=scenario.catalog, seed=1)
-            if enabled:
-                relation = import_shelters(scenario, session)
-            else:
-                with DRIFT.disabled():
-                    relation = import_shelters(scenario, session)
-            baselines.append(
-                [tuple(str(v) for v in row.values) for row in relation]
-            )
-        assert baselines[0] == baselines[1]
-
-    def test_disabled_commit_records_no_wrapper(self):
+class TestImportVerification:
+    def test_import_commits_exactly_the_truth(self):
+        # A clean page verifies row by row: the committed source is the
+        # scenario's shelters, in order, and nothing is quarantined.
         scenario = build_scenario(seed=5, n_shelters=8)
         session = CopyCatSession(catalog=scenario.catalog, seed=1)
-        with DRIFT.disabled():
-            import_shelters(scenario, session)
-            with pytest.raises(FeedbackError, match="no wrapper recorded"):
-                session.resync_source("Shelters")
-
-    def test_blind_resync_commits_garbage(self):
-        # The A/B baseline: without the drift layer, wiped-value garbage
-        # flows straight into the catalog — exactly what the layer prevents.
-        scenario, session, _ = fresh_import()
-        perturb_page(scenario.website, scenario.list_urls()[0], "wipe_values", seed=3)
-        with DRIFT.disabled():
-            report = session.resync_source("Shelters")
-        assert report.action == "blind"
-        assert report.rows_committed > 0
-        rows = [
-            tuple(str(v) for v in row.values)
-            for row in scenario.catalog.relation("Shelters")
+        relation = import_shelters(scenario, session)
+        truth = [
+            tuple(str(row[column]) for column in scenario.shelter_columns)
+            for row in scenario.truth_shelter_rows()
         ]
-        signature = snapshot_extraction("Shelters", ROWS)  # any sane profile
-        assert verify_extraction(signature, rows, check_counts=False).drifted
+        assert [tuple(str(v) for v in row.values) for row in relation] == truth
+        assert session.quarantine.rows() == []
+
+    def test_paste_quarantines_swept_up_junk(self):
+        scenario = build_scenario(seed=5, n_shelters=8)
+        perturbed = perturb_page(scenario.website, scenario.list_urls()[0], "inject_junk_rows", seed=3)
+        session = CopyCatSession(catalog=scenario.catalog, seed=1)
+        relation = import_shelters(scenario, session)
+        committed = tuple(tuple(str(v) for v in row.values) for row in relation)
+        assert committed == perturbed.expected_rows
+        held = session.quarantine.rows("Shelters")
+        assert held and all("[paste:" in entry.provenance for entry in held)
+
+    def test_commit_quarantines_malformed_workspace_rows(self):
+        scenario, session, relation = fresh_import()
+        session.workspace.tab("Shelters").append_rows([["<td>junk</td>", "1 Main St", "Creek"]])
+        recommitted = session.commit_source("Shelters")
+        assert len(recommitted) == len(relation)
+        [held] = session.quarantine.rows("Shelters")
+        assert held.row == ("<td>junk</td>", "1 Main St", "Creek")
+        assert "markup remnant" in held.reason
 
 
 class TestTextHardening:

@@ -222,12 +222,6 @@ class TestKnobs:
                 raise RuntimeError("boom")
         assert (knobs.count, knobs.label) == (3, "x")
 
-    def test_disabled_turns_enabled_off_for_the_block(self):
-        knobs = _Sample()
-        with knobs.disabled():
-            assert knobs.enabled is False
-        assert knobs.enabled is True
-
     def test_declarations_leave_the_class(self):
         # Reads of knobs sit on hot paths; a same-named class attribute
         # would stop CPython from specialising them.
