@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro import Browser, CopyCatSession, SpreadsheetApp
+from repro.cache import CacheTiers
 from repro.obs import METRICS
 from repro.substrate.documents import CellRange
 from repro.substrate.relational import Attribute, Relation, Schema, SourceMetadata
@@ -110,6 +111,17 @@ def import_contacts_via_session(scenario, session: CopyCatSession):
         session.label_column(index, label)
     session.set_column_type(0, PLACE, learn_from_values=False)
     return session.commit_source()
+
+
+def start_cold(session: CopyCatSession, tiers: CacheTiers) -> None:
+    """Empty the session's evaluation tiers and every service memo.
+
+    The uncached leg of the cache A/Bs calls this before each forced
+    refresh, so every refresh starts cold.
+    """
+    tiers.clear()
+    for service in session.catalog.services():
+        service.invalidate_cache()
 
 
 def typed_shelters_catalog(scenario):

@@ -14,11 +14,12 @@ k; latency stays interactive through ~40 sources.
 
 from __future__ import annotations
 
+import gc
 import time
 
 
 from repro import CopyCatSession
-from repro.cache import CACHE
+from repro.cache import CacheTiers
 from repro.learning.integration import IntegrationLearner
 from repro.substrate.relational import (
     Attribute,
@@ -30,7 +31,7 @@ from repro.substrate.relational import (
 from repro.substrate.relational.schema import CITY, PLACE, STREET, ZIPCODE, Attribute
 from repro.util.rng import make_rng
 
-from .common import format_table, table_series, write_report
+from .common import format_table, start_cold, table_series, write_report
 
 SHARED_TYPES = [("City", CITY), ("Zip", ZIPCODE), ("Street", STREET), ("Name", PLACE)]
 
@@ -109,8 +110,8 @@ class TestScale:
         assert completions
 
 
-def _scale_session(n_sources: int = 40) -> CopyCatSession:
-    session = CopyCatSession(catalog=synthetic_catalog(n_sources))
+def _scale_session(n_sources: int = 40, tiers: CacheTiers | None = None) -> CopyCatSession:
+    session = CopyCatSession(catalog=synthetic_catalog(n_sources), cache_tiers=tiers)
     session.start_integration("Anchor")
     return session
 
@@ -126,29 +127,36 @@ def _suggestion_key(batch):
 class TestScaleCached:
     """The ``scale_sources_cached`` A/B: executed suggestions at 40 sources.
 
-    The CI smoke job fails if cache-enabled refreshes are not faster than
-    cache-disabled ones (the asserts below); the written report carries the
-    measured speedup for EXPERIMENTS.md.
+    The CI smoke job fails if refreshes on warm caches are not faster than
+    refreshes that each start cold (the asserts below); the written report
+    carries the measured speedup for EXPERIMENTS.md.
     """
 
     N_REFRESHES = 5
 
-    def _burst(self, session, forced: bool):
+    def _burst(self, session, cold_tiers: CacheTiers | None = None):
+        """N refreshes; with *cold_tiers*, each is forced and starts cold."""
         last = None
         for _ in range(self.N_REFRESHES):
-            last = session.column_suggestions(k=5, refresh=True if forced else None)
+            if cold_tiers is None:
+                last = session.column_suggestions(k=5)
+            else:
+                start_cold(session, cold_tiers)
+                last = session.column_suggestions(k=5, refresh=True)
         return last
 
     def test_cached_vs_uncached_at_forty_sources(self):
-        with CACHE.disabled():
-            cold = _scale_session(40)
-            start = time.perf_counter()
-            uncached = self._burst(cold, forced=True)
-            uncached_s = time.perf_counter() - start
+        tiers = CacheTiers()
+        cold = _scale_session(40, tiers)
+        gc.collect()
+        start = time.perf_counter()
+        uncached = self._burst(cold, cold_tiers=tiers)
+        uncached_s = time.perf_counter() - start
 
         warm = _scale_session(40)
+        gc.collect()
         start = time.perf_counter()
-        cached = self._burst(warm, forced=False)
+        cached = self._burst(warm)
         cached_s = time.perf_counter() - start
 
         # Correctness A/B gate: identical results, provenance included.
@@ -157,9 +165,9 @@ class TestScaleCached:
         speedup = uncached_s / cached_s if cached_s > 0 else float("inf")
         headers = ["mode", "refreshes", "total ms", "ms/refresh"]
         rows = [
-            ("caches off", self.N_REFRESHES, f"{uncached_s * 1000:.1f}",
+            ("cold each refresh", self.N_REFRESHES, f"{uncached_s * 1000:.1f}",
              f"{uncached_s * 1000 / self.N_REFRESHES:.1f}"),
-            ("caches on", self.N_REFRESHES, f"{cached_s * 1000:.1f}",
+            ("warm caches", self.N_REFRESHES, f"{cached_s * 1000:.1f}",
              f"{cached_s * 1000 / self.N_REFRESHES:.1f}"),
         ]
         write_report(
@@ -174,7 +182,7 @@ class TestScaleCached:
                 "n_refreshes": self.N_REFRESHES,
             },
         )
-        # Hard gate: caches on must beat caches off (the ISSUE's 2x floor).
+        # Hard gate: warm caches must beat cold refreshes by the 2x floor.
         assert speedup >= 2.0, f"cache speedup x{speedup:.2f} below the 2x floor"
 
     def test_bench_scale_sources_cached(self, benchmark):
@@ -182,7 +190,7 @@ class TestScaleCached:
         session.column_suggestions(k=5)  # prime
 
         def burst():
-            return self._burst(session, forced=False)
+            return self._burst(session)
 
         batch = benchmark(burst)
         assert batch is not None

@@ -14,16 +14,16 @@ step by step (schema-mapping chains are near-free for the columnar engine
 Row allocation per row per stage), followed by a selection chain, an
 equi-join against a small lookup relation, a projection, and a Distinct.
 
-The plan cache is disabled so the A/B measures evaluation, not
-memoization; the evaluator gets one warmup run so its compile cost and
-scan transpose are excluded. The reference interpreter has no caches.
+Every timed evaluator run first clears the plan-result cache, so the A/B
+measures evaluation, not memoization; the evaluator gets one warmup run so
+its compile cost and scan transpose are excluded. The reference
+interpreter has no caches.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.cache import CACHE
 from repro.substrate.relational import (
     And,
     Catalog,
@@ -112,6 +112,12 @@ def result_snapshot(result):
     )
 
 
+def _evaluate(evaluator: Evaluator, plan: Plan):
+    """Evaluate *plan* from an empty plan-result cache."""
+    evaluator.tiers.plan.clear()
+    return evaluator.run(plan)
+
+
 def _best_of(run, rounds: int = ROUNDS):
     result = run()  # warmup: compile + scan transpose
     best = float("inf")
@@ -129,10 +135,9 @@ class TestScaleColumnar:
         catalog = columnar_catalog()
         plan = mapping_pipeline_plan()
 
-        with CACHE.disabled("plan"):
-            evaluator = Evaluator(catalog)
-            columnar_s, columnar_result = _best_of(lambda: evaluator.run(plan))
-            row_s, row_result = _best_of(lambda: reference(catalog, plan))
+        evaluator = Evaluator(catalog)
+        columnar_s, columnar_result = _best_of(lambda: _evaluate(evaluator, plan))
+        row_s, row_result = _best_of(lambda: reference(catalog, plan))
 
         # Correctness gate first: bit-for-bit, provenance included.
         assert result_snapshot(columnar_result) == result_snapshot(row_result)
@@ -167,8 +172,7 @@ class TestScaleColumnar:
     def test_bench_columnar_pipeline(self, benchmark):
         catalog = columnar_catalog()
         plan = mapping_pipeline_plan()
-        with CACHE.disabled("plan"):
-            evaluator = Evaluator(catalog)
-            evaluator.run(plan)  # compile once
-            result = benchmark(lambda: evaluator.run(plan))
+        evaluator = Evaluator(catalog)
+        evaluator.run(plan)  # compile once
+        result = benchmark(lambda: _evaluate(evaluator, plan))
         assert len(result) > 0

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Hashable
 
 from ..obs import METRICS
-from .config import CACHE
 from .lru import LRUCache
 
 _MISSING = object()
@@ -31,10 +30,8 @@ _MISSING = object()
 class PlanResultCache:
     """LRU of evaluated subplan results, version-keyed (one per evaluator)."""
 
-    def __init__(self, capacity: int | None = None):
-        self._lru = LRUCache(
-            capacity or CACHE.plan_capacity, metrics_prefix="cache.plan"
-        )
+    def __init__(self, capacity: int = 512):
+        self._lru = LRUCache(capacity, metrics_prefix="cache.plan")
 
     def get(self, fingerprint: Hashable, version: Hashable, *, scope: Hashable = None):
         """The cached batch for the key, or ``None``."""

@@ -30,7 +30,6 @@ from contextlib import contextmanager
 from typing import Hashable
 
 from ..analysis.concurrency.runtime import RACECHECK, TRACKER, make_lock
-from .config import CACHE
 from .lru import LRUCache
 from .plan_cache import PlanResultCache
 
@@ -43,8 +42,8 @@ class CacheTiers:
 
     def __init__(self):
         self.plan = PlanResultCache()
-        self.compile = LRUCache(CACHE.compile_capacity, metrics_prefix="columnar.compile")
-        self.scan = LRUCache(CACHE.scan_capacity, metrics_prefix="columnar.scan")
+        self.compile = LRUCache(512, metrics_prefix="columnar.compile")
+        self.scan = LRUCache(128, metrics_prefix="columnar.scan")
         # Configured capacities, remembered so a brownout shrink can be
         # undone exactly (restore() after the load controller recovers).
         self._full_capacities = {name: getattr(self, name).capacity for name in self.NAMES}

@@ -23,13 +23,14 @@ junk. This package closes that gap in three layers:
 
 :mod:`~repro.drift.perturb` is the deterministic, seeded page-perturbation
 harness the tests and the ``drift_recovery`` benchmark drive. The layer has
-no off switch: every paste, commit and resync is verified, and
-:data:`~repro.drift.config.DRIFT` holds only its thresholds.
+no off switch or knobs: every paste, commit and resync is verified, and its
+thresholds are constants beside the code that reads them
+(:data:`~repro.drift.verify.TYPE_DIVERGENCE_THRESHOLD`,
+:data:`~repro.learning.integration.learner.DRIFT_PENALTY`).
 """
 
 from __future__ import annotations
 
-from .config import DRIFT, DriftConfig
 from .healing import WrapperRecord, apply_wrapper, record_wrapper, refetch_event, reinduce_wrapper
 from .perturb import PERTURBATIONS, RECOVERABLE, UNRECOVERABLE, PerturbationResult, perturb_page
 from .quarantine import (
@@ -59,10 +60,8 @@ from .verify import (
 )
 
 __all__ = [
-    "DRIFT",
     "DRIFT_EVENTS_NOTE",
     "DRIFT_RESYNCS_NOTE",
-    "DriftConfig",
     "InductionSnapshot",
     "PERTURBATIONS",
     "PROVENANCE_NOTE",

@@ -20,8 +20,7 @@ verified against that snapshot:
   catches silent field reorders: positions still extract, but the street
   column suddenly "looks like" names.
 
-The count and coverage bounds are the constants below; the column
-threshold comes from :data:`repro.drift.config.DRIFT`.
+The count, coverage and column-similarity bounds are the constants below.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from typing import Sequence
 
 from ..learning.model.patterns import TypeSignature
 from ..util.text import is_blank
-from .config import DRIFT
 
 #: Longest plausible extracted cell; beyond this the rule is eating template.
 MAX_CELL_LEN = 200
@@ -44,6 +42,8 @@ MAX_ROW_MULTIPLE = 3.0
 #: fraction of the user's example rows, matched by value, that must
 #: still extract (the landmark-coverage check).
 MIN_EXAMPLE_COVERAGE = 0.5
+#: per-column token-pattern similarity below which a column counts as drifted.
+TYPE_DIVERGENCE_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -224,10 +224,10 @@ def verify_extraction(
             continue
         score = signature.similarity(column)
         column_scores.append(score)
-        if score < DRIFT.type_divergence_threshold:
+        if score < TYPE_DIVERGENCE_THRESHOLD:
             reasons.append(
                 f"column {j} token-pattern distribution diverged "
-                f"(similarity {score:.2f} < {DRIFT.type_divergence_threshold:g})"
+                f"(similarity {score:.2f} < {TYPE_DIVERGENCE_THRESHOLD:g})"
             )
 
     return VerificationReport(

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from ...drift.config import DRIFT
 from ...drift.quarantine import (
     DRIFT_EVENTS_NOTE,
     DRIFT_RESYNCS_NOTE,
@@ -41,6 +40,8 @@ from .steiner import SteinerTree, exact_top_k_steiner
 EXACT_NODE_BUDGET = 14
 #: extra edge cost per unit of a service's observed failure rate.
 FAILURE_PENALTY = 2.0
+#: extra edge cost per unit of a source's drift rate.
+DRIFT_PENALTY = 1.0
 #: flat extra edge cost for a quarantined source: above the default
 #: relevance threshold (2.0), so it stops being suggested until it heals.
 QUARANTINE_PENALTY = 2.5
@@ -175,7 +176,7 @@ class IntegrationLearner:
         """Fold observed source drift into source-graph weights.
 
         The extraction-side analogue of :meth:`absorb_service_health`: every
-        edge touching a drifting relation pays ``DRIFT.drift_penalty × drift
+        edge touching a drifting relation pays ``DRIFT_PENALTY × drift
         rate`` (detected drift events over resync attempts, so a healed
         drift decays as clean resyncs accrue), and an edge touching a
         *quarantined* relation pays the flat :data:`QUARANTINE_PENALTY` —
@@ -212,7 +213,7 @@ class IntegrationLearner:
             if quarantined:
                 penalties[name] = QUARANTINE_PENALTY
             elif events:
-                penalties[name] = DRIFT.drift_penalty * drift_rate(self.catalog, name)
+                penalties[name] = DRIFT_PENALTY * drift_rate(self.catalog, name)
         changed = 0
         for edge in self.graph.edges():
             penalty = max(

@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ...cache.config import CACHE
 from ...cache.fingerprint import plan_fingerprint
 from ...cache.tiers import CacheTiers
 from ...drift.quarantine import QUARANTINE_NOTE
@@ -158,6 +157,10 @@ _CACHEABLE_NODES = frozenset(
 #: Nodes that hand a consumer's row cap on to their child; ``Limit`` first
 #: tightens it to its own count. Every other node needs its whole input.
 _CAP_PASSING = frozenset({"Project", "Rename", "Limit"})
+
+#: Left x right pairs below which a record-link join scores the exact cross
+#: product instead of blocking (blocking approximates it).
+BLOCKING_MIN_PAIRS = 4096
 
 _MISS = object()
 
@@ -331,14 +334,12 @@ class Evaluator:
     def _cached(fingerprint: Any, version: Any, inner: BatchThunk) -> BatchThunk:
         """Wrap a cacheable node's closure with the shared-subplan cache.
 
-        Consulted only while ``CACHE.plan`` is on; degraded evaluations are
-        transient by nature and never stored (caching one would keep serving
-        the partial result after the service recovers).
+        Degraded evaluations are transient by nature and never stored
+        (caching one would keep serving the partial result after the service
+        recovers).
         """
 
         def thunk(ev: Evaluator) -> ColumnBatch:
-            if not CACHE.plan:
-                return inner(ev)
             scope = ev._run_scope
             cached = ev.plan_cache.get(fingerprint, version, scope=scope)
             if cached is not None:
@@ -677,7 +678,7 @@ class Evaluator:
         """
         n_pairs = left_batch.n_rows * right_batch.n_rows
         pairs = None
-        if CACHE.blocking and n_pairs >= CACHE.blocking_min_pairs:
+        if n_pairs >= BLOCKING_MIN_PAIRS:
             attr_pairs = plan.linker.block_attribute_pairs()
             if attr_pairs:
                 from ...linking.blocking import (

@@ -19,7 +19,6 @@ import time
 from typing import Any, Mapping, Sequence
 
 from ...analysis.concurrency.runtime import make_lock
-from ...cache.config import CACHE
 from ...cache.lru import LRUCache
 from ...errors import (
     BindingError,
@@ -57,7 +56,7 @@ class Service:
         # tuple. Deterministic services make this safe; invalidate_cache()
         # is the explicit escape hatch for subclasses whose backing data
         # changes.
-        self._memo = LRUCache(CACHE.service_capacity, metrics_prefix="service.cache")
+        self._memo = LRUCache(2048, metrics_prefix="service.cache")
         # Interning table assigning stable TupleIds to distinct results, so
         # provenance over service outputs is well-defined and repeatable.
         # Guarded by _lock: a service object may be shared by concurrent
@@ -105,26 +104,24 @@ class Service:
         :class:`ServiceLookupFailed` is raised, and — unlike a definitive
         no-match — is **never** cached, so a flaky moment cannot
         poison the memo. Repeated successful invocations with the same
-        bound inputs are served from a per-service LRU memo
-        (:data:`repro.cache.CACHE` ``.service``) without touching the
-        backend.
+        bound inputs are served from a per-service LRU memo without
+        touching the backend.
         """
         self.binding.check_bound(inputs.keys())
         with self._lock:
             self._call_count += 1
-        memo_key: tuple[Any, ...] | None = None
-        if CACHE.service:
-            try:
-                memo_key = tuple(inputs[name] for name in self.binding.inputs)
-                cached = self._memo.get(memo_key)
-            except TypeError:  # unhashable input value: skip memoization
-                memo_key, cached = None, None
-            if cached is not None:
-                if METRICS.enabled:
-                    METRICS.inc("service.calls")
-                    METRICS.inc("service." + self.name + ".calls")
-                    METRICS.inc("service." + self.name + ".cache_hits")
-                return [dict(row) for row in cached]
+        memo_key: tuple[Any, ...] | None
+        try:
+            memo_key = tuple(inputs[name] for name in self.binding.inputs)
+            cached = self._memo.get(memo_key)
+        except TypeError:  # unhashable input value: skip memoization
+            memo_key, cached = None, None
+        if cached is not None:
+            if METRICS.enabled:
+                METRICS.inc("service.calls")
+                METRICS.inc("service." + self.name + ".calls")
+                METRICS.inc("service." + self.name + ".cache_hits")
+            return [dict(row) for row in cached]
         start = time.perf_counter() if METRICS.enabled else 0.0
         with self._lock:
             self._backend_calls += 1

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.cache.config import CACHE
 from repro.drift.quarantine import QUARANTINE_NOTE
 from repro.errors import EvaluationError, ServiceLookupFailed
 from repro.linking.blocking import candidate_pairs, token_block_key
 from repro.provenance.expressions import Var, times
 from repro.resilience.degrade import Degradation, degraded_source
 from repro.substrate.relational import AGGREGATES, Catalog, Plan, Result, Row, TupleId
+from repro.substrate.relational import evaluator as compiled
 
 
 def evaluate(catalog: Catalog, plan: Plan) -> Result:
@@ -138,7 +138,7 @@ class _Interpreter:
         candidates = {i: range(len(right_rows)) for i in range(len(left_rows))}
         attr_pairs = plan.linker.block_attribute_pairs()
         n_pairs = len(left_rows) * len(right_rows)
-        if CACHE.blocking and n_pairs >= CACHE.blocking_min_pairs and attr_pairs:
+        if n_pairs >= compiled.BLOCKING_MIN_PAIRS and attr_pairs:
             key_fns = [(token_block_key(l), token_block_key(r)) for l, r in attr_pairs]
             blocked = candidate_pairs(
                 [row for row, _ in left_rows], [row for row, _ in right_rows], key_fns

@@ -1,8 +1,9 @@
 """Tests for the caching / incremental-evaluation subsystem (repro.cache).
 
-Correctness contract: every cache layer must be invisible — results with a
-layer on are identical (provenance expressions included) to results with
-it off, and any action that can change an answer must invalidate.
+Correctness contract: every cache layer must be invisible — cached results
+are identical (provenance expressions included) to a cold evaluation and to
+the reference interpreter, and any action that can change an answer must
+invalidate.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import pytest
 
 from repro import CopyCatSession, build_scenario, obs
 from repro.cache import (
-    CACHE,
     LRUCache,
     linker_token,
     plan_fingerprint,
@@ -36,6 +36,8 @@ from repro.substrate.relational import (
 )
 from repro.substrate.relational.schema import BindingPattern
 from repro.substrate.services.base import FunctionService, TableBackedService
+
+from .reference_interpreter import evaluate as reference
 
 
 @pytest.fixture()
@@ -93,35 +95,6 @@ class TestLRUCache:
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             LRUCache(capacity=0)
-
-
-def _layer_flags():
-    return [getattr(CACHE, layer) for layer in CACHE.LAYERS]
-
-
-class TestCacheConfig:
-    def test_disabled_restores_flags(self):
-        assert CACHE.plan and CACHE.service
-        with CACHE.disabled():
-            assert not any(_layer_flags())
-        assert all(_layer_flags())
-
-    def test_disabled_single_layer(self):
-        with CACHE.disabled("plan"):
-            assert not CACHE.plan
-            assert CACHE.service and CACHE.blocking
-        assert CACHE.plan
-
-    def test_disabled_unknown_layer_raises(self):
-        with pytest.raises(ValueError):
-            with CACHE.disabled("nope"):
-                pass  # pragma: no cover
-
-    def test_disabled_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with CACHE.disabled():
-                raise RuntimeError("boom")
-        assert all(_layer_flags())
 
 
 class TestPlanFingerprint:
@@ -239,8 +212,7 @@ class TestPlanCache:
                 Project(Scan("S"), ("Name", "City")),
             )
         )
-        with CACHE.disabled():
-            uncached = Evaluator(catalog).run(plan)
+        uncached = reference(catalog, plan)
         evaluator = Evaluator(catalog)
         first = evaluator.run(plan)
         second = evaluator.run(plan)  # served from the plan cache
@@ -279,15 +251,6 @@ class TestPlanCache:
         evaluator = Evaluator(catalog)
         assert result_key(evaluator.run(plan)) == result_key(evaluator.run(plan))
         assert evaluator.plan_cache.stats()["hits"] >= 1
-
-    def test_disabled_layer_bypasses_cache(self, catalog):
-        evaluator = Evaluator(catalog)
-        with CACHE.disabled("plan"):
-            evaluator.run(JOIN_PLAN)
-            evaluator.run(JOIN_PLAN)
-        assert evaluator.plan_cache.stats() == {
-            "hits": 0, "misses": 0, "evictions": 0, "size": 0,
-        }
 
 
 class TestCatalogVersion:
@@ -328,13 +291,6 @@ class TestServiceMemo:
         service.invoke({"City": "Park"})
         assert service.backend_calls == 2
 
-    def test_disabled_layer_always_hits_backend(self, catalog):
-        service = catalog.service("Z")
-        with CACHE.disabled("service"):
-            service.invoke({"City": "Creek"})
-            service.invoke({"City": "Creek"})
-        assert service.backend_calls == 2
-
     def test_unhashable_inputs_skip_memo(self):
         calls = []
 
@@ -355,11 +311,11 @@ class TestServiceMemo:
 
 class TestDependentJoinDedup:
     def test_duplicate_bindings_invoke_backend_once(self, catalog):
-        # Isolate the evaluator-side dedup from the service's own memo.
+        # call_count counts memo hits too, so it sees the evaluator-side
+        # dedup whether or not the service memo answers.
         catalog.relation("S").add(["Lakeside", "Creek"])  # third "Creek" row
         plan = DependentJoin(Scan("S"), "Z", (("City", "City"),))
-        with CACHE.disabled("service", "plan"):
-            result = Evaluator(catalog).run(plan)
+        result = Evaluator(catalog).run(plan)
         service = catalog.service("Z")
         assert len(result) == 4
         assert service.call_count == 2  # Creek, Park: one invoke per binding
@@ -420,5 +376,3 @@ class TestCacheStatsLine:
             obs.reset()
         assert " plan.hits=1 plan.misses=1 " in next(line for line in summary if line.startswith("cache:"))
         assert " cache.hits=1 cache.misses=1 " in next(line for line in summary if line.startswith("service:"))
-        with CACHE.disabled("blocking"):
-            assert "REPRO_CACHE_BLOCKING=False" in obs.render_summary()[-1]

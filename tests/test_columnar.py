@@ -14,7 +14,7 @@ import dataclasses
 import pytest
 
 from repro import obs
-from repro.cache.config import CACHE
+from repro.cache.tiers import CacheTiers
 from repro.errors import EvaluationError, PlanAnalysisError, UnknownAttributeError
 from repro.linking.blocking import (
     candidate_pairs,
@@ -305,9 +305,9 @@ class TestNormalizeCache:
 # ------------------------------------------------------------------- config
 class TestColumnarConfig:
     def test_defaults(self):
-        # The evaluator's memo capacities live with the other cache knobs.
-        assert CACHE.compile_capacity > 0
-        assert CACHE.scan_capacity > 0
+        tiers = CacheTiers()
+        assert tiers.compile.capacity > 0
+        assert tiers.scan.capacity > 0
 
 
 # ----------------------------------------------------------- operator parity
@@ -396,31 +396,28 @@ class TestOperatorParity:
         result, _ = assert_parity(catalog, plan)
         assert len(result) == 2
 
-    def test_record_link_join_blocked_and_unblocked(self, catalog):
+    def test_record_link_join_blocked_and_unblocked(self, catalog, monkeypatch):
         aliases = Relation("A", schema_of("Alias", "Contact"))
         aliases.extend(
             [["Monarch Shelter", "x"], ["Tedder", "y"], ["Norcrest Hall", "z"]]
         )
         catalog.add_relation(aliases)
-        saved = CACHE.blocking_min_pairs
-        CACHE.blocking_min_pairs = 1  # force the blocking route at this scale
-        try:
-            for blockable in (True, False):
-                plan = RecordLinkJoin(
-                    Scan("S"),
-                    Scan("A"),
-                    JaccardLinker(blockable=blockable),
-                    threshold=0.3,
-                    best_only=True,
-                )
-                assert_parity(catalog, plan)
-                plan_all = RecordLinkJoin(
-                    Scan("S"), Scan("A"), JaccardLinker(blockable=blockable),
-                    threshold=0.3, best_only=False,
-                )
-                assert_parity(catalog, plan_all)
-        finally:
-            CACHE.blocking_min_pairs = saved
+        # Force the blocking route at this scale.
+        monkeypatch.setattr("repro.substrate.relational.evaluator.BLOCKING_MIN_PAIRS", 1)
+        for blockable in (True, False):
+            plan = RecordLinkJoin(
+                Scan("S"),
+                Scan("A"),
+                JaccardLinker(blockable=blockable),
+                threshold=0.3,
+                best_only=True,
+            )
+            assert_parity(catalog, plan)
+            plan_all = RecordLinkJoin(
+                Scan("S"), Scan("A"), JaccardLinker(blockable=blockable),
+                threshold=0.3, best_only=False,
+            )
+            assert_parity(catalog, plan_all)
 
     def test_deep_composite_plan(self, catalog):
         plan = Distinct(

@@ -15,7 +15,6 @@ import pytest
 
 from repro import Browser, CopyCatSession, build_scenario
 from repro.drift import (
-    DRIFT,
     PERTURBATIONS,
     RECOVERABLE,
     UNRECOVERABLE,
@@ -33,7 +32,8 @@ from repro.drift import (
     verify_extraction,
 )
 from repro.errors import DocumentError, FeedbackError, LearningError, NavigationError, NoHypothesisError
-from repro.learning.integration.learner import QUARANTINE_PENALTY
+from repro.drift.verify import TYPE_DIVERGENCE_THRESHOLD
+from repro.learning.integration.learner import DRIFT_PENALTY, QUARANTINE_PENALTY
 from repro.learning.structure.learner import StructureLearner
 from repro.learning.structure.wrapper_induction import LandmarkRule, induce_table
 from repro.obs import METRICS, render_summary
@@ -70,22 +70,11 @@ def fresh_import(seed=5, n_shelters=8, **session_kwargs):
     return scenario, session, relation
 
 
-class TestDriftConfig:
+class TestDriftConstants:
     def test_defaults(self):
-        assert 0 < DRIFT.type_divergence_threshold < 1
+        assert 0 < TYPE_DIVERGENCE_THRESHOLD < 1
+        assert DRIFT_PENALTY > 0
         assert QUARANTINE_PENALTY > 2.0  # above the relevance threshold
-
-    def test_overridden_restores(self):
-        before = DRIFT.snapshot()
-        with DRIFT.overridden(type_divergence_threshold=0.9, drift_penalty=7.0):
-            assert DRIFT.type_divergence_threshold == 0.9
-            assert DRIFT.drift_penalty == 7.0
-        assert DRIFT.snapshot() == before
-
-    def test_unknown_knob_rejected(self):
-        with pytest.raises(ValueError, match="unknown DriftConfig knob 'nope'"):
-            with DRIFT.overridden(nope=1):
-                pass
 
 
 class TestRowValidation:
@@ -120,7 +109,7 @@ class TestVerification:
         report = verify_extraction(snapshot, ROWS)
         assert not report.drifted
         assert report.example_coverage == 1.0
-        threshold = DRIFT.type_divergence_threshold
+        threshold = TYPE_DIVERGENCE_THRESHOLD
         assert all(
             score is None or score > threshold for score in report.column_scores
         )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache import CACHE
 from repro.substrate.relational import (
     Catalog,
     DependentJoin,
@@ -119,8 +118,7 @@ class TestNoneKeys:
 
 
 class TestEmptyRelations:
-    @pytest.mark.parametrize("cache_on", [True, False])
-    def test_joins_over_empty_inputs(self, catalog, cache_on):
+    def test_joins_over_empty_inputs(self, catalog):
         plans = [
             Join(Scan("EmptyL"), Scan("D"), (("City", "City"),)),
             Join(Scan("L"), Scan("EmptyR"), (("City", "City"),)),
@@ -130,13 +128,8 @@ class TestEmptyRelations:
             Distinct(Scan("EmptyL")),
             Limit(Scan("EmptyL"), 5),
         ]
-        if cache_on:
-            for plan in plans:
-                assert len(run(catalog, plan)) == 0
-        else:
-            with CACHE.disabled():
-                for plan in plans:
-                    assert len(run(catalog, plan)) == 0
+        for plan in plans:
+            assert len(run(catalog, plan)) == 0
 
     def test_union_with_empty_part_keeps_other_rows(self, catalog):
         result = run(catalog, Union((Scan("EmptyL"), Scan("L"))))
@@ -185,7 +178,7 @@ class TestLimitShortCircuit:
 
 
 class TestBlockedRecordLinkJoin:
-    def test_blocked_join_matches_full_cross(self, catalog):
+    def test_blocked_join_matches_full_cross(self, catalog, monkeypatch):
         """Force blocking on a tiny input and compare against the full cross.
 
         The rows share name tokens with their true matches, so token
@@ -202,15 +195,10 @@ class TestBlockedRecordLinkJoin:
         def key(result):
             return [(tuple(row.values), str(prov)) for row, prov in result.rows]
 
-        with CACHE.disabled("blocking", "plan"):
-            full = run(catalog, plan)
-        saved = CACHE.blocking_min_pairs
-        CACHE.blocking_min_pairs = 1  # force the blocked path
-        try:
-            with CACHE.disabled("plan"):
-                blocked = run(catalog, plan)
-        finally:
-            CACHE.blocking_min_pairs = saved
+        full = run(catalog, plan)  # 4 x 3 pairs: below the threshold, full cross
+        # Force the blocked path; run() builds a fresh, cold evaluator.
+        monkeypatch.setattr("repro.substrate.relational.evaluator.BLOCKING_MIN_PAIRS", 1)
+        blocked = run(catalog, plan)
         assert key(blocked) == key(full)
         assert len(blocked) > 0
 

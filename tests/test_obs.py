@@ -14,7 +14,6 @@ import threading
 import pytest
 
 from repro import obs
-from repro.cache import CACHE
 from repro.obs import (
     METRICS,
     NULL_SPAN,
@@ -392,7 +391,7 @@ class TestSummary:
                 for name in printed
             }
             histograms = sorted(METRICS.snapshot()["histograms"])
-            with CACHE.disabled("blocking"), SERVER.overridden(workers=2):
+            with SERVER.overridden(workers=2):
                 knobs = render_summary()[-1]
         finally:
             obs.disable()
@@ -411,4 +410,4 @@ class TestSummary:
         assert printed == expected
         assert printed["session.pastes"] == 2
         assert [line.split()[1].rstrip(":") for line in lines if line.startswith("histogram ")] == histograms
-        assert "REPRO_CACHE_BLOCKING=False" in knobs and "REPRO_SERVER_WORKERS=2" in knobs
+        assert "REPRO_SERVER_WORKERS=2" in knobs

@@ -599,17 +599,16 @@ class TestBrownout:
                 [{"City": "Creek", "Zip": "33063"}, {"City": "Park", "Zip": "33309"}],
             )
         )
-        from repro.cache.config import CACHE
-
-        session = CopyCatSession(catalog=catalog)
+        tiers = CacheTiers()
+        session = CopyCatSession(catalog=catalog, cache_tiers=tiers)
         plan = DependentJoin(Scan("S"), "Z", (("City", "City"),))
         full = session.engine.run(plan)
         assert not full.is_degraded
         session.set_service_level("degraded")
-        # Plan cache off for the degraded leg: a cached *full* result would
+        # Cold plan cache for the degraded leg: a cached *full* result would
         # (correctly) be served instead of exercising the shed.
-        with CACHE.disabled("plan"):
-            browned = session.engine.run(plan)
+        tiers.plan.clear()
+        browned = session.engine.run(plan)
         assert browned.degraded_services() == ("Z",)
         assert len(browned.rows) == len(full.rows)  # null-padded, not dropped
         assert all(row.get("Zip") is None for row, _ in browned.rows)

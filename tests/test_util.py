@@ -232,13 +232,11 @@ class TestKnobs:
 
     def test_no_variable_is_declared_twice(self):
         from repro.analysis.concurrency.config import RACECHECK
-        from repro.cache.config import CACHE
-        from repro.drift.config import DRIFT
         from repro.durability.config import DURABILITY
         from repro.resilience.config import RESILIENCE
         from repro.server.config import OVERLOAD, SERVER
 
-        singletons = (CACHE, DRIFT, DURABILITY, OVERLOAD, RACECHECK, RESILIENCE, SERVER)
+        singletons = (DURABILITY, OVERLOAD, RACECHECK, RESILIENCE, SERVER)
         names = [knob.env for config in singletons for knob in config.KNOBS.values()]
         assert all(name.startswith("REPRO_") for name in names)
         assert len(names) == len(set(names))
