@@ -87,6 +87,9 @@ def ab_speedups(report_dir: Path) -> dict[str, float]:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"  note: skipping unreadable report {path.name}: {exc}")
             continue
+        if not isinstance(data, dict):
+            print(f"  note: skipping unreadable report {path.name}: not a JSON object")
+            continue
         series = data.get("series")
         if isinstance(series, dict) and isinstance(series.get("speedup"), (int, float)):
             speedups[str(data.get("name", path.stem))] = float(series["speedup"])

@@ -9,13 +9,19 @@ from a *different* world (different streets, cities, zips, people).
 Measures top-1 accuracy per type as the number of training values grows.
 Expected shape: accuracy climbs with training size and saturates; formats
 with distinctive token patterns (phone, zip, lat/lon) saturate earliest.
+
+Every session starts from one set of built-in types, trained from
+``BUILTIN_TYPES_SEED``; the quality gate checks that this seed is not a bad
+draw among the training seeds it could have been.
 """
 
 from __future__ import annotations
 
+import statistics
 
 from repro.data import build_scenario
 from repro.learning.model import SemanticTypeLearner, seed_type_learner
+from repro.learning.model.seed import BUILTIN_TYPES_SEED
 
 from .common import format_table, table_series, write_report
 
@@ -43,16 +49,21 @@ def columns_from_scenario(seed: int):
     }
 
 
-def accuracy_at(samples: int, scenario_seeds=(99, 7, 2024)) -> float:
-    learner = seed_type_learner(seed=1, samples=samples)
+def top1_accuracy(learner: SemanticTypeLearner, scenarios) -> float:
+    """Share of *scenarios*' columns whose top hypothesis is the expected type."""
     hits = total = 0
-    for seed in scenario_seeds:
-        for label, values in columns_from_scenario(seed).items():
+    for columns in scenarios:
+        for label, values in columns.items():
             total += 1
             ranked = learner.recognize(values, top_k=1)
             if ranked and ranked[0].semantic_type.name == EXPECTED[label]:
                 hits += 1
     return hits / total
+
+
+def accuracy_at(samples: int, scenario_seeds=(99, 7, 2024)) -> float:
+    learner = seed_type_learner(seed=1, samples=samples)
+    return top1_accuracy(learner, [columns_from_scenario(seed) for seed in scenario_seeds])
 
 
 class TestTypeRecognition:
@@ -85,6 +96,43 @@ class TestTypeRecognition:
         )
         misses = [row for row in rows if row[4] == "MISS"]
         assert len(misses) <= 2  # near-perfect cross-world recognition
+
+    def test_builtin_seed_is_not_a_bad_draw(self):
+        """The shipped built-ins score at least the median training seed.
+
+        Unseen scenarios 100-129 (none of them a training world); training
+        seeds 0-23, each trained fresh into its own learner.
+        """
+        scenarios = [columns_from_scenario(seed) for seed in range(100, 130)]
+        accuracy = {
+            seed: top1_accuracy(seed_type_learner(seed=seed, learner=SemanticTypeLearner()), scenarios)
+            for seed in range(24)
+        }
+        shipped_accuracy = top1_accuracy(seed_type_learner(seed=BUILTIN_TYPES_SEED), scenarios)
+        median = statistics.median(accuracy.values())
+        rows = [
+            (seed, f"{acc:.3f}", "shipped" if seed == BUILTIN_TYPES_SEED else "")
+            for seed, acc in sorted(accuracy.items())
+        ]
+        write_report(
+            "type_recognition_seeds",
+            format_table(["training seed", "top-1 accuracy", ""], rows)
+            + [
+                "",
+                f"shipped built-ins (seed {BUILTIN_TYPES_SEED}): {shipped_accuracy:.3f}",
+                f"median over training seeds 0-23: {median:.3f}",
+                f"worst: {min(accuracy.values()):.3f}  best: {max(accuracy.values()):.3f}",
+                f"columns scored per seed: {sum(len(columns) for columns in scenarios)}",
+            ],
+            series={
+                "shipped_seed": BUILTIN_TYPES_SEED,
+                "shipped_accuracy": shipped_accuracy,
+                "median_accuracy": median,
+                "per_seed": [{"seed": seed, "accuracy": acc} for seed, acc in sorted(accuracy.items())],
+            },
+        )
+        assert shipped_accuracy == accuracy[BUILTIN_TYPES_SEED]
+        assert shipped_accuracy >= median
 
     def test_new_type_immediately_available(self):
         """'Once the system learns a new semantic type, this type will be

@@ -53,7 +53,7 @@ from ..obs import METRICS, TRACER
 from ..learning.integration.learner import IntegrationLearner
 from ..learning.integration.queries import IntegrationQuery
 from ..learning.integration.source_graph import Association
-from ..learning.model.seed import seed_type_learner
+from ..learning.model.seed import BUILTIN_TYPES_SEED, seed_type_learner
 from ..learning.model.type_learner import SemanticTypeLearner
 from ..learning.structure.learner import StructureLearner
 from ..learning.transforms import Transform, TransformLearner
@@ -109,7 +109,13 @@ class ResyncReport:
 
 
 class CopyCatSession:
-    """One interactive smart-copy-and-paste session."""
+    """One interactive smart-copy-and-paste session.
+
+    Without a *type_learner* the session starts from the process's
+    built-in types (:func:`~repro.learning.model.seed.builtin_types`),
+    shared by every session. *seed* no longer selects them: it is accepted
+    for existing callers and selects nothing in the session.
+    """
 
     OUTPUT_TAB = "Integration"
 
@@ -126,7 +132,7 @@ class CopyCatSession:
     ):
         self.catalog = catalog or Catalog()
         self.clipboard = clipboard or Clipboard()
-        self.type_learner = type_learner or seed_type_learner(seed=seed)
+        self.type_learner = type_learner or seed_type_learner(seed=BUILTIN_TYPES_SEED)
         self.structure_learner = structure_learner or StructureLearner(
             type_learner=self.type_learner
         )

@@ -17,9 +17,11 @@ them is copied into the snapshot:
 - **shared objects** go out as references and are resolved against the
   fresh session at load: the session itself (its bound methods reach it),
   the base catalog a tenant's catalog was forked from and that base's
-  relations, every service, and the cache-tier bundle with each of its
+  relations, every service, the cache-tier bundle with each of its
   tiers (so ``Evaluator.plan_cache``, which aliases a tier, stays an
-  alias of the fleet's shared tier);
+  alias of the fleet's shared tier), and every built-in semantic type the
+  session still holds unrefined (a refined type is a new object and is
+  pickled by value);
 - **private memos** (:class:`~repro.cache.lru.LRUCache`) come back empty,
   with the same capacity;
 - **locks and cache scopes** are process-local and come back fresh
@@ -44,6 +46,7 @@ import pickle
 import sys
 from typing import TYPE_CHECKING, Any
 
+from ..learning.model.seed import builtin_types
 from .wal import canonical_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -79,6 +82,7 @@ def _shared_objects(session: "CopyCatSession") -> dict[int, tuple[Any, tuple[str
     tiers = _tiers(session)
     shared.append((tiers, ("tiers",)))
     shared.extend((getattr(tiers, name), ("tier", name)) for name in tiers.NAMES)
+    shared.extend((learned, ("builtin", learned.name)) for learned in builtin_types())
     return {id(obj): (obj, key) for obj, key in shared}
 
 
@@ -130,6 +134,10 @@ class _Loader(pickle.Unpickler):
             return base
         if kind == "relation" and base is not None:
             return base.relation(name[0])
+        if kind == "builtin":
+            for learned in builtin_types():
+                if learned.name == name[0]:
+                    return learned
         raise SnapshotError(f"snapshot reference {key!r} does not resolve here")
 
 

@@ -254,7 +254,8 @@ class IntegrationLearner:
         attributes may feed new edges (the user may have removed columns).
         """
         schema = query.output_schema(self.catalog)
-        visible = set(visible_attributes if visible_attributes is not None else schema.names)
+        before = set(schema.names)
+        visible = set(visible_attributes) if visible_attributes is not None else before
         completions: list[ColumnCompletion] = []
         seen_feature_sets: set[frozenset[str]] = set()
         for node in sorted(query.nodes):
@@ -267,7 +268,7 @@ class IntegrationLearner:
                 try:
                     extended = extend_query(
                         query, edge, self.catalog, self.graph,
-                        linker_factory=self.linker_factory,
+                        linker_factory=self.linker_factory, schema=schema,
                     )
                 except IntegrationError:
                     continue
@@ -282,7 +283,6 @@ class IntegrationLearner:
                 if extended.features in seen_feature_sets:
                     continue
                 seen_feature_sets.add(extended.features)
-                before = set(schema.names)
                 after = extended.output_schema(self.catalog).names
                 added = tuple(name for name in after if name not in before)
                 if not added:

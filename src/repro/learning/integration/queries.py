@@ -126,12 +126,16 @@ def extend_query(
     graph: SourceGraph,
     linker_factory: LinkerFactory | None = None,
     link_threshold: float = 0.25,
+    schema: Schema | None = None,
 ) -> IntegrationQuery:
-    """Attach one more edge/node to an existing query (column completion)."""
+    """Attach one more edge/node to an existing query (column completion).
+
+    *schema* is the query's output schema, when the caller already has it.
+    """
     linker_factory = linker_factory or _default_linker_factory
     attached = set(query.nodes)
     extended = _try_attach(
-        query.plan, edge, attached, catalog, graph, linker_factory, link_threshold
+        query.plan, edge, attached, catalog, graph, linker_factory, link_threshold, schema
     )
     if extended is None:
         raise IntegrationError(f"edge {edge.key} cannot extend query {query.describe()}")
@@ -152,13 +156,18 @@ def _try_attach(
     graph: SourceGraph,
     linker_factory: LinkerFactory,
     link_threshold: float,
+    schema: Schema | None = None,
 ) -> Plan | None:
-    """Attach *edge* to *plan* if possible; mutates *attached* on success."""
+    """Attach *edge* to *plan* if possible; mutates *attached* on success.
+
+    *schema* is *plan*'s output schema, derived here when not given.
+    """
     left_in = edge.left in attached
     right_in = edge.right in attached
     if left_in == right_in:  # both in (cycle) or both out (not yet reachable)
         return None
-    schema = plan.output_schema(catalog)
+    if schema is None:
+        schema = plan.output_schema(catalog)
     new_node = edge.right if left_in else edge.left
 
     if edge.kind == "service":

@@ -4,28 +4,55 @@ CopyCat ships with types it has "seen previously" (Figure 1's PR-Street /
 PR-City suggestions come from prior knowledge). This module trains a
 :class:`SemanticTypeLearner` on samples drawn from the synthetic world, so
 recognition generalizes to *new* sources that were not part of training.
+
+The built-in types every session starts from are a process-wide constant:
+trained once, on first use, from :data:`BUILTIN_TYPES_SEED`. A checkpoint
+refers to them by name rather than copying them
+(:mod:`repro.durability.snapshot`), so their training must give equal types
+in every process.
 """
 
 from __future__ import annotations
 
 import random
 
-from ...cache.lru import LRUCache
+from ...analysis.concurrency.runtime import make_lock
 from ...data.names import person_name, phone_number, shelter_name
 from ...substrate.relational import schema as types
 from ...substrate.services.gazetteer import Gazetteer
 from ...util.rng import derive_rng, make_rng
-from .type_learner import SemanticTypeLearner
+from .type_learner import LearnedType, SemanticTypeLearner
 
-#: Built-in type sets kept process-wide, keyed on ``(seed, samples)``. A
-#: server trains the same seed for every session and again on recovery.
-SEED_MEMO_CAPACITY = 4
-_SEEDED = LRUCache(SEED_MEMO_CAPACITY)
+#: Training seed of the built-in types. No training seed in 0-23 scores a
+#: higher top-1 accuracy on unseen scenarios (EXPERIMENTS.md E-MT).
+BUILTIN_TYPES_SEED = 1
+#: Training values drawn per built-in type.
+BUILTIN_TYPES_SAMPLES = 60
+
+_BUILTINS: tuple[LearnedType, ...] | None = None
+_BUILTINS_LOCK = make_lock("seed._BUILTINS_LOCK")
+
+
+def builtin_types() -> tuple[LearnedType, ...]:
+    """The built-in types, trained on the first call and shared thereafter.
+
+    Learned types are frozen and refinement replaces them, so no learner
+    seeded with these can change another's.
+    """
+    global _BUILTINS
+    if _BUILTINS is None:
+        # Double-checked: sessions racing the first call wait for one
+        # training and all get the same objects.
+        with _BUILTINS_LOCK:
+            if _BUILTINS is None:
+                trained = _train(None, BUILTIN_TYPES_SAMPLES, BUILTIN_TYPES_SEED, SemanticTypeLearner())  # lint: allow=CONC004 -- one training per process, waited for by racing sessions; only leaf types.learn metrics emit inside
+                _BUILTINS = tuple(trained.get(name) for name in trained.known_types())
+    return _BUILTINS
 
 
 def seed_type_learner(
     gazetteer: Gazetteer | None = None,
-    samples: int = 60,
+    samples: int = BUILTIN_TYPES_SAMPLES,
     seed: int | random.Random | None = None,
     learner: SemanticTypeLearner | None = None,
 ) -> SemanticTypeLearner:
@@ -36,20 +63,15 @@ def seed_type_learner(
     claim is exactly that recognition works on "new sources of data that may
     not precisely match the original learned distribution of patterns".
 
-    With an ``int`` *seed* and neither *gazetteer* nor *learner* given, the
-    trained types are memoised process-wide and a fresh learner is seeded
-    with them. Learned types are frozen and refinement replaces them, so
-    no learner can change another's.
+    ``seed=BUILTIN_TYPES_SEED`` with the default *samples* and neither
+    *gazetteer* nor *learner* is the shipped training: the learner holds
+    the process's :func:`builtin_types`. Anything else trains fresh.
     """
-    if not isinstance(seed, int) or gazetteer is not None or learner is not None:
+    shipped = seed == BUILTIN_TYPES_SEED and samples == BUILTIN_TYPES_SAMPLES
+    if not shipped or gazetteer is not None or learner is not None:
         return _train(gazetteer, samples, seed, learner or SemanticTypeLearner())
-    builtins = _SEEDED.get((seed, samples))
-    if builtins is None:
-        trained = _train(None, samples, seed, SemanticTypeLearner())
-        builtins = tuple(trained.get(name) for name in trained.known_types())
-        _SEEDED.put((seed, samples), builtins)
     learner = SemanticTypeLearner()
-    for learned in builtins:
+    for learned in builtin_types():
         learner.add(learned)
     return learner
 

@@ -1,4 +1,4 @@
-"""Regression tests for benchmarks/common.py helpers.
+"""Regression tests for the benchmarks/common.py and check_regression.py helpers.
 
 ``format_table`` used to crash with an IndexError when any row's cell list
 was shorter than the header row (an empty cell list included) because the
@@ -86,3 +86,18 @@ class TestTableSeries:
     def test_is_json_ready(self):
         series = table_series(["a"], [["x"]])
         assert json.loads(json.dumps(series)) == series
+
+
+class TestAbSpeedups:
+    def test_skips_reports_that_are_not_json_objects(self, tmp_path, capsys):
+        from check_regression import ab_speedups
+
+        (tmp_path / "a_list.json").write_text("[1, 2]")
+        (tmp_path / "a_number.json").write_text("3")
+        (tmp_path / "broken.json").write_text("{")
+        (tmp_path / "ab.json").write_text(json.dumps({"name": "ab", "series": {"speedup": 2.5}}))
+        assert ab_speedups(tmp_path) == {"ab": 2.5}
+        notes = capsys.readouterr().out
+        assert "skipping unreadable report a_list.json: not a JSON object" in notes
+        assert "skipping unreadable report a_number.json: not a JSON object" in notes
+        assert "skipping unreadable report broken.json" in notes

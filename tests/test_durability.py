@@ -33,6 +33,7 @@ Contracts under test:
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import inspect
 import json
@@ -84,6 +85,7 @@ from repro.substrate.documents import CellRange
 from repro.substrate.relational.relation import Relation
 from repro.substrate.relational.schema import PLACE
 from repro.errors import CopyCatError
+from repro.learning.model.seed import builtin_types
 from repro.obs import METRICS, render_summary
 from repro.util.rng import capture_state, restore_state
 
@@ -1070,6 +1072,13 @@ print(digest_hash(state_digest(session)))
 """
 
 
+BUILTINS_SCRIPT = """
+import base64, pickle
+from repro.learning.model.seed import builtin_types
+print(base64.b64encode(pickle.dumps(builtin_types())).decode())
+"""
+
+
 def run_in_subprocess(script, hash_seed: str, *args) -> str:
     repo = Path(repro.__file__).resolve().parents[2]
     env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=f"{repo / 'src'}{os.pathsep}{repo}")
@@ -1098,6 +1107,15 @@ class TestCrossProcessReplay:
         store.close()
         digests = {seed: recover_in_subprocess(tmp_path, seed) for seed in ("0", "1")}
         assert digests == {"0": live, "1": live}
+
+    def test_builtin_types_equal_under_any_hash_seed(self):
+        # A snapshot names the built-in types it shares and the loading
+        # process resolves the names against its own training, so every
+        # process must train equal types, whatever its string hashing.
+        here = builtin_types()
+        for hash_seed in ("0", "1"):
+            there = pickle.loads(base64.b64decode(run_in_subprocess(BUILTINS_SCRIPT, hash_seed)))
+            assert there == here
 
     def test_snapshot_continues_under_another_hash_seed(self, tmp_path):
         # A snapshot pickled in one interpreter is loaded, extended by its
@@ -1141,6 +1159,19 @@ class TestCheckpointBytes:
         restored = new_session(build_demo_world())
         snapshot.load(restored, payload)
         assert session_hash(restored) == session_hash(session)
+
+    def test_builtin_types_by_reference_refined_types_by_value(self):
+        world = build_world()
+        session = new_session(world)
+        refined = session.type_learner.learn(PLACE, ["Hope Shelter", "Grace Hall"])
+        restored = new_session(build_world())
+        snapshot.load(restored, snapshot.dump(session))
+        for learned in builtin_types():
+            if learned.name != PLACE.name:
+                assert restored.type_learner.get(learned.name) is learned
+        place = restored.type_learner.get(PLACE.name)
+        assert place == refined and place is not refined
+        assert place != next(t for t in builtin_types() if t.name == PLACE.name)
 
     def test_recovered_history_extended_by_live_actions(self, tmp_path):
         # The seq continues across the recover seam: the next snapshot

@@ -3,6 +3,9 @@ and functional source descriptions."""
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro import obs
@@ -21,6 +24,7 @@ from repro.learning.model import (
     seed_type_learner,
     value_symbols,
 )
+from repro.learning.model import seed
 from repro.learning.model.type_learner import RECOGNIZE_MEMO_CAPACITY
 from repro.substrate.relational.schema import CITY, ZIPCODE
 from repro.substrate.relational import schema_of
@@ -186,6 +190,50 @@ class TestTypeLearner:
         streets = [address.street for address in gaz.addresses[:15]]
         best = trained_types.best_type(streets)
         assert best is not None and best.name == "PR-Street"
+
+
+class TestBuiltinTypes:
+    def test_only_the_shipped_training_is_shared(self):
+        builtins = {learned.name: learned for learned in seed.builtin_types()}
+        assert seed_type_learner(seed=seed.BUILTIN_TYPES_SEED).get("PR-Street") is builtins["PR-Street"]
+        fresh = [
+            seed_type_learner(seed=2),
+            seed_type_learner(seed=seed.BUILTIN_TYPES_SEED, samples=30),
+            seed_type_learner(seed=seed.BUILTIN_TYPES_SEED, learner=SemanticTypeLearner()),
+            seed_type_learner(seed=seed.BUILTIN_TYPES_SEED, gazetteer=Gazetteer(seed=33)),
+        ]
+        for learner in fresh:
+            assert all(learner.get(name) is not learned for name, learned in builtins.items())
+        # A fresh training of the shipped seed equals the shared one.
+        assert [fresh[2].get(name) for name in sorted(builtins)] == [builtins[n] for n in sorted(builtins)]
+
+    def test_racing_first_calls_train_once(self, monkeypatch):
+        monkeypatch.setattr(seed, "_BUILTINS", None)
+        trainings = []
+        train = seed._train
+        monkeypatch.setattr(seed, "_train", lambda *args: trainings.append(1) or train(*args))
+        workers = 8
+        barrier = threading.Barrier(workers)
+        results = [None] * workers
+
+        def first_call(index):
+            barrier.wait(timeout=10.0)
+            results[index] = seed.builtin_types()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_call, args=(i,)) for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(trainings) == 1
+        assert all(result is results[0] for result in results)
+        assert len(results[0]) == 12
 
 
 ZIPS = [f"{33000 + i:05d}" for i in range(30)]

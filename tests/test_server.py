@@ -26,6 +26,7 @@ import pytest
 from repro import CopyCatSession
 from repro.cache.tiers import CacheTiers
 from repro.errors import CatalogError
+from repro.learning.model.seed import builtin_types
 from repro.obs import render_summary
 from repro.server import (
     OVERLOAD,
@@ -155,6 +156,13 @@ class TestLifecycle:
 
 
 class TestDispatch:
+    def test_tenants_hold_the_same_builtin_types(self):
+        with SessionManager(SharedBase(small_catalog()), seed=7) as manager:
+            a, b = manager.session("a").type_learner, manager.session("b").type_learner
+            assert manager._registry["a"].seed != manager._registry["b"].seed
+            for learned in builtin_types():
+                assert a.get(learned.name) is b.get(learned.name) is learned
+
     def test_per_tenant_seeding_is_order_independent(self):
         def seeds(manager, order):
             for tenant in order:

@@ -12,6 +12,7 @@ from repro.core.workspace import CellState, Mode
 from repro.data import build_scenario
 from repro.errors import FeedbackError, WorkspaceError
 from repro.learning.model import seed_type_learner
+from repro.learning.model.seed import builtin_types
 from repro.substrate.documents import Browser, CellRange, SpreadsheetApp
 from repro.substrate.relational.schema import STREET
 
@@ -44,7 +45,17 @@ def import_shelters(scenario, session, browser, label=True):
 
 
 class TestSeededTypesAreShared:
-    """Sessions of one seed share trained built-in types, never refinements."""
+    """Every session shares the built-in types, never refinements."""
+
+    def test_sessions_of_any_seed_hold_the_same_builtins(self, env):
+        scenario, session, _ = env
+        other = CopyCatSession(catalog=scenario.catalog, seed=9)
+        assert session.type_learner is not other.type_learner
+        names = [learned.name for learned in builtin_types()]
+        assert session.type_learner.known_types() == other.type_learner.known_types() == sorted(names)
+        for learned in builtin_types():
+            assert session.type_learner.get(learned.name) is learned
+            assert other.type_learner.get(learned.name) is learned
 
     def test_refinement_stays_in_its_session(self, env):
         scenario, session, browser = env
@@ -56,6 +67,7 @@ class TestSeededTypesAreShared:
         assert session.type_learner.get("PR-Street").signature != original
         other = CopyCatSession(catalog=scenario.catalog, seed=1)
         assert other.type_learner.get("PR-Street").signature == original
+        assert CopyCatSession(catalog=scenario.catalog, seed=9).type_learner.get("PR-Street").signature == original
         assert seed_type_learner(seed=1).get("PR-Street").signature == original
         assert other.type_learner.get("PR-Street") is seed_type_learner(seed=1).get("PR-Street")
 
