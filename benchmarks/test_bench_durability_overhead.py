@@ -44,7 +44,7 @@ def _integration_session(root=None):
     store = None
     if root is not None:
         store = DurabilityStore(root)
-        recover_session(session, "bench", store, seed=1)
+        recover_session(session, "bench", store)
     import_shelters_via_session(scenario, session)
     import_contacts_via_session(scenario, session)
     session.start_integration("Shelters")

@@ -18,9 +18,9 @@ transposes). This benchmark is the gate for that server:
 - **isolation** — every tenant's full output (plan results with
   provenance, accepted columns, workspace rows, trust map, learned edge
   weights) must be bit-for-bit identical, in both legs, to the same script
-  run in an isolated single-threaded ``CopyCatSession`` seeded the same
-  way (``seed_for(manager seed, tenant id)`` — label-only, so isolation is
-  checkable by construction).
+  run in an isolated single-threaded ``CopyCatSession`` (a tenant shares
+  only the frozen base and the locked tiers, so isolation is checkable by
+  construction).
 
 The tenant script deliberately ends by *diverging*: ``demote_row`` bumps
 the catalog version and marks base rows distrusted, which moves the fork
@@ -55,7 +55,7 @@ from repro.substrate.relational import (
     Select,
     schema_of,
 )
-from repro.util.rng import DEFAULT_SEED, make_rng, seed_for
+from repro.util.rng import make_rng
 
 from .common import format_table, table_series, write_report
 
@@ -224,11 +224,8 @@ def _tenant_offset(tenant_id: str) -> int:
 
 
 def run_isolated(tenant_id: str, plans: list[Plan]):
-    """Reference run: a plain single-threaded session, seeded exactly the
-    way the manager seeds this tenant."""
-    session = CopyCatSession(
-        catalog=tenant_catalog(), seed=seed_for(DEFAULT_SEED, tenant_id)
-    )
+    """Reference run: a plain single-threaded session."""
+    session = CopyCatSession(catalog=tenant_catalog())
     return [op(session) for op in tenant_ops(plans, _tenant_offset(tenant_id))]
 
 
@@ -248,9 +245,7 @@ def run_leg_once(plans: list[Plan], *, concurrent: bool):
     base = SharedBase(tenant_catalog())
     if not concurrent:
         sessions = {
-            tenant: CopyCatSession(
-                catalog=base.fork_catalog(), seed=seed_for(DEFAULT_SEED, tenant)
-            )
+            tenant: CopyCatSession(catalog=base.fork_catalog())
             for tenant in tenants
         }
         gc.collect()
@@ -309,7 +304,7 @@ class TestScaleTenants:
         concurrent_s, concurrent_out, concurrent_lat = run_leg(plans, concurrent=True)
 
         # Correctness gate first: every tenant, both legs, bit for bit
-        # against an isolated single-threaded run with the same seed.
+        # against an isolated single-threaded run.
         for tenant in serial_out:
             isolated = run_isolated(tenant, plans)
             assert serial_out[tenant] == isolated, f"serial leg diverged for {tenant}"

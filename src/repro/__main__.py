@@ -21,7 +21,7 @@ def _run_demo() -> None:
         from repro import Browser, CopyCatSession, build_scenario
 
         scenario = build_scenario(seed=5, n_shelters=8)
-        session = CopyCatSession(catalog=scenario.catalog, seed=1)
+        session = CopyCatSession(catalog=scenario.catalog)
         browser = Browser(session.clipboard, scenario.website)
         browser.navigate(scenario.list_urls()[0])
         listing = browser.page.dom.find("table", "listing")

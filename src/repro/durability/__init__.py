@@ -91,7 +91,6 @@ def recover_session(
     tenant: str,
     store: DurabilityStore,
     *,
-    seed: int | None = None,
     checkpoint_interval: int | None = None,
 ) -> tuple[SessionRecorder, ReplayReport | None]:
     """Attach a recorder to a fresh session, restoring any stored state.
@@ -102,9 +101,7 @@ def recover_session(
     sequence (the replayed tail still counts toward the next checkpoint).
     """
     recovered = store.recover(tenant, session)
-    recorder = SessionRecorder(
-        tenant, store, seed=seed, checkpoint_interval=checkpoint_interval
-    )
+    recorder = SessionRecorder(tenant, store, checkpoint_interval=checkpoint_interval)
     attach_recorder(session, recorder)
     report: ReplayReport | None = None
     if recovered.actions:

@@ -54,12 +54,10 @@ class SessionRecorder:
         tenant: str = "session",
         store: "DurabilityStore | None" = None,
         *,
-        seed: int | None = None,
         checkpoint_interval: int | None = None,
     ):
         self.tenant = tenant
         self.store = store
-        self.seed = seed
         self.checkpoint_interval = (
             DURABILITY.checkpoint_interval
             if checkpoint_interval is None
@@ -173,7 +171,7 @@ class SessionRecorder:
             # appends or the snapshot and the logged tail could diverge,
             # so the checkpoint IO stays under the recording lock.
             wrote = self.store.write_checkpoint(  # lint: allow=CONC002,CONC004 -- snapshot+truncate must be atomic vs appends
-                self.tenant, self.session, n_actions=self.next_seq, seed=self.seed
+                self.tenant, self.session, n_actions=self.next_seq
             )
             if wrote:
                 self.store.truncate_wal(self.tenant)

@@ -3,7 +3,7 @@
 A checkpoint is one line of canonical JSON, the header, followed by a
 pickle of the session's state::
 
-    {"format":2,"n_actions":65,"python":"3.11","seed":7,"sha256":"…","tenant":"alice"}\\n
+    {"format":2,"n_actions":65,"python":"3.11","sha256":"…","tenant":"alice"}\\n
     <pickle of vars(session) minus the recorder>
 
 ``n_actions`` is how many recorded actions the snapshot covers; the log
@@ -155,14 +155,13 @@ def load(session: "CopyCatSession", payload: bytes) -> None:
     vars(session).update(state)
 
 
-def encode(session: "CopyCatSession", tenant: str, n_actions: int, seed: int | None) -> bytes:
+def encode(session: "CopyCatSession", tenant: str, n_actions: int) -> bytes:
     """The checkpoint file's bytes: header line, then the pickle."""
     payload = dump(session)
     header = {
         "format": FORMAT_VERSION,
         "n_actions": n_actions,
         "python": PYTHON,
-        "seed": seed,
         "sha256": hashlib.sha256(payload).hexdigest(),
         "tenant": tenant,
     }
@@ -182,8 +181,12 @@ def read_header(data: bytes) -> tuple[Any, bytes]:
         raise SnapshotError(f"unreadable checkpoint header: {exc}") from None
 
 
-def check(header: Any, payload: bytes, tenant: str) -> tuple[int, int | None]:
-    """``(n_actions, seed)`` of a format-2 header that matches *payload*."""
+def check(header: Any, payload: bytes, tenant: str) -> int:
+    """``n_actions`` of a format-2 header that matches *payload*.
+
+    Keys it does not read are ignored, so a header written with the
+    older ``seed`` field still loads.
+    """
     if not isinstance(header, dict) or header.get("format") != FORMAT_VERSION:
         raise SnapshotError("not a snapshot header")
     n_actions = header.get("n_actions")
@@ -195,5 +198,4 @@ def check(header: Any, payload: bytes, tenant: str) -> tuple[int, int | None]:
         raise SnapshotError(f"snapshot from Python {header.get('python')!r}, this is {PYTHON}")
     if header.get("sha256") != hashlib.sha256(payload).hexdigest():
         raise SnapshotError("snapshot digest mismatch")
-    seed = header.get("seed")
-    return n_actions, seed if isinstance(seed, int) else None
+    return n_actions

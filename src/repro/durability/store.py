@@ -117,14 +117,12 @@ class RecoveredState:
         from_checkpoint: int = 0,
         from_wal: int = 0,
         stop_reason: str | None = None,
-        seed: int | None = None,
         has_snapshot: bool = False,
     ):
         self.actions = actions
         self.from_checkpoint = from_checkpoint
         self.from_wal = from_wal
         self.stop_reason = stop_reason
-        self.seed = seed
         #: True when a valid snapshot covers the first ``from_checkpoint``.
         self.has_snapshot = has_snapshot
 
@@ -192,12 +190,11 @@ class DurabilityStore:
         session: "CopyCatSession",
         *,
         n_actions: int,
-        seed: int | None = None,
     ) -> bool:
         """Atomically persist a snapshot of *session* covering its first
         *n_actions* actions; False when the filesystem refused (the old
         checkpoint + log stay authoritative)."""
-        data = snapshot.encode(session, tenant, n_actions, seed)
+        data = snapshot.encode(session, tenant, n_actions)
         directory = self.tenant_dir(tenant)
         directory.mkdir(parents=True, exist_ok=True)
         target = self.checkpoint_path(tenant)
@@ -227,33 +224,32 @@ class DurabilityStore:
     # -- recovery ------------------------------------------------------------
     def _read_checkpoint(
         self, tenant: str, session: "CopyCatSession | None"
-    ) -> tuple[int, list[dict[str, Any]], int | None, bool]:
-        """``(actions covered, actions to replay, seed, snapshot?)``.
+    ) -> tuple[int, list[dict[str, Any]], bool]:
+        """``(actions covered, actions to replay, snapshot?)``.
 
         With *session*, a snapshot is loaded into it; without, it is only
         checked against its header.
         """
         path = self.checkpoint_path(tenant)
         if not path.exists():
-            return 0, [], None, False
+            return 0, [], False
         try:
             header, payload = snapshot.read_header(path.read_bytes())
             if isinstance(header, dict) and header.get("format") == ACTION_LIST_FORMAT:
                 actions = _trusted_actions(header)
                 if actions is None:
                     raise snapshot.SnapshotError("misshapen action-list checkpoint")
-                seed = header.get("seed")
-                return len(actions), actions, seed, False
-            n_actions, seed = snapshot.check(header, payload, tenant)
+                return len(actions), actions, False
+            n_actions = snapshot.check(header, payload, tenant)
             if session is not None:
                 snapshot.load(session, payload)
-            return n_actions, [], seed, True
+            return n_actions, [], True
         except Exception:
             # A half-written, rotted, foreign or unloadable checkpoint
             # contributes nothing; the log may still carry a replayable
             # prefix.
             METRICS.inc("durability.checkpoint_corrupt")
-            return 0, [], None, False
+            return 0, [], False
 
     def recover(self, tenant: str, session: "CopyCatSession | None" = None) -> RecoveredState:
         """The trusted state for one tenant (never raises).
@@ -261,7 +257,7 @@ class DurabilityStore:
         With *session* — a freshly built one — the snapshot is loaded
         into it, and the returned actions are the tail to replay on top.
         """
-        covered, base, seed, has_snapshot = self._read_checkpoint(tenant, session)
+        covered, base, has_snapshot = self._read_checkpoint(tenant, session)
 
         result = read_wal(self.wal_path(tenant))
         if result.stop_reason is not None:
@@ -289,7 +285,6 @@ class DurabilityStore:
             from_checkpoint=covered,
             from_wal=len(tail),
             stop_reason=stop_reason,
-            seed=seed,
             has_snapshot=has_snapshot,
         )
         if recovered and METRICS.enabled:

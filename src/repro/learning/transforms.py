@@ -60,9 +60,6 @@ class Transform:
         except (TypeError, ValueError, AttributeError, IndexError, KeyError):
             return None
 
-    def apply_all(self, rows: Sequence[RowLike]) -> list[Any]:
-        return [self.apply(row) for row in rows]
-
     def __str__(self) -> str:
         return self.description
 

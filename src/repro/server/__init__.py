@@ -11,8 +11,7 @@ the single-session library into that shape:
   plus the shared cache-tier bundle every tenant's evaluator consults;
 - :mod:`~repro.server.manager` — :class:`SessionManager`: session registry
   and lifecycle (create / touch / LRU-evict / idle-TTL-expire) over a
-  bounded worker pool, per-session FIFO dispatch, per-tenant deterministic
-  seeding;
+  bounded worker pool, per-session FIFO dispatch;
 - :mod:`~repro.server.overload` — admission control (bounded queues,
   inflight watermark, token buckets, seeded shed ramp), request deadlines
   with cooperative cancellation, deficit-round-robin fairness, and the

@@ -17,11 +17,6 @@ concurrently on a bounded worker pool:
 - **shared caching** — every session's evaluator consults the
   :class:`~repro.server.base.SharedBase`'s shared tier bundle, so tenant
   A's compiled plan closure or materialized join is a hit for tenant B;
-- **determinism** — each tenant's stochastic components are seeded by
-  :func:`repro.util.rng.seed_for` over ``(manager seed, tenant id)``,
-  which depends on *labels only* — never on creation order or thread
-  scheduling — so a tenant's outputs are reproducible regardless of which
-  other tenants run beside it;
 - **overload protection** (:mod:`repro.server.overload`) — admission
   control sheds a submit past the per-tenant queue bound, the server-wide
   inflight watermark, or the tenant's token bucket with a typed
@@ -53,7 +48,6 @@ from ..core.session import CopyCatSession
 from ..durability import DURABILITY, DurabilityStore, recover_session
 from ..obs import METRICS
 from ..resilience.retry import Deadline
-from ..util.rng import DEFAULT_SEED, seed_for
 from .base import SharedBase
 from .config import OVERLOAD, SERVER
 from .overload import (
@@ -98,7 +92,6 @@ class _Entry:
     """Registry slot: the session plus its dispatch and lifecycle state."""
 
     session: CopyCatSession
-    seed: int
     created: float
     last_used: float
     tenant_id: str = ""
@@ -123,20 +116,20 @@ class _Entry:
 
 
 class SessionManager:
-    """Serves many tenant sessions concurrently over one shared base."""
+    """Serves many tenant sessions concurrently over one shared base.
+
+    *seed* is accepted for existing callers and selects nothing.
+    """
 
     def __init__(
         self,
         base: SharedBase | None = None,
         *,
-        seed: int = DEFAULT_SEED,
-        session_factory: Callable[..., CopyCatSession] | None = None,
+        seed: int | None = None,
         clock: Callable[[], float] = time.monotonic,
         durability_root: Any = None,
     ):
         self.base = base if base is not None else SharedBase()
-        self.seed = seed
-        self._session_factory = session_factory or self._default_factory
         self._clock = clock
         # Durable sessions: with a root configured (argument, or the
         # REPRO_DURABILITY_ROOT knob), every tenant session records its
@@ -175,9 +168,6 @@ class SessionManager:
         self.shed_reasons = {reason: 0 for reason in _SHED_REASONS}
 
     # -- session lifecycle ---------------------------------------------------
-    def _default_factory(self, *, catalog, seed, cache_tiers) -> CopyCatSession:
-        return CopyCatSession(catalog=catalog, seed=seed, cache_tiers=cache_tiers)
-
     def session(self, tenant_id: str) -> CopyCatSession:
         """The tenant's session, created on first use (touches LRU order)."""
         return self._entry(tenant_id).session
@@ -218,20 +208,16 @@ class SessionManager:
     def _create_entry(self, tenant_id: str) -> tuple[_Entry, list[_Entry]]:
         """Register a new entry for the tenant (caller holds the registry
         lock); returns it and the LRU victims it pushed out."""
-        seed = seed_for(self.seed, tenant_id)
-        session = self._session_factory(
-            catalog=self.base.fork_catalog(), seed=seed, cache_tiers=self.base.tiers
-        )
+        session = CopyCatSession(catalog=self.base.fork_catalog(), cache_tiers=self.base.tiers)
         if self.store is not None:
             # Recover-on-attach: load this tenant's snapshot and replay its
             # log tail (a no-op for new tenants). Runs under the registry
             # lock so two racing first requests can never double-replay
             # one history.
-            recover_session(session, tenant_id, self.store, seed=seed)
+            recover_session(session, tenant_id, self.store)
         now = self._clock()
         entry = _Entry(
             session=session,
-            seed=seed,
             created=now,
             last_used=now,
             tenant_id=tenant_id,

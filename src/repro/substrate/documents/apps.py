@@ -30,9 +30,6 @@ class Browser:
         self._sites: list[Website] = list(sites)
         self.current_page: Page | None = None
 
-    def add_site(self, site: Website) -> None:
-        self._sites.append(site)
-
     def _site_for(self, url: str) -> Website:
         for site in self._sites:
             absolute = site.absolute(url)
@@ -61,18 +58,7 @@ class Browser:
             raise NavigationError("browser has no page loaded")
         return self.current_page
 
-    def site_of_current_page(self) -> Website:
-        return self._site_for(self.page.url)
-
     # -- selection & copy ----------------------------------------------------------
-    def copy_nodes(self, nodes: Iterable[DomNode], source_name: str) -> CopyEvent:
-        """Copy the text of one or more DOM nodes (tab-joined per node)."""
-        nodes = list(nodes)
-        if not nodes:
-            raise ClipboardError("empty selection")
-        text = "\t".join(node.text_content() for node in nodes)
-        return self._emit(text, source_name, locator=[node.path() for node in nodes])
-
     def copy_record(self, node: DomNode, source_name: str) -> CopyEvent:
         """Copy a record node: its text leaves become tab-separated fields.
 

@@ -59,10 +59,6 @@ class DomNode:
     def is_text(self) -> bool:
         return self.tag == TEXT_TAG
 
-    @property
-    def is_element(self) -> bool:
-        return not self.is_text
-
     # -- traversal -------------------------------------------------------------
     def iter(self) -> Iterator["DomNode"]:
         """Pre-order traversal including self."""
@@ -97,11 +93,6 @@ class DomNode:
         parts = [node.text for node in self.iter() if node.is_text and node.text.strip()]
         return " ".join(part.strip() for part in parts)
 
-    def own_text(self) -> str:
-        """Text from direct text-node children only."""
-        parts = [child.text.strip() for child in self.children if child.is_text and child.text.strip()]
-        return " ".join(parts)
-
     def text_leaves(self) -> list["DomNode"]:
         """All non-empty text nodes in document order."""
         return [node for node in self.iter() if node.is_text and node.text.strip()]
@@ -118,10 +109,6 @@ class DomNode:
         if node is not None:
             steps.append((node.tag, 0))
         return tuple(reversed(steps))
-
-    def tag_path(self) -> tuple[str, ...]:
-        """Root-to-node tag sequence without indices (a generalized path)."""
-        return tuple(tag for tag, _ in self.path())
 
     def signature(self, depth: int = 3) -> str:
         """A shape fingerprint of the subtree, used for template detection.

@@ -93,10 +93,6 @@ class WordApp:
             raise DocumentError(f"no document named {name!r}") from None
         return self._active
 
-    def add_document(self, document: TextDocument) -> TextDocument:
-        self._documents[document.name] = document
-        return document
-
     @property
     def document(self) -> TextDocument:
         if self._active is None:

@@ -252,19 +252,6 @@ class Service:
                 self.breaker.record_success()
                 return results
 
-    def health_stats(self) -> dict[str, int | float | str]:
-        """Operational snapshot: health counters plus breaker state."""
-        return {
-            "successes": self.health.successes,
-            "failures": self.health.failures,
-            "lookups_failed": self.health.lookups_failed,
-            "retries": self.health.retries,
-            "short_circuits": self.health.short_circuits,
-            "failure_rate": self.health.failure_rate(),
-            "breaker_state": self.breaker.state,
-            "breaker_opened": self.breaker.times_opened,
-        }
-
     # -- memoization ----------------------------------------------------------
     def cache_stats(self) -> dict[str, int]:
         """Per-service memo counters: hits / misses / evictions / size."""
@@ -349,13 +336,6 @@ class TableBackedService(Service):
             {name: row[name] for name in self.output_names}
             for row in self._index.get(key, [])
         ]
-
-    def all_rows(self) -> list[dict[str, Any]]:
-        """Every row in the backing table (used by source-description learning)."""
-        out: list[dict[str, Any]] = []
-        for rows in self._index.values():
-            out.extend(dict(row) for row in rows)
-        return out
 
 
 class FunctionService(Service):

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Sequence, TypeVar
-
-T = TypeVar("T")
 
 DEFAULT_SEED = 20090104  # CIDR 2009 opening day
 
@@ -47,61 +44,8 @@ def derive_rng(rng: random.Random, *labels: str | int) -> random.Random:
 def seed_for(*labels: str | int) -> int:
     """A stable 64-bit seed derived purely from *labels* (no parent stream).
 
-    Unlike :func:`derive_rng` — which draws from a parent ``Random`` and is
-    therefore sensitive to how many values were drawn before it — this
-    derivation depends only on the labels. That is the property concurrent
-    tenants need: ``seed_for(manager_seed, tenant_id)`` gives every session
-    its own deterministic generator **regardless of the order sessions are
-    created or scheduled**, keeping per-tenant outputs reproducible under
-    any thread interleaving (the REPRO005 invariant, extended to threads).
+    Kept for existing callers; no session seed selects anything any more.
     """
     token = ":".join(str(label) for label in labels)
     digest = hashlib.sha256(token.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def session_rng(*labels: str | int) -> random.Random:
-    """A per-session generator seeded by :func:`seed_for` over *labels*."""
-    return random.Random(seed_for(*labels))
-
-
-def capture_state(rng: random.Random) -> dict:
-    """The generator's exact stream position as a JSON-able dict.
-
-    Replay (``repro.durability``) uses this to resume a stream
-    *mid-flight*: a recovered session must continue drawing the same
-    values the dead process would have, not restart the stream from its
-    seed. The payload round-trips through JSON (lists, ints, None) so it
-    can ride inside a checkpoint file.
-    """
-    version, internal, gauss_next = rng.getstate()
-    return {
-        "version": version,
-        "internal": list(internal),
-        "gauss_next": gauss_next,
-    }
-
-
-def restore_state(rng: random.Random, state: dict) -> random.Random:
-    """Position *rng* exactly where :func:`capture_state` captured it."""
-    rng.setstate(
-        (state["version"], tuple(state["internal"]), state["gauss_next"])
-    )
-    return rng
-
-
-def stable_shuffle(items: Sequence[T], seed: int | random.Random | None = None) -> list[T]:
-    """Return a shuffled copy of *items* using a deterministic stream."""
-    rng = make_rng(seed)
-    out = list(items)
-    rng.shuffle(out)
-    return out
-
-
-def weighted_choice(rng: random.Random, options: Sequence[T], weights: Sequence[float]) -> T:
-    """Pick one option with probability proportional to its weight."""
-    if len(options) != len(weights):
-        raise ValueError("options and weights must have the same length")
-    if not options:
-        raise ValueError("cannot choose from an empty sequence")
-    return rng.choices(list(options), weights=list(weights), k=1)[0]

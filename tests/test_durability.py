@@ -87,7 +87,6 @@ from repro.substrate.relational.schema import PLACE
 from repro.errors import CopyCatError
 from repro.learning.model.seed import builtin_types
 from repro.obs import METRICS, render_summary
-from repro.util.rng import capture_state, restore_state
 
 from .reference_durability import checkpoint_bytes
 
@@ -387,7 +386,7 @@ class TestStoreRecovery:
         store = DurabilityStore(tmp_path)
         for record in fake_actions(3):
             store.append("t", record)
-        assert store.write_checkpoint("t", blank_session(), n_actions=3, seed=9)
+        assert store.write_checkpoint("t", blank_session(), n_actions=3)
         store.truncate_wal("t")
         store.append("t", fake_actions(1, start=3)[0])
         store.close()
@@ -398,7 +397,6 @@ class TestStoreRecovery:
         assert [a["seq"] for a in recovered.actions] == [3]
         assert recovered.has_snapshot and recovered.next_seq == 4
         assert recovered.from_checkpoint == 3 and recovered.from_wal == 1
-        assert recovered.seed == 9
 
     def test_stale_pre_checkpoint_records_skipped(self, tmp_path):
         # Crash between checkpoint rename and log truncation: the log
@@ -486,7 +484,7 @@ class TestStoreRecovery:
         path = store.checkpoint_path("t")
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps({"format": 1, "n_actions": 2, "actions": actions}), encoding="utf-8")
-        recorder, report = recover_session(new_session(build_world()), "t", store, seed=1)
+        recorder, report = recover_session(new_session(build_world()), "t", store)
         store.close()
         assert report is None and recorder.history == [] and recorder.next_seq == 0
 
@@ -696,7 +694,7 @@ class TestActionCodec:
         world = build_world()
         session = new_session(world)
         with DurabilityStore(tmp_path) as store:
-            recorder, _ = recover_session(session, "t", store, seed=1)
+            recorder, _ = recover_session(session, "t", store)
             drive_scripted(session, world)
             history = list(recorder.history)
             wal = store.wal_path("t").read_bytes()
@@ -720,7 +718,7 @@ class TestDurableSessions:
         session = new_session(world)
         store = DurabilityStore(tmp_path)
         # The default interval, pinned: no checkpoint before the end.
-        recorder, report = recover_session(session, "alice", store, seed=1, checkpoint_interval=64)
+        recorder, report = recover_session(session, "alice", store, checkpoint_interval=64)
         assert report is None  # brand-new tenant: nothing to replay
         drive_scripted(session, world, n_extra=6, seed=9)
         live = session_hash(session)
@@ -728,7 +726,7 @@ class TestDurableSessions:
 
         restored = new_session(build_world())
         with DurabilityStore(tmp_path) as store2:
-            recorder2, report2 = recover_session(restored, "alice", store2, seed=1)
+            recorder2, report2 = recover_session(restored, "alice", store2)
         assert report2 is not None and report2.applied == len(recorder.history)
         assert recorder2.since_checkpoint == report2.applied  # all tail, no checkpoint
         assert session_hash(restored) == live
@@ -737,7 +735,7 @@ class TestDurableSessions:
         world = build_world()
         session = new_session(world)
         store = DurabilityStore(tmp_path)
-        recorder, _ = recover_session(session, "bob", store, seed=1, checkpoint_interval=4)
+        recorder, _ = recover_session(session, "bob", store, checkpoint_interval=4)
         drive_scripted(session, world, n_extra=5, seed=6)
         assert recorder.checkpoints >= 2
         assert recorder.since_checkpoint < 4
@@ -749,7 +747,7 @@ class TestDurableSessions:
 
         restored = new_session(build_world())
         with DurabilityStore(tmp_path) as store2:
-            _, report = recover_session(restored, "bob", store2, seed=1)
+            _, report = recover_session(restored, "bob", store2)
         # Only the tail after the last snapshot is replayed.
         assert (report.applied if report else 0) == recorder.since_checkpoint
         assert session_hash(restored) == live
@@ -762,7 +760,7 @@ class TestDurableSessions:
         session = new_session(world)
         store = DurabilityStore(tmp_path)
         with WAL_FAULTS.injected(TearAt(6)):
-            recover_session(session, "carol", store, seed=1, checkpoint_interval=64)
+            recover_session(session, "carol", store, checkpoint_interval=64)
             driver = Driver(session, world, seed=0)
             with pytest.raises(InjectedWalFault):
                 for _ in range(9):
@@ -777,7 +775,7 @@ class TestDurableSessions:
 
         restored = new_session(build_world())
         with metrics_on() as m, DurabilityStore(tmp_path) as store2:
-            _, report = recover_session(restored, "carol", store2, seed=1)
+            _, report = recover_session(restored, "carol", store2)
             assert m.counter_value("durability.recovery_torn_records") == 1
             assert m.counter_value("durability.sessions_recovered") == 1
         assert report is not None and report.applied == 6
@@ -789,14 +787,14 @@ class TestDurableSessions:
         store = DurabilityStore(tmp_path)
         policy = WalFaultPolicy(seed=3, spec=WalFaultSpec(fsync_fail_rate=0.5))
         with metrics_on() as m, WAL_FAULTS.injected(policy):
-            recover_session(session, "dave", store, seed=1)
+            recover_session(session, "dave", store)
             drive_scripted(session, world, n_extra=4, seed=1)
             assert m.counter_value("durability.fsync_failures") > 0
         live = session_hash(session)
         store.close()
         restored = new_session(build_world())
         with DurabilityStore(tmp_path) as store2:
-            recover_session(restored, "dave", store2, seed=1)
+            recover_session(restored, "dave", store2)
         assert session_hash(restored) == live
 
     def test_disabled_layer_attaches_nothing(self, tmp_path, monkeypatch):
@@ -837,7 +835,7 @@ def record_with_snapshots(root, *, n_extra, seed, interval, tenant="t"):
     world = build_world()
     session = new_session(world)
     store = DurabilityStore(root)
-    recorder = attach_recorder(session, Capturing(tenant, store, seed=1, checkpoint_interval=interval))
+    recorder = attach_recorder(session, Capturing(tenant, store, checkpoint_interval=interval))
     drive_scripted(session, world, n_extra=n_extra, seed=seed)
     store.close()
     return world, session, recorder
@@ -879,7 +877,7 @@ class TestSnapshotRecovery:
         assert recorder.checkpoints == 4 and recorder.since_checkpoint == 1
         store = DurabilityStore(tmp_path)
         from_snapshot = new_session(build_world())
-        _, report = recover_session(from_snapshot, "t", store, seed=1, checkpoint_interval=4)
+        _, report = recover_session(from_snapshot, "t", store, checkpoint_interval=4)
         assert report is not None and report.applied == 1
         from_empty = new_session(build_world())
         assert replay(from_empty, recorder.records).applied == 21
@@ -946,7 +944,7 @@ class TestSnapshotRecovery:
         fresh = session_hash(new_session(build_world()))
         restored = new_session(build_world())
         with metrics_on() as m, DurabilityStore(tmp_path) as store:
-            recorder, report = recover_session(restored, "t", store, seed=1)
+            recorder, report = recover_session(restored, "t", store)
             assert m.counter_value("durability.checkpoint_corrupt") == 1
             assert m.counter_value("durability.recovery_seq_gaps") == 1
         # The log continues at seq 8, which nothing trusted reaches: the
@@ -973,15 +971,19 @@ class TestSnapshotRecovery:
 
         restored = new_session(build_world())
         with DurabilityStore(tmp_path) as store2:
-            recorder2, report = recover_session(restored, "t", store2, seed=1)
+            recorder2, report = recover_session(restored, "t", store2)
             assert report.applied == len(history) == recorder2.next_seq == 15
             assert session_hash(restored) == live
             assert recorder2.checkpoint()
-        assert checkpoint_header(path)["format"] == 2
-        again = new_session(build_world())
-        with DurabilityStore(tmp_path) as store3:
-            _, report3 = recover_session(again, "t", store3, seed=1)
-        assert report3 is None and session_hash(again) == live
+        header = checkpoint_header(path)
+        assert header["format"] == 2 and "seed" not in header
+        # Older format-2 headers also carried a seed; the snapshot still loads.
+        for changes in ({}, {"seed": 7}):
+            path.write_bytes(reheader(path.read_bytes(), **changes))
+            again = new_session(build_world())
+            with DurabilityStore(tmp_path) as store3:
+                _, report3 = recover_session(again, "t", store3)
+            assert report3 is None and session_hash(again) == live
 
 
 # --------------------------------------------------- cross-process replay
@@ -1043,7 +1045,7 @@ from repro.durability import DurabilityStore, digest_hash, recover_session, stat
 world = build_scenario(seed=5, n_shelters=10, noise=1)
 session = CopyCatSession(catalog=world.catalog, seed=1)
 with DurabilityStore(sys.argv[1]) as store:
-    recover_session(session, "erin", store, seed=1)
+    recover_session(session, "erin", store)
 print(digest_hash(state_digest(session)))
 """
 
@@ -1061,7 +1063,7 @@ from tests.test_durability import import_demo_sources, integrate_demo_columns
 world = build_scenario(seed=5, n_shelters=10, noise=1)
 session = CopyCatSession(catalog=world.catalog, seed=1)
 with DurabilityStore(sys.argv[1]) as store:
-    recorder, report = recover_session(session, "erin", store, seed=1, checkpoint_interval=10)
+    recorder, report = recover_session(session, "erin", store, checkpoint_interval=10)
     if sys.argv[2] == "write":
         import_demo_sources(session, world)
         assert recorder.checkpoints == 1 and recorder.since_checkpoint == 6
@@ -1101,7 +1103,7 @@ class TestCrossProcessReplay:
         world = build_demo_world()
         session = new_session(world)
         store = DurabilityStore(tmp_path)
-        recover_session(session, "erin", store, seed=1)
+        recover_session(session, "erin", store)
         drive_demo_task(session, world)
         live = session_hash(session)
         store.close()
@@ -1140,7 +1142,7 @@ class TestCheckpointBytes:
         world = build_demo_world()
         session = new_session(world)
         store = DurabilityStore(tmp_path)
-        recorder, _ = recover_session(session, "erin", store, seed=1)
+        recorder, _ = recover_session(session, "erin", store)
         drive_demo_task(session, world)
         assert recorder.checkpoint()
         store.close()
@@ -1151,11 +1153,10 @@ class TestCheckpointBytes:
             "format": 2,
             "n_actions": recorder.next_seq,
             "python": snapshot.PYTHON,
-            "seed": 1,
             "sha256": header["sha256"],
             "tenant": "erin",
         }
-        assert snapshot.check(header, payload, "erin") == (recorder.next_seq, 1)
+        assert snapshot.check(header, payload, "erin") == recorder.next_seq
         restored = new_session(build_demo_world())
         snapshot.load(restored, payload)
         assert session_hash(restored) == session_hash(session)
@@ -1179,13 +1180,13 @@ class TestCheckpointBytes:
         world = build_world()
         session = new_session(world)
         store = DurabilityStore(tmp_path)
-        recover_session(session, "t", store, seed=1, checkpoint_interval=4)
+        recover_session(session, "t", store, checkpoint_interval=4)
         drive_scripted(session, world, n_extra=2, seed=5)
         store.close()
 
         restored = new_session(build_world())
         with DurabilityStore(tmp_path) as store2:
-            recorder, report = recover_session(restored, "t", store2, seed=1, checkpoint_interval=0)
+            recorder, report = recover_session(restored, "t", store2, checkpoint_interval=0)
             assert report is not None and report.applied == 3  # 11 actions, snapshot at 8
             assert recorder.next_seq == 11
             for _ in range(3):
@@ -1196,7 +1197,7 @@ class TestCheckpointBytes:
         assert checkpoint_header(store2.checkpoint_path("t"))["n_actions"] == 14
         again = new_session(build_world())
         with DurabilityStore(tmp_path) as store3:
-            _, report3 = recover_session(again, "t", store3, seed=1)
+            _, report3 = recover_session(again, "t", store3)
         assert report3 is None
         assert session_hash(again) == session_hash(restored)
 
@@ -1204,7 +1205,7 @@ class TestCheckpointBytes:
         world = build_world()
         session = new_session(world)
         store = DurabilityStore(tmp_path)
-        recorder, _ = recover_session(session, "t", store, seed=1, checkpoint_interval=0)
+        recorder, _ = recover_session(session, "t", store, checkpoint_interval=0)
         drive_scripted(session, world, n_extra=4, seed=2)
         encoded = []
         real_dumps = json.dumps
@@ -1220,7 +1221,7 @@ class TestCheckpointBytes:
         store.close()
         assert recorder.next_seq == 13 and recorder.history == []
         # Only the header is encoded, never an action.
-        assert [sorted(obj) for obj in encoded] == [["format", "n_actions", "python", "seed", "sha256", "tenant"]]
+        assert [sorted(obj) for obj in encoded] == [["format", "n_actions", "python", "sha256", "tenant"]]
 
     def test_corrupted_append_heals_into_the_checkpoint(self, tmp_path):
         # Append #3 reaches disk with a flipped byte; the snapshot after
@@ -1229,7 +1230,7 @@ class TestCheckpointBytes:
         session = new_session(world)
         store = DurabilityStore(tmp_path)
         with WAL_FAULTS.injected(TearAt(3, kind="corrupt")):
-            recorder, _ = recover_session(session, "t", store, seed=1, checkpoint_interval=8)
+            recorder, _ = recover_session(session, "t", store, checkpoint_interval=8)
             drive_scripted(session, world)
         live = session_hash(session)
         store.close()
@@ -1240,7 +1241,7 @@ class TestCheckpointBytes:
         with DurabilityStore(tmp_path) as store2:
             recovered = store2.recover("t")
             assert recovered.from_checkpoint == 8 and recovered.from_wal == 1
-            recover_session(restored, "t", store2, seed=1)
+            recover_session(restored, "t", store2)
         assert session_hash(restored) == live
 
 
@@ -1268,10 +1269,9 @@ _JSON_VALUES = st.recursive(
         max_size=8,
     ),
     checkpointed=st.integers(min_value=0, max_value=8),
-    seed=st.none() | st.integers(),
     tenant=st.text(max_size=10),
 )
-def test_checkpoint_bytes_match_reference_writer(calls, checkpointed, seed, tenant):
+def test_checkpoint_bytes_match_reference_writer(calls, checkpointed, tenant):
     """Any JSON-able history in a format-1 root — the reference writer's
     checkpoint of a prefix, the log holding the rest — recovers to itself,
     as one tail, continuing the sequence."""
@@ -1280,32 +1280,13 @@ def test_checkpoint_bytes_match_reference_writer(calls, checkpointed, seed, tena
     with tempfile.TemporaryDirectory() as tmp, DurabilityStore(tmp) as store:
         path = store.checkpoint_path(tenant)
         path.parent.mkdir(parents=True)
-        path.write_bytes(checkpoint_bytes(tenant, history[:k], seed=seed))
+        path.write_bytes(checkpoint_bytes(tenant, history[:k]))
         for record in history:  # records below k are stale, as after a crash before truncation
             store.append(tenant, record)
         recovered = store.recover(tenant)
     assert recovered.from_checkpoint == k and recovered.from_wal == len(history) - k
-    assert recovered.actions == history and recovered.seed == seed
+    assert recovered.actions == history
     assert not recovered.has_snapshot and recovered.next_seq == len(history)
-
-
-# ----------------------------------------------------------------- rng state
-class TestRngStreamState:
-    def test_capture_restore_resumes_mid_stream(self):
-        rng = random.Random(42)
-        rng.random()
-        state = capture_state(rng)
-        expected = [rng.random() for _ in range(5)]
-        fresh = restore_state(random.Random(), state)
-        assert [fresh.random() for _ in range(5)] == expected
-
-    def test_state_survives_json(self):
-        rng = random.Random(7)
-        rng.gauss(0, 1)  # populate gauss_next too
-        state = json.loads(json.dumps(capture_state(rng)))
-        twin = restore_state(random.Random(), state)
-        assert twin.random() == rng.random()
-        assert twin.gauss(0, 1) == rng.gauss(0, 1)
 
 
 # --------------------------------------------------------------- stats line
@@ -1330,7 +1311,7 @@ def torn_run(root, driver_seed, tear_at, interval):
     session = new_session(world)
     store = DurabilityStore(root)
     with WAL_FAULTS.injected(TearAt(tear_at)):
-        recover_session(session, "sweep", store, seed=1, checkpoint_interval=interval)
+        recover_session(session, "sweep", store, checkpoint_interval=interval)
         driver = Driver(session, world, seed=driver_seed)
         with pytest.raises(InjectedWalFault):
             for _ in range(16):
@@ -1348,7 +1329,7 @@ def test_kill_restore_sweep(tmp_path, driver_seed, tear_at):
 
     restored = new_session(build_world())
     with DurabilityStore(tmp_path) as store2:
-        _, report = recover_session(restored, "sweep", store2, seed=1)
+        _, report = recover_session(restored, "sweep", store2)
     assert report is not None and report.applied == tear_at
 
     assert session_hash(restored) == prefix_hash(driver_seed, tear_at)
@@ -1373,7 +1354,7 @@ def test_kill_restore_sweep_with_snapshots(tmp_path, driver_seed, tear_at):
 
     restored = new_session(build_world())
     with DurabilityStore(tmp_path) as store2:
-        recorder, report = recover_session(restored, "sweep", store2, seed=1)
+        recorder, report = recover_session(restored, "sweep", store2)
     assert recorder.next_seq == tear_at
     assert (report.applied if report else 0) == tear_at % 4
     assert session_hash(restored) == prefix_hash(driver_seed, tear_at)
@@ -1387,7 +1368,7 @@ def recorded_run(tmp_path_factory):
     world = build_world()
     session = new_session(world)
     store = DurabilityStore(root)
-    recorder = SessionRecorder("prop", store, seed=1, checkpoint_interval=10**9)
+    recorder = SessionRecorder("prop", store, checkpoint_interval=10**9)
     attach_recorder(session, recorder)
     digests = [session_hash(session)]
     driver = Driver(session, world, seed=7)
@@ -1445,7 +1426,7 @@ def snapshotted_run(tmp_path_factory):
     world = build_world()
     session = new_session(world)
     store = DurabilityStore(root)
-    recorder = attach_recorder(session, Capturing("prop", store, seed=1, checkpoint_interval=8))
+    recorder = attach_recorder(session, Capturing("prop", store, checkpoint_interval=8))
     digests = [session_hash(session)]
     driver = Driver(session, world, seed=7)
     for _ in range(22):
@@ -1489,7 +1470,7 @@ def test_crash_after_a_snapshot_recovers_a_consistent_prefix(snapshotted_run, fr
         (tenant_dir / "checkpoint.json").write_bytes(files["checkpoint"])
         replica = new_session(build_world())
         with DurabilityStore(tmp) as store:
-            recorder, _ = recover_session(replica, snapshotted_run["tenant"], store, seed=1)
+            recorder, _ = recover_session(replica, snapshotted_run["tenant"], store)
 
     history = snapshotted_run["history"]
     k = recorder.next_seq

@@ -9,16 +9,16 @@ Contracts under test:
 - **frozen base** — mutating the shared base catalog raises;
 - **lifecycle** — LRU eviction past ``max_sessions``, idle-TTL expiry on
   an injected clock, touch-on-use keeps a session alive;
-- **dispatch** — per-tenant FIFO, per-tenant deterministic seeding
-  (label-only, independent of creation order), exceptions propagate
-  through futures without killing the pool;
+- **dispatch** — per-tenant FIFO, per-tenant outputs independent of
+  the order tenants are created in, exceptions propagate through futures
+  without killing the pool;
 - **plain-session parity** — a tenant served through the pool on shared
-  tiers sees exactly what a plain ``CopyCatSession`` seeded the same way
-  sees.
+  tiers sees exactly what a plain ``CopyCatSession`` sees.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 
 import pytest
@@ -35,8 +35,10 @@ from repro.server import (
     SessionManager,
     SharedBase,
 )
+from repro.substrate.documents import TextDocument, WordApp
 from repro.substrate.relational import Catalog, Relation, Scan, schema_of
-from repro.util.rng import seed_for
+
+MEMO = TextDocument("Memo", "Name: Alpha Depot\nCity: Creek\n\nName: Beta Depot\nCity: Park\n")
 
 
 def small_catalog() -> Catalog:
@@ -145,36 +147,38 @@ class TestLifecycle:
         with pytest.raises(SessionError):
             manager.session("a")
 
-    def test_recreated_session_is_fresh_but_same_seed(self):
+    def test_recreated_session_is_fresh(self):
         with SessionManager(SharedBase(small_catalog())) as manager:
             first = manager.session("a")
-            first_seed = manager._registry["a"].seed
             manager.evict("a")
             second = manager.session("a")
             assert second is not first
-            assert manager._registry["a"].seed == first_seed == seed_for(manager.seed, "a")
 
 
 class TestDispatch:
     def test_tenants_hold_the_same_builtin_types(self):
-        with SessionManager(SharedBase(small_catalog()), seed=7) as manager:
+        with SessionManager(SharedBase(small_catalog())) as manager:
             a, b = manager.session("a").type_learner, manager.session("b").type_learner
-            assert manager._registry["a"].seed != manager._registry["b"].seed
             for learned in builtin_types():
                 assert a.get(learned.name) is b.get(learned.name) is learned
 
-    def test_per_tenant_seeding_is_order_independent(self):
-        def seeds(manager, order):
-            for tenant in order:
-                manager.session(tenant)
-            return {t: manager._registry[t].seed for t in order}
+    def test_tenant_outputs_are_order_independent(self):
+        def request(session):
+            # A paste runs structure induction and type recognition; its
+            # rows, suggestions and proposed types are the served output.
+            app = WordApp(session.clipboard, MEMO)
+            app.open("Memo")
+            app.copy_fields(["Alpha Depot", "Creek"])
+            outcome = session.paste()
+            scanned = [(r.values, p) for r, p in session.engine.run(Scan("Cities"))]
+            return outcome.pasted_rows, outcome.row_suggestion, outcome.type_suggestions, scanned
 
-        with SessionManager(SharedBase(small_catalog()), seed=7) as forward:
-            seeds_fwd = seeds(forward, ("a", "b", "c"))
-        with SessionManager(SharedBase(small_catalog()), seed=7) as backward:
-            seeds_bwd = seeds(backward, ("c", "b", "a"))
-        assert seeds_fwd == seeds_bwd
-        assert seeds_fwd == {t: seed_for(7, t) for t in ("a", "b", "c")}
+        def digests(order):
+            with SessionManager(SharedBase(small_catalog())) as manager:
+                outputs = {tenant: manager.call(tenant, request) for tenant in order}
+            return {t: hashlib.sha256(repr(out).encode()).hexdigest() for t, out in outputs.items()}
+
+        assert digests(("a", "b", "c")) == digests(("c", "b", "a"))
 
     def test_call_runs_against_the_tenants_session(self):
         with SessionManager(SharedBase(small_catalog())) as manager:
@@ -373,13 +377,13 @@ class TestDispatchEdgeCases:
                 assert "idle" not in manager.tenant_ids()
 
 
-class TestServerDisabled:
+class TestServedMatchesPlain:
     def test_disabled_matches_plain_session(self):
-        with SessionManager(SharedBase(small_catalog()), seed=3) as manager:
+        with SessionManager(SharedBase(small_catalog())) as manager:
             served = manager.call(
                 "t", lambda s: [r.values for r, _ in s.engine.run(Scan("Cities"))]
             )
-        plain = CopyCatSession(catalog=small_catalog(), seed=seed_for(3, "t"))
+        plain = CopyCatSession(catalog=small_catalog())
         direct = [r.values for r, _ in plain.engine.run(Scan("Cities"))]
         assert served == direct
 

@@ -396,7 +396,7 @@ class TestKillDuringBrownout:
 
         session = new_session(world)
         store = DurabilityStore(root)
-        recorder = Capturing("storm", store, seed=1, checkpoint_interval=interval)
+        recorder = Capturing("storm", store, checkpoint_interval=interval)
         attach_recorder(session, recorder)
         digests = [session_hash(session)]
 
@@ -475,7 +475,7 @@ class TestKillDuringBrownout:
         (tenant_dir / "wal.log").write_bytes(run["wal"][: int(frac * len(run["wal"]))])
         replica = new_session(build_world())
         with DurabilityStore(tmp_path) as store:
-            recorder, _ = recover_session(replica, "storm", store, seed=1)
+            recorder, _ = recover_session(replica, "storm", store)
         k = recorder.next_seq
         assert 12 <= k <= len(run["history"])  # never behind the snapshot
         assert recorder.history == run["history"][12:k]

@@ -26,7 +26,7 @@ from repro.substrate.relational import (
     Select,
     schema_of,
 )
-from repro.util.rng import DEFAULT_SEED, make_rng, seed_for
+from repro.util.rng import make_rng
 from repro.util.text import InternPool
 
 N_THREADS = 8
@@ -111,9 +111,7 @@ class TestManagerStress:
         first = self.serve_all()
         second = self.serve_all()
         assert first == second  # scheduling cannot leak into outputs
-        isolated = CopyCatSession(
-            catalog=stress_catalog(), seed=seed_for(DEFAULT_SEED, "tenant-3")
-        )
+        isolated = CopyCatSession(catalog=stress_catalog())
         assert first["tenant-3"] == self.tenant_script(isolated)
 
     def test_concurrent_session_creation_registers_each_tenant_once(self):

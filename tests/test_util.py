@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.util.knobs import _FALSY, Knob, Knobs
-from repro.util.rng import DEFAULT_SEED, derive_rng, make_rng, stable_shuffle, weighted_choice
+from repro.util.rng import DEFAULT_SEED, derive_rng, make_rng
 from repro.util.strings import (
     jaro,
     jaro_winkler,
@@ -42,26 +42,6 @@ class TestRng:
         a = derive_rng(make_rng(1), "x").random()
         b = derive_rng(make_rng(1), "x").random()
         assert a == b
-
-    def test_stable_shuffle_is_copy(self):
-        items = [1, 2, 3, 4, 5]
-        out = stable_shuffle(items, seed=3)
-        assert sorted(out) == items
-        assert items == [1, 2, 3, 4, 5]
-
-    def test_stable_shuffle_deterministic(self):
-        assert stable_shuffle(range(20), seed=3) == stable_shuffle(range(20), seed=3)
-
-    def test_weighted_choice_validation(self):
-        with pytest.raises(ValueError):
-            weighted_choice(make_rng(1), ["a"], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            weighted_choice(make_rng(1), [], [])
-
-    def test_weighted_choice_heavy_weight_wins_mostly(self):
-        rng = make_rng(1)
-        picks = [weighted_choice(rng, ["a", "b"], [99.0, 1.0]) for _ in range(200)]
-        assert picks.count("a") > 150
 
 
 class TestTokenize:
