@@ -25,6 +25,11 @@ from repro.linking import (
 
 from .common import format_table, table_series, write_report
 
+#: Largest share of a cold ``link_all``'s cross product that may reach
+#: ``score`` (seed 88, 20 × 20: 29 of 400 pairs when this was set; an
+#: exhaustive scan scores all 400).
+MAX_SCORED_SHARE = 0.15
+
 
 def make_task(seed: int = 88, n_shelters: int = 16):
     scenario = build_scenario(seed=seed, n_shelters=n_shelters, name_noise=1.0)
@@ -138,3 +143,22 @@ class TestRecordLinking:
         linker = LearnedLinker([FieldPair("Name", "Shelter")])
         links = benchmark(lambda: linker.link_all(left, right))
         assert len(links) == len(left)
+
+    def test_cold_search_scores_few_pairs(self):
+        _, left, right, phone_of = make_task(seed=88, n_shelters=20)
+        linker = LearnedLinker([FieldPair("Name", "Shelter")])
+        scored = []
+        score = linker.score
+        linker.score = lambda a, b: scored.append(b) or score(a, b)
+        links = linker.link_all(left, right)
+        pairs = len(left) * len(right)
+        write_report(
+            "record_linking_search",
+            format_table(
+                ["pairs", "fully scored", "share"],
+                [(pairs, len(scored), f"{len(scored) / pairs:.3f}")],
+            ),
+            series={"pairs": pairs, "scored": len(scored)},
+        )
+        assert pairs == 400 and len(links) == len(left)
+        assert len(scored) <= MAX_SCORED_SHARE * pairs

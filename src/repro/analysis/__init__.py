@@ -5,7 +5,7 @@ check, and both report :class:`~repro.analysis.diagnostics.Diagnostic`
 records:
 
 - **Repo linter** (:mod:`~repro.analysis.lint`): an AST-based lint pass
-  enforcing repo-wide invariants (REPRO001–REPRO006; REPRO004 is
+  enforcing repo-wide invariants (REPRO001–REPRO007; REPRO004 is
   retired), run by CI as ``python -m repro.analysis.lint src/``.
 - **Concurrency pass** (:mod:`~repro.analysis.concurrency`): static
   lock-order/lockset analysis (CONC001–CONC005, ``python -m

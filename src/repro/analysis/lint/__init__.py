@@ -1,4 +1,4 @@
-"""AST-based repo invariant linter (REPRO001–REPRO006; REPRO004 is retired).
+"""AST-based repo invariant linter (REPRO001–REPRO007; REPRO004 is retired).
 
 Run as ``python -m repro.analysis.lint src/`` (CI's ``lint`` job), or
 programmatically::

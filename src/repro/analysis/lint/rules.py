@@ -1,4 +1,4 @@
-"""The repo invariant rules (REPRO001–REPRO006; REPRO004 is retired).
+"""The repo invariant rules (REPRO001–REPRO007; REPRO004 is retired).
 
 Each rule exists because an invariant was only ever enforced by
 convention across the obs/cache/resilience/drift layers:
@@ -23,6 +23,12 @@ convention across the obs/cache/resilience/drift layers:
   imports the list). Those methods take arguments that cannot round-trip
   through the log, so recording one would write actions replay cannot
   re-apply.
+- **REPRO007** — no ``sum(...)`` over a set: a set display or
+  comprehension, ``set()``/``frozenset()``, or a set operator on
+  ``.keys()`` views, directly or as a comprehension's source. Float
+  addition is not associative, so a sum in hash order can change with
+  ``PYTHONHASHSEED``; sum in ``sorted`` order, or suppress the line where
+  every term is an integer.
 
 Every diagnostic carries ``file:line``; see :mod:`~repro.analysis.lint.
 engine` for the suppression syntax.
@@ -258,11 +264,57 @@ def rule_unrecorded_stays_unrecorded(files: list[SourceFile]) -> Iterable[Diagno
                 )
 
 
+# -- REPRO007: no sum in hash order ---------------------------------------------
+_SET_OPERATORS = (ast.BitAnd, ast.BitOr, ast.Sub, ast.BitXor)
+
+
+def _is_keys_view(node: ast.expr) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "keys"
+        and not node.args
+    )
+
+
+def _iterates_in_hash_order(node: ast.expr) -> bool:
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id in ("set", "frozenset")
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _SET_OPERATORS):
+        return any(
+            _is_keys_view(side) or _iterates_in_hash_order(side)
+            for side in (node.left, node.right)
+        )
+    return False
+
+
+def rule_hash_order_sums(sf: SourceFile) -> Iterable[Diagnostic]:
+    for node in ast.walk(sf.tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        if node.func.id != "sum" or not node.args:
+            continue
+        source = node.args[0]
+        sources = [source]
+        if isinstance(source, (ast.GeneratorExp, ast.ListComp)):
+            sources += [generator.iter for generator in source.generators]
+        if any(_iterates_in_hash_order(each) for each in sources):
+            yield Diagnostic(
+                "REPRO007", ERROR,
+                "sum over a set adds in hash order, which changes with "
+                "PYTHONHASHSEED; sum sorted(...) instead, or suppress the "
+                "line when every term is an integer",
+                path=sf.location(node.lineno),
+            )
+
 
 FILE_RULES = (
     rule_env_reads,
     rule_metric_names,
     rule_overbroad_except,
     rule_determinism,
+    rule_hash_order_sums,
 )
 PROJECT_RULES = (rule_unrecorded_stays_unrecorded,)

@@ -15,7 +15,6 @@ to satisfy it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -87,18 +86,29 @@ class LearnedLinker(RowLinker):
         return f"LearnedLinker({inner}, ...)"
 
     # -- matching -----------------------------------------------------------------
-    def best_match(
-        self, left: Any, right_rows: Sequence[Any], threshold: float = 0.0
-    ) -> tuple[int, float] | None:
-        """Index and score of the best right row, or None below threshold."""
-        best_index, best_score = -1, -math.inf
-        for j, right in enumerate(right_rows):
-            current = self.score(left, right)
-            if current > best_score:
-                best_index, best_score = j, current
-        if best_index < 0 or best_score < threshold:
-            return None
-        return best_index, best_score
+    def upper_bounds(self, left: Any, right_rows: Sequence[Any]) -> list[float]:
+        """Each row's score with every uncomputed kernel at its limit.
+
+        :meth:`FeatureExtractor.bounding_features` leaves Jaro-Winkler and
+        Levenshtein at 1.0 on pairs not yet fully scored. Taking them at
+        1.0 under a weight >= 0 and at 0.0 under a negative one, and
+        summing the same terms in the same order as :meth:`score`, gives
+        a bound >= the exact score (float ``*`` and ``+`` round
+        monotonically); a pair with every feature exact gets its exact
+        score. The weights, their total and *left*'s values are read once
+        per search, not once per pair.
+        """
+        total_weight = sum(self.weights.values())
+        if total_weight <= 0:
+            return [0.0] * len(right_rows)
+        weights = self.weights
+        exact = [(weights[name], i) for name, i in self._feature_index]
+        bounded = self.extractor.bounded_positions
+        loose = [(0.0 if w < 0 and i in bounded else w, i) for w, i in exact]
+        return [
+            sum([w * features[i] for w, i in (exact if complete else loose)]) / total_weight
+            for features, complete in self.extractor.bounding_features(left, right_rows)
+        ]
 
     def link_all(
         self, left_rows: Sequence[Any], right_rows: Sequence[Any], threshold: float = 0.0

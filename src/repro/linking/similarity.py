@@ -15,6 +15,15 @@ weights, so each :class:`FeatureExtractor` memoises the feature tuple of
 every (field pair, left value, right value) it has scored, and the
 profiles of the values it has seen, in bounded LRUs. Training never
 invalidates them.
+
+Jaro-Winkler and Levenshtein cost about three quarters of a pair's
+features, and a best-match search needs them only for the few pairs that
+can still win (see :meth:`repro.substrate.relational.algebra.RowLinker.
+best_match`). So a memo entry holds one of two tuples for its pair: the
+*full* tuple, every feature exact, or a *partial* one (:class:`Partial`),
+with every other feature exact and these two :data:`BOUNDED_KERNELS` at
+1.0, their largest value. Scoring a pair turns its partial entry into the
+full one by computing only the two kernels it lacks.
 """
 
 from __future__ import annotations
@@ -34,8 +43,9 @@ from ..util.strings import (
 #: A heuristic: the similarity in [0, 1] of two profiled field values.
 SimilarityFn = Callable[[StringProfile, StringProfile], float]
 
-#: Distinct (field pair, left value, right value) feature tuples each
-#: extractor keeps. A Figure-3 journey scores about 100.
+#: Distinct (field pair, left value, right value) feature tuples, full or
+#: partial, each extractor keeps. A Figure-3 journey bounds about 100 and
+#: fully scores about a tenth of them.
 FEATURE_MEMO_CAPACITY = 4096
 #: Distinct value profiles each extractor keeps alongside its feature memo.
 PROFILE_MEMO_CAPACITY = 1024
@@ -117,6 +127,18 @@ DEFAULT_SIMILARITIES: dict[str, SimilarityFn] = {
 }
 
 
+#: The library kernels a partial feature tuple leaves uncomputed, at 1.0.
+#: Both lie in [0, 1]; they are recognised by identity, so a custom
+#: similarity that reuses one of their names is computed like any other.
+BOUNDED_KERNELS = (profile_jaro_winkler, profile_levenshtein_ratio)
+
+
+class Partial(tuple):
+    """A pair's feature tuple with each bounded kernel at 1.0, not computed."""
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True)
 class FieldPair:
     """Which left attribute is compared with which right attribute."""
@@ -148,6 +170,33 @@ class FeatureExtractor:
         self._zeros = (0.0,) * len(self.similarities)
         self._memo = LRUCache(FEATURE_MEMO_CAPACITY, metrics_prefix="linking.feature_memo")
         self._profiles = LRUCache(PROFILE_MEMO_CAPACITY)
+        self._find_bounded_kernels()
+
+    def _find_bounded_kernels(self) -> None:
+        # Per similarity: the kernel a partial tuple leaves out, else None.
+        self._bounded = tuple(
+            fn if any(fn is kernel for kernel in BOUNDED_KERNELS) else None
+            for fn in self.similarities.values()
+        )
+        #: Positions in :meth:`features` that a partial tuple holds at 1.0.
+        self.bounded_positions = frozenset(
+            index * len(self._bounded) + k
+            for index in range(len(self.field_pairs))
+            for k, fn in enumerate(self._bounded)
+            if fn is not None
+        )
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The bounded kernels derive from the similarities and are found
+        # again on load, so a pickle holds what it held before they were
+        # kept: checkpoints written either way load either way.
+        state = self.__dict__.copy()
+        del state["_bounded"], state["bounded_positions"]
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._find_bounded_kernels()
 
     def feature_names(self) -> list[str]:
         return [
@@ -176,12 +225,60 @@ class FeatureExtractor:
         """Feature vector for (*left*, *right*) by feature name."""
         return dict(zip(self.feature_names(), self.features(left, right)))
 
+    def bounding_features(
+        self, left: Any, right_rows: Sequence[Any]
+    ) -> list[tuple[tuple[float, ...], bool]]:
+        """Per right row: its features as far as known, and whether all are exact.
+
+        A pair the memo does not hold is scored partially (see the module
+        docstring), so each of :data:`BOUNDED_KERNELS` may stand at 1.0;
+        the flag is False when one does. *left*'s values are read once
+        for all rows.
+        """
+        lefts = []
+        for index, pair in enumerate(self.field_pairs):
+            value = _get(left, pair.left)
+            lefts.append((index, pair.right, None if value is None else str(value)))
+        kind = Partial if self.bounded_positions else tuple
+        memo = self._memo
+        out = []
+        for right in right_rows:
+            features: tuple[float, ...] = ()
+            exact = True
+            for index, name_right, text_left in lefts:
+                value_right = _get(right, name_right)
+                if text_left is None or value_right is None:
+                    features += self._zeros
+                    continue
+                text_right = str(value_right)
+                key = (index, text_left, text_right)
+                cached = memo.get(key)
+                if cached is None:
+                    a, b = self._profile(text_left), self._profile(text_right)
+                    cached = kind(
+                        [
+                            1.0 if bounded is not None else fn(a, b)
+                            for fn, bounded in zip(self.similarities.values(), self._bounded)
+                        ]
+                    )
+                    memo.put(key, cached)
+                if type(cached) is Partial:
+                    exact = False
+                features += cached
+            out.append((features, exact))
+        return out
+
     def _pair_features(self, index: int, text_left: str, text_right: str) -> tuple[float, ...]:
         key = (index, text_left, text_right)
         cached = self._memo.get(key)
-        if cached is None:
+        if cached is None or type(cached) is Partial:
             a, b = self._profile(text_left), self._profile(text_right)
-            cached = tuple([fn(a, b) for fn in self.similarities.values()])
+            if cached is None:
+                cached = tuple([fn(a, b) for fn in self.similarities.values()])
+            else:  # compute only the kernels the partial tuple lacks
+                cached = tuple(
+                    [value if fn is None else fn(a, b) for value, fn in zip(cached, self._bounded)]
+                )
             self._memo.put(key, cached)
         return cached
 

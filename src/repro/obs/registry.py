@@ -100,8 +100,11 @@ DECLARED_COUNTERS: dict[str, str] = {
     "types.recognize_memo.hits": "recognize calls answered from the per-learner column memo",
     "types.recognize_memo.misses": "recognize calls that scored the column against every type",
     "types.recognize_memo.evictions": "per-learner recognize memo evictions",
-    "linking.feature_memo.hits": "field-pair feature vectors answered from the per-linker memo",
-    "linking.feature_memo.misses": "field-pair feature vectors scored from two string profiles",
+    "linking.feature_memo.hits": (
+        "field-pair feature lookups the per-linker memo held an entry for "
+        "(a partial entry that scoring completes counts too)"
+    ),
+    "linking.feature_memo.misses": "field-pair feature lookups scored from two string profiles",
     "linking.feature_memo.evictions": "per-linker feature memo evictions",
     # -- resilience ----------------------------------------------------------
     "resilience.backend_errors": "unexpected backend exceptions converted to lookup failures",

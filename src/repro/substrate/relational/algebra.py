@@ -19,8 +19,9 @@ an unknown or wrong-kind source, ``PLAN002`` for an unknown attribute,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ...analysis.diagnostics import ERROR, Diagnostic
 from ...errors import CatalogError, EvaluationError, PlanAnalysisError, SchemaError
@@ -315,6 +316,40 @@ class RowLinker:
 
     def score(self, left: Row, right: Row) -> float:
         raise NotImplementedError
+
+    def upper_bounds(self, left: Any, right_rows: Sequence[Any]) -> Sequence[float]:
+        """Per right row, a value no less than ``score(left, row)``.
+
+        :meth:`best_match` fully scores only the rows whose bound can
+        still win. The default, ``+inf`` everywhere, bounds nothing: every
+        row is scored, in order.
+        """
+        return [math.inf] * len(right_rows)
+
+    def best_match(
+        self, left: Any, right_rows: Sequence[Any], threshold: float = 0.0
+    ) -> tuple[int, float] | None:
+        """Index and score of *left*'s best right row, or None below *threshold*.
+
+        The answer is the exhaustive scan's: the highest score, the
+        earliest row among equal scores, None when that score is below
+        *threshold*. Rows are visited by descending :meth:`upper_bounds`,
+        ties by index, and the visit stops at the first row whose bound is
+        below *threshold* or below the best score so far (or equal to it,
+        from a later row): no row after it can change the answer.
+        """
+        bounds = self.upper_bounds(left, right_rows)
+        best_j, best = -1, -math.inf
+        for j in sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True):
+            bound = bounds[j]
+            if bound < threshold or bound < best or (bound == best and j > best_j):
+                break
+            current = self.score(left, right_rows[j])
+            if current > best or (current == best and j < best_j):
+                best_j, best = j, current
+        if best_j < 0 or best < threshold:
+            return None
+        return best_j, best
 
     def block_attribute_pairs(self) -> tuple[tuple[str, str], ...] | None:
         """(left attr, right attr) pairs usable as blocking keys, if any.

@@ -625,7 +625,7 @@ class Evaluator:
             left_rows = _batch_rows(left_batch)
             right_rows = _batch_rows(right_batch)
             candidates = ev._link_candidates(plan, left_batch, right_batch)
-            score = linker.score
+            score, best_match = linker.score, linker.best_match
             left_idx: list[int] = []
             right_idx: list[int] = []
             for i, row in enumerate(left_rows):
@@ -634,15 +634,11 @@ class Evaluator:
                 if not i & 63:
                     check_deadline("evaluator.record_link")
                 if best_only:
-                    # Single max pass (no sort): ties keep the earliest
-                    # right row.
-                    best_j = -1
-                    best_score = float("-inf")
-                    for j in candidates(i):
-                        current = score(row, right_rows[j])
-                        if current >= threshold and current > best_score:
-                            best_j, best_score = j, current
-                    matched = [best_j] if best_j >= 0 else []
+                    # The linker's bound-ordered search: ties keep the
+                    # earliest candidate.
+                    js = candidates(i)
+                    match = best_match(row, [right_rows[j] for j in js], threshold)
+                    matched = [] if match is None else [js[match[0]]]
                 else:
                     matched = [
                         j

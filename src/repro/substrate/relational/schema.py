@@ -100,9 +100,12 @@ class Attribute:
 
 
 class Schema:
-    """An ordered collection of uniquely named attributes."""
+    """An ordered collection of uniquely named attributes.
 
-    __slots__ = ("_attributes", "_index")
+    Immutable: the attribute names are gathered once, at construction.
+    """
+
+    __slots__ = ("_attributes", "_index", "_names")
 
     def __init__(self, attributes: Iterable[Attribute | str]):
         attrs: list[Attribute] = []
@@ -116,6 +119,18 @@ class Schema:
             raise SchemaError(f"duplicate attribute names: {duplicates}")
         self._attributes: tuple[Attribute, ...] = tuple(attrs)
         self._index: dict[str, int] = {attr.name: i for i, attr in enumerate(attrs)}
+        self._names: tuple[str, ...] = tuple(names)
+
+    def __getstate__(self) -> tuple[None, dict]:
+        # The names are derived, so a pickle holds what it held before they
+        # were kept: checkpoints written either way load either way.
+        return None, {"_attributes": self._attributes, "_index": self._index}
+
+    def __setstate__(self, state: tuple[None, dict]) -> None:
+        slots = state[1]
+        self._attributes = slots["_attributes"]
+        self._index = slots["_index"]
+        self._names = tuple(attr.name for attr in self._attributes)
 
     # -- basic protocol ----------------------------------------------------
     def __len__(self) -> int:
@@ -144,7 +159,7 @@ class Schema:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(attr.name for attr in self._attributes)
+        return self._names
 
     def attribute(self, name: str) -> Attribute:
         try:

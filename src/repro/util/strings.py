@@ -181,7 +181,9 @@ def profile_token_jaccard(a: StringProfile, b: StringProfile) -> float:
 def profile_ngram_dice(a: StringProfile, b: StringProfile) -> float:
     """Dice coefficient over the character bigram multisets."""
     grams_a, grams_b = a.bigrams, b.bigrams
-    overlap = sum(min(grams_a[gram], grams_b[gram]) for gram in grams_a.keys() & grams_b.keys())
+    overlap = sum(  # lint: allow=REPRO007 -- integer counts add the same in any order
+        min(grams_a[gram], grams_b[gram]) for gram in grams_a.keys() & grams_b.keys()
+    )
     # A padded string of length n + 2 has n + 1 bigrams.
     return 2.0 * overlap / (len(a.normalized) + 1 + len(b.normalized) + 1)
 

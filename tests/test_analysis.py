@@ -342,6 +342,42 @@ class TestRepro005Determinism:
         assert lint_file(tmp_path, text, name="rng.py") == []
 
 
+class TestRepro007HashOrderSums:
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "sum({a, b, c})",
+            "sum({x * 0.1 for x in xs})",
+            "sum(set(xs))",
+            "sum(frozenset(xs))",
+            "sum(w[k] for k in a.keys() & b.keys())",
+            "sum([w[k] for k in a.keys() | set(extra)])",
+            "sum(w[k] for k in set(a) - set(b))",
+            "sum(a.keys() - b)",
+        ],
+    )
+    def test_sum_over_a_set_fires(self, tmp_path, expr):
+        diags = lint_file(tmp_path, f"total = {expr}\n")
+        assert [d.code for d in diags] == ["REPRO007"]
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "sum(sorted(set(xs)))",
+            "sum(w[k] for k in sorted(a.keys() & b.keys()))",
+            "sum(w.values())",
+            "sum(x for x in xs)",
+            "len({a, b})",
+        ],
+    )
+    def test_ordered_sums_pass(self, tmp_path, expr):
+        assert lint_file(tmp_path, f"total = {expr}\n") == []
+
+    def test_suppressed_on_the_call_line(self, tmp_path):
+        text = "n = sum(  # lint: allow=REPRO007 -- integers\n    c[k] for k in a.keys() & b.keys()\n)\n"
+        assert lint_file(tmp_path, text) == []
+
+
 class TestLinterDriver:
     def test_unparseable_file_reported(self, tmp_path):
         diags = lint_file(tmp_path, "def broken(:\n")

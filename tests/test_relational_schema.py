@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import BindingError, SchemaError, UnknownAttributeError
@@ -110,6 +113,14 @@ class TestSchema:
     def test_iteration(self):
         names = [attr.name for attr in schema_of("x", "y")]
         assert names == ["x", "y"]
+
+    def test_pickle_leaves_the_names_out_and_rebuilds_them(self):
+        # Checkpoints pickle schemas: the state is what it was before the
+        # names were kept, so a checkpoint loads across that change.
+        schema = Schema([Attribute("a", CITY), "b"])
+        assert schema.__getstate__() == (None, {"_attributes": schema.attributes, "_index": {"a": 0, "b": 1}})
+        for clone in (pickle.loads(pickle.dumps(schema)), copy.deepcopy(schema), copy.copy(schema)):
+            assert clone == schema and clone.names == ("a", "b")
 
 
 class TestBindingPattern:
