@@ -4,12 +4,13 @@ Every recorded session action costs one JSON encode + one framed append
 to the tenant's log (plus a periodic checkpoint compaction). This
 benchmark drives the Figure-2 session twice — recorder attached and
 logging to a real on-disk root, versus the plain in-memory session — and
-measures a forced suggestion-refresh burst in both modes, asserting the
+times forced suggestion refreshes in both modes, asserting the
 durable session's suggestion batches are *identical* to the plain ones
 (recording is pure observation) and that the logging overhead stays
 under the 10% ceiling.
 
-The A/B burst never crosses the checkpoint interval, so checkpointing is
+The A/B gate reads the median of many paired per-refresh ratios, so the
+few pairs a checkpoint compaction lands in do not count; checkpointing is
 timed on its own: a snapshot of a session past one interval, which must
 load back to the same state, and the recovery a tenant pays after
 eviction: evict (snapshot) and re-attach (load + empty tail) one
@@ -18,6 +19,7 @@ eviction: evict (snapshot) and re-attach (load + empty tail) one
 
 from __future__ import annotations
 
+import statistics
 import tempfile
 import time
 
@@ -34,6 +36,8 @@ from .common import (
 )
 
 N_REFRESHES = 6
+#: Timed refresh pairs; the gate reads the median of their ratios.
+N_PAIRS = 300
 K = 8
 
 
@@ -74,56 +78,62 @@ def _batch_key(batch):
 
 class TestDurabilityOverhead:
     def test_durability_overhead_under_ten_percent(self):
-        """Write-ahead logging must cost <10% on a refresh burst.
+        """Write-ahead logging must cost <10% on a forced refresh.
 
-        One session per mode, warmed, then interleaved timed bursts
-        (slow drift hits both modes equally); best-of damps scheduler
-        noise and the occasional checkpoint-compaction spike, which is
-        amortized cost, not per-action cost.
+        One session per mode, warmed, then N_PAIRS timed pairs of forced
+        refreshes, the mode that goes first alternating from pair to pair.
+        The gate reads the median of the per-pair durable/plain ratios: a
+        pair's two refreshes run back to back, so slow drift and a busy
+        neighbour hit both alike, and the few pairs a scheduler stall or a
+        checkpoint compaction (amortized cost, timed on its own below)
+        lands in do not move the median. A pair records one action, so it
+        holds at most one compaction.
         """
 
-        def timed_burst(session) -> float:
+        def timed_refresh(session) -> float:
             start = time.perf_counter()
-            _refresh_burst(session)
+            session.column_suggestions(k=K, refresh=True)
             return time.perf_counter() - start
 
         with tempfile.TemporaryDirectory() as root:
             plain_session, _ = _integration_session()
             durable_session, store = _integration_session(root)
-            timed_burst(plain_session)
-            timed_burst(durable_session)
+            _refresh_burst(plain_session)
+            _refresh_burst(durable_session)
             plain_times, durable_times = [], []
-            for _ in range(10):
-                plain_times.append(timed_burst(plain_session))
-                durable_times.append(timed_burst(durable_session))
+            for pair in range(N_PAIRS):
+                if pair % 2:
+                    durable_times.append(timed_refresh(durable_session))
+                    plain_times.append(timed_refresh(plain_session))
+                else:
+                    plain_times.append(timed_refresh(plain_session))
+                    durable_times.append(timed_refresh(durable_session))
 
             # Parity leg: recording is observation — identical batches,
             # provenance expressions included.
             assert _batch_key(_refresh_burst(durable_session)[-1]) == _batch_key(
                 _refresh_burst(plain_session)[-1]
             )
-            assert durable_session.durability.actions_recorded > 0
+            assert durable_session.durability.checkpoints > 0
             store.close()
 
-        plain_s, durable_s = min(plain_times), min(durable_times)
-        overhead_pct = (durable_s / plain_s - 1.0) * 100.0
-        headers = ["mode", "refreshes", "best burst ms", "ms/refresh"]
+        ratio = statistics.median(d / p for d, p in zip(durable_times, plain_times))
+        overhead_pct = (ratio - 1.0) * 100.0
+        headers = ["mode", "timed refreshes", "median ms/refresh"]
         rows = [
-            ("durability off", N_REFRESHES, f"{plain_s * 1000:.1f}",
-             f"{plain_s * 1000 / N_REFRESHES:.2f}"),
-            ("durability on", N_REFRESHES, f"{durable_s * 1000:.1f}",
-             f"{durable_s * 1000 / N_REFRESHES:.2f}"),
+            ("durability off", N_PAIRS, f"{statistics.median(plain_times) * 1000:.2f}"),
+            ("durability on", N_PAIRS, f"{statistics.median(durable_times) * 1000:.2f}"),
         ]
         write_report(
             "durability_overhead",
             format_table(headers, rows)
             + ["", f"write-ahead logging overhead {overhead_pct:+.1f}% on a "
-                   f"forced {N_REFRESHES}-refresh burst (10% ceiling; "
-                   "durable batches identical to in-memory ones)"],
+                   f"forced refresh, median of {N_PAIRS} paired ratios "
+                   "(10% ceiling; durable batches identical to in-memory ones)"],
             series={
                 "table": table_series(headers, rows),
                 "overhead_pct": overhead_pct,
-                "n_refreshes": N_REFRESHES,
+                "n_pairs": N_PAIRS,
             },
         )
         assert overhead_pct < 10.0, (

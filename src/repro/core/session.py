@@ -28,6 +28,7 @@ Integration-mode flow (Figure 2)::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -108,6 +109,19 @@ class ResyncReport:
         return self.action == "reinduced"
 
 
+def linker_for(
+    linkers: dict[str, LearnedLinker],
+    edges: dict[str, Association],
+    edge: Association,
+) -> LearnedLinker:
+    """The linker *linkers* keeps for *edge*, made and recorded on first use."""
+    if edge.key not in linkers:
+        pairs = [FieldPair(left, right) for left, right in edge.conditions]
+        linkers[edge.key] = LearnedLinker(pairs)
+        edges[edge.key] = edge
+    return linkers[edge.key]
+
+
 class CopyCatSession:
     """One interactive smart-copy-and-paste session.
 
@@ -142,7 +156,10 @@ class CopyCatSession:
             self.catalog,
             relevance_threshold=relevance_threshold,
             use_semantic_types=use_semantic_types,
-            linker_factory=self._linker_for,
+            # Not the bound method _linker_for: the learner would then hold
+            # the session, and a dropped session would wait for the cyclic
+            # collector instead of being freed when its last reference goes.
+            linker_factory=partial(linker_for, self._linkers, self._linker_edges),
         )
         # cache_tiers: the session server passes one shared bundle so every
         # tenant's evaluator amortizes the fleet's plan, compile and scan
@@ -182,12 +199,12 @@ class CopyCatSession:
 
     # ------------------------------------------------------------------ linkers
     def _linker_for(self, edge: Association) -> LearnedLinker:
-        """One persistent learnable linker per (oriented) record-link edge."""
-        if edge.key not in self._linkers:
-            pairs = [FieldPair(left, right) for left, right in edge.conditions]
-            self._linkers[edge.key] = LearnedLinker(pairs)
-            self._linker_edges[edge.key] = edge
-        return self._linkers[edge.key]
+        """One persistent learnable linker per (oriented) record-link edge.
+
+        Checkpoints written while this bound method was the integration
+        learner's factory load it back by name, so it stays.
+        """
+        return linker_for(self._linkers, self._linker_edges, edge)
 
     # ================================================================ import mode
     @recorded

@@ -147,7 +147,13 @@ def load(session: "CopyCatSession", payload: bytes) -> None:
     All or nothing: the session is untouched unless the whole payload
     unpickles.
     """
-    state = _Loader(payload, session).load()
+    loader = _Loader(payload, session)
+    try:
+        state = loader.load()
+    finally:
+        # The memo holds loader.resolve, which holds the loader and so the
+        # session: cleared, neither waits for the cyclic collector.
+        loader.memo.clear()
     # Every field a fresh session has must come back (a snapshot from an
     # older build of the session class would leave some unset).
     if not isinstance(state, dict) or not vars(session).keys() - {"durability"} <= state.keys():

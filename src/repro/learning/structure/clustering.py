@@ -23,10 +23,18 @@ def cluster_candidates(
     candidates: Sequence[RelationalCandidate],
 ) -> list[RelationalCandidate]:
     """Merge identical-record-set candidates; return score-ranked clusters."""
+    keys = [candidate.key() for candidate in candidates]
+    return [cluster for _, cluster in keyed_clusters(candidates, keys)]
+
+
+def keyed_clusters(
+    candidates: Sequence[RelationalCandidate], keys: Sequence[tuple]
+) -> list[tuple[tuple, RelationalCandidate]]:
+    """:func:`cluster_candidates` over the candidates' precomputed
+    :meth:`~RelationalCandidate.key` values, each cluster paired with its key."""
     clusters: dict[tuple, RelationalCandidate] = {}
     order: list[tuple] = []
-    for candidate in candidates:
-        key = candidate.key()
+    for candidate, key in zip(candidates, keys):
         if not key:
             continue
         if key in clusters:
@@ -47,8 +55,8 @@ def cluster_candidates(
                 page_urls=candidate.page_urls,
             )
             order.append(key)
-    ranked = [clusters[key] for key in order]
-    ranked.sort(key=lambda c: (-c.score, -len(c.records), c.origin))
+    ranked = [(key, clusters[key]) for key in order]
+    ranked.sort(key=lambda entry: (-entry[1].score, -len(entry[1].records), entry[1].origin))
     return ranked
 
 

@@ -105,27 +105,44 @@ def find_projections(
     Preference order: identity-like maps first (leftmost columns, in order),
     which is the "most general / least surprising" choice.
     """
-    if not examples:
-        return []
-    width = len(examples[0])
-    if any(len(example) != width for example in examples):
-        return []
-    if width > candidate.n_columns:
-        return []
-
     normalized_examples = [
         tuple(normalize(str(cell)) for cell in example) for example in examples
     ]
     normalized_records = [
         tuple(normalize(str(cell)) for cell in record) for record in candidate.records
     ]
+    maps = column_maps(
+        normalized_records, candidate.n_columns, normalized_examples, max_projections
+    )
+    return project(candidate, maps)
+
+
+def column_maps(
+    normalized_records: Sequence[tuple[str, ...]],
+    n_columns: int,
+    normalized_examples: Sequence[tuple[str, ...]],
+    max_projections: int = 5,
+) -> list[tuple[int, ...]]:
+    """:func:`find_projections`'s column maps over already-normalized cells.
+
+    Depends only on the normalized record set, its width and the examples,
+    never on a score, so a caller can decide which record sets can project
+    before any of them is rescored.
+    """
+    if not normalized_examples:
+        return []
+    width = len(normalized_examples[0])
+    if any(len(example) != width for example in normalized_examples):
+        return []
+    if width > n_columns:
+        return []
 
     # Columns each example field could come from (prefilter to keep the
     # permutation search tiny even for wide tables).
     feasible: list[set[int]] = []
     for j in range(width):
         possible = set()
-        for column in range(candidate.n_columns):
+        for column in range(n_columns):
             values = {record[column] for record in normalized_records}
             if all(example[j] in values for example in normalized_examples):
                 possible.add(column)
@@ -133,23 +150,32 @@ def find_projections(
             return []
         feasible.append(possible)
 
-    found: list[ProjectionHypothesis] = []
-    for mapping in permutations(range(candidate.n_columns), width):
+    found: list[tuple[int, ...]] = []
+    for mapping in permutations(range(n_columns), width):
         if any(mapping[j] not in feasible[j] for j in range(width)):
             continue
         rows = {
             tuple(record[c] for c in mapping) for record in normalized_records
         }
         if all(example in rows for example in normalized_examples):
-            hypothesis = ProjectionHypothesis(
-                candidate=candidate,
-                column_map=mapping,
-                score=candidate.score + _projection_preference(mapping),
-            )
-            found.append(hypothesis)
+            found.append(mapping)
             if len(found) >= max_projections:
                 break
     return found
+
+
+def project(
+    candidate: RelationalCandidate, maps: Sequence[tuple[int, ...]]
+) -> list[ProjectionHypothesis]:
+    """One hypothesis per column map, scored from the candidate's score."""
+    return [
+        ProjectionHypothesis(
+            candidate=candidate,
+            column_map=mapping,
+            score=candidate.score + _projection_preference(mapping),
+        )
+        for mapping in maps
+    ]
 
 
 def _projection_preference(mapping: tuple[int, ...]) -> float:

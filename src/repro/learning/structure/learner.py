@@ -24,7 +24,8 @@ from ...substrate.documents.clipboard import CopyEvent
 from ...substrate.documents.spreadsheet import Sheet
 from ...substrate.documents.textdoc import TextDocument
 from ...substrate.documents.website import Page, Website
-from .clustering import cluster_candidates
+from ...util.text import normalize
+from .clustering import cluster_candidates, keyed_clusters
 from .experts import (
     DEFAULT_PAGE_EXPERTS,
     DataTypeExpert,
@@ -33,7 +34,12 @@ from .experts import (
     SheetExpert,
 )
 from .hierarchy import DetailCrawlExpert
-from .hypotheses import ProjectionHypothesis, RelationalCandidate, find_projections
+from .hypotheses import (
+    ProjectionHypothesis,
+    RelationalCandidate,
+    column_maps,
+    project,
+)
 from .wrapper_induction import induce_table
 
 URL_FAMILY_EXPERT = "url-pattern"
@@ -106,6 +112,16 @@ class StructureLearner:
         *examples* are all rows the user has pasted so far for this source
         (each a list of field strings); when omitted, the copy event's own
         parsed fields serve as the single example.
+
+        Section 3.1's committee proposes candidate tables; each distinct
+        normalized record set (the clustering key) is then tested once for
+        column maps that project the examples, and only the candidates whose
+        set can project are rescored by the data-type expert and clustered.
+        Whether a set can project depends on its records, its width and the
+        examples, never on a score, and clusters merge by record set alone,
+        so the hypotheses equal those of rescoring every candidate first
+        (:meth:`ranked_candidates`) while the type recognizer sees only the
+        columns a hypothesis can come from.
         """
         if examples is None:
             examples = event.fields
@@ -113,12 +129,34 @@ class StructureLearner:
         document = event.context.document
 
         with TRACER.span("structure.generalize") as span:
-            ranked, pages_html = self.ranked_candidates(event)
+            candidates, pages_html = self._propose(event)
+
+            with TRACER.span("structure.consistency"):
+                normalized_examples = [
+                    tuple(normalize(cell) for cell in example) for example in examples
+                ]
+                keys = [candidate.key() for candidate in candidates]
+                maps: dict[tuple, list[tuple[int, ...]]] = {}
+                for candidate, key in zip(candidates, keys):
+                    if key and key not in maps:
+                        maps[key] = column_maps(
+                            key, candidate.n_columns, normalized_examples
+                        )
+                projecting = [
+                    (candidate, key)
+                    for candidate, key in zip(candidates, keys)
+                    if maps.get(key)
+                ]
+
+            with TRACER.span("structure.rescore+cluster"):
+                kept = [candidate for candidate, _ in projecting]
+                self.datatype_expert.rescore(kept)
+                ranked = keyed_clusters(kept, [key for _, key in projecting])
 
             with TRACER.span("structure.projections"):
                 hypotheses: list[ProjectionHypothesis] = []
-                for candidate in ranked:
-                    hypotheses.extend(find_projections(candidate, examples))
+                for key, cluster in ranked:
+                    hypotheses.extend(project(cluster, maps[key]))
                     if len(hypotheses) >= self.max_hypotheses:
                         break
                 hypotheses.sort(key=lambda h: -h.score)
@@ -137,7 +175,8 @@ class StructureLearner:
 
             if span.is_recording():
                 span.set("source", event.context.source_name)
-                span.set("candidates", len(ranked))
+                span.set("candidates", len(candidates))
+                span.set("projecting", len(ranked))
                 span.set("hypotheses", len(hypotheses))
             METRICS.inc("structure.generalize_calls")
 
@@ -155,10 +194,22 @@ class StructureLearner:
 
         Returns the ranked candidate list plus the document's serialized text
         (``None`` for sheets), which the landmark fallback and the drift
-        layer's re-induction use. This is the committee half of
-        :meth:`generalize`, exposed so a recorded wrapper can be re-applied
-        against a document's *current* state without searching projections.
+        layer's re-induction use. Unlike :meth:`generalize`, which rescores
+        only the candidates that can project its examples, this rescores
+        every candidate: a recorded wrapper is re-applied against a
+        document's *current* state by taking the first candidate, in this
+        rank order, that carries its template region.
         """
+        candidates, pages_html = self._propose(event)
+        with TRACER.span("structure.rescore+cluster"):
+            self.datatype_expert.rescore(candidates)
+            ranked = cluster_candidates(candidates)
+        return ranked, pages_html
+
+    def _propose(
+        self, event: CopyEvent
+    ) -> tuple[list[RelationalCandidate], str | None]:
+        """The expert committee's candidates for the event, not yet rescored."""
         document = event.context.document
         if isinstance(document, Sheet):
             with TRACER.span("structure.expert.sheet"):
@@ -174,12 +225,8 @@ class StructureLearner:
             raise NoHypothesisError(
                 f"cannot analyze document of type {type(document).__name__}"
             )
-
-        with TRACER.span("structure.rescore+cluster"):
-            self.datatype_expert.rescore(candidates)
-            ranked = cluster_candidates(candidates)
         METRICS.inc("structure.candidates", len(candidates))
-        return ranked, pages_html
+        return candidates, pages_html
 
     # -- page analysis ----------------------------------------------------------
     def _page_candidates(

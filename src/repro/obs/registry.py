@@ -80,7 +80,10 @@ DECLARED_COUNTERS: dict[str, str] = {
     # -- learners -----------------------------------------------------------
     "experts.*.record_groups": "record groups seen per structure expert",
     "experts.*.records_seen": "records seen per structure expert",
-    "experts.data-type.rescored": "candidates rescored by the data-type expert",
+    "experts.data-type.rescored": (
+        "candidates rescored by the data-type expert: in generalize only those "
+        "that can project the examples; a wrapper resync rescores all"
+    ),
     "mira.updates": "MIRA weight updates",
     "mira.updates.*": "MIRA weight updates by feedback kind",
     "mira.edges_changed": "edge weights moved by MIRA updates",

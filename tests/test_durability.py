@@ -28,12 +28,16 @@ Contracts under test:
 - **crash property** (hypothesis) — a random usersim-style action
   sequence, killed at an arbitrary log byte (truncation or bit flip),
   recovers to exactly the state after some prefix of its actions, with
-  or without a snapshot before the cut.
+  or without a snapshot before the cut;
+- **freed by reference counting** — a dropped session, in memory or
+  served, recovered and retired, is freed when its last reference goes,
+  with the cyclic collector off.
 """
 
 from __future__ import annotations
 
 import base64
+import gc
 import hashlib
 import inspect
 import json
@@ -45,6 +49,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
@@ -87,6 +92,7 @@ from repro.substrate.relational.schema import PLACE
 from repro.errors import CopyCatError
 from repro.learning.model.seed import builtin_types
 from repro.obs import METRICS, render_summary
+from repro.server import SessionManager, SharedBase
 
 from .reference_durability import checkpoint_bytes
 
@@ -1130,6 +1136,70 @@ class TestCrossProcessReplay:
         assert checkpoint_header(DurabilityStore(tmp_path).checkpoint_path("erin"))["n_actions"] == 10
         assert halfway != session_hash(reference)
         assert run_in_subprocess(SNAPSHOT_SCRIPT, "1", tmp_path, "continue") == session_hash(reference)
+
+
+@contextmanager
+def collector_off():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestFreedByReferenceCounting:
+    """A session is freed when its last reference goes. Before, the
+    integration learner held the session's bound ``_linker_for`` and a
+    loader's memo held the loader, so dropped sessions waited for the
+    cyclic collector and a server's peak memory followed its timing."""
+
+    def test_dropped_journey_session_is_freed(self):
+        world = build_demo_world()
+        with collector_off():
+            session = new_session(world)
+            drive_demo_task(session, world)
+            assert session._linkers  # noqa: SLF001 - the Contacts link made a linker
+            gone = weakref.ref(session)
+            del session
+            assert gone() is None
+
+    def test_recovered_then_retired_served_session_is_freed(self, tmp_path):
+        world = build_demo_world()
+        with collector_off():
+            manager = SessionManager(SharedBase(world.catalog), durability_root=tmp_path)
+            session = manager.session("erin")
+            import_demo_sources(session, world)
+            manager.evict("erin")
+            evicted = weakref.ref(session)
+            del session
+            assert evicted() is None
+            recovered = manager.session("erin")
+            assert recovered.durability.next_seq == 16
+            integrate_demo_columns(recovered)
+            gone = weakref.ref(recovered)
+            del recovered
+            manager.shutdown()
+            del manager
+            assert gone() is None
+
+    def test_checkpoint_holding_the_bound_linker_factory_loads(self):
+        """Older checkpoints pickled the bound method as the integration
+        learner's linker factory; they still load to the writer's digest
+        and go on linking into the loaded session's linkers."""
+        world = build_demo_world()
+        reference = new_session(world)
+        drive_demo_task(reference, world)
+        writer = new_session(world)
+        writer.integration_learner.linker_factory = writer._linker_for  # noqa: SLF001
+        import_demo_sources(writer, world)
+        restored = new_session(build_demo_world())
+        snapshot.load(restored, snapshot.dump(writer))
+        assert session_hash(restored) == session_hash(writer)
+        assert restored.integration_learner.linker_factory == restored._linker_for  # noqa: SLF001
+        integrate_demo_columns(restored)
+        assert restored._linkers  # noqa: SLF001
+        assert session_hash(restored) == session_hash(reference)
 
 
 # ------------------------------------------------------- checkpoint contents

@@ -4,6 +4,8 @@ wrapper-induction fallback, and the generalization facade."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import build_scenario
 from repro.errors import NoHypothesisError
@@ -255,3 +257,107 @@ class TestStructureLearnerFacade:
         result = GeneralizationResult(source_name="S", examples=[])
         with pytest.raises(NoHypothesisError):
             _ = result.best
+
+
+def _hypothesis_key(hypothesis):
+    candidate = hypothesis.candidate
+    return (
+        candidate.origin,
+        tuple(candidate.support),
+        candidate.page_urls,
+        candidate.n_columns,
+        hypothesis.score,
+        hypothesis.column_map,
+        hypothesis.via_fallback,
+        tuple(tuple(row) for row in hypothesis.rows()),
+    )
+
+
+def _walk(result):
+    """Every hypothesis the user can reach by rejecting, in order."""
+    seen = [_hypothesis_key(h) for h in result.hypotheses]
+    reached = []
+    if result.hypotheses:
+        reached.append(_hypothesis_key(result.best))
+        while not result.exhausted:
+            reached.append(_hypothesis_key(result.reject_current()))
+        with pytest.raises(NoHypothesisError):
+            result.reject_current()
+    return seen, reached
+
+
+class TestGeneralizeMatchesFullRescoring:
+    """``generalize`` rescores only the candidates that can project the
+    examples; its hypotheses must equal a generalize that rescores every
+    candidate first (``tests/reference_structure.py``)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_full_rescoring_reference(self, data, trained_types):
+        from repro.drift.perturb import PERTURBATIONS, perturb_page
+        from repro.substrate.documents.clipboard import CopyEvent, SourceContext
+
+        from . import reference_structure
+
+        kind = data.draw(st.sampled_from(["page", "page", "page", "sheet", "text"]))
+        scenario = build_scenario(
+            seed=data.draw(st.integers(0, 40)),
+            n_shelters=data.draw(st.integers(3, 9)),
+            noise=data.draw(st.integers(0, 3)),
+            pages=data.draw(st.integers(1, 2)),
+            listing_style=data.draw(st.sampled_from(["table", "ul", "div"])),
+            link_details=data.draw(st.booleans()),
+        )
+        if kind == "page":
+            url = scenario.list_urls()[0]
+            perturbation = data.draw(st.sampled_from([None, *sorted(PERTURBATIONS)]))
+            if perturbation is not None:
+                perturb_page(scenario.website, url, perturbation, seed=data.draw(st.integers(0, 9)))
+            document, container = scenario.website.fetch(url), scenario.website
+        elif kind == "sheet":
+            document, container, url = scenario.contacts_sheet, scenario.contacts_workbook, None
+        else:
+            document, container, url = scenario.situation_report, None, None
+
+        learner = StructureLearner(
+            type_learner=trained_types, max_hypotheses=data.draw(st.integers(1, 8))
+        )
+        context = SourceContext(
+            app="test", source_name="S", document=document, url=url, container=container
+        )
+        proposed = [c for c in learner._propose(CopyEvent("x", context))[0] if c.records]  # noqa: SLF001
+        if proposed:
+            # 1-2 examples from any record of any candidate, over one column
+            # choice (clipped to each record's width).
+            columns = data.draw(st.permutations(range(max(c.n_columns for c in proposed))))
+            columns = columns[: data.draw(st.integers(1, min(3, len(columns))))]
+            examples = []
+            for _ in range(data.draw(st.integers(1, 2))):
+                records = data.draw(st.sampled_from(proposed)).records
+                record = records[data.draw(st.integers(0, len(records) - 1))]
+                examples.append([record[c % len(record)] for c in columns])
+        else:
+            examples = [["nothing here"]]
+        event = CopyEvent("\t".join(examples[0]), context)
+        if data.draw(st.booleans()):
+            examples = None  # the event's own fields are the example
+
+        expected = reference_structure.generalize(learner, event, examples)
+        actual = learner.generalize(event, examples)
+        assert actual.examples == expected.examples
+        assert _walk(actual) == _walk(expected)
+
+    def test_rescores_only_candidates_that_can_project(self, scenario, trained_types):
+        browser = make_browser(scenario)
+        learner = StructureLearner(type_learner=trained_types)
+        event = browser.copy_record(listing_records(browser)[0], "Shelters")
+        rescored = []
+        rescore = learner.datatype_expert.rescore
+        learner.datatype_expert.rescore = lambda cs: rescored.append(list(cs)) or rescore(cs)
+        proposed = learner._propose(event)[0]  # noqa: SLF001
+        learner.generalize(event)
+        assert 0 < len(rescored[0]) < len(proposed)
+        assert all(find_projections(c, event.fields) for c in rescored[0])
+        rescored.clear()
+        learner.ranked_candidates(event)
+        assert len(rescored[0]) == len(proposed)
