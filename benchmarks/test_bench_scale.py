@@ -15,8 +15,8 @@ k; latency stays interactive through ~40 sources.
 from __future__ import annotations
 
 import gc
+import statistics
 import time
-
 
 from repro import CopyCatSession
 from repro.cache import CacheTiers
@@ -133,53 +133,98 @@ class TestScaleCached:
     """
 
     N_REFRESHES = 5
+    #: Timed burst pairs; the gate reads the median of their ratios.
+    N_PAIRS = 200
 
-    def _burst(self, session, cold_tiers: CacheTiers | None = None):
-        """N refreshes; with *cold_tiers*, each is forced and starts cold."""
+    def _burst(self, session):
+        """N refreshes that reuse the session's standing batch."""
         last = None
         for _ in range(self.N_REFRESHES):
-            if cold_tiers is None:
-                last = session.column_suggestions(k=5)
-            else:
-                start_cold(session, cold_tiers)
-                last = session.column_suggestions(k=5, refresh=True)
+            last = session.column_suggestions(k=5)
         return last
 
+    def _timed_burst(self, session, cold_tiers: CacheTiers | None = None):
+        """Time N refreshes; return the last batch and each one's seconds.
+
+        With *cold_tiers*, each refresh is forced and starts cold: the
+        tiers and service memos are cleared before its clock starts.
+        Without, the first is forced on the session's warm caches, so the
+        plan cache, compiled-plan and scan memos and service memos do its
+        work, and the rest reuse its batch, as a user's next actions after
+        a change would.
+        """
+        batch, times = None, []
+        for index in range(self.N_REFRESHES):
+            if cold_tiers is not None:
+                start_cold(session, cold_tiers)
+            forced = cold_tiers is not None or index == 0
+            start = time.perf_counter()
+            batch = session.column_suggestions(k=5, refresh=True if forced else None)
+            times.append(time.perf_counter() - start)
+        return batch, times
+
     def test_cached_vs_uncached_at_forty_sources(self):
+        """Bursts on warm caches must beat bursts that start cold by 2x.
+
+        One session per mode, each primed, then N_PAIRS timed pairs of
+        bursts, the mode that goes first alternating from pair to pair. The
+        gate reads the median of the per-pair cold/warm burst ratios, so a
+        scheduler stall that lands in a few pairs does not move it. The
+        report also carries the median ratio of the bursts' first, forced
+        refreshes alone: what the cache layers save without batch reuse.
+        """
         tiers = CacheTiers()
         cold = _scale_session(40, tiers)
-        gc.collect()
-        start = time.perf_counter()
-        uncached = self._burst(cold, cold_tiers=tiers)
-        uncached_s = time.perf_counter() - start
-
         warm = _scale_session(40)
+        cold.column_suggestions(k=5, refresh=True)
+        warm.column_suggestions(k=5)
         gc.collect()
-        start = time.perf_counter()
-        cached = self._burst(warm)
-        cached_s = time.perf_counter() - start
+
+        cold_times, warm_times = [], []
+        for pair in range(self.N_PAIRS):
+            if pair % 2:
+                cached, warm_burst = self._timed_burst(warm)
+                uncached, cold_burst = self._timed_burst(cold, cold_tiers=tiers)
+            else:
+                uncached, cold_burst = self._timed_burst(cold, cold_tiers=tiers)
+                cached, warm_burst = self._timed_burst(warm)
+            cold_times.append(cold_burst)
+            warm_times.append(warm_burst)
 
         # Correctness A/B gate: identical results, provenance included.
         assert _suggestion_key(cached) == _suggestion_key(uncached)
 
-        speedup = uncached_s / cached_s if cached_s > 0 else float("inf")
-        headers = ["mode", "refreshes", "total ms", "ms/refresh"]
+        speedup = statistics.median(
+            sum(c) / sum(w) for c, w in zip(cold_times, warm_times)
+        )
+        forced_speedup = statistics.median(
+            c[0] / w[0] for c, w in zip(cold_times, warm_times)
+        )
+
+        def median_ms(bursts, pick):
+            return f"{statistics.median(pick(b) for b in bursts) * 1000:.3f}"
+
+        headers = ["mode", "timed bursts", "median ms/burst", "median ms first refresh"]
         rows = [
-            ("cold each refresh", self.N_REFRESHES, f"{uncached_s * 1000:.1f}",
-             f"{uncached_s * 1000 / self.N_REFRESHES:.1f}"),
-            ("warm caches", self.N_REFRESHES, f"{cached_s * 1000:.1f}",
-             f"{cached_s * 1000 / self.N_REFRESHES:.1f}"),
+            ("cold each refresh", self.N_PAIRS, median_ms(cold_times, sum),
+             median_ms(cold_times, lambda b: b[0])),
+            ("warm caches", self.N_PAIRS, median_ms(warm_times, sum),
+             median_ms(warm_times, lambda b: b[0])),
         ]
         write_report(
             "scale_sources_cached",
             format_table(headers, rows)
-            + ["", f"speedup x{speedup:.1f} at 40 sources; cached == uncached"
-                   " including provenance"],
+            + ["", f"speedup x{speedup:.1f} at 40 sources, median of {self.N_PAIRS}"
+                   f" paired ratios of {self.N_REFRESHES}-refresh bursts (first"
+                   f" forced refresh alone x{forced_speedup:.2f}); cached =="
+                   " uncached including provenance"],
             series={
                 "table": table_series(headers, rows),
                 "speedup": speedup,
+                "forced_refresh_speedup": forced_speedup,
                 "n_sources": 40,
                 "n_refreshes": self.N_REFRESHES,
+                "n_pairs": self.N_PAIRS,
             },
         )
         # Hard gate: warm caches must beat cold refreshes by the 2x floor.

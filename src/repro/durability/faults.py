@@ -16,9 +16,10 @@ default, and no environment variable arms one.
 
 from __future__ import annotations
 
-import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass
+
+from ..util.rng import seed_for
 
 #: Fault kinds a draw can land on, in cumulative-probability order.
 KINDS = ("torn", "corrupt", "fsync")
@@ -57,9 +58,7 @@ class WalFaultPolicy:
 
     def _draw(self, tenant: str, op_index: int) -> float:
         """Deterministic uniform draw in [0, 1) for one log operation."""
-        token = f"wal:{self.seed}:{tenant}:{op_index}".encode("utf-8")
-        digest = hashlib.sha256(token).digest()
-        return int.from_bytes(digest[:8], "big") / 2**64
+        return seed_for("wal", self.seed, tenant, op_index) / 2**64
 
     def draw(self, tenant: str, op_index: int) -> str | None:
         """The fault kind hitting this operation, or ``None``."""

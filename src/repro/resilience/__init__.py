@@ -7,8 +7,7 @@ package supplies the four pieces that make the suggestion pipeline survive
 unreliable backends:
 
 - :mod:`~repro.resilience.config` — the process-wide knob set
-  (:data:`RESILIENCE`): retry, deadline, breaker and fault-injection
-  settings;
+  (:data:`RESILIENCE`): retry and fault-injection settings;
 - :mod:`~repro.resilience.faults` — the deterministic fault-injection
   harness (:class:`FaultPolicy`, the global :data:`FAULTS` injector):
   seeded transient/persistent failures, injected latency, and flapping

@@ -9,10 +9,9 @@ The breaker is the classic three-state machine:
 - **half-open** — after the cooldown one *probe* invocation is let through;
   success closes the breaker, failure re-opens it and re-arms the cooldown.
 
-Thresholds and cooldowns are read from :data:`~repro.resilience.config.
-RESILIENCE` at decision time unless pinned in the constructor, so tests can
-tighten them without rebuilding services. The clock is injectable for
-deterministic cooldown tests.
+A breaker's threshold and cooldown are plain attributes, fixed when it is
+built (:data:`BREAKER_THRESHOLD` and :data:`BREAKER_COOLDOWN_MS` unless
+given). The clock is injectable for deterministic cooldown tests.
 
 :class:`ServiceHealth` is the long-horizon ledger the integration learner
 reads: total successes/failures per service, from which a failure *rate*
@@ -27,7 +26,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..obs import METRICS
-from .config import RESILIENCE
+
+#: backend failures in a row that open a breaker.
+BREAKER_THRESHOLD = 8
+#: how long an open breaker rejects calls, ms.
+BREAKER_COOLDOWN_MS = 50.0
 
 CLOSED = "closed"
 OPEN = "open"
@@ -67,36 +70,25 @@ class CircuitBreaker:
     """Closed/open/half-open gate in front of one service's backend."""
 
     __slots__ = (
-        "name", "_threshold", "_cooldown_ms", "_clock",
+        "name", "threshold", "cooldown_ms", "_clock",
         "_state", "_consecutive_failures", "_opened_at", "times_opened",
     )
 
     def __init__(
         self,
         name: str,
-        threshold: int | None = None,
-        cooldown_ms: float | None = None,
+        threshold: int = BREAKER_THRESHOLD,
+        cooldown_ms: float = BREAKER_COOLDOWN_MS,
         clock: Callable[[], float] = time.monotonic,
     ):
         self.name = name
-        self._threshold = threshold
-        self._cooldown_ms = cooldown_ms
+        self.threshold = threshold
+        self.cooldown_ms = cooldown_ms
         self._clock = clock
         self._state = CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
         self.times_opened = 0
-
-    # -- config (live unless pinned) ------------------------------------------
-    @property
-    def threshold(self) -> int:
-        return self._threshold if self._threshold is not None else RESILIENCE.breaker_threshold
-
-    @property
-    def cooldown_ms(self) -> float:
-        if self._cooldown_ms is not None:
-            return self._cooldown_ms
-        return RESILIENCE.breaker_cooldown_ms
 
     # -- state machine ---------------------------------------------------------
     @property

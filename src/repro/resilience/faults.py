@@ -10,27 +10,23 @@ drawn from a shared stream, so the outcome of call #17 against the Geocoder
 is identical no matter how calls to other services interleave — the property
 that makes chaos benchmarks and regression tests stable.
 
-Two ways to arm a policy:
-
-- process-global, via :data:`FAULTS` (``FAULTS.injected(policy)`` context
-  manager, or the ``REPRO_FAULT_RATE`` / ``REPRO_FAULT_SEED`` environment
-  knobs read at import, which arm transient failures only) — every
-  :class:`~repro.substrate.services.base.Service` consults it before each
-  backend lookup;
-- per-instance, via :meth:`FaultPolicy.wrap` (or
-  ``ServiceRegistry.inject_faults``), which wraps one service's ``_lookup``
-  so harness code can target a single backend without global state.
+Arm a policy process-globally through :data:`FAULTS`: the
+``FAULTS.injected(policy)`` context manager, or the ``REPRO_FAULT_RATE`` /
+``REPRO_FAULT_SEED`` environment knobs read at import, which arm transient
+failures only. Every :class:`~repro.substrate.services.base.Service`
+consults it before each backend lookup; a policy's ``per_service`` specs
+target single backends.
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from ..errors import ServiceLookupFailed, TransientServiceError
+from ..util.rng import seed_for
 from .config import RESILIENCE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
@@ -79,9 +75,7 @@ class FaultPolicy:
 
     def _draw(self, service_name: str, call_index: int) -> float:
         """Deterministic uniform draw in [0, 1) for one backend call."""
-        token = f"{self.seed}:{service_name}:{call_index}".encode("utf-8")
-        digest = hashlib.sha256(token).digest()
-        return int.from_bytes(digest[:8], "big") / 2**64
+        return seed_for(self.seed, service_name, call_index) / 2**64
 
     def check(
         self, service_name: str, call_index: int, sleep: Callable[[float], None] = time.sleep
@@ -105,37 +99,6 @@ class FaultPolicy:
                 f"service {service_name!r} transient backend fault (injected, call #{call_index})",
                 service=service_name,
             )
-
-    # -- per-instance wrapping -------------------------------------------------
-    def wrap(self, service: "Service") -> "Service":
-        """Wrap one service's ``_lookup`` with this policy; returns *service*.
-
-        The wrapper keeps its own call counter (independent of the global
-        injector) and survives on the instance until :meth:`unwrap`.
-        """
-        if getattr(service, "_fault_wrapped", None) is not None:
-            self.unwrap(service)
-        inner = service._lookup
-        counter = {"calls": 0}
-
-        def faulty_lookup(inputs):
-            index = counter["calls"]
-            counter["calls"] += 1
-            self.check(service.name, index)
-            return inner(inputs)
-
-        service._fault_wrapped = inner
-        service._lookup = faulty_lookup  # type: ignore[method-assign]
-        return service
-
-    @staticmethod
-    def unwrap(service: "Service") -> "Service":
-        """Restore a service wrapped by :meth:`wrap`."""
-        inner = getattr(service, "_fault_wrapped", None)
-        if inner is not None:
-            service._lookup = inner  # type: ignore[method-assign]
-            service._fault_wrapped = None
-        return service
 
     def __repr__(self) -> str:
         overrides = ", ".join(sorted(self.per_service)) or "-"

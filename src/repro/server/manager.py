@@ -6,7 +6,7 @@ concurrently on a bounded worker pool:
 - **registry + lifecycle** — sessions are created on first use, touched on
   every request (LRU order), evicted when the registry exceeds
   ``SERVER.max_sessions``, and expired by :meth:`evict_idle` once idle
-  longer than ``SERVER.idle_ttl``;
+  longer than its TTL;
 - **per-session FIFO dispatch** — requests for one tenant are serialized
   in submission order (a session is single-threaded state: workspace,
   learners, feedback log), while requests for *different* tenants run
@@ -54,6 +54,7 @@ from .overload import (
     BROWNOUT_SHRINK,
     LEVEL_NORMAL,
     RETRY_AFTER_MS,
+    SHED_SEED,
     LoadController,
     Overloaded,
     RequestExpired,
@@ -148,7 +149,7 @@ class SessionManager:
         self._closed = False
         # Overload protection: seeded shed draws and the brownout
         # controller are per-manager (one server, one load picture).
-        self._shed_policy = ShedPolicy(OVERLOAD.shed_seed)
+        self._shed_policy = ShedPolicy(SHED_SEED)
         self._controller = LoadController()
         # Lifetime counters (always on; mirrored into METRICS when
         # enabled), guarded by one mutex so stats() reads are coherent
@@ -271,12 +272,17 @@ class SessionManager:
 
     def _checkpoint_all(self, entries: list[_Entry]) -> None:
         """Checkpoint every entry through, even past one that raises (a
-        skipped entry would stay retiring and block its tenant)."""
-        if entries:
+        skipped entry would stay retiring and block its tenant), then
+        raise the first error."""
+        first: BaseException | None = None
+        for entry in entries:
             try:
-                self._checkpoint_through(entries[0])
-            finally:
-                self._checkpoint_all(entries[1:])
+                self._checkpoint_through(entry)
+            except BaseException as exc:  # lint: allow=REPRO003 -- the first is re-raised below
+                if first is None:
+                    first = exc
+        if first is not None:
+            raise first
 
     def evict(self, tenant_id: str) -> bool:
         """Evict the tenant's session (checkpointed first when durable);
@@ -296,13 +302,12 @@ class SessionManager:
                 METRICS.gauge("server.sessions_active", float(len(self._registry)))
         return entry is not None
 
-    def evict_idle(self, ttl: float | None = None) -> list[str]:
-        """Expire sessions idle longer than *ttl* (``SERVER.idle_ttl``).
+    def evict_idle(self, ttl: float = 900.0) -> list[str]:
+        """Expire sessions idle longer than *ttl* seconds.
 
         Durable sessions are checkpointed through the expiry: idle-TTL
         pressure trims memory, never user history.
         """
-        limit = SERVER.idle_ttl if ttl is None else ttl
         now = self._clock()
         expired: list[str] = []
         victims: list[_Entry] = []
@@ -310,7 +315,7 @@ class SessionManager:
             if RACECHECK.enabled:
                 TRACKER.note_access("SessionManager._registry", self)
             for tenant_id, entry in list(self._registry.items()):
-                if now - entry.last_used > limit:
+                if now - entry.last_used > ttl:
                     del self._registry[tenant_id]
                     self._retiring[tenant_id] = entry
                     expired.append(tenant_id)
@@ -732,9 +737,11 @@ class SessionManager:
             self._registry.clear()
         for entry in victims:
             self._strand_queue(entry)
-        self._checkpoint_all(victims)
-        if self.store is not None:
-            self.store.close()
+        try:
+            self._checkpoint_all(victims)
+        finally:
+            if self.store is not None:
+                self.store.close()
 
     def __enter__(self) -> "SessionManager":
         return self

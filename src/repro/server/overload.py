@@ -12,8 +12,8 @@ This module holds the four mechanisms the
   inflight watermark, or the token bucket receives, always carrying a
   ``retry_after_ms`` hint. Between the soft and hard inflight watermarks
   a *seeded* probabilistic ramp (:class:`ShedPolicy`) sheds early — the
-  same sha256 draw idiom as :mod:`repro.resilience.faults`, so chaos
-  runs reproduce shed-for-shed;
+  same :func:`~repro.util.rng.seed_for` draw as
+  :mod:`repro.resilience.faults`, so chaos runs reproduce shed-for-shed;
 - **deadline propagation** — a request's
   :class:`~repro.resilience.retry.Deadline` rides a thread-local scope
   (:func:`deadline_scope`); long evaluation loops call
@@ -28,20 +28,21 @@ This module holds the four mechanisms the
   :data:`~repro.server.config.OVERLOAD`) bounds how long one tenant may
   hold a worker;
 - **brownout** — :class:`LoadController` watches per-request latency and
-  inflight pressure and, after ``brownout_hold`` consecutive hot
+  inflight pressure and, after :data:`BROWNOUT_HOLD` consecutive hot
   observations, flips the server into degraded service (suggestion-batch
   reuse, cache-tier shrink, dependent-join calls degraded through the
   resilience path), recovering with the same hysteresis.
 
-All four are always on. Each limit is a knob in
-:data:`~repro.server.config.OVERLOAD`, and a limit set out of reach
-(``shed_soft=1.0``, ``rate=0.0``, ``drr_quantum=0``, ...) never fires,
-which is how the storm benchmark builds its unprotected reference leg.
+All four are always on. The limits an operator or the storm benchmark
+sets are knobs in :data:`~repro.server.config.OVERLOAD`; the rest of the
+brownout tuning and the shed seed are constants below. A limit set out
+of reach (``shed_soft=1.0``, ``rate=0.0``, ``drr_quantum=0``, ...) never
+fires, which is how the storm benchmark builds its unprotected reference
+leg.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import deque
 from contextlib import contextmanager
@@ -51,6 +52,7 @@ from ..errors import CopyCatError
 from ..obs import METRICS
 from ..obs.metrics import percentile
 from ..resilience.retry import Deadline
+from ..util.rng import seed_for
 from .config import OVERLOAD
 
 __all__ = [
@@ -76,6 +78,16 @@ LEVEL_DEGRADED = "degraded"
 RETRY_AFTER_MS = 50.0
 #: divisor of every shared cache-tier capacity while browned out.
 BROWNOUT_SHRINK = 4
+#: requests in the load controller's rolling latency window.
+BROWNOUT_WINDOW = 32
+#: inflight fraction that counts as pressure.
+BROWNOUT_PRESSURE = 0.85
+#: inflight fraction below which recovery counts.
+BROWNOUT_EXIT = 0.5
+#: hot (or cool) observations in a row that flip the service level.
+BROWNOUT_HOLD = 8
+#: seed of the deterministic early-shed draws.
+SHED_SEED = 20090104
 
 
 class SessionError(CopyCatError):
@@ -223,8 +235,9 @@ class ShedPolicy:
 
     Sheds ramp linearly from probability 0 at ``shed_soft`` pressure to 1
     at the hard watermark. The decision for (tenant, admission index) is a
-    pure sha256 draw — the idiom :mod:`repro.resilience.faults` uses — so
-    a storm replayed with the same seed sheds the same requests.
+    pure :func:`~repro.util.rng.seed_for` draw — as in
+    :mod:`repro.resilience.faults` — so a storm replayed with the same
+    seed sheds the same requests.
     """
 
     __slots__ = ("seed",)
@@ -233,9 +246,7 @@ class ShedPolicy:
         self.seed = int(seed)
 
     def draw(self, tenant_id: str, index: int) -> float:
-        token = f"{self.seed}:{tenant_id}:{index}".encode()
-        digest = hashlib.sha256(token).digest()
-        return int.from_bytes(digest[:8], "big") / 2**64
+        return seed_for(self.seed, tenant_id, index) / 2**64
 
     def should_shed(self, tenant_id: str, index: int, pressure: float, soft: float) -> bool:
         if soft >= 1.0 or pressure < soft:
@@ -250,10 +261,11 @@ class LoadController:
 
     Fed one ``(latency_ms, pressure)`` observation per finished request.
     An observation is *hot* when inflight pressure exceeds
-    ``brownout_pressure`` or the rolling window is full with p95 latency
-    over ``brownout_p95_ms``; *cool* when pressure is under
-    ``brownout_exit`` and p95 is back under the threshold. Only
-    ``brownout_hold`` **consecutive** hot (resp. cool) observations flip
+    :data:`BROWNOUT_PRESSURE` or the rolling window
+    (:data:`BROWNOUT_WINDOW` requests) is full with p95 latency over
+    ``OVERLOAD.brownout_p95_ms``; *cool* when pressure is under
+    :data:`BROWNOUT_EXIT` and p95 is back under the threshold. Only
+    :data:`BROWNOUT_HOLD` **consecutive** hot (resp. cool) observations flip
     the level — one spike never browns the server out, one fast request
     never snaps it back. The window clears on each transition so the old
     regime's latencies don't vote on the new one.
@@ -261,7 +273,7 @@ class LoadController:
 
     def __init__(self):
         self._lock = make_lock("LoadController._lock")
-        self._window: deque[float] = deque(maxlen=max(4, OVERLOAD.brownout_window))
+        self._window: deque[float] = deque(maxlen=BROWNOUT_WINDOW)
         self._streak = 0
         self.level = LEVEL_NORMAL
         self.entered = 0
@@ -277,7 +289,7 @@ class LoadController:
 
     def observe(self, latency_ms: float, pressure: float) -> str | None:
         """Fold one observation in; ``"enter"``/``"exit"`` on a transition."""
-        cfg = OVERLOAD
+        p95_ms = OVERLOAD.brownout_p95_ms
         with self._lock:
             if RACECHECK.enabled:
                 TRACKER.note_access("LoadController._window", self)
@@ -286,20 +298,18 @@ class LoadController:
             p95 = percentile(sorted(window), 0.95)
             full = len(window) == window.maxlen
             if self.level == LEVEL_NORMAL:
-                hot = pressure >= cfg.brownout_pressure or (
-                    full and p95 > cfg.brownout_p95_ms
-                )
+                hot = pressure >= BROWNOUT_PRESSURE or (full and p95 > p95_ms)
                 self._streak = self._streak + 1 if hot else 0
-                if self._streak >= max(1, cfg.brownout_hold):
+                if self._streak >= BROWNOUT_HOLD:
                     self.level = LEVEL_DEGRADED
                     self.entered += 1
                     self._streak = 0
                     window.clear()
                     return "enter"
             else:
-                cool = pressure <= cfg.brownout_exit and p95 <= cfg.brownout_p95_ms
+                cool = pressure <= BROWNOUT_EXIT and p95 <= p95_ms
                 self._streak = self._streak + 1 if cool else 0
-                if self._streak >= max(1, cfg.brownout_hold):
+                if self._streak >= BROWNOUT_HOLD:
                     self.level = LEVEL_NORMAL
                     self.exited += 1
                     self._streak = 0

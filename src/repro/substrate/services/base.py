@@ -37,6 +37,9 @@ from ...util.rng import derive_rng, make_rng
 from ..relational.rows import TupleId
 from ..relational.schema import BindingPattern, Schema
 
+#: per-invocation budget of a backend lookup (all attempts + backoff), ms.
+DEADLINE_MS = 2000.0
+
 
 class Service:
     """Abstract simulated web service / Web form."""
@@ -70,8 +73,6 @@ class Service:
         self.breaker = CircuitBreaker(name)
         self.health = ServiceHealth()
         self._resilient_invocations = 0
-        # Installed by FaultPolicy.wrap(); None = _lookup is unwrapped.
-        self._fault_wrapped = None
 
     # -- public API ------------------------------------------------------------
     @property
@@ -188,7 +189,7 @@ class Service:
         with self._lock:
             self._resilient_invocations += 1
         policy = RetryPolicy.from_config()
-        deadline = Deadline(RESILIENCE.deadline_ms)
+        deadline = Deadline(DEADLINE_MS)
         rng = None  # jitter stream derived lazily, only when a retry happens
         attempt = 0
         while True:
@@ -216,7 +217,7 @@ class Service:
                         METRICS.inc("resilience.deadline_expired")
                     raise DeadlineExceededError(
                         f"service {self.name!r} deadline "
-                        f"({RESILIENCE.deadline_ms:g}ms) exhausted after "
+                        f"({deadline.budget_ms:g}ms) exhausted after "
                         f"{attempt} attempts",
                         service=self.name,
                     ) from exc

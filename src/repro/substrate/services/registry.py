@@ -7,12 +7,10 @@ over one gazetteer and registers them into a catalog.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from ..relational.catalog import Catalog, SourceMetadata
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ...resilience.faults import FaultPolicy
 from .base import Service
 from .conversion import make_currency_converter, make_unit_converter
 from .directory import make_forward_directory, make_reverse_directory
@@ -68,23 +66,3 @@ class ServiceRegistry:
             catalog.add_service(
                 service, metadata=SourceMetadata(origin="predefined"), replace=True
             )
-
-    # -- fault injection (repro.resilience) ----------------------------------
-    def inject_faults(self, policy: "FaultPolicy") -> "ServiceRegistry":
-        """Wrap every registered service's backend with *policy*.
-
-        Per-instance alternative to arming the global
-        :data:`repro.resilience.FAULTS` injector: only this registry's
-        services fail, and :meth:`clear_faults` restores them.
-        """
-        for service in self.services():
-            policy.wrap(service)
-        return self
-
-    def clear_faults(self) -> "ServiceRegistry":
-        """Undo :meth:`inject_faults` on every registered service."""
-        from ...resilience.faults import FaultPolicy
-
-        for service in self.services():
-            FaultPolicy.unwrap(service)
-        return self

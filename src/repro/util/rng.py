@@ -44,7 +44,8 @@ def derive_rng(rng: random.Random, *labels: str | int) -> random.Random:
 def seed_for(*labels: str | int) -> int:
     """A stable 64-bit seed derived purely from *labels* (no parent stream).
 
-    Kept for existing callers; no session seed selects anything any more.
+    Divided by ``2**64`` it is the uniform draw in [0, 1) behind the
+    seeded fault, WAL-fault and early-shed schedules.
     """
     token = ":".join(str(label) for label in labels)
     digest = hashlib.sha256(token.encode("utf-8")).digest()

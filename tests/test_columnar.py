@@ -23,7 +23,7 @@ from repro.linking.blocking import (
     token_block_key,
 )
 from repro.obs import METRICS
-from repro.resilience import FaultPolicy, FaultSpec
+from repro.resilience import FAULTS, FaultPolicy, FaultSpec
 from repro.resilience.config import RESILIENCE
 from repro.substrate.relational import (
     AggSpec,
@@ -452,10 +452,10 @@ class TestStatefulParity:
         # The circuit breaker is stateful across runs, so each leg gets a
         # freshly reset breaker — then both must trip it identically.
         service = catalog.service("Z")
-        FaultPolicy(seed=1, default=FaultSpec(persistent=True)).wrap(service)
         plan = DependentJoin(Scan("S"), "Z", (("City", "City"),))
+        policy = FaultPolicy(seed=1, per_service={"Z": FaultSpec(persistent=True)})
         try:
-            with RESILIENCE.overridden(retry_base_ms=0.0):
+            with RESILIENCE.overridden(retry_base_ms=0.0), FAULTS.injected(policy):
                 service.breaker.reset()
                 columnar = Evaluator(catalog).run(plan)
                 service.breaker.reset()
@@ -467,7 +467,6 @@ class TestStatefulParity:
                 assert r.get("Zip") is None
                 assert "degraded:Z" in str(prov)
         finally:
-            FaultPolicy.unwrap(service)
             service.breaker.reset()
 
     def test_catalog_mutation_invalidates_compiled_plans(self, catalog):

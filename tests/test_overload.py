@@ -36,6 +36,8 @@ from repro.cache.tiers import CacheTiers
 from repro.errors import FeedbackError
 from repro.obs import METRICS, render_summary
 from repro.resilience.retry import Deadline
+from repro.server import manager as manager_module
+from repro.server import overload
 from repro.server import (
     OVERLOAD,
     SERVER,
@@ -158,20 +160,18 @@ class TestShedPolicy:
 
 # ----------------------------------------------------------- load controller
 class TestLoadController:
-    def controller(self, **knobs):
-        defaults = dict(
-            brownout_window=4, brownout_p95_ms=100.0, brownout_pressure=0.9,
-            brownout_exit=0.3, brownout_hold=3,
-        )
-        defaults.update(knobs)
-        self._override = OVERLOAD.overridden(**defaults)
-        self._override.__enter__()
-        return LoadController()
+    @pytest.fixture(autouse=True)
+    def _small_controller(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+        monkeypatch.setattr(overload, "BROWNOUT_WINDOW", 4)
+        monkeypatch.setattr(overload, "BROWNOUT_PRESSURE", 0.9)
+        monkeypatch.setattr(overload, "BROWNOUT_EXIT", 0.3)
+        with OVERLOAD.overridden(brownout_p95_ms=100.0):
+            yield
 
-    def teardown_method(self):
-        if getattr(self, "_override", None) is not None:
-            self._override.__exit__(None, None, None)
-            self._override = None
+    def controller(self, hold=3):
+        self.monkeypatch.setattr(overload, "BROWNOUT_HOLD", hold)
+        return LoadController()
 
     def test_one_spike_never_browns_out(self):
         c = self.controller()
@@ -188,7 +188,7 @@ class TestLoadController:
         assert c.entered == 1
 
     def test_latency_path_needs_a_full_window(self):
-        c = self.controller(brownout_hold=1)
+        c = self.controller(hold=1)
         # Three slow observations at zero pressure: window (4) not full yet.
         for _ in range(3):
             assert c.observe(500.0, 0.0) is None
@@ -208,7 +208,7 @@ class TestLoadController:
         assert c.exited == 1
 
     def test_window_clears_on_transition(self):
-        c = self.controller(brownout_hold=1)
+        c = self.controller(hold=1)
         for _ in range(4):
             c.observe(500.0, 0.0)
         assert c.level == "degraded"
@@ -367,14 +367,13 @@ class TestAdmission:
         # A fresh bucket at the new burst, not the drained one at burst=1.
         assert admitted == 5
 
-    def test_early_shed_is_seeded_deterministic(self):
+    def test_early_shed_is_seeded_deterministic(self, monkeypatch):
         def shed_indices(seed):
             gate = Gate()
             indices = []
+            monkeypatch.setattr(manager_module, "SHED_SEED", seed)
             with SERVER.overridden(workers=1):
-                with OVERLOAD.overridden(
-                    max_inflight=64, shed_soft=0.1, queue_depth=10_000, shed_seed=seed
-                ):
+                with OVERLOAD.overridden(max_inflight=64, shed_soft=0.1, queue_depth=10_000):
                     with SessionManager(SharedBase(small_catalog())) as manager:
                         pending = [manager.submit("a", gate)]
                         assert gate.entered.wait(timeout=5.0)
@@ -518,8 +517,10 @@ class TestFairness:
 
 # ------------------------------------------------------------------ brownout
 class TestBrownout:
-    def hot_manager(self, now):
-        """Tiny controller knobs so a handful of requests flips the level."""
+    def hot_manager(self, now, monkeypatch):
+        """A tiny window and hold so a handful of requests flips the level."""
+        monkeypatch.setattr(overload, "BROWNOUT_WINDOW", 4)
+        monkeypatch.setattr(overload, "BROWNOUT_HOLD", 2)
         return SessionManager(SharedBase(small_catalog()), clock=lambda: now[0])
 
     def run_hot(self, manager, now, n=3, tenant="a"):
@@ -529,13 +530,11 @@ class TestBrownout:
         for _ in range(n):
             manager.call(tenant, slow)
 
-    def test_sustained_latency_enters_brownout(self):
+    def test_sustained_latency_enters_brownout(self, monkeypatch):
         now = [0.0]
         with SERVER.overridden(workers=1):
-            with OVERLOAD.overridden(
-                brownout_window=4, brownout_hold=2, brownout_p95_ms=100.0
-            ):
-                with self.hot_manager(now) as manager:
+            with OVERLOAD.overridden(brownout_p95_ms=100.0):
+                with self.hot_manager(now, monkeypatch) as manager:
                     self.run_hot(manager, now, n=6)
                     stats = manager.stats()["overload"]
                     assert stats["level"] == "degraded"
@@ -545,14 +544,12 @@ class TestBrownout:
                     assert level == "degraded"
                     assert manager.base.tiers.shrunk
 
-    def test_recovery_restores_service_and_tiers(self):
+    def test_recovery_restores_service_and_tiers(self, monkeypatch):
         now = [0.0]
+        monkeypatch.setattr(overload, "BROWNOUT_EXIT", 0.9)
         with SERVER.overridden(workers=1):
-            with OVERLOAD.overridden(
-                brownout_window=4, brownout_hold=2, brownout_p95_ms=100.0,
-                brownout_exit=0.9,
-            ):
-                with self.hot_manager(now) as manager:
+            with OVERLOAD.overridden(brownout_p95_ms=100.0):
+                with self.hot_manager(now, monkeypatch) as manager:
                     self.run_hot(manager, now, n=6)
                     assert manager.stats()["overload"]["level"] == "degraded"
                     # Fast requests cool the controller back down.

@@ -36,6 +36,7 @@ from repro.resilience import (
 from repro.obs import render_summary
 from repro.substrate.relational import Catalog, DependentJoin, Evaluator, Relation, Scan, schema_of
 from repro.substrate.relational.schema import BindingPattern
+from repro.substrate.services import base as services_base
 from repro.substrate.services.base import FunctionService, TableBackedService
 
 
@@ -75,6 +76,11 @@ def make_zip_service(name: str = "Z") -> TableBackedService:
         BindingPattern(inputs=("City",)),
         [{"City": "Creek", "Zip": "33063"}, {"City": "Park", "Zip": "33309"}],
     )
+
+
+def faulted(name: str, **spec):
+    """Arm a :class:`FaultSpec` on the service called *name* for a block."""
+    return FAULTS.injected(FaultPolicy(seed=1, per_service={name: FaultSpec(**spec)}))
 
 
 @pytest.fixture()
@@ -140,13 +146,6 @@ class TestCircuitBreaker:
         breaker.record_failure()
         breaker.record_failure()
         assert breaker.state == CLOSED  # never 3 in a row
-
-    def test_live_threshold_from_config(self):
-        breaker = CircuitBreaker("Z", clock=FakeClock())
-        with RESILIENCE.overridden(breaker_threshold=2):
-            breaker.record_failure()
-            breaker.record_failure()
-            assert breaker.state == OPEN
 
 
 # ----------------------------------------------------------------------------- retry
@@ -228,16 +227,6 @@ class TestFaultPolicy:
         policy.check("Z", 0, sleep=slept.append)
         assert slept == [0.025]
 
-    def test_wrap_and_unwrap_roundtrip(self):
-        service = make_zip_service()
-        policy = FaultPolicy(seed=1, default=FaultSpec(persistent=True))
-        policy.wrap(service)
-        with pytest.raises(ServiceLookupFailed):
-            service.invoke({"City": "Creek"})
-        FaultPolicy.unwrap(service)
-        rows = service.invoke({"City": "Creek"})
-        assert rows[0]["Zip"] == "33063"
-
     def test_global_injector_context_restores(self):
         policy = FaultPolicy(seed=1, default=FaultSpec(persistent=True))
         previous = FAULTS.active  # a chaos CI job may have armed one via env
@@ -245,23 +234,13 @@ class TestFaultPolicy:
             assert FAULTS.active is policy
         assert FAULTS.active is previous
 
-    def test_registry_inject_and_clear(self):
-        from repro.substrate.services import Gazetteer, ServiceRegistry
-
-        registry = ServiceRegistry(Gazetteer(seed=7)).install_conversion_services()
-        registry.inject_faults(FaultPolicy(seed=1, default=FaultSpec(persistent=True)))
-        assert all(s._fault_wrapped is not None for s in registry.services())
-        registry.clear_faults()
-        assert all(s._fault_wrapped is None for s in registry.services())
-
 
 # ------------------------------------------------------------------- resilient invoke
 class TestResilientInvoke:
     def test_transient_fault_recovered_by_retry(self):
         service = make_zip_service()
         # down for the first 2 backend calls, then healthy
-        FaultPolicy(seed=1, default=FaultSpec(flapping=((0, 2),))).wrap(service)
-        with RESILIENCE.overridden(retry_base_ms=0.0, retry_max=3):
+        with faulted("Z", flapping=((0, 2),)), RESILIENCE.overridden(retry_base_ms=0.0, retry_max=3):
             rows = service.invoke({"City": "Creek"})
         assert rows[0]["Zip"] == "33063"
         assert service.health.retries == 2
@@ -270,8 +249,7 @@ class TestResilientInvoke:
 
     def test_retries_exhausted_raises_lookup_failed(self):
         service = make_zip_service()
-        FaultPolicy(seed=1, default=FaultSpec(transient_rate=1.0)).wrap(service)
-        with RESILIENCE.overridden(retry_base_ms=0.0, retry_max=3):
+        with faulted("Z", transient_rate=1.0), RESILIENCE.overridden(retry_base_ms=0.0, retry_max=3):
             with pytest.raises(ServiceLookupFailed) as info:
                 service.invoke({"City": "Creek"})
         assert info.value.transient
@@ -280,8 +258,7 @@ class TestResilientInvoke:
 
     def test_persistent_fault_fails_without_retry(self):
         service = make_zip_service()
-        FaultPolicy(seed=1, default=FaultSpec(persistent=True)).wrap(service)
-        with RESILIENCE.overridden(retry_base_ms=0.0, retry_max=5):
+        with faulted("Z", persistent=True), RESILIENCE.overridden(retry_base_ms=0.0, retry_max=5):
             with pytest.raises(ServiceLookupFailed):
                 service.invoke({"City": "Creek"})
         assert service.health.failures == 1  # dead backend: no retry burn
@@ -301,10 +278,8 @@ class TestResilientInvoke:
 
     def test_breaker_opens_and_short_circuits(self):
         service = make_zip_service()
-        FaultPolicy(seed=1, default=FaultSpec(persistent=True)).wrap(service)
-        with RESILIENCE.overridden(
-            retry_base_ms=0.0, breaker_threshold=3, breaker_cooldown_ms=60_000.0
-        ):
+        service.breaker.threshold, service.breaker.cooldown_ms = 3, 60_000.0
+        with faulted("Z", persistent=True), RESILIENCE.overridden(retry_base_ms=0.0):
             for _ in range(3):
                 with pytest.raises(ServiceLookupFailed):
                     service.invoke({"City": "Creek"})
@@ -317,24 +292,22 @@ class TestResilientInvoke:
 
     def test_breaker_half_open_probe_recovers(self):
         service = make_zip_service()
-        policy = FaultPolicy(seed=1, default=FaultSpec(persistent=True))
-        policy.wrap(service)
-        with RESILIENCE.overridden(
-            retry_base_ms=0.0, breaker_threshold=2, breaker_cooldown_ms=0.0
-        ):
-            for _ in range(2):
-                with pytest.raises(ServiceLookupFailed):
-                    service.invoke({"City": "Creek"})
-            assert service.breaker.state == OPEN
-            FaultPolicy.unwrap(service)  # backend comes back
+        service.breaker.threshold, service.breaker.cooldown_ms = 2, 0.0
+        with RESILIENCE.overridden(retry_base_ms=0.0):
+            with faulted("Z", persistent=True):
+                for _ in range(2):
+                    with pytest.raises(ServiceLookupFailed):
+                        service.invoke({"City": "Creek"})
+                assert service.breaker.state == OPEN
+            # backend comes back
             rows = service.invoke({"City": "Creek"})  # cooldown 0: probe admitted
         assert rows[0]["Zip"] == "33063"
         assert service.breaker.state == CLOSED
 
-    def test_deadline_expiry_mid_retry(self):
+    def test_deadline_expiry_mid_retry(self, monkeypatch):
         service = make_zip_service()
-        FaultPolicy(seed=1, default=FaultSpec(transient_rate=1.0)).wrap(service)
-        with RESILIENCE.overridden(retry_max=5, deadline_ms=0.0):
+        monkeypatch.setattr(services_base, "DEADLINE_MS", 0.0)
+        with faulted("Z", transient_rate=1.0), RESILIENCE.overridden(retry_max=5):
             with pytest.raises(DeadlineExceededError):
                 service.invoke({"City": "Creek"})
         assert service.health.failures == 1  # died before the first backoff sleep
@@ -343,8 +316,9 @@ class TestResilientInvoke:
         service = make_zip_service()
         slept: list[float] = []
         service._sleep = slept.append
-        FaultPolicy(seed=1, default=FaultSpec(transient_rate=1.0)).wrap(service)
-        with RESILIENCE.overridden(retry_max=3, retry_base_ms=4.0, seed=99):
+        with faulted("Z", transient_rate=1.0), RESILIENCE.overridden(
+            retry_max=3, retry_base_ms=4.0, seed=99
+        ):
             with pytest.raises(ServiceLookupFailed):
                 service.invoke({"City": "Creek"})
             expected = RetryPolicy.from_config().schedule_ms(99, "Z", 1)
@@ -352,12 +326,11 @@ class TestResilientInvoke:
 
     def test_transient_failure_never_poisons_memo(self):
         service = make_zip_service()
-        policy = FaultPolicy(seed=1, default=FaultSpec(flapping=((0, 10),)))
-        policy.wrap(service)
-        with RESILIENCE.overridden(retry_base_ms=0.0, retry_max=2):
+        with faulted("Z", flapping=((0, 10),)), RESILIENCE.overridden(
+            retry_base_ms=0.0, retry_max=2
+        ):
             with pytest.raises(ServiceLookupFailed):
                 service.invoke({"City": "Creek"})
-        FaultPolicy.unwrap(service)
         # recovery: the failure was not cached, the real answer comes back
         rows = service.invoke({"City": "Creek"})
         assert rows[0]["Zip"] == "33063"
@@ -391,10 +364,8 @@ class TestBindingErrorMessages:
 # ----------------------------------------------------------------- evaluator degradation
 class TestEvaluatorDegradation:
     def test_dependent_join_degrades_instead_of_raising(self, catalog):
-        service = catalog.service("Z")
-        FaultPolicy(seed=1, default=FaultSpec(persistent=True)).wrap(service)
         plan = DependentJoin(Scan("S"), "Z", (("City", "City"),))
-        with RESILIENCE.overridden(retry_base_ms=0.0):
+        with faulted("Z", persistent=True), RESILIENCE.overridden(retry_base_ms=0.0):
             result = Evaluator(catalog).run(plan)
         assert result.is_degraded
         assert result.degraded_services() == ("Z",)
@@ -408,15 +379,12 @@ class TestEvaluatorDegradation:
             assert degraded_source("Z") in marker_rels
 
     def test_degraded_runs_never_poison_plan_cache(self, catalog):
-        service = catalog.service("Z")
-        FaultPolicy(seed=1, default=FaultSpec(persistent=True)).wrap(service)
         plan = DependentJoin(Scan("S"), "Z", (("City", "City"),))
         evaluator = Evaluator(catalog)
-        with RESILIENCE.overridden(retry_base_ms=0.0):
+        with faulted("Z", persistent=True), RESILIENCE.overridden(retry_base_ms=0.0):
             degraded = evaluator.run(plan)
         assert degraded.is_degraded
-        FaultPolicy.unwrap(service)
-        service.breaker.reset()
+        catalog.service("Z").breaker.reset()
         recovered = evaluator.run(plan)  # same evaluator, same plan
         assert not recovered.is_degraded
         zips = sorted(row.get("Zip") for row, _ in recovered.rows)
@@ -465,10 +433,8 @@ class TestHealthAbsorption:
         cat = self._catalog_with_failing_service()
         learner = IntegrationLearner(cat, use_semantic_types=False)
         service = cat.service("ZipSvc")
-        FaultPolicy(seed=1, default=FaultSpec(flapping=((0, 1),))).wrap(service)
-        with RESILIENCE.overridden(retry_base_ms=0.0):
+        with faulted("ZipSvc", flapping=((0, 1),)), RESILIENCE.overridden(retry_base_ms=0.0):
             service.invoke({"City": "Creek"})  # one retry, then success
-        FaultPolicy.unwrap(service)
         assert service.health.retries == 1
         assert service.health.failure_rate() == 0.0
         assert learner.absorb_service_health() == 0

@@ -19,7 +19,9 @@ Contracts under test:
 from __future__ import annotations
 
 import hashlib
+import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -35,6 +37,7 @@ from repro.server import (
     SessionManager,
     SharedBase,
 )
+from repro.server.manager import _Entry
 from repro.substrate.documents import TextDocument, WordApp
 from repro.substrate.relational import Catalog, Relation, Scan, schema_of
 
@@ -124,16 +127,48 @@ class TestLifecycle:
 
     def test_idle_ttl_expiry_with_injected_clock(self):
         now = [0.0]
-        with SERVER.overridden(idle_ttl=10.0):
-            manager = SessionManager(SharedBase(small_catalog()), clock=lambda: now[0])
-            manager.session("a")
-            now[0] = 5.0
-            manager.session("b")
-            now[0] = 12.0
-            assert manager.evict_idle() == ["a"]  # idle 12s > ttl; b idle 7s stays
-            assert manager.tenant_ids() == ["b"]
-            assert manager.sessions_expired == 1
-            manager.shutdown()
+        manager = SessionManager(SharedBase(small_catalog()), clock=lambda: now[0])
+        manager.session("a")
+        now[0] = 5.0
+        manager.session("b")
+        now[0] = 12.0
+        assert manager.evict_idle() == []  # the default TTL is 900s
+        assert manager.evict_idle(10.0) == ["a"]  # idle 12s > ttl; b idle 7s stays
+        assert manager.tenant_ids() == ["b"]
+        assert manager.sessions_expired == 1
+        manager.shutdown()
+
+    @staticmethod
+    def many_idle_entries(manager):
+        """More idle registry entries than the interpreter's recursion
+        limit, each a stub whose session keeps no durable history."""
+        tenants = [f"t{i}" for i in range(sys.getrecursionlimit() + 500)]
+        stub = SimpleNamespace(durability=None)
+        with manager._registry_lock:  # noqa: SLF001 - direct setup
+            for tenant in tenants:
+                manager._registry[tenant] = _Entry(  # noqa: SLF001
+                    session=stub, created=0.0, last_used=0.0, tenant_id=tenant
+                )
+            return tenants, list(manager._registry.values())  # noqa: SLF001
+
+    def test_expiring_more_sessions_than_the_recursion_limit_seals_each(self):
+        now = [0.0]
+        manager = SessionManager(SharedBase(small_catalog()), clock=lambda: now[0])
+        tenants, entries = self.many_idle_entries(manager)
+        now[0] = 30.0
+        assert manager.evict_idle(10.0) == tenants
+        assert all(entry.sealed.is_set() for entry in entries)
+        assert manager._retiring == {}  # noqa: SLF001
+        manager.shutdown()
+
+    def test_shutting_down_more_sessions_than_the_recursion_limit_closes_the_store(self, tmp_path):
+        manager = SessionManager(SharedBase(small_catalog()), durability_root=tmp_path)
+        _, entries = self.many_idle_entries(manager)
+        closed = []
+        manager.store.close = lambda: closed.append(True)
+        manager.shutdown()
+        assert all(entry.sealed.is_set() for entry in entries)
+        assert closed == [True]
 
     def test_evict_returns_whether_present(self):
         with SessionManager(SharedBase(small_catalog())) as manager:
@@ -401,7 +436,7 @@ class TestServedMatchesPlain:
 class TestConfig:
     def test_snapshot_and_overridden(self):
         snap = SERVER.snapshot()
-        assert set(snap) == {"workers", "max_sessions", "idle_ttl"}
+        assert set(snap) == {"workers", "max_sessions"}
         with SERVER.overridden(workers=2):
             assert SERVER.workers == 2
         assert SERVER.workers == snap["workers"]

@@ -42,6 +42,7 @@ from repro.durability import (
 )
 from repro.durability.store import tenant_dirname
 from repro.server import OVERLOAD, Overloaded, SERVER, SessionManager, SharedBase
+from repro.server import overload
 from repro.substrate.relational.catalog import SourceMetadata
 from repro.substrate.relational.relation import Relation
 from repro.substrate.relational.schema import TEXT, Attribute, Schema
@@ -94,40 +95,38 @@ class TestEvictThrough:
     def test_idle_ttl_expiry_checkpoints_through(self, tmp_path):
         world = build_world()
         now = [0.0]
-        with SERVER.overridden(idle_ttl=10.0):
-            manager = manager_over(world, root=tmp_path, clock=lambda: now[0])
-            live = drive_tenant(manager, world, "alice")
-            now[0] = 30.0
-            assert manager.evict_idle() == ["alice"]
-            assert session_hash(manager.session("alice")) == live
-            manager.shutdown()
+        manager = manager_over(world, root=tmp_path, clock=lambda: now[0])
+        live = drive_tenant(manager, world, "alice")
+        now[0] = 30.0
+        assert manager.evict_idle(10.0) == ["alice"]
+        assert session_hash(manager.session("alice")) == live
+        manager.shutdown()
 
     def test_a_failing_checkpoint_does_not_strand_the_other_evictions(self, tmp_path):
         world = build_world()
         now = [0.0]
-        with SERVER.overridden(idle_ttl=10.0):
-            manager = manager_over(world, root=tmp_path, clock=lambda: now[0])
-            alice = manager.session("alice")
-            live_bob = drive_tenant(manager, world, "bob", n_extra=0)
+        manager = manager_over(world, root=tmp_path, clock=lambda: now[0])
+        alice = manager.session("alice")
+        live_bob = drive_tenant(manager, world, "bob", n_extra=0)
 
-            def broken():
-                raise RuntimeError("injected checkpoint failure")
+        def broken():
+            raise RuntimeError("injected checkpoint failure")
 
-            alice.durability.seal = broken
-            now[0] = 30.0
-            with pytest.raises(RuntimeError, match="injected"):
-                manager.evict_idle()  # alice is first in line, bob second
-            attached = {}
-            for tenant in ("alice", "bob"):
-                worker = threading.Thread(
-                    target=lambda t=tenant: attached.update({t: manager.session(t)}), daemon=True
-                )
-                worker.start()
-                worker.join(timeout=30.0)
-                assert not worker.is_alive(), f"re-attaching {tenant} blocked"
-            assert attached["alice"] is not alice
-            assert session_hash(attached["bob"]) == live_bob
-            manager.shutdown()
+        alice.durability.seal = broken
+        now[0] = 30.0
+        with pytest.raises(RuntimeError, match="injected"):
+            manager.evict_idle(10.0)  # alice is first in line, bob second
+        attached = {}
+        for tenant in ("alice", "bob"):
+            worker = threading.Thread(
+                target=lambda t=tenant: attached.update({t: manager.session(t)}), daemon=True
+            )
+            worker.start()
+            worker.join(timeout=30.0)
+            assert not worker.is_alive(), f"re-attaching {tenant} blocked"
+        assert attached["alice"] is not alice
+        assert session_hash(attached["bob"]) == live_bob
+        manager.shutdown()
 
     def test_eviction_resumes_the_action_sequence(self, tmp_path):
         # History must continue across the evict/recover seam: more live
@@ -355,14 +354,16 @@ class TestOverloadDurability:
             manager.evict("alice")
             assert session_hash(manager.session("alice")) == live
 
-    def test_controller_brownout_is_recorded_and_recovered(self, tmp_path):
+    def test_controller_brownout_is_recorded_and_recovered(self, tmp_path, monkeypatch):
         """A load-controller transition reaches the session as a *recorded*
         ``set_service_level`` action: recovery reproduces the degraded
         session, brownout window and all."""
         world = build_world()
         now = [0.0]
+        monkeypatch.setattr(overload, "BROWNOUT_WINDOW", 4)
+        monkeypatch.setattr(overload, "BROWNOUT_HOLD", 2)
         with SERVER.overridden(workers=1):
-            with OVERLOAD.overridden(brownout_window=4, brownout_hold=2, brownout_p95_ms=100.0):
+            with OVERLOAD.overridden(brownout_p95_ms=100.0):
                 manager = SessionManager(
                     SharedBase(world.catalog),
                     durability_root=tmp_path,

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +45,23 @@ class TestRng:
         a = derive_rng(make_rng(1), "x").random()
         b = derive_rng(make_rng(1), "x").random()
         assert a == b
+
+    def test_policy_draws_keep_their_sha256_schedules(self):
+        # Fault, WAL-fault and shed policies once each hashed their own
+        # token inline; seeded chaos runs must keep drawing the same values.
+        from repro.durability.faults import WalFaultPolicy
+        from repro.resilience.faults import FaultPolicy
+        from repro.server.overload import ShedPolicy
+
+        def inline_draw(token: str) -> float:
+            digest = hashlib.sha256(token.encode("utf-8")).digest()
+            return int.from_bytes(digest[:8], "big") / 2**64
+
+        faults, wal, shed = FaultPolicy(seed=7), WalFaultPolicy(seed=3), ShedPolicy(20090104)
+        for i in range(2000):
+            assert faults._draw("Geocoder", i) == inline_draw(f"7:Geocoder:{i}")
+            assert wal._draw("alice", i) == inline_draw(f"wal:3:alice:{i}")
+            assert shed.draw("t", i) == inline_draw(f"20090104:t:{i}")
 
 
 class TestTokenize:
@@ -210,13 +230,22 @@ class TestKnobs:
     def test_repr_lists_every_knob(self):
         assert repr(_Sample()) == "_Sample(enabled=True, count=3, ratio=0.5, label='x')"
 
-    def test_no_variable_is_declared_twice(self):
+    @staticmethod
+    def declared_variables() -> list[str]:
+        """The environment variable of every knob the layers declare."""
         from repro.analysis.concurrency.config import RACECHECK
         from repro.durability.config import DURABILITY
         from repro.resilience.config import RESILIENCE
         from repro.server.config import OVERLOAD, SERVER
 
         singletons = (DURABILITY, OVERLOAD, RACECHECK, RESILIENCE, SERVER)
-        names = [knob.env for config in singletons for knob in config.KNOBS.values()]
+        return [knob.env for config in singletons for knob in config.KNOBS.values()]
+
+    def test_no_variable_is_declared_twice(self):
+        names = self.declared_variables()
         assert all(name.startswith("REPRO_") for name in names)
         assert len(names) == len(set(names))
+
+    def test_readme_names_exactly_the_declared_variables(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        assert set(re.findall(r"REPRO_[A-Z_0-9]+", readme)) == set(self.declared_variables())
