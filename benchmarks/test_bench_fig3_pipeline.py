@@ -11,7 +11,7 @@ from __future__ import annotations
 
 
 from repro import CopyCatSession, build_scenario, to_map_html
-from repro.core.feedback import FeedbackKind
+from repro.core.workspace import CellState
 
 from .common import (
     import_contacts_via_session,
@@ -20,8 +20,10 @@ from .common import (
 )
 
 
-def full_demo(scenario):
+def full_demo(scenario, on_copy=None):
     session = CopyCatSession(catalog=scenario.catalog, seed=1)
+    if on_copy is not None:
+        session.clipboard.subscribe(on_copy)
     import_shelters_via_session(scenario, session)
     import_contacts_via_session(scenario, session)
     session.start_integration("Shelters")
@@ -44,10 +46,11 @@ def full_demo(scenario):
 class TestFigure3Pipeline:
     def test_every_component_participates(self):
         scenario = build_scenario(seed=5, n_shelters=10, noise=1)
-        session = full_demo(scenario)
+        copies = []
+        session = full_demo(scenario, on_copy=copies.append)
 
         # Wrappers: copies were monitored.
-        assert len(session.clipboard.history()) >= 3
+        assert len(copies) >= 3
         # Structure learner: generalizations were stored per source tab.
         assert "Shelters" in session._generalizations
         # Model learner: committed schemas carry recognized types.
@@ -61,8 +64,9 @@ class TestFigure3Pipeline:
         table = session.workspace.tab(session.OUTPUT_TAB)
         assert table.n_rows == len(scenario.shelters)
         assert {"Zip", "Lat", "Lon", "Phone"} <= {c.name for c in table.columns}
-        # Feedback log: the interaction history is intact.
-        assert session.log.count(FeedbackKind.ACCEPT_COLUMN) == 3
+        # Feedback routing: the three accepted suggestions are accepted columns.
+        accepted = {c.name for c in table.columns if c.state == CellState.ACCEPTED}
+        assert {"Zip", "Lat", "Lon", "Contact", "Phone"} <= accepted
         # Export: the mashup renders.
         html = to_map_html(table, label_attr="Name")
         assert html.count('"label"') == len(scenario.shelters)
@@ -70,16 +74,14 @@ class TestFigure3Pipeline:
         write_report(
             "fig3_pipeline",
             [
-                f"clipboard events: {len(session.clipboard.history())}",
+                f"clipboard events: {len(copies)}",
                 f"queries run by engine: {session.engine.queries_run}",
-                f"feedback events: {session.log.count()}",
                 f"output columns: {[c.name for c in table.columns]}",
                 f"output rows: {table.n_rows}",
             ],
             series={
-                "clipboard_events": len(session.clipboard.history()),
+                "clipboard_events": len(copies),
                 "queries_run": session.engine.queries_run,
-                "feedback_events": session.log.count(),
                 "output_columns": [c.name for c in table.columns],
                 "output_rows": table.n_rows,
             },

@@ -4,18 +4,20 @@ The paper's interaction loop re-ranks and re-executes candidate queries
 after *every* user action; before the caching layer each
 ``column_suggestions`` call re-evaluated every candidate plan and re-hit
 every service row-by-row. This benchmark drives the Figure-2 session and
-measures a burst of suggestion refreshes with warm caches (plan cache +
+measures bursts of suggestion refreshes with warm caches (plan cache +
 compiled-plan and scan memos + service memo + session dirty-flag reuse)
 versus every refresh starting cold: the session's own ``CacheTiers`` and
 every service memo are cleared before each forced refresh
 (``refresh=True``, so the dirty-flag reuse never serves a batch) —
 asserting the cached batch is *identical* to the uncached one, provenance
-expressions included, and at least 2× faster.
+expressions included, and at least 2× faster on the median of paired
+bursts.
 """
 
 from __future__ import annotations
 
 import gc
+import statistics
 import time
 
 from repro import CopyCatSession, build_scenario
@@ -31,6 +33,8 @@ from .common import (
 )
 
 N_REFRESHES = 6
+#: Timed burst pairs; the gate reads the median of their ratios.
+N_PAIRS = 100
 K = 8
 
 
@@ -43,16 +47,28 @@ def _integration_session(tiers: CacheTiers | None = None) -> CopyCatSession:
     return session
 
 
-def _refresh_burst(session: CopyCatSession, cold_tiers: CacheTiers | None = None):
-    """N refreshes; with *cold_tiers*, each is forced and starts cold."""
-    batches = []
-    for _ in range(N_REFRESHES):
-        if cold_tiers is None:
-            batches.append(session.column_suggestions(k=K))
-        else:
+def _refresh_burst(session: CopyCatSession):
+    """N refreshes that reuse the session's standing batch."""
+    return [session.column_suggestions(k=K) for _ in range(N_REFRESHES)]
+
+
+def _timed_burst(session: CopyCatSession, cold_tiers: CacheTiers | None = None):
+    """Time N refreshes; return the last batch and the burst's seconds.
+
+    With *cold_tiers*, each refresh is forced and starts cold: the tiers
+    and service memos are cleared before its clock starts. Without, the
+    first is forced on the session's warm caches and the rest reuse its
+    batch, as a user's next actions after a change would.
+    """
+    batch, elapsed = None, 0.0
+    for index in range(N_REFRESHES):
+        if cold_tiers is not None:
             start_cold(session, cold_tiers)
-            batches.append(session.column_suggestions(k=K, refresh=True))
-    return batches
+        forced = cold_tiers is not None or index == 0
+        start = time.perf_counter()
+        batch = session.column_suggestions(k=K, refresh=True if forced else None)
+        elapsed += time.perf_counter() - start
+    return batch, elapsed
 
 
 def _batch_key(batch):
@@ -71,41 +87,51 @@ def _batch_key(batch):
 
 class TestSuggestionRefresh:
     def test_cached_refreshes_match_uncached_and_are_faster(self):
+        """Bursts on warm caches must beat bursts that start cold by 2x.
+
+        One session per mode, each primed, then N_PAIRS timed pairs of
+        bursts, the mode that goes first alternating from pair to pair. The
+        gate reads the median of the per-pair cold/warm burst ratios, so a
+        scheduler stall that lands in a few pairs does not move it.
+        """
         tiers = CacheTiers()
         cold = _integration_session(tiers)
-        gc.collect()
-        start = time.perf_counter()
-        uncached_batches = _refresh_burst(cold, cold_tiers=tiers)
-        uncached_s = time.perf_counter() - start
-
         warm = _integration_session()
+        cold.column_suggestions(k=K, refresh=True)
+        warm.column_suggestions(k=K)
         gc.collect()
-        start = time.perf_counter()
-        cached_batches = _refresh_burst(warm)
-        cached_s = time.perf_counter() - start
+
+        uncached_times, cached_times = [], []
+        for pair in range(N_PAIRS):
+            if pair % 2:
+                cached, cached_s = _timed_burst(warm)
+                uncached, uncached_s = _timed_burst(cold, cold_tiers=tiers)
+            else:
+                uncached, uncached_s = _timed_burst(cold, cold_tiers=tiers)
+                cached, cached_s = _timed_burst(warm)
+            uncached_times.append(uncached_s)
+            cached_times.append(cached_s)
 
         # Correctness A/B: cached == uncached, provenance included.
-        assert _batch_key(cached_batches[-1]) == _batch_key(uncached_batches[-1])
-        for batch in cached_batches[1:]:
-            assert _batch_key(batch) == _batch_key(cached_batches[0])
+        assert _batch_key(cached) == _batch_key(uncached)
 
-        speedup = uncached_s / cached_s if cached_s > 0 else float("inf")
-        headers = ["mode", "refreshes", "total ms", "ms/refresh"]
-        rows = [
-            ("cold each refresh", N_REFRESHES, f"{uncached_s * 1000:.1f}",
-             f"{uncached_s * 1000 / N_REFRESHES:.1f}"),
-            ("warm caches", N_REFRESHES, f"{cached_s * 1000:.1f}",
-             f"{cached_s * 1000 / N_REFRESHES:.1f}"),
-        ]
+        speedup = statistics.median(u / c for u, c in zip(uncached_times, cached_times))
+        headers = ["mode", "timed bursts", "median ms/burst", "median ms/refresh"]
+        rows = []
+        for mode, times in (("cold each refresh", uncached_times), ("warm caches", cached_times)):
+            median_ms = statistics.median(times) * 1000
+            rows.append((mode, N_PAIRS, f"{median_ms:.2f}", f"{median_ms / N_REFRESHES:.2f}"))
         write_report(
             "suggestion_refresh",
             format_table(headers, rows)
-            + ["", f"speedup x{speedup:.1f} (cached batches identical to uncached,"
-                   " provenance expressions included)"],
+            + ["", f"speedup x{speedup:.1f}, median of {N_PAIRS} paired ratios of"
+                   f" {N_REFRESHES}-refresh bursts (cached batches identical to"
+                   " uncached, provenance expressions included)"],
             series={
                 "table": table_series(headers, rows),
                 "speedup": speedup,
                 "n_refreshes": N_REFRESHES,
+                "n_pairs": N_PAIRS,
             },
         )
         assert speedup >= 2.0, f"cache speedup x{speedup:.2f} below the 2x floor"

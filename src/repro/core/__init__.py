@@ -3,7 +3,6 @@
 from .autocomplete import AutoCompleteGenerator
 from .engine import QueryEngine
 from .export import to_csv, to_map_html, to_map_markers, to_xml
-from .feedback import FeedbackEvent, FeedbackKind, FeedbackLog
 from .session import CopyCatSession, PasteOutcome
 from .suggestions import ColumnSuggestion, QuerySuggestion, RowSuggestion, TypeSuggestion
 from .usersim import InteractionCounter, KeystrokeModel, ManualUser, ScpUser, TaskResult
@@ -11,9 +10,8 @@ from .workspace import Cell, CellState, Column, Mode, Workspace, WorkspaceTable
 
 __all__ = [
     "AutoCompleteGenerator", "Cell", "CellState", "Column", "ColumnSuggestion",
-    "CopyCatSession", "FeedbackEvent", "FeedbackKind", "FeedbackLog",
-    "InteractionCounter", "KeystrokeModel", "ManualUser", "Mode",
-    "PasteOutcome", "QueryEngine", "QuerySuggestion", "RowSuggestion",
+    "CopyCatSession", "InteractionCounter", "KeystrokeModel", "ManualUser",
+    "Mode", "PasteOutcome", "QueryEngine", "QuerySuggestion", "RowSuggestion",
     "ScpUser", "TaskResult", "TypeSuggestion", "Workspace", "WorkspaceTable",
     "to_csv", "to_map_html", "to_map_markers", "to_xml",
 ]

@@ -68,7 +68,6 @@ from ..substrate.relational.relation import Relation
 from ..substrate.relational.schema import ANY, Attribute, Schema, SemanticType
 from .autocomplete import AutoCompleteGenerator
 from .engine import QueryEngine
-from .feedback import FeedbackKind, FeedbackLog
 from .suggestions import ColumnSuggestion, QuerySuggestion, RowSuggestion, TypeSuggestion
 from .workspace import CellState, Workspace
 
@@ -172,7 +171,6 @@ class CopyCatSession:
             self.integration_learner,
         )
         self.workspace = Workspace()
-        self.log = FeedbackLog()
 
         self._events: dict[str, CopyEvent] = {}
         self._generalizations: dict[str, Any] = {}
@@ -224,7 +222,6 @@ class CopyCatSession:
             self._events[tab_name] = event
 
             pasted = table.append_rows(event.fields, state=CellState.USER)
-            self.log.record(FeedbackKind.PASTE, tab=tab_name, rows=len(pasted))
 
             # Ignoring standing suggestions and pasting more data *is* feedback:
             # drop them and re-generalize from all committed rows.
@@ -289,7 +286,6 @@ class CopyCatSession:
         self.workspace.checkpoint()
         table = self.workspace.tab(tab or self._current_tab())
         count = table.accept_rows(indices)
-        self.log.record(FeedbackKind.ACCEPT_ROWS, tab=table.name, rows=count)
         return count
 
     @recorded
@@ -301,8 +297,7 @@ class CopyCatSession:
         """
         tab_name = tab or self._current_tab()
         table = self.workspace.tab(tab_name)
-        removed = table.reject_rows()
-        self.log.record(FeedbackKind.REJECT_ROWS, tab=tab_name, rows=removed)
+        table.reject_rows()
         generalization = self._generalizations.get(tab_name)
         if generalization is None:
             return None
@@ -323,7 +318,6 @@ class CopyCatSession:
         """User renames a column header (Figure 1's manual 'Name' label)."""
         table = self.workspace.tab(tab or self._current_tab())
         table.set_column_label(col, name)
-        self.log.record(FeedbackKind.LABEL_COLUMN, tab=table.name, col=col, name=name)
 
     @recorded
     def set_column_type(
@@ -344,9 +338,6 @@ class CopyCatSession:
         elif learn_from_values and values:
             self.type_learner.learn(semantic_type, values)
         table.set_column_type(col, semantic_type, suggested=False)
-        self.log.record(
-            FeedbackKind.SET_TYPE, tab=table.name, col=col, type=semantic_type.name
-        )
 
     @recorded
     def commit_source(self, tab: str | None = None, name: str | None = None) -> Relation:
@@ -386,9 +377,6 @@ class CopyCatSession:
                 rows,
             )
         self.integration_learner.refresh()
-        self.log.record(
-            FeedbackKind.COMMIT_SOURCE, tab=tab_name, source=source_name, rows=len(relation)
-        )
         return relation
 
     # ============================================================== drift resync
@@ -450,9 +438,6 @@ class CopyCatSession:
                 quarantine_source_in_catalog(self.catalog, name, str(exc))
                 self.integration_learner.refresh()
                 METRICS.inc("drift.sources_quarantined")
-                self.log.record(
-                    FeedbackKind.REJECT_ROWS, tab=name, quarantined=True
-                )
                 if span.is_recording():
                     span.set("source", name)
                     span.set("action", "quarantined")
@@ -465,7 +450,6 @@ class CopyCatSession:
             add_provenance_note(self.catalog, name, f"reinduced:{name}")
             self._lift_quarantine(name)
             METRICS.inc("drift.reinduced")
-            self.log.record(FeedbackKind.COMMIT_SOURCE, tab=name, reinduced=True)
             if span.is_recording():
                 span.set("source", name)
                 span.set("action", "reinduced")
@@ -673,12 +657,6 @@ class CopyCatSession:
         suggestion.values = new_values
         remaining = [alt for alt in suggestion.alternatives[row] if alt != chosen]
         suggestion.alternatives[row] = remaining + [previous]
-        self.log.record(
-            FeedbackKind.EDIT_CELL,
-            tab=self.OUTPUT_TAB,
-            row=row,
-            disambiguated=True,
-        )
         return chosen
 
     def _clear_preview(self) -> None:
@@ -718,12 +696,6 @@ class CopyCatSession:
         self._query = suggestion.query
         self._column_suggestions = []
         self._previewed = None
-        self.log.record(
-            FeedbackKind.ACCEPT_COLUMN,
-            tab=self.OUTPUT_TAB,
-            source=suggestion.source,
-            attrs=suggestion.attribute_names,
-        )
         return suggestion
 
     @recorded
@@ -742,12 +714,6 @@ class CopyCatSession:
             self.integration_learner.reject_query(suggestion.query, better)
         METRICS.inc("session.columns_rejected")
         self._column_suggestions = [s for s in suggestions if s is not suggestion]
-        self.log.record(
-            FeedbackKind.REJECT_COLUMN,
-            tab=self.OUTPUT_TAB,
-            source=suggestion.source,
-            attrs=suggestion.attribute_names,
-        )
 
     # -------------------------------------------------------------- explanations
     def explain(self, row_index: int) -> Explanation:
@@ -807,9 +773,6 @@ class CopyCatSession:
         )
         # Link feedback changes record-link join answers: invalidate caches.
         self.catalog.bump_version()
-        self.log.record(
-            FeedbackKind.LINK_EXAMPLE, tab=self.OUTPUT_TAB, edge=edge_key, match=is_match
-        )
         return updates
 
     def _link_pool(self, edge_key: str) -> list[dict[str, Any]]:
@@ -849,7 +812,6 @@ class CopyCatSession:
         for row, prov in result.rows:
             table.append_row(list(row.values), state=CellState.USER)
             self._row_provenance.append(prov)
-        self.log.record(FeedbackKind.ADOPT_QUERY, tab=tab_name, query=suggestion.describe())
         return tab_name
 
     # ------------------------------------------------------------ data cleaning
@@ -885,7 +847,6 @@ class CopyCatSession:
         }
         old_row["__old__"] = table.cell(row, col).value
         table.set_cell(row, col, value)
-        self.log.record(FeedbackKind.EDIT_CELL, tab=tab_name, row=row, col=col)
         if self.cleaning_mode:
             return []
         history = self._edit_history.setdefault((tab_name, col), [])
@@ -918,13 +879,6 @@ class CopyCatSession:
             if new_value is not None and new_value != row_dict["__old__"]:
                 table.set_cell(row_index, col, new_value)
                 changed += 1
-        self.log.record(
-            FeedbackKind.EDIT_CELL,
-            tab=tab_name,
-            col=col,
-            generalized=str(transform),
-            changed=changed,
-        )
         return changed
 
     # ------------------------------------------------- derived (transform) columns
@@ -962,12 +916,6 @@ class CopyCatSession:
         # The user's own example cells are theirs, not suggestions.
         for row_index in examples:
             table.cell(row_index, col).state = CellState.USER
-        self.log.record(
-            FeedbackKind.ACCEPT_COLUMN,
-            tab=tab_name,
-            derived=str(transform),
-            name=name,
-        )
         return transform, col
 
     # ----------------------------------------------------- tuple-level feedback
@@ -1021,8 +969,6 @@ class CopyCatSession:
         # Trust feeds suggestion ranking: move the version so standing
         # suggestion batches (and version-keyed caches) refresh.
         self.catalog.bump_version()
-        kind = FeedbackKind.ACCEPT_ROWS if factor >= 1 else FeedbackKind.REJECT_ROWS
-        self.log.record(kind, tab=tab_name, row=row, sources=touched)
         return touched
 
     # ----------------------------------------------------------- union queries
@@ -1054,7 +1000,6 @@ class CopyCatSession:
         for row, prov in result.rows:
             table.append_row(list(row.values), state=CellState.USER)
             self._row_provenance.append(prov)
-        self.log.record(FeedbackKind.ADOPT_QUERY, tab=tab_name, query=plan.describe())
         return tab_name
 
     # ------------------------------------------------------------ mediated views
@@ -1072,7 +1017,6 @@ class CopyCatSession:
         query = self.current_query
         relation = self._materialize(name, query)
         self._views[name] = query
-        self.log.record(FeedbackKind.COMMIT_SOURCE, tab=self.OUTPUT_TAB, view=name)
         return relation
 
     @recorded

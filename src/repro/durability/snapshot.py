@@ -175,11 +175,7 @@ def encode(session: "CopyCatSession", tenant: str, n_actions: int) -> bytes:
 
 
 def read_header(data: bytes) -> tuple[Any, bytes]:
-    """Split a checkpoint into its parsed first line and the rest.
-
-    A format-1 checkpoint is one JSON object with no newline, so the same
-    parse reads it whole (and the rest is empty).
-    """
+    """Split a checkpoint into its parsed first line and the rest."""
     first, _, rest = data.partition(b"\n")
     try:
         return json.loads(first.decode("utf-8")), rest

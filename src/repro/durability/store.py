@@ -12,15 +12,12 @@ keeps its old name; its format is :mod:`~repro.durability.snapshot`'s.
 Recovery (:meth:`DurabilityStore.recover`) is prefix-consistent and
 total — it never raises for damaged files, it just trusts less:
 
-1. read ``checkpoint.json``. A snapshot (format 2) must match its
-   header's digest, tenant and Python version before it is unpickled
-   into the fresh session; it covers the first ``n_actions`` actions. A
-   format-1 checkpoint, the action list older builds wrote, is a long
-   log tail replayed from empty (its shape must check out: ``n_actions``
-   counting ``actions``, each a dict with ``seq`` equal to its index, a
-   string name and dict args). A missing file covers nothing; an
-   unreadable, misshapen, foreign or unloadable one covers nothing and is
-   counted as ``durability.checkpoint_corrupt``, after which the log
+1. read ``checkpoint.json``. A snapshot must match its header's digest,
+   tenant and Python version before it is unpickled into the fresh
+   session; it covers the first ``n_actions`` actions. A missing file
+   covers nothing; an unreadable, misshapen, foreign or unloadable one
+   (an older build's action-list checkpoint among them) covers nothing and
+   is counted as ``durability.checkpoint_corrupt``, after which the log
    alone may still replay;
 2. scan ``wal.log`` forward, stopping at the first torn / truncated /
    CRC-mismatched frame (each stop cause has its own counter);
@@ -58,8 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 CHECKPOINT_NAME = "checkpoint.json"
 WAL_NAME = "wal.log"
-#: the checkpoint format older builds wrote: the action list as JSON.
-ACTION_LIST_FORMAT = 1
 
 _SAFE = re.compile(r"[^A-Za-z0-9_.-]+")
 
@@ -79,35 +74,12 @@ def tenant_dirname(tenant: str) -> str:
     return f"{safe}-{digest}"
 
 
-def _trusted_actions(payload: Any) -> list[dict[str, Any]] | None:
-    """The checkpoint's actions when its shape checks out, else None.
-
-    Anything looser would crash replay or mis-stitch the log tail, which
-    continues at ``seq == len(actions)``.
-    """
-    if not isinstance(payload, dict) or payload.get("format") != ACTION_LIST_FORMAT:
-        return None
-    actions = payload.get("actions")
-    if not isinstance(actions, list) or payload.get("n_actions") != len(actions):
-        return None
-    for index, action in enumerate(actions):
-        if not (
-            isinstance(action, dict)
-            and action.get("seq") == index
-            and isinstance(action.get("name"), str)
-            and isinstance(action.get("args"), dict)
-        ):
-            return None
-    return actions
-
-
 class RecoveredState:
     """What :meth:`DurabilityStore.recover` found for one tenant.
 
     ``actions`` is the tail to replay: the log records after the
-    snapshot, preceded by a format-1 checkpoint's actions when that is
-    what the file held. ``from_checkpoint`` counts the actions the
-    checkpoint covers, ``from_wal`` the log records in the tail.
+    snapshot. ``from_checkpoint`` counts the actions the snapshot covers,
+    ``from_wal`` the log records in the tail.
     """
 
     def __init__(
@@ -135,10 +107,9 @@ class RecoveredState:
         return self.has_snapshot or bool(self.actions)
 
     def __repr__(self) -> str:
-        base = "snapshot" if self.has_snapshot else "checkpointed"
         return (
             f"RecoveredState({len(self.actions)} actions to replay: "
-            f"{self.from_checkpoint} {base} + {self.from_wal} tail, "
+            f"{self.from_checkpoint} snapshot + {self.from_wal} tail, "
             f"stop={self.stop_reason!r})"
         )
 
@@ -224,32 +195,27 @@ class DurabilityStore:
     # -- recovery ------------------------------------------------------------
     def _read_checkpoint(
         self, tenant: str, session: "CopyCatSession | None"
-    ) -> tuple[int, list[dict[str, Any]], bool]:
-        """``(actions covered, actions to replay, snapshot?)``.
+    ) -> tuple[int, bool]:
+        """``(actions covered, snapshot?)``.
 
         With *session*, a snapshot is loaded into it; without, it is only
         checked against its header.
         """
         path = self.checkpoint_path(tenant)
         if not path.exists():
-            return 0, [], False
+            return 0, False
         try:
             header, payload = snapshot.read_header(path.read_bytes())
-            if isinstance(header, dict) and header.get("format") == ACTION_LIST_FORMAT:
-                actions = _trusted_actions(header)
-                if actions is None:
-                    raise snapshot.SnapshotError("misshapen action-list checkpoint")
-                return len(actions), actions, False
             n_actions = snapshot.check(header, payload, tenant)
             if session is not None:
                 snapshot.load(session, payload)
-            return n_actions, [], True
+            return n_actions, True
         except Exception:
             # A half-written, rotted, foreign or unloadable checkpoint
             # contributes nothing; the log may still carry a replayable
             # prefix.
             METRICS.inc("durability.checkpoint_corrupt")
-            return 0, [], False
+            return 0, False
 
     def recover(self, tenant: str, session: "CopyCatSession | None" = None) -> RecoveredState:
         """The trusted state for one tenant (never raises).
@@ -257,7 +223,7 @@ class DurabilityStore:
         With *session* — a freshly built one — the snapshot is loaded
         into it, and the returned actions are the tail to replay on top.
         """
-        covered, base, has_snapshot = self._read_checkpoint(tenant, session)
+        covered, has_snapshot = self._read_checkpoint(tenant, session)
 
         result = read_wal(self.wal_path(tenant))
         if result.stop_reason is not None:
@@ -281,7 +247,7 @@ class DurabilityStore:
             next_seq += 1
 
         recovered = RecoveredState(
-            base + tail,
+            tail,
             from_checkpoint=covered,
             from_wal=len(tail),
             stop_reason=stop_reason,

@@ -57,7 +57,6 @@ class MiraLearner:
         self.aggressiveness = aggressiveness
         self.min_cost = min_cost
         self.relevance_threshold = relevance_threshold
-        self.history: list[MiraUpdate] = []
 
     # -- cost under current weights -----------------------------------------------
     def cost(self, features: Iterable[str]) -> float:
@@ -66,7 +65,6 @@ class MiraLearner:
         return sum(self.graph.weights.get(key, 0.0) for key in sorted(features))
 
     def _record(self, update: MiraUpdate) -> None:
-        self.history.append(update)
         if METRICS.enabled:
             METRICS.inc("mira.updates")
             METRICS.inc("mira.updates." + update.kind)

@@ -144,7 +144,6 @@ DECLARED_COUNTERS: dict[str, str] = {
     # -- overload protection (admission control + brownout) ------------------
     "overload.shed_queue": "submits refused with the tenant dispatch queue full",
     "overload.shed_inflight": "submits refused at the server-wide inflight watermark",
-    "overload.shed_rate": "submits refused by the per-tenant token bucket",
     "overload.shed_early": "submits shed by the seeded pressure ramp",
     "overload.shed_deadline": "queued requests shed at dequeue with an expired deadline",
     "overload.canceled": "requests aborted at a cooperative deadline checkpoint",

@@ -41,7 +41,6 @@ from .overload import (
     RequestExpired,
     SessionError,
     ShedPolicy,
-    TokenBucket,
     check_deadline,
     current_deadline,
     deadline_scope,
@@ -60,7 +59,6 @@ __all__ = [
     "SessionManager",
     "SharedBase",
     "ShedPolicy",
-    "TokenBucket",
     "check_deadline",
     "current_deadline",
     "deadline_scope",

@@ -1,8 +1,7 @@
 """Session-server and overload-protection knobs.
 
 Only the settings a deployment, CI or the storm benchmark changes are
-knobs; per-tenant rate limiting (``rate``/``burst``) is off unless a
-deployment turns it on. The idle TTL is :meth:`~repro.server.manager.SessionManager.evict_idle`'s
+knobs. The idle TTL is :meth:`~repro.server.manager.SessionManager.evict_idle`'s
 default; the brownout window, pressure, exit and hold and the shed seed
 are constants in :mod:`repro.server.overload`.
 
@@ -29,8 +28,6 @@ class OverloadConfig(Knobs):
     queue_depth = Knob("REPRO_SERVER_QUEUE_DEPTH", 128, "per-tenant queue bound; submits past it are shed")
     max_inflight = Knob("REPRO_OVERLOAD_MAX_INFLIGHT", 1024, "server-wide cap on unfinished requests")
     shed_soft = Knob("REPRO_OVERLOAD_SHED_SOFT", 0.75, "pressure where the seeded early-shed ramp starts")
-    rate = Knob("REPRO_OVERLOAD_RATE", 0.0, "token-bucket refill per tenant, req/s (0 = off)")
-    burst = Knob("REPRO_OVERLOAD_BURST", 32, "token-bucket burst capacity")
     drr_quantum = Knob("REPRO_OVERLOAD_QUANTUM", 8, "requests per drain turn (0 = drain to empty)")
     brownout_p95_ms = Knob("REPRO_BROWNOUT_P95_MS", 250.0, "window p95 latency (ms) that counts as pressure")
 
@@ -45,7 +42,6 @@ class OverloadConfig(Knobs):
             queue_depth=10**9,
             max_inflight=10**9,
             shed_soft=1.0,
-            rate=0.0,
             drr_quantum=0,
             brownout_p95_ms=float("inf"),
         )

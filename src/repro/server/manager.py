@@ -9,7 +9,7 @@ concurrently on a bounded worker pool:
   longer than its TTL;
 - **per-session FIFO dispatch** — requests for one tenant are serialized
   in submission order (a session is single-threaded state: workspace,
-  learners, feedback log), while requests for *different* tenants run
+  learners), while requests for *different* tenants run
   concurrently on the pool. This is the snapshot-isolation story's other
   half: within a tenant there is no concurrency at all, and across tenants
   the only shared mutable state is the internally-locked cache tiers and
@@ -60,14 +60,13 @@ from .overload import (
     RequestExpired,
     SessionError,
     ShedPolicy,
-    TokenBucket,
     deadline_scope,
 )
 
 __all__ = ["SessionError", "SessionManager"]
 
 #: Admission-shed reasons tracked per manager (and as overload.shed_*).
-_SHED_REASONS = ("queue", "inflight", "rate", "early")
+_SHED_REASONS = ("queue", "inflight", "early")
 
 
 @dataclass
@@ -110,8 +109,6 @@ class _Entry:
     deficit: int = 0
     #: monotonically increasing admission attempt index (seeded shed draws).
     submit_index: int = 0
-    #: per-tenant token bucket (lazily built while OVERLOAD.rate > 0).
-    bucket: TokenBucket | None = None
     #: service level last applied to the session (brownout laziness).
     applied_level: str = LEVEL_NORMAL
 
@@ -358,22 +355,11 @@ class SessionManager:
         """Fail fast (typed, with a retry hint) instead of queueing forever."""
         cfg = OVERLOAD
         tenant_id = entry.tenant_id
-        now = self._clock()
         depth_limit = max(1, cfg.queue_depth)
         with entry.lock:
             entry.submit_index += 1
             index = entry.submit_index
             depth = len(entry.queue)
-            if cfg.rate > 0:
-                bucket = entry.bucket
-                if bucket is None or not bucket.built_for(cfg.rate, cfg.burst):
-                    bucket = entry.bucket = TokenBucket(cfg.rate, cfg.burst, now)
-                admitted_by_bucket = bucket.try_acquire(now)
-                bucket_retry = bucket.retry_after_ms()
-            else:
-                admitted_by_bucket, bucket_retry = True, 0.0
-        if not admitted_by_bucket:
-            self._shed("rate", tenant_id, bucket_retry, f"token bucket empty at {cfg.rate:g}/s")
         if depth >= depth_limit:
             retry = RETRY_AFTER_MS * (1.0 + depth / depth_limit)
             self._shed("queue", tenant_id, retry, f"dispatch queue at {depth}/{depth_limit}")

@@ -8,10 +8,9 @@ This module holds the four mechanisms the
 :class:`~repro.server.manager.SessionManager` threads together:
 
 - **admission control** — :class:`Overloaded` is the typed fail-fast
-  error a submit past the per-tenant queue bound, the server-wide
-  inflight watermark, or the token bucket receives, always carrying a
-  ``retry_after_ms`` hint. Between the soft and hard inflight watermarks
-  a *seeded* probabilistic ramp (:class:`ShedPolicy`) sheds early — the
+  error a submit past the per-tenant queue bound or the server-wide
+  inflight watermark receives, always carrying a ``retry_after_ms``
+  hint. Between the soft and hard inflight watermarks a *seeded* probabilistic ramp (:class:`ShedPolicy`) sheds early — the
   same :func:`~repro.util.rng.seed_for` draw as
   :mod:`repro.resilience.faults`, so chaos runs reproduce shed-for-shed;
 - **deadline propagation** — a request's
@@ -23,8 +22,7 @@ This module holds the four mechanisms the
   action runs: the action is already on the write-ahead log, so aborting
   its body mid-way would let replay complete an action the live session
   never finished;
-- **fairness** — :class:`TokenBucket` rate-limits each tenant's
-  admissions; the manager's deficit-round-robin drain (quantum in
+- **fairness** — the manager's deficit-round-robin drain (quantum in
   :data:`~repro.server.config.OVERLOAD`) bounds how long one tenant may
   hold a worker;
 - **brownout** — :class:`LoadController` watches per-request latency and
@@ -36,7 +34,7 @@ This module holds the four mechanisms the
 All four are always on. The limits an operator or the storm benchmark
 sets are knobs in :data:`~repro.server.config.OVERLOAD`; the rest of the
 brownout tuning and the shed seed are constants below. A limit set out
-of reach (``shed_soft=1.0``, ``rate=0.0``, ``drr_quantum=0``, ...) never
+of reach (``shed_soft=1.0``, ``drr_quantum=0``, ...) never
 fires, which is how the storm benchmark builds its unprotected reference
 leg.
 """
@@ -63,7 +61,6 @@ __all__ = [
     "RequestExpired",
     "SessionError",
     "ShedPolicy",
-    "TokenBucket",
     "check_deadline",
     "current_deadline",
     "deadline_scope",
@@ -98,8 +95,8 @@ class Overloaded(SessionError):
     """A submit refused by admission control; retry after ``retry_after_ms``.
 
     ``reason`` names which limit fired: ``"queue"`` (per-tenant dispatch
-    queue full), ``"inflight"`` (server-wide watermark), ``"rate"``
-    (token bucket empty), ``"early"`` (seeded pressure ramp), or
+    queue full), ``"inflight"`` (server-wide watermark), ``"early"``
+    (seeded pressure ramp), or
     ``"deadline"`` (see :class:`RequestExpired`).
     """
 
@@ -189,44 +186,6 @@ def check_deadline(checkpoint: str) -> None:
             checkpoint=checkpoint,
             retry_after_ms=RETRY_AFTER_MS,
         )
-
-
-# -- per-tenant fairness -----------------------------------------------------
-class TokenBucket:
-    """A per-tenant admission rate limiter on the manager's clock.
-
-    ``rate`` tokens/second refill toward ``burst``; an admission spends
-    one. ``rate <= 0`` admits everything (the default — the bucket is for
-    operators who want hard per-tenant ceilings).
-    """
-
-    __slots__ = ("rate", "burst", "tokens", "stamp")
-
-    def __init__(self, rate: float, burst: int, now: float):
-        self.rate = float(rate)
-        self.burst = float(max(1, burst))
-        self.tokens = self.burst
-        self.stamp = now
-
-    def built_for(self, rate: float, burst: int) -> bool:
-        """True when the bucket was built from these knob values."""
-        return self.rate == rate and self.burst == max(1, burst)
-
-    def try_acquire(self, now: float) -> bool:
-        if self.rate <= 0:
-            return True
-        self.tokens = min(self.burst, self.tokens + max(0.0, now - self.stamp) * self.rate)
-        self.stamp = now
-        if self.tokens >= 1.0:
-            self.tokens -= 1.0
-            return True
-        return False
-
-    def retry_after_ms(self) -> float:
-        """How long until one token refills (the shed error's hint)."""
-        if self.rate <= 0:
-            return 0.0
-        return max(1.0, (1.0 - self.tokens) / self.rate * 1000.0)
 
 
 # -- seeded early shed -------------------------------------------------------

@@ -85,12 +85,10 @@ class Clipboard:
 
     def __init__(self) -> None:
         self._current: CopyEvent | None = None
-        self._history: list[CopyEvent] = []
         self._listeners: list[Callable[[CopyEvent], None]] = []
 
     def put(self, event: CopyEvent) -> CopyEvent:
         self._current = event
-        self._history.append(event)
         for listener in self._listeners:
             listener(event)
         return event
@@ -103,9 +101,6 @@ class Clipboard:
     @property
     def is_empty(self) -> bool:
         return self._current is None
-
-    def history(self) -> list[CopyEvent]:
-        return list(self._history)
 
     def subscribe(self, listener: Callable[[CopyEvent], None]) -> None:
         self._listeners.append(listener)

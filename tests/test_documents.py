@@ -289,8 +289,8 @@ class TestClipboardAndApps:
         row = browser.page.dom.find_all("tr", "record")[0]
         browser.copy_record(row, "Src")
         browser.copy_record(row, "Src")
-        assert len(clip.history()) == 2
         assert len(seen) == 2
+        assert clip.current() is seen[-1]
 
     def test_spreadsheet_copy_range(self):
         book = Workbook("W")

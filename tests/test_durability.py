@@ -94,7 +94,6 @@ from repro.learning.model.seed import builtin_types
 from repro.obs import METRICS, render_summary
 from repro.server import SessionManager, SharedBase
 
-from .reference_durability import checkpoint_bytes
 
 LABELS = ["Name", "Street", "City"]
 
@@ -464,13 +463,17 @@ class TestStoreRecovery:
             {"format": 1, "n_actions": 1, "actions": [{"seq": 0, "name": 7, "args": {}}]},
             {"format": 1, "n_actions": 1, "actions": [{"seq": 0, "name": "noop", "args": []}]},
             [fake_actions(1)],
+            {"format": 1, "n_actions": 2, "actions": fake_actions(2)},
         ],
         ids=[
             "non-dict-actions", "actions-dict", "seq-not-index", "n-actions-mismatch",
             "wrong-format", "name-not-str", "args-not-dict", "not-an-object",
+            "well-formed-format-1",
         ],
     )
     def test_misshapen_checkpoint_contributes_nothing(self, tmp_path, payload):
+        # Checkpoints are snapshots of this build; an older build's action
+        # list, well-formed or not, counts as a corrupt checkpoint.
         store = DurabilityStore(tmp_path)
         for record in fake_actions(2):
             store.append("t", record)
@@ -878,7 +881,7 @@ class TestSnapshotRecovery:
         recovered from its snapshot + log tail and one rebuilt by replaying
         the whole history must answer the same continuation identically —
         every output and every digest, which also pins the learned
-        signatures, MIRA history and RNG position a digest alone misses."""
+        signatures and RNG position a digest alone misses."""
         world, live, recorder = record_with_snapshots(tmp_path, n_extra=12, seed=driver_seed, interval=5)
         assert recorder.checkpoints == 4 and recorder.since_checkpoint == 1
         store = DurabilityStore(tmp_path)
@@ -959,9 +962,12 @@ class TestSnapshotRecovery:
         assert session_hash(restored) == fresh
 
     def test_format1_root_recovers_to_the_same_digest(self, tmp_path):
-        """A root an older build left — an action-list checkpoint plus the
-        log after it — replays as one long tail, and the next checkpoint
-        turns it into a snapshot."""
+        """A root an older build left — an action-list checkpoint — is not
+        read: with the whole log still beside it (a crash before
+        truncation) the log alone replays to the same digest, and the next
+        checkpoint turns it into a snapshot. (With the log truncated after
+        that checkpoint, the tail would not start at seq 0 and the tenant
+        would restart empty, as after any corrupt checkpoint.)"""
         world = build_world()
         session = new_session(world)
         recorder = attach_recorder(session, Capturing())
@@ -970,14 +976,16 @@ class TestSnapshotRecovery:
         store = DurabilityStore(tmp_path)
         path = store.checkpoint_path("t")
         path.parent.mkdir(parents=True)
-        path.write_bytes(checkpoint_bytes("t", history[:9], seed=1))
-        for record in history[7:]:  # two stale records, as after a crash before truncation
+        format1 = {"format": 1, "tenant": "t", "seed": 1, "n_actions": 9, "actions": history[:9]}
+        path.write_text(json.dumps(format1), encoding="utf-8")
+        for record in history:
             store.append("t", record)
         store.close()
 
         restored = new_session(build_world())
-        with DurabilityStore(tmp_path) as store2:
+        with metrics_on() as m, DurabilityStore(tmp_path) as store2:
             recorder2, report = recover_session(restored, "t", store2)
+            assert m.counter_value("durability.checkpoint_corrupt") == 1
             assert report.applied == len(history) == recorder2.next_seq == 15
             assert session_hash(restored) == live
             assert recorder2.checkpoint()
@@ -1342,21 +1350,19 @@ _JSON_VALUES = st.recursive(
     tenant=st.text(max_size=10),
 )
 def test_checkpoint_bytes_match_reference_writer(calls, checkpointed, tenant):
-    """Any JSON-able history in a format-1 root — the reference writer's
-    checkpoint of a prefix, the log holding the rest — recovers to itself,
-    as one tail, continuing the sequence."""
+    """Any JSON-able history stitches: the store's own snapshot checkpoint
+    of a prefix, the log holding every record, recovers the records past
+    the prefix as the tail, continuing the sequence."""
     history = [{"seq": i, "name": name, "args": args} for i, (name, args) in enumerate(calls)]
     k = min(checkpointed, len(history))
     with tempfile.TemporaryDirectory() as tmp, DurabilityStore(tmp) as store:
-        path = store.checkpoint_path(tenant)
-        path.parent.mkdir(parents=True)
-        path.write_bytes(checkpoint_bytes(tenant, history[:k]))
         for record in history:  # records below k are stale, as after a crash before truncation
             store.append(tenant, record)
+        assert store.write_checkpoint(tenant, blank_session(), n_actions=k)
         recovered = store.recover(tenant)
     assert recovered.from_checkpoint == k and recovered.from_wal == len(history) - k
-    assert recovered.actions == history
-    assert not recovered.has_snapshot and recovered.next_seq == len(history)
+    assert recovered.actions == history[k:]
+    assert recovered.has_snapshot and recovered.next_seq == len(history)
 
 
 # --------------------------------------------------------------- stats line

@@ -112,8 +112,9 @@ class TestMira:
     def test_history_records_updates(self):
         graph, e1, _, _ = self.make_graph()
         mira = MiraLearner(graph)
-        mira.demote(frozenset({e1.key}))
-        assert mira.history and mira.history[0].kind == "demote"
+        features = frozenset({e1.key})
+        assert mira.demote(features)
+        assert mira.cost(features) >= mira.relevance_threshold + mira.margin - 1e-9
 
 
 class TestQueryCompilation:

@@ -2,10 +2,10 @@
 
 Contracts under test:
 
-- **admission control** — a submit past the per-tenant queue bound, the
-  server-wide inflight watermark, or the token bucket fails fast with a
-  typed :class:`Overloaded` carrying ``reason``, ``tenant``, and a
-  positive ``retry_after_ms``; the early-shed ramp is seeded, so the
+- **admission control** — a submit past the per-tenant queue bound or the
+  server-wide inflight watermark fails fast with a typed
+  :class:`Overloaded` carrying ``reason``, ``tenant``, and a positive
+  ``retry_after_ms``; the early-shed ramp is seeded, so the
   same storm sheds the same requests;
 - **deadline propagation** — ``submit(deadline_ms=...)`` starts the
   budget at submission (queue wait counts); an expired request is shed
@@ -47,7 +47,6 @@ from repro.server import (
     SessionManager,
     SharedBase,
     ShedPolicy,
-    TokenBucket,
     check_deadline,
     current_deadline,
     deadline_scope,
@@ -88,35 +87,6 @@ class Gate:
         self.entered.set()
         self.release.wait(timeout=10.0)
         return "gated"
-
-
-# ------------------------------------------------------------- token bucket
-class TestTokenBucket:
-    def test_burst_then_refill(self):
-        bucket = TokenBucket(rate=2.0, burst=2, now=0.0)
-        assert bucket.try_acquire(0.0)
-        assert bucket.try_acquire(0.0)
-        assert not bucket.try_acquire(0.0)  # burst spent
-        assert bucket.try_acquire(0.5)  # 0.5s * 2/s = 1 token back
-        assert not bucket.try_acquire(0.5)
-
-    def test_tokens_cap_at_burst(self):
-        bucket = TokenBucket(rate=100.0, burst=3, now=0.0)
-        for _ in range(3):
-            assert bucket.try_acquire(1000.0)
-        assert not bucket.try_acquire(1000.0)
-
-    def test_zero_rate_always_admits(self):
-        bucket = TokenBucket(rate=0.0, burst=1, now=0.0)
-        assert all(bucket.try_acquire(0.0) for _ in range(100))
-        assert bucket.retry_after_ms() == 0.0
-
-    def test_retry_hint_tracks_deficit(self):
-        bucket = TokenBucket(rate=10.0, burst=1, now=0.0)
-        assert bucket.try_acquire(0.0)
-        assert not bucket.try_acquire(0.0)
-        # one full token at 10/s is 100ms away
-        assert bucket.retry_after_ms() == pytest.approx(100.0)
 
 
 # --------------------------------------------------------------- shed policy
@@ -334,38 +304,6 @@ class TestAdmission:
                     second.result(timeout=5.0)
                     # Slots released: admission works again.
                     assert manager.call("b", lambda s: "late") == "late"
-
-    def test_token_bucket_sheds_per_tenant(self):
-        now = [0.0]
-        with OVERLOAD.overridden(rate=1.0, burst=2):
-            with manager_with_clock(now) as manager:
-                futures = [manager.submit("a", lambda s: "ok") for _ in range(2)]
-                with pytest.raises(Overloaded) as err:
-                    manager.submit("a", lambda s: "over")
-                assert err.value.reason == "rate"
-                assert err.value.retry_after_ms >= 1.0
-                # Another tenant has its own bucket.
-                assert manager.call("b", lambda s: "fresh") == "fresh"
-                # Time refills tenant a.
-                now[0] = 5.0
-                assert manager.call("a", lambda s: "refilled") == "refilled"
-                assert all(f.result(timeout=5.0) == "ok" for f in futures)
-
-    def test_token_bucket_rebuilds_when_burst_changes(self):
-        now = [0.0]
-        with manager_with_clock(now) as manager:
-            with OVERLOAD.overridden(rate=0.001, burst=1):
-                assert manager.call("a", lambda s: "ok") == "ok"  # bucket now empty
-            admitted = 0
-            with OVERLOAD.overridden(rate=0.001, burst=5):
-                for _ in range(6):
-                    try:
-                        manager.call("a", lambda s: None)
-                        admitted += 1
-                    except Overloaded as exc:
-                        assert exc.reason == "rate"
-        # A fresh bucket at the new burst, not the drained one at burst=1.
-        assert admitted == 5
 
     def test_early_shed_is_seeded_deterministic(self, monkeypatch):
         def shed_indices(seed):

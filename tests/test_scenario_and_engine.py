@@ -1,11 +1,10 @@
-"""Tests for the scenario builder, the query engine facade, and feedback log."""
+"""Tests for the scenario builder and the query engine facade."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.engine import QueryEngine
-from repro.core.feedback import FeedbackKind, FeedbackLog
 from repro.data import build_scenario
 from repro.substrate.relational import Scan, Select, eq
 
@@ -96,21 +95,3 @@ class TestQueryEngine:
         for _, prov in result.rows:
             tids = engine.base_tuples(prov)
             assert all(tid.relation == "DamageReports" for tid in tids)
-
-
-class TestFeedbackLog:
-    def test_record_and_filter(self):
-        log = FeedbackLog()
-        log.record(FeedbackKind.PASTE, tab="T", rows=2)
-        log.record(FeedbackKind.ACCEPT_ROWS, tab="T", rows=5)
-        log.record(FeedbackKind.PASTE, tab="U", rows=1)
-        assert log.count() == 3
-        assert log.count(FeedbackKind.PASTE) == 2
-        assert log.events(FeedbackKind.ACCEPT_ROWS)[0].detail["rows"] == 5
-
-    def test_render(self):
-        log = FeedbackLog()
-        log.record(FeedbackKind.LABEL_COLUMN, tab="T", col=0, name="Name")
-        text = log.render()
-        assert "label-column@T" in text
-        assert "name='Name'" in text

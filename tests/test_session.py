@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from repro.core.feedback import FeedbackKind
 from repro.core.session import CopyCatSession
 from repro.core.workspace import CellState, Mode
 from repro.data import build_scenario
@@ -147,13 +146,6 @@ class TestImportMode:
         app.copy_range(CellRange(0, 0, 1, 3), source_name="Contacts")
         outcome = session.paste()
         assert outcome.n_suggested_rows == scenario.contacts_sheet.n_rows - 2
-
-    def test_feedback_log_records_interactions(self, env):
-        scenario, session, browser = env
-        import_shelters(scenario, session, browser)
-        assert session.log.count(FeedbackKind.PASTE) == 2
-        assert session.log.count(FeedbackKind.ACCEPT_ROWS) == 1
-        assert session.log.count(FeedbackKind.COMMIT_SOURCE) == 1
 
 
 class TestIntegrationMode:
