@@ -7,16 +7,17 @@ makes a session's history durable and its state reconstructible:
 
 - :mod:`~repro.durability.config` — the :data:`DURABILITY` knobs
   (persistence is on only where a durability root is configured);
-- :mod:`~repro.durability.wal` — the append-only CRC-framed log with
-  prefix-consistent reads;
+- :mod:`~repro.durability.wal` — the append-only CRC-framed log of
+  pickled records, with prefix-consistent reads;
 - :mod:`~repro.durability.recorder` — write-ahead event sourcing at the
   :class:`~repro.core.session.CopyCatSession` boundary, with a periodic
   checkpoint that snapshots the session and truncates the log;
 - :mod:`~repro.durability.snapshot` — the checkpoint format: a header
   line and a pickle of the session's state, shared objects (base
   catalog, services, cache tiers) referenced rather than copied;
-- :mod:`~repro.durability.actions` / :mod:`~repro.durability.docs` —
-  per-action JSON codecs, including the copied documents themselves;
+- :mod:`~repro.durability.actions` — the action codec: a call's bound
+  arguments pickled write-ahead (the copied documents themselves
+  included), and replay of those bytes;
 - :mod:`~repro.durability.replay` — deterministic re-execution of a log
   tail and the bit-identity :func:`state_digest`;
 - :mod:`~repro.durability.store` — per-tenant checkpoint + log files
@@ -28,6 +29,9 @@ The session server composes these: :class:`~repro.server.manager.
 SessionManager` checkpoints sessions through eviction instead of
 dropping them, and on first attach recovers a tenant by loading its
 snapshot and replaying only the log tail after it.
+
+Snapshot and log are same-build formats, both pickles: unpickling runs
+code, so a durability root must be as trusted as the process itself.
 """
 
 from __future__ import annotations
@@ -36,19 +40,17 @@ from typing import TYPE_CHECKING
 
 from .actions import (
     UNRECORDED,
+    SerializationError,
     apply_action,
     encode_action,
-    event_from_dict,
-    event_to_dict,
     recordable_actions,
 )
 from .config import DURABILITY, DurabilityConfig
-from .docs import SerializationError
 from .faults import WAL_FAULTS, WalFaultInjector, WalFaultPolicy, WalFaultSpec
 from .recorder import SessionRecorder, recorded
 from .replay import ReplayReport, attach_recorder, digest_hash, replay, state_digest
 from .store import DurabilityStore, RecoveredState
-from .wal import InjectedWalFault, WalReadResult, WalWriter, canonical_json, encode_frame, read_wal
+from .wal import InjectedWalFault, WalReadResult, WalWriter, read_wal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.session import CopyCatSession
@@ -71,12 +73,8 @@ __all__ = [
     "WalWriter",
     "apply_action",
     "attach_recorder",
-    "canonical_json",
     "digest_hash",
     "encode_action",
-    "encode_frame",
-    "event_from_dict",
-    "event_to_dict",
     "read_wal",
     "recordable_actions",
     "recorded",
@@ -99,6 +97,11 @@ def recover_session(
     hook a recorder onto it, replay the log tail after the snapshot, and
     leave the recorder positioned so the next live action continues the
     sequence (the replayed tail still counts toward the next checkpoint).
+
+    A recovery that stopped at damage (a torn or rotted frame, a sequence
+    gap) checkpoints at once: the snapshot covers what was recovered and
+    the log is truncated, so the next actions are not appended behind the
+    damage, where the next recovery would stop again.
     """
     recovered = store.recover(tenant, session)
     recorder = SessionRecorder(tenant, store, checkpoint_interval=checkpoint_interval)
@@ -107,4 +110,6 @@ def recover_session(
     if recovered.actions:
         report = replay(session, recovered.actions)
     recorder.resume(recovered.next_seq, recovered.actions)
+    if recovered.stop_reason is not None:
+        recorder.checkpoint()
     return recorder, report

@@ -2,11 +2,13 @@
 
 A :class:`SessionRecorder` hangs off ``session.durability`` and observes
 every semantic action through the :func:`recorded` decorator on the
-session's public methods. The protocol is **write-ahead**: the action is
-framed and appended to the tenant's log *before* the method body runs,
-so a process killed mid-action recovers to the state *as if the action
-completed* — replay simply re-executes it. (The alternative — logging
-after — loses exactly the action the crash interrupted.)
+session's public methods. The protocol is **write-ahead**: the call is
+pickled once (:func:`~repro.durability.actions.encode_action`), and the
+record holding those bytes is framed and appended to the tenant's log
+*before* the method body runs, so a process killed mid-action recovers
+to the state *as if the action completed* — replay simply re-executes
+it. (The alternative — logging after — loses exactly the action the
+crash interrupted.)
 
 Nesting: session methods call each other (``accept_column`` previews,
 which may compute suggestions). Only the *outermost* user-invoked call
@@ -65,7 +67,8 @@ class SessionRecorder:
         )
         #: the session a checkpoint snapshots (set by ``attach_recorder``).
         self.session: "CopyCatSession | None" = None
-        #: the records since the last checkpoint (the log tail).
+        #: the records since the last checkpoint (the log tail): each is
+        #: ``{"seq", "name", "args"}`` with the call's pickled arguments.
         self.history: list[dict[str, Any]] = []
         #: the seq the next record gets: every action so far, checkpointed or not.
         self.next_seq = 0
@@ -89,7 +92,7 @@ class SessionRecorder:
         return not self.replaying and self._depth == 0 and not self.sealed
 
     @contextmanager
-    def action(self, name: str, payload: dict[str, Any]):
+    def action(self, name: str, payload: bytes):
         """Write-ahead record one top-level action, then run its body."""
         with self._lock:
             if RACECHECK.enabled:

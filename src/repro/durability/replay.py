@@ -5,7 +5,7 @@ or to one that loaded the tenant's snapshot — through the same public
 methods the user originally called. The
 REPRO005 invariants (seeded RNG, no wall-clock reads outside
 ``util/rng.py``) plus the write-ahead log's pinned external inputs
-(serialized copy events, resync-time page snapshots) make the rebuilt
+(pickled copy events, resync-time pages) make the rebuilt
 session byte-for-byte equivalent to the one that died — which
 :func:`state_digest` makes checkable: one canonical dict covering
 workspace rows, committed relations, provenance, trust, MIRA edge

@@ -47,7 +47,6 @@ import sys
 from typing import TYPE_CHECKING, Any
 
 from ..learning.model.seed import builtin_types
-from .wal import canonical_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.session import CopyCatSession
@@ -55,6 +54,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 FORMAT_VERSION = 2
 PYTHON = f"{sys.version_info.major}.{sys.version_info.minor}"
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
+
+
+def canonical_json(obj: Any) -> str:
+    """The one canonical JSON text of *obj*: sorted keys, no spaces."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 class SnapshotError(ValueError):

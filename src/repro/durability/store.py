@@ -20,7 +20,9 @@ total — it never raises for damaged files, it just trusts less:
    is counted as ``durability.checkpoint_corrupt``, after which the log
    alone may still replay;
 2. scan ``wal.log`` forward, stopping at the first torn / truncated /
-   CRC-mismatched frame (each stop cause has its own counter);
+   CRC-mismatched frame, or at one that does not unpickle to a record
+   (an older build's JSON frame among them); each stop cause has its
+   own counter;
 3. stitch: log records must continue the checkpoint's sequence exactly.
    Records below the checkpoint base are stale (a crash landed between
    checkpoint rename and log truncation) and are skipped; a gap above it
@@ -33,8 +35,11 @@ truncated only after the rename is durable. A crash anywhere in that
 protocol leaves either the old checkpoint with the full log or the new
 checkpoint with a stale-or-empty log — both recover to the same state.
 
-Unpickling runs code: a store reads snapshots only from its own root,
-which must be as trusted as the process itself.
+Both files are same-build formats, and both are pickles: a snapshot is
+the session's state, a log frame a record whose arguments are pickled
+(:mod:`~repro.durability.actions`). Unpickling runs code: a store reads
+snapshots and log frames only from its own root, which must be as
+trusted as the process itself.
 """
 
 from __future__ import annotations
@@ -147,9 +152,9 @@ class DurabilityStore:
             self._writers[tenant] = writer
         return writer
 
-    def append(self, tenant: str, record: dict[str, Any]) -> str:
-        """Append one record to the tenant's log; returns its canonical text."""
-        return self._writer(tenant).append(record)
+    def append(self, tenant: str, record: dict[str, Any]) -> None:
+        """Append one record to the tenant's log."""
+        self._writer(tenant).append(record)
 
     def truncate_wal(self, tenant: str) -> None:
         self._writer(tenant).truncate()

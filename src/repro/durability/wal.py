@@ -1,10 +1,12 @@
 """The append-only, CRC-framed write-ahead log.
 
 One log frame is ``[length: u32le][crc32: u32le][payload]`` where the
-payload is a UTF-8 JSON object (one recorded session action). The format
-is deliberately dumb: no index, no compression, no in-place mutation —
-recovery is a single forward scan that stops at the first frame that
-does not check out, which is the whole crash-consistency story:
+payload is a pickled record: one recorded session action, a dict whose
+``args`` are the bytes :func:`~repro.durability.actions.encode_action`
+made of the call. The format is deliberately dumb: no index, no
+compression, no in-place mutation — recovery is a single forward scan
+that stops at the first frame that does not check out, which is the
+whole crash-consistency story:
 
 - a **torn final frame** (the process died mid-``write``) shows up as a
   short header or short payload — the scan stops before it;
@@ -16,6 +18,10 @@ does not check out, which is the whole crash-consistency story:
 Everything before the stop point is trusted; nothing at or after it is.
 :func:`read_wal` never raises for damaged tails — it reports the prefix
 and the stop cause so the store can count it and replay what survived.
+A frame whose payload does not unpickle to a record is ``bad-payload``,
+and so is a frame an older build wrote as JSON: like a snapshot, the log
+is a same-build format. Unpickling runs code, so a log is read only from
+a durability root as trusted as the process itself.
 
 Writes go through :class:`WalWriter`, which consults the seeded
 write-fault policy (:mod:`repro.durability.faults`) before each frame so
@@ -25,8 +31,8 @@ log at chosen operation indices.
 
 from __future__ import annotations
 
-import json
 import os
+import pickle
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,24 +63,9 @@ def _crc32(data: bytes) -> int:
     return zlib.crc32(data) & 0xFFFFFFFF
 
 
-def canonical_json(obj: Any) -> str:
-    """The one canonical JSON text of *obj*: sorted keys, no spaces.
-
-    Log frames and checkpoint files both hold exactly this text, so a
-    record encoded once at append time can be spliced into a checkpoint
-    verbatim.
-    """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _frame(text: str) -> bytes:
-    data = text.encode("utf-8")
+def _frame(record: dict[str, Any]) -> bytes:
+    data = pickle.dumps(record, pickle.HIGHEST_PROTOCOL)
     return _HEADER.pack(len(data), _crc32(data)) + data
-
-
-def encode_frame(payload: dict[str, Any]) -> bytes:
-    """One action dict -> a framed, CRC-protected log record."""
-    return _frame(canonical_json(payload))
 
 
 @dataclass
@@ -114,8 +105,8 @@ def read_wal(path: str | Path) -> WalReadResult:
         if _crc32(payload) != crc:
             return WalReadResult(records, "crc-mismatch", offset)
         try:
-            record = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+            record = pickle.loads(payload)
+        except Exception:  # lint: allow=REPRO003 -- any unpicklable payload is the counted bad-payload stop
             return WalReadResult(records, "bad-payload", offset)
         if not isinstance(record, dict):
             return WalReadResult(records, "bad-payload", offset)
@@ -157,14 +148,9 @@ class WalWriter:
         self._op_index = 0
         self._file = open(self.path, "ab")
 
-    def append(self, payload: dict[str, Any]) -> str:
-        """Frame and append one record (write-ahead: called pre-action).
-
-        Returns the canonical text that was framed — pristine even when an
-        injected ``"corrupt"`` fault damages the on-disk copy.
-        """
-        text = canonical_json(payload)
-        frame = _frame(text)
+    def append(self, record: dict[str, Any]) -> None:
+        """Frame and append one record (write-ahead: called pre-action)."""
+        frame = _frame(record)
         kind = None
         if self._faults is not None:
             kind = self._faults.draw(self._tenant, self._op_index)
@@ -187,7 +173,7 @@ class WalWriter:
         if kind == "fsync":
             METRICS.inc("durability.faults_injected")
             METRICS.inc("durability.fsync_failures")
-            return text
+            return
         if self._fsync:
             try:
                 os.fsync(self._file.fileno())
@@ -197,7 +183,6 @@ class WalWriter:
                 # recovery is prefix-consistent either way. Count it and
                 # keep serving.
                 METRICS.inc("durability.fsync_failures")
-        return text
 
     def truncate(self) -> None:
         """Drop every record (the checkpoint now owns the history)."""

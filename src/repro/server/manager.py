@@ -182,7 +182,7 @@ class SessionManager:
                     return entry
                 retiring = self._retiring.get(tenant_id)
                 if retiring is None:
-                    entry, evicted = self._create_entry(tenant_id)  # lint: allow=CONC004 -- recovery must stay under the registry lock (no double-replay); emits only leaf durability counters
+                    entry, evicted = self._create_entry(tenant_id)  # lint: allow=CONC002,CONC004 -- recovery must stay under the registry lock (no double-replay), and one that stopped at damage snapshots before any request can append behind it; emits only leaf durability counters
                     break
             # The tenant's evicted entry is still draining into its last
             # snapshot; recovering before that lands would read a stale
@@ -211,7 +211,8 @@ class SessionManager:
             # Recover-on-attach: load this tenant's snapshot and replay its
             # log tail (a no-op for new tenants). Runs under the registry
             # lock so two racing first requests can never double-replay
-            # one history.
+            # one history, and a recovery that stopped at damage
+            # snapshots before any request can log behind the damage.
             recover_session(session, tenant_id, self.store)
         now = self._clock()
         entry = _Entry(

@@ -94,6 +94,12 @@ class Website:
         self._forms[url] = form
         return form
 
+    def __getstate__(self) -> dict:
+        # A copied site pickles its base URL and pages, never its form
+        # resolvers (callables, often lambdas): only the user-facing
+        # Browser submits forms, and no learner reads them after a copy.
+        return {**vars(self), "_forms": {}}
+
     # -- navigation -----------------------------------------------------------
     def absolute(self, path_or_url: str) -> str:
         if path_or_url.startswith(("http://", "https://")):

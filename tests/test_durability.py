@@ -4,7 +4,8 @@ Contracts under test:
 
 - **WAL framing** — ``read_wal`` trusts exactly the prefix of intact
   frames and reports why it stopped (torn header/record, CRC mismatch,
-  garbage length, non-dict payload); it never raises for damage;
+  garbage length, a payload that does not unpickle to a record, such as
+  an older build's JSON frame); it never raises for damage;
 - **write-fault injection** — the seeded policy deterministically tears,
   corrupts, or fails-to-sync chosen appends, and recovery absorbs each;
 - **checkpoint + stitching** — a checkpoint is a session snapshot written
@@ -17,7 +18,9 @@ Contracts under test:
   list older builds wrote, recovers through the same replay path);
 - **record/replay bit-identity** — a fresh session replaying the logged
   actions reaches the same :func:`state_digest` as the live session,
-  including RNG stream position (later live actions still match);
+  including RNG stream position (later live actions still match), even
+  after the live site changes the page a paste copied, and from a
+  form-backed site whose resolvers never enter a log or snapshot;
 - **parity** — a recorder is pure observation: recording a session
   changes nothing, and a manager with no durability root never attaches
   one;
@@ -28,7 +31,8 @@ Contracts under test:
 - **crash property** (hypothesis) — a random usersim-style action
   sequence, killed at an arbitrary log byte (truncation or bit flip),
   recovers to exactly the state after some prefix of its actions, with
-  or without a snapshot before the cut;
+  or without a snapshot before the cut; the actions a recovered tenant
+  logs after damage survive the next recovery;
 - **freed by reference counting** — a dropped session, in memory or
   served, recovered and retired, is freed when its last reference goes,
   with the cyclic collector off.
@@ -74,10 +78,8 @@ from repro.durability import (
     WalWriter,
     apply_action,
     attach_recorder,
-    canonical_json,
     digest_hash,
     encode_action,
-    encode_frame,
     read_wal,
     recordable_actions,
     recover_session,
@@ -85,7 +87,9 @@ from repro.durability import (
     state_digest,
 )
 from repro.durability import snapshot
+from repro.durability.snapshot import canonical_json
 from repro.durability.store import tenant_dirname
+from repro.drift import perturb_page
 from repro.substrate.documents import CellRange
 from repro.substrate.relational.relation import Relation
 from repro.substrate.relational.schema import PLACE
@@ -230,6 +234,33 @@ def drive_scripted(session, world, n_extra=0, seed=0):
     return driver
 
 
+def build_form_world():
+    return build_scenario(seed=5, n_shelters=10, form_site=True, noise=1)
+
+
+def import_from_form_site(session, world):
+    """Paste a record from a city's result page behind the site's search
+    form, accept the generalization, label and commit it."""
+    browser = Browser(session.clipboard, world.website)
+    browser.submit_form("search", {"city": sorted({s.address.city for s in world.shelters})[0]})
+    listing = browser.page.dom.find("table", "listing")
+    records = [n for n in listing.children if "record" in n.css_classes]
+    browser.copy_record(records[0], "FormShelters")
+    session.paste()
+    session.accept_row_suggestions()
+    for index, label in enumerate(LABELS):
+        session.label_column(index, label)
+    session.commit_source()
+
+
+def recovered_hash(root, tenant, world_factory=build_world):
+    """The digest a fresh session recovers to from *root*."""
+    restored = new_session(world_factory())
+    with DurabilityStore(root) as store:
+        recover_session(restored, tenant, store)
+    return session_hash(restored)
+
+
 # ------------------------------------------------------------------ WAL framing
 class TestWalFraming:
     def _write(self, path, payloads):
@@ -292,15 +323,18 @@ class TestWalFraming:
     def test_non_dict_payload_rejected(self, tmp_path):
         import zlib
 
-        path = tmp_path / "wal.log"
-        data = b"[1,2]"  # valid JSON, not an action dict
-        frame = struct.pack("<II", len(data), zlib.crc32(data) & 0xFFFFFFFF) + data
-        path.write_bytes(frame)
-        result = read_wal(path)
-        assert result.records == [] and result.stop_reason == "bad-payload"
-
-    def test_encode_frame_is_canonical(self):
-        assert encode_frame({"b": 1, "a": 2}) == encode_frame({"a": 2, "b": 1})
+        older_build = b'{"args":{},"name":"undo","seq":0}'  # a JSON frame, as older builds wrote
+        for data in (pickle.dumps([1, 2]), older_build):  # a pickle but no record; no pickle
+            store = DurabilityStore(tmp_path)
+            path = store.wal_path("t")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(struct.pack("<II", len(data), zlib.crc32(data) & 0xFFFFFFFF) + data)
+            result = read_wal(path)
+            assert result.records == [] and result.stop_reason == "bad-payload"
+            with metrics_on() as m:
+                recovered = store.recover("t")
+                assert m.counter_value("durability.recovery_crc_failures") == 1
+            assert recovered.actions == [] and recovered.stop_reason == "bad-payload"
 
 
 # ----------------------------------------------------------- fault injection
@@ -639,11 +673,17 @@ class TestRecordReplay:
 
 # ------------------------------------------------------------ action codec
 #: One call per action whose codec is derived from the method signature,
-#: and the exact payload a log holds for it. Logs already on disk must
-#: replay unchanged, so these payloads may not change.
+#: and the arguments its log payload unpickles to: the call bound to the
+#: signature, defaults filled in, argument types kept as the caller
+#: passed them.
 GENERIC_GOLDEN = [
+    ("accept_row_suggestions", (), {"indices": [0, 2]}, {"tab": None, "indices": [0, 2]}),
     ("reject_row_suggestions", (), {"tab": "T2"}, {"tab": "T2"}),
     ("label_column", (0, "Name"), {}, {"col": 0, "name": "Name", "tab": None}),
+    (
+        "set_column_type", (0, PLACE), {"learn_from_values": False},
+        {"col": 0, "semantic_type": PLACE, "tab": None, "learn_from_values": False},
+    ),
     ("commit_source", (), {"name": "Shelters"}, {"tab": None, "name": "Shelters"}),
     ("start_integration", ("Shelters",), {}, {"source": "Shelters", "tab": None}),
     ("set_service_level", (), {}, {"level": "normal"}),
@@ -661,8 +701,20 @@ GENERIC_GOLDEN = [
     ("enter_cleaning_mode", (), {}, {}),
     ("exit_cleaning_mode", (), {}, {}),
     ("undo", (), {}, {}),
+    (
+        "add_link_example", ({"Name": "Hope"}, {"Shelter": "Hope"}), {"right_pool": [{"Shelter": "Hope"}]},
+        {
+            "left_row": {"Name": "Hope"}, "right_row": {"Shelter": "Hope"}, "edge_key": None,
+            "is_match": True, "right_pool": [{"Shelter": "Hope"}],
+        },
+    ),
+    (
+        "add_derived_column", ("Initials", {0: "HS", 2: "GH"}), {},
+        {"name": "Initials", "examples": {0: "HS", 2: "GH"}, "tab": None},
+    ),
     ("save_view", ("v",), {}, {"name": "v"}),
     ("refresh_view", (), {"name": "v"}, {"name": "v"}),
+    ("union_sources", (("Shelters", "Contacts"),), {}, {"sources": ("Shelters", "Contacts"), "tab": None}),
 ]
 
 
@@ -670,7 +722,9 @@ def bound_call(name, args, kwargs):
     """A call's arguments as the method binds them, defaults filled in."""
     bound = inspect.signature(getattr(SessionClass, name)).bind(None, *args, **kwargs)
     bound.apply_defaults()
-    return bound.arguments
+    arguments = bound.arguments
+    del arguments["self"]
+    return arguments
 
 
 class TestActionCodec:
@@ -679,19 +733,16 @@ class TestActionCodec:
     )
     def test_generic_payload_is_golden_and_replays_the_call(self, name, args, kwargs, payload):
         encoded = encode_action(name, mock.MagicMock(spec=SessionClass), args, kwargs)
-        assert canonical_json(encoded) == canonical_json(payload)
+        assert pickle.loads(encoded) == payload == bound_call(name, args, kwargs)
         session = mock.MagicMock(spec=SessionClass)
-        apply_action(session, name, json.loads(canonical_json(encoded)))
+        apply_action(session, name, encoded)
         replayed = getattr(session, name).call_args
         assert bound_call(name, replayed.args, replayed.kwargs) == bound_call(name, args, kwargs)
 
     def test_golden_table_covers_every_generic_action(self):
-        hand_written = {
-            "paste", "resync_source", "set_column_type", "add_derived_column",
-            "add_link_example", "accept_row_suggestions", "union_sources",
-        }
-        assert {row[0] for row in GENERIC_GOLDEN} == set(recordable_actions()) - hand_written
-        assert len(recordable_actions()) == 25
+        own_code = {"paste", "resync_source"}
+        assert {row[0] for row in GENERIC_GOLDEN} == set(recordable_actions()) - own_code
+        assert len(GENERIC_GOLDEN) == 23 and len(recordable_actions()) == 25
 
     @pytest.mark.parametrize(
         ("call", "kwargs"),
@@ -711,6 +762,20 @@ class TestActionCodec:
                 getattr(session, name)(*args, **kwargs)
             assert recorder.history == history
             assert store.wal_path("t").read_bytes() == wal
+
+    def test_unpicklable_argument_raises_before_anything_is_written(self, tmp_path):
+        world = build_world()
+        session = new_session(world)
+        with DurabilityStore(tmp_path) as store:
+            recorder, _ = recover_session(session, "t", store)
+            drive_scripted(session, world)
+            history, before = list(recorder.history), session_hash(session)
+            wal = store.wal_path("t").read_bytes()
+            with pytest.raises(SerializationError, match="add_derived_column"):
+                session.add_derived_column("Lazy", {0: lambda: "x"})
+            assert recorder.history == history
+            assert store.wal_path("t").read_bytes() == wal
+            assert session_hash(session) == before  # the body never ran
 
     @pytest.mark.parametrize("name", ["close", "explain", "__init__"])
     def test_replaying_an_unrecorded_name_calls_nothing(self, name):
@@ -805,6 +870,84 @@ class TestDurableSessions:
         with DurabilityStore(tmp_path) as store2:
             recover_session(restored, "dave", store2)
         assert session_hash(restored) == live
+
+    @pytest.mark.parametrize("interval", [1, 64])
+    def test_form_site_session_recovers(self, tmp_path, interval):
+        """A copy from a form-backed site logs and snapshots the site's
+        pages but not its form resolver (a lambda, which does not
+        pickle): the tenant recovers from its log or its per-action
+        snapshots, and again from a snapshot of the live session."""
+        world = build_form_world()
+        session = new_session(world)
+        store = DurabilityStore(tmp_path)
+        recorder, _ = recover_session(session, "t", store, checkpoint_interval=interval)
+        import_from_form_site(session, world)
+        live = session_hash(session)
+        assert recorder.next_seq == 6 and recorder.since_checkpoint == (0 if interval == 1 else 6)
+        assert recovered_hash(tmp_path, "t", build_form_world) == live
+        assert recorder.checkpoint()
+        store.close()
+        assert recovered_hash(tmp_path, "t", build_form_world) == live
+        assert world.website.has_form("search")  # the live site keeps its form
+
+    @pytest.mark.parametrize("kind", ["retemplate", "wipe_values"])
+    def test_resync_replays_the_page_it_saw(self, tmp_path, kind):
+        """A resync logs the source's live page as it was at resync time:
+        replay into a world whose site never drifted swaps that page in,
+        so the healed (or quarantined) source comes back; a second resync
+        of the unchanged site swaps nothing."""
+        world = build_world()
+        session = new_session(world)
+        store = DurabilityStore(tmp_path)
+        recover_session(session, "t", store)
+        drive_scripted(session, world)  # imports and commits Shelters
+        perturb_page(world.website, world.list_urls()[0], kind, seed=3)
+        session.resync_source("Shelters")
+        session.resync_source("Shelters")
+        store.close()
+        assert recovered_hash(tmp_path, "t") == session_hash(session)
+
+    def test_older_build_log_is_dropped_once(self, tmp_path):
+        """A log an older build wrote as JSON does not replay: recovery
+        counts it, snapshots the empty session and truncates the log, so
+        the tenant's new actions survive the next recovery."""
+        import zlib
+
+        store = DurabilityStore(tmp_path)
+        path = store.wal_path("t")
+        path.parent.mkdir(parents=True)
+        data = b'{"args":{},"name":"undo","seq":0}'
+        path.write_bytes(struct.pack("<II", len(data), zlib.crc32(data) & 0xFFFFFFFF) + data)
+        world = build_world()
+        session = new_session(world)
+        recorder, report = recover_session(session, "t", store)
+        assert report is None and recorder.checkpoints == 1
+        assert path.read_bytes() == b""
+        drive_scripted(session, world)
+        store.close()
+        assert recovered_hash(tmp_path, "t") == session_hash(session)
+
+    def test_history_is_pinned_against_later_changes_to_the_site(self, tmp_path):
+        """A paste's copied document is logged as it was at paste time: the
+        site replacing that page afterwards changes neither the history
+        replayed in memory nor the one recovered from disk."""
+        world = build_world()
+        session = new_session(world)
+        store = DurabilityStore(tmp_path)
+        recorder = attach_recorder(session, Capturing("t", store))
+        driver = Driver(session, world)
+        for _ in range(3):  # paste, paste, accept the generalization
+            driver.step()
+        after_paste = session_hash(session)
+        url = world.list_urls()[0]
+        page = world.website.fetch(url)
+        listing = page.dom.find("table", "listing")
+        listing.children[:] = [n for n in listing.children if "record" not in n.css_classes][:1]
+        world.website.replace_page(url, page.dom, "Changed")
+        store.close()
+        in_memory = new_session(build_world())
+        replay(in_memory, recorder.records)
+        assert session_hash(in_memory) == recovered_hash(tmp_path, "t") == after_paste
 
     def test_disabled_layer_attaches_nothing(self, tmp_path, monkeypatch):
         """With no durability root the layer is off: no recorder, no files."""
@@ -976,7 +1119,9 @@ class TestSnapshotRecovery:
         store = DurabilityStore(tmp_path)
         path = store.checkpoint_path("t")
         path.parent.mkdir(parents=True)
-        format1 = {"format": 1, "tenant": "t", "seed": 1, "n_actions": 9, "actions": history[:9]}
+        # Older builds held the arguments as JSON; the list is never read.
+        actions = [dict(record, args={}) for record in history[:9]]
+        format1 = {"format": 1, "tenant": "t", "seed": 1, "n_actions": 9, "actions": actions}
         path.write_text(json.dumps(format1), encoding="utf-8")
         for record in history:
             store.append("t", record)
@@ -1400,24 +1545,42 @@ def test_kill_restore_sweep(tmp_path, driver_seed, tear_at):
     """Seeded kill matrix (the CI ``crash-recovery`` sweep): tear the log
     mid-append at several points across several random action sequences;
     recovery must always equal an uninterrupted run of the pre-tear
-    prefix."""
+    prefix, and the actions the recovered tenant runs next must survive
+    the next recovery."""
     torn_run(tmp_path, driver_seed, tear_at, interval=64)  # the default: all in the log
 
     restored = new_session(build_world())
     with DurabilityStore(tmp_path) as store2:
         _, report = recover_session(restored, "sweep", store2)
-    assert report is not None and report.applied == tear_at
+        assert report is not None and report.applied == tear_at
+        assert session_hash(restored) == prefix_hash(driver_seed, tear_at)
+        continue_run(restored, driver_seed)
 
-    assert session_hash(restored) == prefix_hash(driver_seed, tear_at)
+    assert recovered_hash(tmp_path, "sweep") == prefix_hash(driver_seed, tear_at, continued=True)
 
 
-def prefix_hash(driver_seed, n):
-    """The digest of an uninterrupted in-memory run of *n* driver steps."""
+#: Steps a recovered tenant runs before it is recovered again.
+CONTINUATION = 4
+
+
+def continue_run(session, driver_seed):
+    """Random driver ops after a recovery (the import is history)."""
+    driver = Driver(session, build_world(), seed=100 + driver_seed)
+    driver._script = iter(())
+    for _ in range(CONTINUATION):
+        driver.step()
+
+
+def prefix_hash(driver_seed, n, continued=False):
+    """The digest of an uninterrupted in-memory run of *n* driver steps,
+    then, if *continued*, of :func:`continue_run`."""
     world = build_world()
     reference = new_session(world)
     driver = Driver(reference, world, seed=driver_seed)
     for _ in range(n):
         driver.step()
+    if continued:
+        continue_run(reference, driver_seed)
     return session_hash(reference)
 
 
@@ -1431,9 +1594,12 @@ def test_kill_restore_sweep_with_snapshots(tmp_path, driver_seed, tear_at):
     restored = new_session(build_world())
     with DurabilityStore(tmp_path) as store2:
         recorder, report = recover_session(restored, "sweep", store2)
-    assert recorder.next_seq == tear_at
-    assert (report.applied if report else 0) == tear_at % 4
-    assert session_hash(restored) == prefix_hash(driver_seed, tear_at)
+        assert recorder.next_seq == tear_at
+        assert (report.applied if report else 0) == tear_at % 4
+        assert session_hash(restored) == prefix_hash(driver_seed, tear_at)
+        continue_run(restored, driver_seed)
+
+    assert recovered_hash(tmp_path, "sweep") == prefix_hash(driver_seed, tear_at, continued=True)
 
 
 # ------------------------------------------------------- crash property test
@@ -1546,11 +1712,12 @@ def test_crash_after_a_snapshot_recovers_a_consistent_prefix(snapshotted_run, fr
         (tenant_dir / "checkpoint.json").write_bytes(files["checkpoint"])
         replica = new_session(build_world())
         with DurabilityStore(tmp) as store:
+            tail = store.recover(snapshotted_run["tenant"]).actions
             recorder, _ = recover_session(replica, snapshotted_run["tenant"], store)
 
     history = snapshotted_run["history"]
     k = recorder.next_seq
-    assert recorder.history == history[k - len(recorder.history) : k]
+    assert tail == history[k - len(tail) : k]
     assert k in (0, *range(16, len(history) + 1))
     if target == "checkpoint":
         assert k == 0

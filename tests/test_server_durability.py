@@ -5,7 +5,8 @@ Contracts under test:
 - **evict-through-checkpoint** — explicit eviction, LRU capacity
   pressure, and idle-TTL expiry all persist the session's history before
   dropping it; the tenant's next attach restores the exact state (the
-  PR-7 data-loss fix);
+  PR-7 data-loss fix), also for a tenant that copied from a form-backed
+  site, whose eviction runs inside another tenant's first request;
 - **snapshot sharing** — a recovered tenant holds the base catalog's
   relations and services and the fleet's cache tiers themselves, never
   copies, on a cache scope of its own; no base row enters a snapshot;
@@ -47,7 +48,7 @@ from repro.substrate.relational.catalog import SourceMetadata
 from repro.substrate.relational.relation import Relation
 from repro.substrate.relational.schema import TEXT, Attribute, Schema
 
-from .test_durability import Driver, drive_scripted
+from .test_durability import Driver, build_form_world, drive_scripted, import_from_form_site
 from .test_server_stress import run_threads
 
 
@@ -89,6 +90,17 @@ class TestEvictThrough:
                 live = drive_tenant(manager, world, "alice")
                 manager.session("bob")
                 manager.session("carol")  # alice is the LRU victim
+                assert "alice" not in manager.tenant_ids()
+                assert session_hash(manager.session("alice")) == live
+
+    def test_form_site_tenant_evicted_by_another_tenants_first_request(self, tmp_path):
+        world = build_form_world()
+        with SERVER.overridden(max_sessions=1):
+            with manager_over(world, root=tmp_path) as manager:
+                live = manager.call("alice", lambda s: (import_from_form_site(s, world), session_hash(s))[1])
+                # Bob's first request evicts alice through a snapshot of a
+                # session holding the form-backed site.
+                assert manager.call("bob", lambda s: s.view_names()) == []
                 assert "alice" not in manager.tenant_ids()
                 assert session_hash(manager.session("alice")) == live
 
@@ -476,10 +488,13 @@ class TestKillDuringBrownout:
         (tenant_dir / "wal.log").write_bytes(run["wal"][: int(frac * len(run["wal"]))])
         replica = new_session(build_world())
         with DurabilityStore(tmp_path) as store:
+            recovered = store.recover("storm")
             recorder, _ = recover_session(replica, "storm", store)
         k = recorder.next_seq
         assert 12 <= k <= len(run["history"])  # never behind the snapshot
-        assert recorder.history == run["history"][12:k]
+        assert recovered.actions == run["history"][12:k]
+        # A recovery that stopped at the cut snapshots what it recovered.
+        assert recorder.history == (recovered.actions if recovered.stop_reason is None else [])
         assert session_hash(replica) == run["digests"][k]
 
 
