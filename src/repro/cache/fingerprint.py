@@ -29,11 +29,20 @@ identity.
 
 The catalog's contents are deliberately *not* part of the fingerprint;
 pairing the fingerprint with :attr:`Catalog.version` is the cache key.
+
+The evaluator needs the fingerprint of the root (its compile-memo key) and
+of every cacheable node under it (their subplan-cache keys).
+:func:`plan_fingerprints` computes all of them in one bottom-up walk per
+run: a node's token holds its children's tokens, so each node is
+tokenized once however many cached ancestors it has. Tokens are not kept
+across runs, so a subtree holding a ``RecordLinkJoin`` always reads its
+linker's current weights.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any, Hashable
 
 from ..substrate.relational.algebra import Plan, RowLinker
@@ -59,25 +68,56 @@ def plan_fingerprint(plan: Plan) -> Hashable:
     """A hashable structural fingerprint of *plan* (see module docstring).
 
     Raises ``TypeError`` when a field holds an unhashable value (or the
-    node is not a dataclass): callers that merely *want* caching (the
-    evaluator's compile memo and subplan cache) catch it and run uncached.
+    node is not a dataclass).
     """
-    fingerprint = _node_token(plan)
+    fingerprint = _node_token(plan, {})
     hash(fingerprint)  # fail here, not at the caller's cache probe
     return fingerprint
 
 
-def _node_token(plan: Plan) -> tuple:
-    return (type(plan), *[_token(getattr(plan, field.name)) for field in dataclasses.fields(plan)])
+def plan_fingerprints(plan: Plan) -> dict[int, Any]:
+    """The fingerprint of every node of *plan*, keyed by ``id(node)``.
+
+    One bottom-up walk: each distinct node object is tokenized once. A
+    token is ``plan_fingerprint(node)`` when that succeeds; a node with an
+    unhashable field (or that is not a dataclass) gets an unhashable token,
+    and so does every ancestor, so ``hash`` raises ``TypeError`` for
+    exactly the nodes ``plan_fingerprint`` raises it for. The ids are
+    valid only while *plan* is alive.
+    """
+    tokens: dict[int, Any] = {}
+    _node_token(plan, tokens)
+    return tokens
 
 
-def _token(value: Any) -> Any:
+def _node_token(plan: Plan, tokens: dict[int, Any]) -> Any:
+    token = tokens.get(id(plan))
+    if token is None:
+        token = tokens[id(plan)] = _tokenize(plan, tokens)
+    return token
+
+
+def _tokenize(plan: Plan, tokens: dict[int, Any]) -> Any:
+    """One node's token from its fields; child plans come from *tokens*."""
+    try:
+        names = _field_names(type(plan))
+    except TypeError:
+        return [plan]  # not a dataclass: no sound key, and unhashable says so
+    return (type(plan), *[_token(getattr(plan, name), tokens) for name in names])
+
+
+@functools.lru_cache(maxsize=256)
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
+def _token(value: Any, tokens: dict[int, Any]) -> Any:
     if isinstance(value, str):  # the common leaf: names, sources, services
         return value
     if isinstance(value, Plan):
-        return _node_token(value)
+        return _node_token(value, tokens)
     if isinstance(value, tuple):
-        return tuple([_token(item) for item in value])
+        return tuple([_token(item, tokens) for item in value])
     if isinstance(value, RowLinker):
         return linker_token(value)
     return value

@@ -16,7 +16,6 @@ This module turns learner outputs into executed, row-aligned suggestions:
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Any, Mapping, Sequence
 
 from ..learning.integration.learner import IntegrationLearner
@@ -26,6 +25,7 @@ from ..learning.structure.learner import StructureLearner
 from ..obs import METRICS
 from ..server.overload import check_deadline
 from ..substrate.documents.clipboard import CopyEvent
+from ..substrate.relational.evaluator import Result
 from ..substrate.relational.schema import ANY
 from ..util.text import normalize
 from .engine import QueryEngine
@@ -114,7 +114,7 @@ class AutoCompleteGenerator:
             provenances = []
             alternatives: list[list[tuple[Any, ...]]] = []
             hits = 0
-            for matches in _aligned_matches(result.rows, workspace_rows, shared):
+            for matches in _aligned_matches(result, workspace_rows, shared):
                 if matches:
                     hits += 1
                     first_row, first_prov = matches[0]
@@ -184,45 +184,65 @@ class AutoCompleteGenerator:
 
 
 def _aligned_matches(
-    rows: Sequence[tuple[Any, Any]],
+    result: Result,
     workspace_rows: Sequence[Mapping[str, Any]],
     shared: Sequence[str],
 ) -> list[list[tuple[Any, Any]]]:
-    """Per workspace row, the result ``(row, prov)`` pairs that
-    :func:`_soft_equal` it on every *shared* attribute, in result order.
+    """Per workspace row, the result ``(row, prov)`` pairs that soft-equal
+    it on every *shared* attribute, in result order.
 
-    When every shared cell on both sides is a ``str`` or ``None``, soft
-    equality is equality of the normalized cells, so result rows are
-    bucketed on that key once. Otherwise (``1 == 1.0``, yet
-    ``"1" != "1.0"``) every workspace row scans every result row.
+    Two cells soft-equal when they are ``==``, or when neither is ``None``
+    and ``normalize(str(cell))`` agrees (so ``1`` matches ``1.0`` and
+    ``"1"`` matches ``1``, yet ``"1"`` does not match ``"1.0"``). One index
+    per shared attribute holds that relation exactly: each result row's
+    shared cells are read once, by schema position, and each cell is
+    bucketed by its value and, when not ``None``, by its normalized text.
+    A workspace row's matches are the intersection, over the shared
+    attributes, of the union of its two buckets.
     """
-    sides = chain((row for row, _ in rows), workspace_rows)
-    if all(_is_text(side.get(name)) for side in sides for name in shared):
-        buckets: dict[tuple, list[tuple[Any, Any]]] = {}
-        for entry in rows:
-            buckets.setdefault(_text_key(entry[0], shared), []).append(entry)
-        return [buckets.get(_text_key(row, shared), []) for row in workspace_rows]
-    return [
-        [
-            (row, prov)
-            for row, prov in rows
-            if all(_soft_equal(row.get(name), workspace_row.get(name)) for name in shared)
-        ]
-        for workspace_row in workspace_rows
-    ]
+    rows = result.rows
+    indexes = [_SoftIndex(rows, result.schema.position(name)) for name in shared]
+    matches = []
+    for workspace_row in workspace_rows:
+        found: set[int] | None = None
+        for index, name in zip(indexes, shared):
+            hits = index.matching(workspace_row.get(name))
+            found = hits if found is None else found & hits
+            if not found:
+                break
+        if found is None:
+            matches.append(list(rows))
+        else:
+            matches.append([rows[number] for number in sorted(found)])
+    return matches
 
 
-def _is_text(value: Any) -> bool:
-    return value is None or type(value) is str
+class _SoftIndex:
+    """One shared attribute's result cells, bucketed for soft-equality probes."""
 
+    __slots__ = ("cells", "by_value", "by_text", "unhashable")
 
-def _text_key(row: Any, shared: Sequence[str]) -> tuple:
-    return tuple(None if value is None else normalize(value) for value in map(row.get, shared))
+    def __init__(self, rows: Sequence[tuple[Any, Any]], position: int):
+        self.cells = [row.values[position] for row, _ in rows]
+        self.by_value: dict[Any, set[int]] = {}
+        self.by_text: dict[str, set[int]] = {}
+        self.unhashable: list[int] = []  # cells no dict can hold; compared by ==
+        for number, cell in enumerate(self.cells):
+            try:
+                self.by_value.setdefault(cell, set()).add(number)
+            except TypeError:
+                self.unhashable.append(number)
+            if cell is not None:
+                self.by_text.setdefault(normalize(str(cell)), set()).add(number)
 
-
-def _soft_equal(a: Any, b: Any) -> bool:
-    if a == b:
-        return True
-    if a is None or b is None:
-        return False
-    return normalize(str(a)) == normalize(str(b))
+    def matching(self, value: Any) -> set[int]:
+        """Row numbers whose cell soft-equals *value*."""
+        try:
+            hits = set(self.by_value.get(value, ()))
+        except TypeError:  # an unhashable probe: compare it with every cell
+            hits = {number for number, cell in enumerate(self.cells) if cell == value}
+        else:
+            hits.update(number for number in self.unhashable if self.cells[number] == value)
+        if value is not None:
+            hits |= self.by_text.get(normalize(str(value)), set())
+        return hits

@@ -155,11 +155,8 @@ class CopyCatSession:
             self.catalog,
             relevance_threshold=relevance_threshold,
             use_semantic_types=use_semantic_types,
-            # Not the bound method _linker_for: the learner would then hold
-            # the session, and a dropped session would wait for the cyclic
-            # collector instead of being freed when its last reference goes.
-            linker_factory=partial(linker_for, self._linkers, self._linker_edges),
         )
+        self._bind_linker_factory()
         # cache_tiers: the session server passes one shared bundle so every
         # tenant's evaluator amortizes the fleet's plan, compile and scan
         # work; standalone sessions keep private tiers (the default).
@@ -196,11 +193,23 @@ class CopyCatSession:
         self.service_level: str = LEVEL_NORMAL
 
     # ------------------------------------------------------------------ linkers
+    def _bind_linker_factory(self) -> None:
+        """Make the integration learner's linkers this session's linkers.
+
+        Not the bound method :meth:`_linker_for`: the learner would then
+        hold the session, and a dropped session would wait for the cyclic
+        collector instead of being freed when its last reference goes.
+        """
+        self.integration_learner.linker_factory = partial(
+            linker_for, self._linkers, self._linker_edges
+        )
+
     def _linker_for(self, edge: Association) -> LearnedLinker:
         """One persistent learnable linker per (oriented) record-link edge.
 
         Checkpoints written while this bound method was the integration
-        learner's factory load it back by name, so it stays.
+        learner's factory load it back by name, so it stays (the load then
+        rebinds the factory through :meth:`_bind_linker_factory`).
         """
         return linker_for(self._linkers, self._linker_edges, edge)
 

@@ -9,7 +9,6 @@ methods here; rendering is plain text.
 
 from __future__ import annotations
 
-import copy
 import enum
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
@@ -255,6 +254,23 @@ class WorkspaceTable:
         for row in self._grid:
             del row[col]
 
+    def copy(self) -> "WorkspaceTable":
+        """A copy whose columns and cells change independently of this one's.
+
+        Cell values and provenance expressions are shared, not copied: a
+        value is replaced, never changed in place, and expressions are
+        immutable.
+        """
+        clone = WorkspaceTable(self.name)
+        clone.columns = [
+            Column(column.name, column.semantic_type, column.state, column.alternatives)
+            for column in self.columns
+        ]
+        clone._grid = [
+            [Cell(cell.value, cell.state, cell.provenance) for cell in row] for row in self._grid
+        ]
+        return clone
+
     # -- conversions --------------------------------------------------------------
     def as_dicts(self, committed_only: bool = True) -> list[dict[str, Any]]:
         out = []
@@ -340,7 +356,7 @@ class Workspace:
         """Snapshot the workspace state; :meth:`undo` restores the latest."""
         snapshot = (
             self.mode,
-            copy.deepcopy(self._tabs),
+            {name: table.copy() for name, table in self._tabs.items()},
             list(self._order),
             self.current_tab,
         )

@@ -163,6 +163,10 @@ def load(session: "CopyCatSession", payload: bytes) -> None:
     if not isinstance(state, dict) or not vars(session).keys() - {"durability"} <= state.keys():
         raise SnapshotError("snapshot does not hold this build's session state")
     vars(session).update(state)
+    # An older checkpoint holds the session's bound _linker_for as the
+    # learner's factory; rebinding frees the session by reference counting
+    # again and keeps later checkpoints from pickling the method.
+    session._bind_linker_factory()  # noqa: SLF001
 
 
 def encode(session: "CopyCatSession", tenant: str, n_actions: int) -> bytes:

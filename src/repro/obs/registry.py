@@ -34,9 +34,6 @@ DECLARED_COUNTERS: dict[str, str] = {
     "columnar.scan.hits": "scan-transpose cache hits",
     "columnar.scan.misses": "scan-transpose cache misses",
     "columnar.scan.evictions": "scan-transpose cache evictions",
-    "text.normalize.hits": "normalize() memo hits",
-    "text.normalize.misses": "normalize() memo misses",
-    "text.normalize.evictions": "normalize() memo evictions",
     "cache.blocking.pairs_pruned": "candidate pairs blocking never scored",
     "cache.plan.degraded_uncached": "degraded results kept out of the plan cache",
     "cache.plan.hits": "plan-result cache hits",

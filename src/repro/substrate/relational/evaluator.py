@@ -27,7 +27,9 @@ shared-subplan result cache keyed on ``(structural fingerprint,
 catalog.version)``, so the many candidate plans produced per suggestion
 refresh evaluate their common join prefix once, and a refresh with an
 unchanged catalog is nearly free. Streaming nodes (scan/select/project/
-rename/limit) stay uncached. See :mod:`repro.cache`.
+rename/limit) stay uncached. Each run fingerprints its plan in one
+bottom-up walk, and the compile memo and every subplan-cache probe read
+their keys from it. See :mod:`repro.cache`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ...cache.fingerprint import plan_fingerprint
+from ...cache.fingerprint import plan_fingerprints
 from ...cache.tiers import CacheTiers
 from ...drift.quarantine import QUARANTINE_NOTE
 from ...errors import (
@@ -259,8 +261,12 @@ class Evaluator:
         version = self.catalog.version
         self._run_scope = scope = self.catalog.cache_scope
         try:
+            # One walk fingerprints every node: the root's token keys the
+            # compile memo, each cacheable node's its subplan-cache entry.
+            fingerprints = plan_fingerprints(plan)
+            key = (scope, fingerprints[id(plan)], version)
             try:
-                key = (scope, plan_fingerprint(plan), version)
+                hash(key)
             except TypeError:
                 key = None
             if METRICS.enabled:
@@ -268,42 +274,46 @@ class Evaluator:
             if key is None:
                 # An unhashable field: without a fingerprint the memo has
                 # no sound key, so the plan compiles afresh every run.
-                thunk, schema = self._compile_root(plan, version)
+                thunk, schema = self._compile_root(plan, fingerprints, version)
                 batch = thunk(self)
             else:
                 # Single-flight on the root plan: when N tenants miss the
                 # shared tier on the same plan simultaneously, one computes
                 # (and populates the tier) while the rest wait, then hit.
                 with self.tiers.flight(key):
-                    thunk, schema = self._compiled(plan, key)  # lint: allow=CONC004 -- single-flight deliberately computes under the per-key lock; only leaf metrics emit inside
+                    thunk, schema = self._compiled(plan, fingerprints, key)  # lint: allow=CONC004 -- single-flight deliberately computes under the per-key lock; only leaf metrics emit inside
                     batch = thunk(self)
             return Result(schema, batch.to_annotated(), degraded=tuple(self._degraded))
         finally:
             self._run_scope = None
 
-    def _compiled(self, plan: Plan, key: tuple) -> Compiled:
+    def _compiled(self, plan: Plan, fingerprints: dict[int, Any], key: tuple) -> Compiled:
         """The memoized closure and root schema for *plan* under ``key``."""
         compiled = self.tiers.compile.get(key, _MISS)
         if compiled is _MISS:
-            compiled = self._compile_root(plan, key[2])
+            compiled = self._compile_root(plan, fingerprints, key[2])
             self.tiers.compile.put(key, compiled)
         return compiled
 
-    def _compile_root(self, plan: Plan, version: Any) -> Compiled:
+    def _compile_root(self, plan: Plan, fingerprints: dict[int, Any], version: Any) -> Compiled:
         """Compile a whole plan, counting a failed check."""
         try:
-            return self._compile(plan, version)
+            return self._compile(plan, fingerprints, version)
         except PlanAnalysisError:
             if METRICS.enabled:
                 METRICS.inc("analysis.errors")
             raise
 
     # -- compilation -----------------------------------------------------------
-    def _compile(self, plan: Plan, version: Any, cap: int | None = None) -> Compiled:
+    def _compile(
+        self, plan: Plan, fingerprints: dict[int, Any], version: Any, cap: int | None = None
+    ) -> Compiled:
         """Compile *plan* into ``(closure, output schema)``.
 
         Children compile first; the node's schema comes from theirs, so the
-        walk visits each node once. *cap*, when set, says the consumer needs
+        walk visits each node once. *fingerprints* maps ``id(node)`` to the
+        node's fingerprint (:func:`~repro.cache.fingerprint.plan_fingerprints`
+        of the run's root). *cap*, when set, says the consumer needs
         at most that many leading rows (a ``Limit`` above, through
         row-preserving nodes only: Project, Rename and Limit pass it on,
         Select consumes it).
@@ -315,12 +325,15 @@ class Evaluator:
         child_cap = cap if kind in _CAP_PASSING else None
         if kind == "Limit":
             child_cap = plan.count if cap is None else min(cap, plan.count)
-        children = [self._compile(child, version, child_cap) for child in plan.children()]
+        children = [
+            self._compile(child, fingerprints, version, child_cap) for child in plan.children()
+        ]
         schema = plan.derive_schema(self.catalog, [child_schema for _, child_schema in children])
         thunk = compiler(plan, schema, children, version, cap)
         if kind in _CACHEABLE_NODES:
+            fingerprint = fingerprints[id(plan)]
             try:
-                fingerprint = plan_fingerprint(plan)
+                hash(fingerprint)
             except TypeError:
                 # A node with an unhashable field has no sound cache key,
                 # so it evaluates uncached.

@@ -8,6 +8,7 @@ components consistent about what a "token" is.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Any, Iterable
@@ -203,66 +204,41 @@ INTERN = InternPool()
 #: Entries the normalize memo may hold before evicting least-recently-used.
 NORMALIZE_CACHE_CAPACITY = 8192
 
-# The normalize memo is the cache layer's stats-counting LRU rather than
-# functools.lru_cache: evictions become observable (an eviction-rate metric
-# instead of silent churn) and ``--trace`` can report hit rates alongside
-# every other cache tier. Built lazily on first use — repro.cache imports
-# the relational substrate, which imports drift/resilience modules that in
-# turn use this module, so a top-level import would cycle.
-_NORMALIZE_CACHE = None
-_NORMALIZE_INIT_LOCK = make_lock("text._NORMALIZE_INIT_LOCK")
 
-
-def _normalize_cache():
-    global _NORMALIZE_CACHE
-    if _NORMALIZE_CACHE is None:
-        # Double-checked init: two sessions racing the first normalize()
-        # must agree on one memo (the LRU itself is internally locked).
-        with _NORMALIZE_INIT_LOCK:
-            if _NORMALIZE_CACHE is None:
-                from ..cache.lru import LRUCache
-
-                _NORMALIZE_CACHE = LRUCache(
-                    NORMALIZE_CACHE_CAPACITY, metrics_prefix="text.normalize"
-                )
-    return _NORMALIZE_CACHE
-
-
-_NORMALIZE_MISSING = object()
-
-
+@functools.lru_cache(maxsize=NORMALIZE_CACHE_CAPACITY)
 def normalize(value: str) -> str:
     """Lowercase, collapse whitespace, and strip punctuation-adjacent space.
 
-    Memoized: the record linker's soft-equality check normalizes the same
-    cell values against each other in a tight cross-product loop, so cache
-    hits dominate there (the function is pure and values are short). The
-    memo is a bounded stats-counting LRU (hit/miss/eviction counters under
-    ``text.normalize.*``) and results are interned through :data:`INTERN`,
-    so every caller shares one canonical normalized instance. Both the memo
-    and the pool are internally locked, so concurrent sessions share them
-    safely; a racy double-compute of the same value converges on one
-    interned result.
+    Memoized: the record linker's soft-equality check and the
+    auto-complete generator's alignment index normalize the same cell
+    values over and over (the function is pure and values are short).
+    The memo is :func:`functools.lru_cache`, bounded at
+    :data:`NORMALIZE_CACHE_CAPACITY` entries: a hit is one C-level probe,
+    and it is thread-safe, so concurrent sessions share it. Results are
+    interned through :data:`INTERN`, so every caller shares one canonical
+    normalized instance; a racy double-compute of the same value converges
+    on that one interned result.
     """
-    cache = _normalize_cache()
-    cached = cache.get(value, _NORMALIZE_MISSING)
-    if cached is not _NORMALIZE_MISSING:
-        return cached
-    collapsed = INTERN.intern(_SPACE_RUN_RE.sub(" ", clean_cell(value)).lower())
-    cache.put(value, collapsed)
-    return collapsed
+    return INTERN.intern(_SPACE_RUN_RE.sub(" ", clean_cell(value)).lower())
 
 
 def normalize_cache_stats() -> dict[str, float]:
     """Normalize-memo counters plus the eviction rate (evictions/insertions).
 
-    A rate near 1.0 means the working set no longer fits
-    :data:`NORMALIZE_CACHE_CAPACITY` and the memo is thrashing.
+    Read from ``normalize.cache_info()``: every miss inserts one entry, so
+    evictions are the misses the memo no longer holds. A rate near 1.0
+    means the working set no longer fits :data:`NORMALIZE_CACHE_CAPACITY`
+    and the memo is thrashing.
     """
-    stats = dict(_normalize_cache().stats())
-    inserted = max(stats["misses"], 1)
-    stats["eviction_rate"] = stats["evictions"] / inserted
-    return stats
+    info = normalize.cache_info()
+    evictions = info.misses - info.currsize
+    return {
+        "hits": info.hits,
+        "misses": info.misses,
+        "evictions": evictions,
+        "size": info.currsize,
+        "eviction_rate": evictions / max(info.misses, 1),
+    }
 
 
 def token_strings(value: str) -> list[str]:

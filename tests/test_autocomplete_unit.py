@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.autocomplete import AutoCompleteGenerator, _soft_equal
+from repro.core.autocomplete import AutoCompleteGenerator, _aligned_matches
 from repro.core.engine import QueryEngine
 from repro.core.suggestions import RowSuggestion, TypeSuggestion
 from repro.learning.integration import IntegrationLearner
@@ -25,6 +25,7 @@ from repro.substrate.relational import (
 )
 from repro.substrate.relational.evaluator import Result
 from repro.substrate.relational.schema import CITY, PLACE, STREET
+from repro.util.text import normalize
 
 
 @pytest.fixture()
@@ -135,6 +136,15 @@ class TestSuggestionObjects:
         assert suggestion.alternatives() == []
 
 
+def _soft_equal(a, b):
+    """The pairwise definition of a match the alignment index reproduces."""
+    if a == b:
+        return True
+    if a is None or b is None:
+        return False
+    return normalize(str(a)) == normalize(str(b))
+
+
 class TestSoftEqual:
     def test_exact(self):
         assert _soft_equal("x", "x")
@@ -152,15 +162,22 @@ class TestSoftEqual:
         assert _soft_equal(33063, "33063")
 
 
-def scan_alignment(result_rows, workspace_rows, shared, added):
-    """Values, provenances, alternatives and coverage by the pairwise scan."""
-    values, provenances, alternatives, hits = [], [], [], 0
-    for workspace_row in workspace_rows:
-        matches = [
+def pairwise_matches(result_rows, workspace_rows, shared):
+    """Per workspace row, the result rows that soft-equal it, by the scan."""
+    return [
+        [
             (row, prov)
             for row, prov in result_rows
             if all(_soft_equal(row.get(name), workspace_row.get(name)) for name in shared)
         ]
+        for workspace_row in workspace_rows
+    ]
+
+
+def scan_alignment(result_rows, workspace_rows, shared, added):
+    """Values, provenances, alternatives and coverage by the pairwise scan."""
+    values, provenances, alternatives, hits = [], [], [], 0
+    for matches in pairwise_matches(result_rows, workspace_rows, shared):
         if matches:
             hits += 1
             values.append(tuple(matches[0][0].get(name) for name in added))
@@ -173,42 +190,110 @@ def scan_alignment(result_rows, workspace_rows, shared, added):
     return values, provenances, alternatives, hits / len(workspace_rows)
 
 
-TEXT_CELLS = st.one_of(st.none(), st.sampled_from(["x", "X", " x ", "x  y", "X Y", "y", "1", "1.0"]))
-MIXED_CELLS = st.one_of(TEXT_CELLS, st.integers(0, 2), st.sampled_from([1.0, 2.0]))
+NAN = float("nan")
+#: Text cells with whitespace and case variants, and numbers that are
+#: ``==`` each other (``True``/``1``/``1.0``) next to text that only
+#: normalizes alike (``"1"``) or does not (``"1.0"``), and NaN (one shared
+#: object and one of its own, each unequal to itself).
+CELLS = st.one_of(
+    st.none(),
+    st.sampled_from(["x", "X", " x ", "x  y", "X Y", "y", "1", "1.0", " 1 ", "True", "nan"]),
+    st.sampled_from([True, False, 0, 1, 2, 1.0, 2.0, NAN, float("nan")]),
+)
+ATTRIBUTES = ("A", "B", "C")
+SCHEMA = Schema([Attribute(name) for name in (*ATTRIBUTES, "Extra")])
+
+
+#: Lists: ``[1] == [1.0]`` although their texts differ.
+LISTS = st.sampled_from([["x"], [1], [1.0], ["1"]])
 
 
 @st.composite
 def alignment_inputs(draw):
-    cells = draw(st.sampled_from([TEXT_CELLS, MIXED_CELLS]))
-    result_rows = draw(st.lists(st.tuples(cells, cells, cells), max_size=8))
-    workspace_rows = draw(st.lists(st.tuples(cells, cells), min_size=1, max_size=6))
-    return result_rows, [{"A": a, "B": b} for a, b in workspace_rows]
+    """Result rows over A, B, C, Extra; workspace rows over A, B, C; the
+    0-3 attributes they share; at most one list cell on each side."""
+    result_rows = [list(row) for row in draw(st.lists(st.tuples(CELLS, CELLS, CELLS, CELLS), max_size=8))]
+    workspace_rows = [
+        list(row) for row in draw(st.lists(st.tuples(CELLS, CELLS, CELLS), min_size=1, max_size=6))
+    ]
+    for rows in (result_rows, workspace_rows):
+        where = draw(st.none() | st.tuples(st.integers(0, 63), st.integers(0, 2)))
+        if rows and where is not None:
+            rows[where[0] % len(rows)][where[1]] = draw(LISTS)
+    shared = ATTRIBUTES[: draw(st.integers(0, 3))]
+    rows = [(Row(SCHEMA, values), f"p{i}") for i, values in enumerate(result_rows)]
+    return rows, [dict(zip(ATTRIBUTES, values)) for values in workspace_rows], shared
+
+
+def suggest(rows, workspace_rows, shared):
+    """``column_suggestions`` over a stub engine that returns *rows*."""
+    result = Result(SCHEMA, rows)
+    completion = SimpleNamespace(
+        query=SimpleNamespace(plan=None, nodes=()), added_attributes=("Extra",),
+        cost=1.0, added_source="S",
+    )
+    gen = AutoCompleteGenerator(
+        SimpleNamespace(catalog=(), run=lambda plan: result),
+        structure_learner=None,
+        type_learner=None,
+        integration_learner=SimpleNamespace(column_completions=lambda *args, **kwargs: [completion]),
+    )
+    base = SimpleNamespace(output_schema=lambda catalog: Schema([Attribute(name) for name in shared]))
+    (suggestion,) = gen.column_suggestions(base, workspace_rows)
+    return suggestion
 
 
 class TestIndexedAlignment:
-    SCHEMA = Schema([Attribute("A"), Attribute("B"), Attribute("Extra")])
-
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(alignment_inputs())
     def test_matches_the_pairwise_scan(self, inputs):
-        raw_rows, workspace_rows = inputs
-        rows = [(Row(self.SCHEMA, values), f"p{i}") for i, values in enumerate(raw_rows)]
-        result = Result(self.SCHEMA, rows)
-        completion = SimpleNamespace(
-            query=SimpleNamespace(plan=None, nodes=()), added_attributes=("Extra",),
-            cost=1.0, added_source="S",
+        rows, workspace_rows, shared = inputs
+        assert _aligned_matches(Result(SCHEMA, rows), workspace_rows, shared) == pairwise_matches(
+            rows, workspace_rows, shared
         )
-        gen = AutoCompleteGenerator(
-            SimpleNamespace(catalog=(), run=lambda plan: result),
-            structure_learner=None,
-            type_learner=None,
-            integration_learner=SimpleNamespace(column_completions=lambda *args, **kwargs: [completion]),
-        )
-        base = SimpleNamespace(output_schema=lambda catalog: Schema([Attribute("A"), Attribute("B")]))
-        (suggestion,) = gen.column_suggestions(base, workspace_rows)
-        expected = scan_alignment(result.rows, workspace_rows, ["A", "B"], ("Extra",))
+        suggestion = suggest(rows, workspace_rows, shared)
+        expected = scan_alignment(rows, workspace_rows, shared, ("Extra",))
         got = (suggestion.values, suggestion.provenances, suggestion.alternatives, suggestion.coverage)
         assert got == expected
+
+    @pytest.mark.parametrize(
+        "cell, matched",
+        [
+            (1, [1, 1.0, True, "1", " 1 "]),
+            (1.0, [1, 1.0, True, "1.0"]),
+            ("1", [1, "1", " 1 "]),
+            ("1.0", [1.0, "1.0"]),
+            (True, [1, 1.0, True, "True"]),
+            ("x", ["x", "X", " x "]),
+            (None, [None]),
+            (NAN, [NAN, "nan"]),
+            (["x"], [["x"]]),
+            ([1], [[1.0]]),
+            ([1.0], [[1.0]]),
+            (frozenset({1}), [{1}]),  # hashable, yet == an unhashable cell
+            ({1}, [{1}]),
+        ],
+    )
+    def test_which_cells_match(self, cell, matched):
+        column = [
+            1, 1.0, True, "1", "1.0", " 1 ", "True", "x", "X", " x ", None, NAN, "nan",
+            ["x"], [1.0], {1},
+        ]
+        rows = [(Row(SCHEMA, (value, None, None, None)), i) for i, value in enumerate(column)]
+        (matches,) = _aligned_matches(Result(SCHEMA, rows), [{"A": cell}], ("A",))
+        got = [row.get("A") for row, _ in matches]
+        assert [str(value) for value in got] == [str(value) for value in matched]
+        assert matches == pairwise_matches(rows, [{"A": cell}], ("A",))[0]
+
+    def test_empty_result_matches_nothing(self):
+        suggestion = suggest([], [{"A": "x", "B": 1, "C": None}], ATTRIBUTES)
+        assert suggestion.values == [(None,)]
+        assert suggestion.coverage == 0.0
+
+    def test_no_shared_attribute_matches_every_row(self):
+        rows = [(Row(SCHEMA, ("x", 1, None, "e")), "p0"), (Row(SCHEMA, ("y", 2, None, "f")), "p1")]
+        (matches,) = _aligned_matches(Result(SCHEMA, rows), [{"A": "z"}], ())
+        assert matches == rows
 
 
 class TestQuerySuggestions:

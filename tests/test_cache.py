@@ -8,7 +8,11 @@ invalidate.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import CopyCatSession, build_scenario, obs
 from repro.cache import (
@@ -16,6 +20,7 @@ from repro.cache import (
     linker_token,
     plan_fingerprint,
 )
+from repro.cache.fingerprint import plan_fingerprints
 from repro.substrate.documents import Browser
 from repro.substrate.relational import (
     AttrCompare,
@@ -26,18 +31,23 @@ from repro.substrate.relational import (
     Evaluator,
     Join,
     Limit,
+    Plan,
     Project,
+    RecordLinkJoin,
     Relation,
+    RowLinker,
     Scan,
     Select,
     Union,
     eq,
     schema_of,
+    walk,
 )
 from repro.substrate.relational.schema import BindingPattern
 from repro.substrate.services.base import FunctionService, TableBackedService
 
 from .reference_interpreter import evaluate as reference
+from .test_property_based import _FINGERPRINT_OPS, _plans
 
 
 @pytest.fixture()
@@ -202,6 +212,100 @@ class TestFingerprintAliasing:
         finally:
             obs.disable()
             obs.reset()
+
+
+def recursive_fingerprint(plan):
+    """The plain recursive definition: every node re-walks its subtree."""
+
+    def token(value):
+        if isinstance(value, Plan):
+            return (type(value), *[token(getattr(value, f.name)) for f in dataclasses.fields(value)])
+        if isinstance(value, tuple):
+            return tuple(token(item) for item in value)
+        if isinstance(value, RowLinker):
+            return linker_token(value)
+        return value
+
+    return token(plan)
+
+
+@st.composite
+def _plans_sharing_subtrees(draw):
+    """Random plans; some reuse one subtree object twice under a Union."""
+    plan, _ = draw(_plans(depth=3, ops=_FINGERPRINT_OPS + ("dependent",)))
+    if draw(st.booleans()):
+        plan = Union((plan, Distinct(plan)))
+    return plan
+
+
+class TestOneWalkFingerprints:
+    """``plan_fingerprints`` tokenizes each node once, bottom-up, and its
+    tokens equal the recursive definition node by node."""
+
+    @given(_plans_sharing_subtrees())
+    @settings(max_examples=300, deadline=None)
+    def test_one_walk_equals_the_recursive_reference(self, plan):
+        tokens = plan_fingerprints(plan)
+        nodes = {id(node): node for node in walk(plan)}
+        assert tokens.keys() == nodes.keys()  # each distinct node tokenized once
+        for key, node in nodes.items():
+            assert tokens[key] == recursive_fingerprint(node)
+        assert plan_fingerprint(plan) == tokens[id(plan)]
+
+    def test_unhashable_field_poisons_only_its_ancestors(self):
+        bad = Select(Scan("S"), Compare("City", "==", ["Creek"]))
+        plan = Union((Distinct(bad), Distinct(Scan("D"))))
+        tokens = plan_fingerprints(plan)
+        for node in (plan, plan.parts[0], bad):
+            with pytest.raises(TypeError):
+                hash(tokens[id(node)])
+        assert tokens[id(plan.parts[1])] == plan_fingerprint(plan.parts[1])
+
+    @staticmethod
+    def _train(linker):
+        from repro.linking.linker import LinkExample
+
+        updates = linker.train(
+            [LinkExample(left={"Name": "Hollywood HS"}, right={"Name": "Hollywood High School"})],
+            [{"Name": "Hollywood High School"}, {"Name": "Hollywood HS Annex"}],
+        )
+        assert updates > 0
+
+    def test_same_link_plan_fingerprints_differently_after_training(self):
+        from repro.linking.linker import LearnedLinker
+        from repro.linking.similarity import FieldPair
+
+        linker = LearnedLinker([FieldPair("Name", "Name")])
+        plan = Distinct(RecordLinkJoin(Scan("L"), Scan("R"), linker))
+        before = plan_fingerprint(plan)
+        walked_before = plan_fingerprints(plan)[id(plan.child)]
+        self._train(linker)
+        assert plan_fingerprint(plan) != before
+        assert plan_fingerprints(plan)[id(plan.child)] != walked_before
+        assert plan_fingerprints(plan)[id(plan.child)] == recursive_fingerprint(plan.child)
+
+    def test_evaluator_rekeys_a_link_plan_after_training(self):
+        from repro.linking.linker import LearnedLinker
+        from repro.linking.similarity import FieldPair
+
+        cat = Catalog()
+        for name, rows in (("L", [["Hollywood HS"]]),
+                           ("R", [["Hollywood High School"], ["Hollywood HS Annex"]])):
+            relation = Relation(name, schema_of("Name"))
+            relation.extend(rows)
+            cat.add_relation(relation)
+        linker = LearnedLinker([FieldPair("Name", "Name")])
+        plan = RecordLinkJoin(Scan("L"), Scan("R"), linker)
+        evaluator = Evaluator(cat)
+        evaluator.run(plan)
+        evaluator.run(plan)
+        assert len(evaluator.tiers.compile) == 1
+        assert len(evaluator.plan_cache) == 1
+        self._train(linker)
+        after = evaluator.run(plan)
+        assert len(evaluator.tiers.compile) == 2
+        assert len(evaluator.plan_cache) == 2
+        assert result_key(after) == result_key(reference(cat, plan))
 
 
 class TestPlanCache:

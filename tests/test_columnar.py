@@ -68,6 +68,7 @@ from repro.substrate.services.base import TableBackedService
 from repro.util.strings import token_jaccard
 from repro.util.text import (
     INTERN,
+    NORMALIZE_CACHE_CAPACITY,
     InternPool,
     normalize,
     normalize_cache_stats,
@@ -295,6 +296,20 @@ class TestNormalizeCache:
         assert stats["eviction_rate"] == pytest.approx(
             stats["evictions"] / max(stats["misses"], 1)
         )
+
+    def test_evictions_begin_past_capacity(self):
+        normalize.cache_clear()
+        try:
+            for index in range(NORMALIZE_CACHE_CAPACITY):
+                normalize(f"distinct value {index}")
+            stats = normalize_cache_stats()
+            assert (stats["misses"], stats["evictions"]) == (NORMALIZE_CACHE_CAPACITY, 0)
+            normalize("one value more")
+            stats = normalize_cache_stats()
+            assert stats["evictions"] == 1
+            assert stats["size"] == NORMALIZE_CACHE_CAPACITY
+        finally:
+            normalize.cache_clear()
 
     def test_normalize_results_are_interned(self):
         a = normalize("Creek  COUNTY")

@@ -41,6 +41,7 @@ Contracts under test:
 from __future__ import annotations
 
 import base64
+import functools
 import gc
 import hashlib
 import inspect
@@ -65,6 +66,7 @@ from hypothesis import strategies as st
 import repro
 from repro import Browser, CopyCatSession, SpreadsheetApp, build_scenario
 from repro.core.session import CopyCatSession as SessionClass
+from repro.core.session import linker_for
 from repro.durability import (
     DURABILITY,
     UNRECORDED,
@@ -1338,21 +1340,34 @@ class TestFreedByReferenceCounting:
 
     def test_checkpoint_holding_the_bound_linker_factory_loads(self):
         """Older checkpoints pickled the bound method as the integration
-        learner's linker factory; they still load to the writer's digest
-        and go on linking into the loaded session's linkers."""
+        learner's linker factory; they still load to the writer's digest.
+        The load swaps in the factory a fresh session builds, so the
+        loaded session links into its own linkers, is freed by reference
+        counting, and its own checkpoints no longer hold the method."""
         world = build_demo_world()
         reference = new_session(world)
         drive_demo_task(reference, world)
         writer = new_session(world)
         writer.integration_learner.linker_factory = writer._linker_for  # noqa: SLF001
         import_demo_sources(writer, world)
-        restored = new_session(build_demo_world())
-        snapshot.load(restored, snapshot.dump(writer))
-        assert session_hash(restored) == session_hash(writer)
-        assert restored.integration_learner.linker_factory == restored._linker_for  # noqa: SLF001
-        integrate_demo_columns(restored)
-        assert restored._linkers  # noqa: SLF001
-        assert session_hash(restored) == session_hash(reference)
+        older = snapshot.dump(writer)
+        assert b"_linker_for" in older
+        with collector_off():
+            restored = new_session(build_demo_world())
+            snapshot.load(restored, older)
+            assert session_hash(restored) == session_hash(writer)
+            factory = restored.integration_learner.linker_factory
+            assert isinstance(factory, functools.partial)
+            assert factory.func is linker_for
+            assert factory.args == (restored._linkers, restored._linker_edges)  # noqa: SLF001
+            assert factory.args[0] is restored._linkers  # noqa: SLF001
+            assert b"_linker_for" not in snapshot.dump(restored)
+            integrate_demo_columns(restored)
+            assert restored._linkers  # noqa: SLF001
+            assert session_hash(restored) == session_hash(reference)
+            gone = weakref.ref(restored)
+            del restored, factory
+            assert gone() is None
 
 
 # ------------------------------------------------------- checkpoint contents

@@ -155,3 +155,59 @@ class TestWorkspace:
         text = ws.render_text()
         assert "[mode: import]" in text
         assert "== Shelters ==" in text
+
+
+class TestUndoCopies:
+    """A checkpoint copies tabs, columns and cells, and shares only the
+    values and provenance expressions nothing changes in place."""
+
+    @staticmethod
+    def _workspace():
+        from repro.provenance.expressions import var
+
+        ws = Workspace()
+        table = ws.new_tab("Shelters")
+        table.append_row(["Monarch", "Creek"])
+        prov = var("Shelters", 0)
+        table.add_suggested_column("Zip", ["33063"], CITY, [prov])
+        table.set_column_label(1, "City")
+        return ws, table, prov
+
+    def test_undo_restores_a_cell_accepted_after_the_checkpoint(self):
+        ws, table, prov = self._workspace()
+        ws.checkpoint()
+        table.accept_column(2)
+        assert table.cell(0, 2).state == CellState.ACCEPTED
+        assert ws.undo()
+        restored = ws.tab("Shelters")
+        assert restored.cell(0, 2).state == CellState.SUGGESTED
+        assert restored.columns[2].state == CellState.SUGGESTED
+        assert restored.cell(0, 2).provenance is prov  # shared, not copied
+
+    def test_undo_restores_a_column_relabelled_after_the_checkpoint(self):
+        ws, table, _ = self._workspace()
+        ws.checkpoint()
+        table.set_column_label(1, "Town")
+        table.set_column_type(1, CITY)
+        table.set_cell(0, 0, "Tedder")
+        assert ws.undo()
+        restored = ws.tab("Shelters")
+        assert [column.name for column in restored.columns] == ["Column1", "City", "Zip"]
+        assert restored.columns[1].semantic_type.name != CITY.name
+        assert restored.row_values(0) == ["Monarch", "Creek", "33063"]
+        assert table.row_values(0) == ["Tedder", "Creek", "33063"]
+
+    def test_the_checkpoint_is_not_the_live_table(self):
+        ws, table, _ = self._workspace()
+        ws.checkpoint()
+        _, saved, _, _ = ws._undo_stack[-1]  # noqa: SLF001
+        copy = saved["Shelters"]
+        assert copy is not table
+        assert copy.columns is not table.columns
+        assert all(a is not b for a, b in zip(copy.columns, table.columns))
+        assert all(
+            a is not b
+            for copied, live in zip(copy._grid, table._grid)  # noqa: SLF001
+            for a, b in zip(copied, live)
+        )
+        assert copy.render_text() == table.render_text()
