@@ -53,7 +53,7 @@ from ..errors import FeedbackError, NoHypothesisError, WorkspaceError
 from ..obs import METRICS, TRACER
 from ..learning.integration.learner import IntegrationLearner
 from ..learning.integration.queries import IntegrationQuery
-from ..learning.integration.source_graph import Association
+from ..learning.integration.source_graph import Association, SourceGraph
 from ..learning.model.seed import BUILTIN_TYPES_SEED, seed_type_learner
 from ..learning.model.type_learner import SemanticTypeLearner
 from ..learning.structure.learner import StructureLearner
@@ -128,6 +128,10 @@ class CopyCatSession:
     built-in types (:func:`~repro.learning.model.seed.builtin_types`),
     shared by every session. *seed* no longer selects them: it is accepted
     for existing callers and selects nothing in the session.
+
+    *base_graph* is the source graph of the catalog *catalog* was forked
+    from (:meth:`~repro.server.base.SharedBase.source_graph`); the session
+    starts from a copy of it and discovers only its private sources' pairs.
     """
 
     OUTPUT_TAB = "Integration"
@@ -142,6 +146,7 @@ class CopyCatSession:
         relevance_threshold: float = 2.0,
         use_semantic_types: bool = True,
         cache_tiers: "CacheTiers | None" = None,
+        base_graph: SourceGraph | None = None,
     ):
         self.catalog = catalog or Catalog()
         self.clipboard = clipboard or Clipboard()
@@ -155,6 +160,7 @@ class CopyCatSession:
             self.catalog,
             relevance_threshold=relevance_threshold,
             use_semantic_types=use_semantic_types,
+            base_graph=base_graph,
         )
         self._bind_linker_factory()
         # cache_tiers: the session server passes one shared bundle so every

@@ -26,6 +26,7 @@ The count, coverage and column-similarity bounds are the constants below.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from ..learning.model.patterns import TypeSignature
@@ -65,8 +66,22 @@ class InductionSnapshot:
     source: str
     arity: int
     n_rows: int
-    signatures: tuple[TypeSignature, ...]
     examples: tuple[tuple[str, ...], ...]
+    #: the committed rows, as strings: what :attr:`signatures` profiles.
+    rows: tuple[tuple[str, ...], ...]
+
+    @cached_property
+    def signatures(self) -> tuple[TypeSignature, ...]:
+        """Per-column token-pattern signatures of the non-blank cells.
+
+        Profiled on first read — the first :func:`verify_extraction` — not
+        at commit: most committed sources are never verified.
+        """
+        signatures = []
+        for j in range(self.arity):
+            column = [row[j] for row in self.rows if j < len(row) and not is_blank(row[j])]
+            signatures.append(TypeSignature.from_values(column))
+        return tuple(signatures)
 
 
 @dataclass(frozen=True)
@@ -96,24 +111,25 @@ def snapshot_extraction(
     rows: Sequence[Sequence[str]],
     examples: Sequence[Sequence[str]] = (),
 ) -> InductionSnapshot:
-    """Snapshot an accepted extraction as the verification baseline."""
-    string_rows = [[str(cell) for cell in row] for row in rows]
+    """Snapshot an accepted extraction as the verification baseline.
+
+    Keeps the arity, the row count, the user's examples and the rows as
+    strings; the per-column signatures are profiled from those rows when a
+    verification first reads them (:attr:`InductionSnapshot.signatures`).
+    """
+    string_rows = tuple(tuple(str(cell) for cell in row) for row in rows)
     if string_rows:
         arity = len(string_rows[0])
     elif examples:
         arity = len(examples[0])
     else:
         arity = 0
-    signatures = []
-    for j in range(arity):
-        column = [row[j] for row in string_rows if j < len(row) and not is_blank(row[j])]
-        signatures.append(TypeSignature.from_values(column))
     return InductionSnapshot(
         source=source,
         arity=arity,
         n_rows=len(string_rows),
-        signatures=tuple(signatures),
         examples=tuple(tuple(str(cell) for cell in example) for example in examples),
+        rows=string_rows,
     )
 
 

@@ -15,6 +15,7 @@ injective attribute assignment, which bloats the candidate edge set.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import permutations
 
 from ...substrate.relational.catalog import Catalog
@@ -148,32 +149,85 @@ def discover_associations(
     use_semantic_types: bool = True,
     include_record_links: bool = True,
     max_service_mappings: int = 6,
+    graph: SourceGraph | None = None,
 ) -> SourceGraph:
-    """Build the full source graph for the catalog's current contents."""
-    graph = SourceGraph()
-    for name in catalog.source_names():
-        graph.add_node(SourceGraph.node_from_catalog(catalog, name))
+    """Bring *graph* (a new, empty one by default) up to the catalog's contents.
 
+    The graph is extended, not rediscovered. A pair of nodes is evaluated
+    only when one of the two is new or differs from the graph's node of
+    that name; every other pair keeps its edges, and nodes the catalog no
+    longer has leave with theirs. An edge is a pure function of its two
+    nodes and the discovery flags, so the result is the graph an empty one
+    would grow into: the same nodes and edges, and each node's
+    :meth:`~SourceGraph.edges_of` in discovery order (pairs over sorted
+    names, then foreign keys). An edge whose key survives keeps its weight;
+    a new key starts at its default cost. Foreign-key edges come from
+    catalog metadata, not from the nodes, so they are re-read every time.
+    """
+    graph = graph if graph is not None else SourceGraph()
+    names = catalog.source_names()
+    present = set(names)
+    fresh: list[SourceNode] = []
+    for name in names:
+        node = SourceGraph.node_from_catalog(catalog, name)
+        if not graph.has_node(name) or graph.node(name) != node:
+            fresh.append(node)
+    for name in graph.node_names():
+        if name not in present:
+            graph.remove_node(name)
+    for node in fresh:
+        if graph.has_node(node.name):
+            graph.remove_node(node.name)
+        graph.add_node(node)
+
+    # Only pairs that touch a fresh node, each once.
+    fresh_names = {node.name for node in fresh}
+    reordered = set(fresh_names)
     nodes = graph.nodes()
-    for i, left in enumerate(nodes):
-        for right in nodes[i + 1 :]:
+    for node in fresh:
+        for other in nodes:
+            if other.name == node.name or (other.name in fresh_names and other.name < node.name):
+                continue
+            left, right = (node, other) if node.name < other.name else (other, node)
+            before = graph.n_edges
             _connect(graph, left, right, use_semantic_types, include_record_links,
                      max_service_mappings)
+            if graph.n_edges != before:
+                reordered.add(other.name)
 
     # Known links / foreign keys from catalog metadata.
-    for name in catalog.source_names():
-        metadata = catalog.metadata(name)
-        for attr, (other_source, other_attr) in metadata.foreign_keys.items():
-            if graph.has_node(other_source):
-                graph.add_edge(
-                    Association(
-                        left=name,
-                        right=other_source,
-                        kind="fk",
-                        conditions=((attr, other_attr),),
-                    )
-                )
+    links = [
+        Association(left=name, right=other_source, kind="fk", conditions=((attr, other_attr),))
+        for name in names
+        for attr, (other_source, other_attr) in catalog.metadata(name).foreign_keys.items()
+        if other_source in present
+    ]
+    held = graph.edges_of_kind("fk")
+    if [edge.key for edge in held] != [edge.key for edge in links]:
+        for edge in held:
+            graph.remove_edge(edge.key)
+        for edge in links:
+            graph.add_edge(edge)
+
+    # Pair edges appended behind a node's foreign keys or out of name
+    # order move to where discovery from an empty graph puts them.
+    for name in reordered:
+        graph.sort_edges_of(name, partial(_discovery_order, name))
+    graph.prune_weights()
     return graph
+
+
+#: Within one pair, :func:`_connect` adds joins, then service edges, then
+#: record links.
+_PAIR_ORDER = {"join": 0, "service": 1, "record-link": 2}
+
+
+def _discovery_order(source: str, edge: Association) -> tuple[int, str, int]:
+    """Where *edge* sits among *source*'s edges: pairs by partner name, then
+    foreign keys (a stable sort keeps the order within each)."""
+    if edge.kind == "fk":
+        return 1, "", 0
+    return 0, edge.other(source), _PAIR_ORDER[edge.kind]
 
 
 def _connect(

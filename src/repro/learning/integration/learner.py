@@ -72,12 +72,15 @@ class IntegrationLearner:
         use_semantic_types: bool = True,
         linker_factory: LinkerFactory | None = None,
         margin: float = 0.5,
+        base_graph: SourceGraph | None = None,
     ):
+        """*base_graph*, when given, is the graph discovered (with the same
+        flags) over the catalog this one was forked from; the learner
+        extends a copy of it instead of discovering every pair again."""
         self.catalog = catalog
         self.relevance_threshold = relevance_threshold
         self.use_semantic_types = use_semantic_types
         self.linker_factory = linker_factory
-        self._margin = margin
         # Operational-health penalty currently baked into each edge weight
         # (see absorb_service_health); tracked so re-absorption adjusts by
         # the *difference* and never clobbers MIRA-learned weights.
@@ -89,7 +92,7 @@ class IntegrationLearner:
         self._drift_penalty: dict[str, float] = {}
         self._drift_state: tuple = ()
         self._drift_fast_key: tuple | None = None
-        self.graph = SourceGraph()
+        self.graph = base_graph.copy() if base_graph is not None else SourceGraph()
         self.mira = MiraLearner(
             self.graph,
             margin=margin,
@@ -99,24 +102,17 @@ class IntegrationLearner:
 
     # -- graph lifecycle ---------------------------------------------------------
     def refresh(self) -> SourceGraph:
-        """Rebuild associations for the catalog's current contents.
+        """Bring the source graph up to the catalog's current contents.
 
-        Learned edge weights survive the rebuild: an edge re-discovered
-        after a new source import keeps whatever MIRA taught it.
+        The graph is extended in place (:func:`discover_associations`):
+        only pairs touching a new or changed source are evaluated, so a
+        commit pays for the source it adds. Learned edge weights survive:
+        an edge still there after a new source import keeps whatever MIRA
+        taught it.
         """
-        old_weights = dict(self.graph.weights) if self.graph is not None else {}
-        self.graph = discover_associations(
-            self.catalog, use_semantic_types=self.use_semantic_types
+        return discover_associations(
+            self.catalog, use_semantic_types=self.use_semantic_types, graph=self.graph
         )
-        for key, weight in old_weights.items():
-            if key in self.graph.weights:
-                self.graph.weights[key] = weight
-        self.mira = MiraLearner(
-            self.graph,
-            margin=self._margin,
-            relevance_threshold=self.relevance_threshold,
-        )
-        return self.graph
 
     def absorb_service_health(self) -> int:
         """Fold observed service failure rates into source-graph weights.

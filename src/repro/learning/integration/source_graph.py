@@ -16,8 +16,8 @@ the MIRA learner mutates exactly that mapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable
 
 from ...errors import GraphError
 from ...substrate.relational.catalog import Catalog
@@ -52,17 +52,17 @@ class Association:
     kind: str
     conditions: tuple[tuple[str, str], ...]
     confidence: float = 1.0   # e.g. a schema matcher's confidence
+    #: Stable feature key: this is the MIRA feature for the edge. Derived
+    #: from the fields above once, at construction.
+    key: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in DEFAULT_COSTS:
             raise GraphError(f"unknown association kind {self.kind!r}")
-        object.__setattr__(self, "conditions", tuple(tuple(c) for c in self.conditions))
-
-    @property
-    def key(self) -> str:
-        """Stable feature key: this is the MIRA feature for the edge."""
-        conds = ",".join(f"{a}={b}" for a, b in self.conditions)
-        return f"{self.left}--{self.right}[{self.kind}:{conds}]"
+        conditions = tuple(tuple(c) for c in self.conditions)
+        object.__setattr__(self, "conditions", conditions)
+        conds = ",".join(f"{a}={b}" for a, b in conditions)
+        object.__setattr__(self, "key", f"{self.left}--{self.right}[{self.kind}:{conds}]")
 
     def other(self, source: str) -> str:
         if source == self.left:
@@ -118,18 +118,58 @@ class SourceGraph:
         return node
 
     def add_edge(self, edge: Association, cost: float | None = None) -> Association:
+        """Add *edge*; a key that still has a weight keeps it, a new key
+        starts at *cost* (the edge's default cost when ``None``)."""
         for endpoint in (edge.left, edge.right):
             if endpoint not in self._nodes:
                 raise GraphError(f"edge endpoint {endpoint!r} is not a node")
         if edge.left == edge.right:
             raise GraphError(f"self-loop on {edge.left!r}")
-        if edge.key in self._edges:
-            return self._edges[edge.key]
-        self._edges[edge.key] = edge
-        self._adjacency[edge.left].append(edge.key)
-        self._adjacency[edge.right].append(edge.key)
-        self.weights.setdefault(edge.key, cost if cost is not None else edge.default_cost())
+        key = edge.key
+        if key in self._edges:
+            return self._edges[key]
+        self._edges[key] = edge
+        self._adjacency[edge.left].append(key)
+        self._adjacency[edge.right].append(key)
+        self.weights.setdefault(key, cost if cost is not None else edge.default_cost())
         return edge
+
+    def remove_edge(self, key: str) -> None:
+        """Drop one edge. Its weight stays until :meth:`prune_weights`."""
+        edge = self._edges.pop(key)
+        self._adjacency[edge.left].remove(key)
+        self._adjacency[edge.right].remove(key)
+
+    def remove_node(self, name: str) -> None:
+        """Drop a node and every edge touching it. The edges' weights stay
+        until :meth:`prune_weights`, so an edge added back under the same
+        key keeps what it had learned."""
+        for key in self._adjacency.pop(name):
+            edge = self._edges.pop(key)
+            self._adjacency[edge.other(name)].remove(key)
+        del self._nodes[name]
+
+    def prune_weights(self) -> None:
+        """Drop every weight whose key is not an edge of the graph."""
+        # Every edge has a weight, so equal sizes mean equal key sets.
+        if len(self.weights) != len(self._edges):
+            for key in [key for key in self.weights if key not in self._edges]:
+                del self.weights[key]
+
+    def sort_edges_of(self, source: str, order: Callable[[Association], Any]) -> None:
+        """Stably reorder what :meth:`edges_of` returns for *source*."""
+        edges = self._edges
+        self._adjacency[source].sort(key=lambda key: order(edges[key]))
+
+    def copy(self) -> "SourceGraph":
+        """A graph over the same (frozen) nodes and edges with its own
+        adjacency lists and weights: changing one leaves the other as it was."""
+        clone = SourceGraph()
+        clone._nodes = dict(self._nodes)
+        clone._edges = dict(self._edges)
+        clone._adjacency = {name: list(keys) for name, keys in self._adjacency.items()}
+        clone.weights = dict(self.weights)
+        return clone
 
     @staticmethod
     def node_from_catalog(catalog: Catalog, name: str) -> SourceNode:
@@ -168,6 +208,10 @@ class SourceGraph:
             return self._edges[key]
         except KeyError:
             raise GraphError(f"no edge with key {key!r}") from None
+
+    def edges_of_kind(self, kind: str) -> list[Association]:
+        """The edges of one kind, in the order they were added."""
+        return [edge for edge in self._edges.values() if edge.kind == kind]
 
     def edges_of(self, source: str) -> list[Association]:
         if source not in self._adjacency:

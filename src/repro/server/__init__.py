@@ -7,8 +7,9 @@ the single-session library into that shape:
 - :mod:`~repro.server.config` — the :data:`SERVER` (pool size, session
   cap, idle TTL) and :data:`OVERLOAD` (admission, fairness and brownout
   limits) knob sets;
-- :mod:`~repro.server.base` — :class:`SharedBase`: the frozen base catalog
-  plus the shared cache-tier bundle every tenant's evaluator consults;
+- :mod:`~repro.server.base` — :class:`SharedBase`: the frozen base catalog,
+  its source graph (discovered once; each tenant extends a copy) and the
+  shared cache-tier bundle every tenant's evaluator consults;
 - :mod:`~repro.server.manager` — :class:`SessionManager`: session registry
   and lifecycle (create / touch / LRU-evict / idle-TTL-expire) over a
   bounded worker pool, per-session FIFO dispatch;

@@ -206,7 +206,11 @@ class SessionManager:
     def _create_entry(self, tenant_id: str) -> tuple[_Entry, list[_Entry]]:
         """Register a new entry for the tenant (caller holds the registry
         lock); returns it and the LRU victims it pushed out."""
-        session = CopyCatSession(catalog=self.base.fork_catalog(), cache_tiers=self.base.tiers)
+        session = CopyCatSession(
+            catalog=self.base.fork_catalog(),
+            cache_tiers=self.base.tiers,
+            base_graph=self.base.source_graph(),
+        )
         if self.store is not None:
             # Recover-on-attach: load this tenant's snapshot and replay its
             # log tail (a no-op for new tenants). Runs under the registry

@@ -530,3 +530,93 @@ class TestFallbackUnderPerturbation:
             reinduce_wrapper(
                 session.structure_learner, record, refetch_event(record)
             )
+
+
+def eager_signatures(rows, examples=()):
+    """The baseline profile as commits computed it before it was lazy."""
+    from repro.learning.model.patterns import TypeSignature
+
+    string_rows = [[str(cell) for cell in row] for row in rows]
+    if string_rows:
+        arity = len(string_rows[0])
+    elif examples:
+        arity = len(examples[0])
+    else:
+        arity = 0
+    signatures = []
+    for j in range(arity):
+        column = [row[j] for row in string_rows if j < len(row) and not is_blank(row[j])]
+        signatures.append(TypeSignature.from_values(column))
+    return tuple(signatures)
+
+
+def counting_from_values(calls):
+    from unittest import mock
+
+    from repro.learning.model.patterns import TypeSignature
+
+    profile = TypeSignature.from_values
+
+    def counted(values):
+        calls.append(len(values))
+        return profile(values)
+
+    return mock.patch.object(TypeSignature, "from_values", staticmethod(counted))
+
+
+class TestLazyBaseline:
+    @pytest.mark.parametrize("rows, examples", [
+        (ROWS, ROWS[:2]),
+        ([["", "  ", "x"], ["a", "", ""], ["", "", ""], ["b", " ", "y"]], ()),
+        ([["1"], ["2", "extra"], [""], ["3"]], ()),
+        ([], ROWS[:1]),
+        ([], ()),
+    ], ids=["rows", "blank-heavy", "ragged", "zero-rows-with-examples", "zero-rows"])
+    def test_signatures_equal_the_eager_profile(self, rows, examples):
+        snapshot = snapshot_extraction("S", rows, examples=examples)
+        assert "signatures" not in vars(snapshot)
+        assert snapshot.signatures == eager_signatures(rows, examples)
+        assert len(snapshot.signatures) == snapshot.arity
+        assert snapshot.signatures is snapshot.signatures  # profiled once
+
+    def test_commit_profiles_nothing_and_resync_profiles_once(self):
+        scenario = build_scenario(seed=5, n_shelters=8)
+        session = CopyCatSession(catalog=scenario.catalog, seed=1)
+        calls = []
+        with counting_from_values(calls):
+            import_shelters(scenario, session)
+        assert calls == []
+        snapshot = session._wrappers["Shelters"].snapshot  # noqa: SLF001
+        assert "signatures" not in vars(snapshot)
+        with counting_from_values(calls):
+            assert session.resync_source("Shelters").action == "clean"
+        assert len(calls) == snapshot.arity == 3
+        assert snapshot.signatures == eager_signatures(snapshot.rows)
+
+    @pytest.mark.parametrize("profiled", [False, True], ids=["before-resync", "after-resync"])
+    def test_checkpoint_recovers_to_the_live_digest(self, tmp_path, profiled):
+        from repro.durability import DurabilityStore, digest_hash, recover_session, state_digest
+
+        def world():
+            return build_scenario(seed=5, n_shelters=6, noise=1)
+
+        live_world = world()
+        session = CopyCatSession(catalog=live_world.catalog, seed=1)
+        store = DurabilityStore(tmp_path)
+        recorder, _ = recover_session(session, "t", store, checkpoint_interval=64)
+        import_shelters(live_world, session)
+        if profiled:
+            session.resync_source("Shelters")
+        snapshot = session._wrappers["Shelters"].snapshot  # noqa: SLF001
+        assert ("signatures" in vars(snapshot)) == profiled
+        assert recorder.checkpoint()
+        perturb_page(live_world.website, live_world.list_urls()[0], "retemplate", seed=3)
+        session.resync_source("Shelters")
+        live = digest_hash(state_digest(session))
+        store.close()
+
+        restored = CopyCatSession(catalog=world().catalog, seed=1)
+        with DurabilityStore(tmp_path) as store2:
+            _, report = recover_session(restored, "t", store2)
+        assert report is not None and report.applied == 1  # the resync after the checkpoint
+        assert digest_hash(state_digest(restored)) == live

@@ -265,3 +265,312 @@ class TestSpcsh:
         graph = simple_graph([("A", "B")])
         tree = exact_top_k_steiner(graph, ["A", "B"], k=1)[0]
         assert tree.feature_keys() == frozenset({graph.edges()[0].key})
+
+
+# ------------------------------------------------------------ graph extension
+def rediscover(catalog, use_semantic_types=True):
+    """From-scratch reference: every pair in sorted order, then foreign keys."""
+    from repro.learning.integration.associations import _connect
+
+    graph = SourceGraph()
+    for name in catalog.source_names():
+        graph.add_node(SourceGraph.node_from_catalog(catalog, name))
+    nodes = graph.nodes()
+    for i, left in enumerate(nodes):
+        for right in nodes[i + 1:]:
+            _connect(graph, left, right, use_semantic_types, True, 6)
+    for name in catalog.source_names():
+        for attr, (other, other_attr) in catalog.metadata(name).foreign_keys.items():
+            if graph.has_node(other):
+                graph.add_edge(Association(name, other, "fk", ((attr, other_attr),)))
+    return graph
+
+
+def assert_same_graph(graph, reference, weights):
+    """Nodes, edges, every node's edge order, and the expected *weights*."""
+    assert graph.nodes() == reference.nodes()
+    assert [e.key for e in graph.edges()] == [e.key for e in reference.edges()]
+    assert graph.edges() == reference.edges()
+    for name in reference.node_names():
+        assert [e.key for e in graph.edges_of(name)] == [
+            e.key for e in reference.edges_of(name)
+        ], name
+    assert graph.weights == weights
+
+
+def refresh_and_check(learner):
+    """Refresh *learner*; its graph must equal a from-scratch discovery
+    carrying the weights of every key that survived."""
+    before = dict(learner.graph.weights)
+    learner.refresh()
+    reference = rediscover(learner.catalog, learner.use_semantic_types)
+    expected = {key: before.get(key, weight) for key, weight in reference.weights.items()}
+    assert_same_graph(learner.graph, reference, expected)
+
+
+#: (attribute, type) pool the random relations draw from: shared names make
+#: joins, Street/City feed the zip resolver, name-like types record-link.
+GRAPH_ATTRS = (
+    ("Name", PLACE), ("Shelter", NAME), ("Street", STREET), ("City", CITY),
+    ("Zip", ZIPCODE), ("Phone", ANY), ("Name", NAME), ("City", ANY),
+)
+
+
+def _relation(name, picks):
+    from repro.substrate.relational import Attribute, Relation, Schema
+
+    attrs, seen = [], set()
+    for index in picks:
+        attr, semantic_type = GRAPH_ATTRS[index]
+        if attr not in seen:
+            seen.add(attr)
+            attrs.append(Attribute(attr, semantic_type))
+    return Relation(name, Schema(attrs))
+
+
+def _graph_ops():
+    from hypothesis import strategies as st
+
+    names = st.sampled_from(["R0", "R1", "R2", "View0"])
+    picks = st.lists(st.integers(0, len(GRAPH_ATTRS) - 1), min_size=1, max_size=4)
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("commit"), names, picks),
+            st.tuples(st.just("replace-same"), names, st.just(())),
+            st.tuples(st.just("replace-changed"), names, picks),
+            st.tuples(st.just("quarantine"), names, st.just(())),
+            st.tuples(st.just("lift"), names, st.just(())),
+            st.tuples(st.just("save-view"), names, picks),
+            st.tuples(st.just("refresh-view"), names, st.just(())),
+            st.tuples(st.just("foreign-key"), names, st.just(())),
+            st.tuples(st.just("remove"), names, st.just(())),
+            st.tuples(st.just("learn"), names, st.just(())),
+        ),
+        max_size=8,
+    )
+
+
+def _apply(op, catalog, learner, rng_value):
+    """One catalog action as the session performs it (then refresh)."""
+    from repro.drift import quarantine_source_in_catalog, release_source_in_catalog
+    from repro.substrate.relational import Relation, SourceMetadata
+
+    kind, name, picks = op
+    private = name in catalog and not catalog.is_service(name)
+    if kind == "commit" and name not in catalog:
+        catalog.add_relation(_relation(name, picks), SourceMetadata(origin="paste"))
+        if rng_value % 2:
+            _apply(("foreign-key", name, ()), catalog, learner, rng_value // 2)
+    elif kind == "replace-same" and private:
+        old = catalog.relation(name)
+        catalog.add_relation(Relation(name, old.schema), catalog.metadata(name), replace=True)
+    elif kind == "replace-changed" and (private or name not in catalog):
+        catalog.add_relation(_relation(name, picks), SourceMetadata(origin="paste"), replace=True)
+    elif kind == "quarantine" and private:
+        quarantine_source_in_catalog(catalog, name, "drifted")
+    elif kind == "lift" and private:
+        release_source_in_catalog(catalog, name)
+    elif kind == "save-view" and (private or name not in catalog):
+        catalog.add_relation(
+            _relation(name, picks), SourceMetadata(origin="view"), replace=True
+        )
+    elif kind == "refresh-view" and private and catalog.metadata(name).origin == "view":
+        old = catalog.relation(name)
+        catalog.add_relation(Relation(name, old.schema), SourceMetadata(origin="view"), replace=True)
+    elif kind == "foreign-key" and private:
+        targets = [
+            (target, attr)
+            for target in catalog.relation_names() if target != name
+            for attr in catalog.schema(name).names if attr in catalog.schema(target)
+        ]
+        if targets:
+            target, attr = targets[rng_value % len(targets)]
+            catalog.metadata(name).foreign_keys[attr] = (target, attr)
+    elif kind == "remove" and private:
+        catalog.remove(name)
+    elif kind == "learn":
+        # What MIRA and the health/drift penalties do between refreshes:
+        # move one edge's weight, and write a feature no edge has.
+        edges = learner.graph.edges()
+        if edges:
+            learner.graph.weights[edges[rng_value % len(edges)].key] = 0.25 + rng_value % 7
+        learner.graph.weights[f"{name}--Gone[join:x=x]"] = 9.0
+
+
+class TestGraphExtension:
+    def test_discovery_equals_from_scratch_reference(self, fresh_scenario):
+        graph = discover_associations(fresh_scenario.catalog)
+        reference = rediscover(fresh_scenario.catalog)
+        assert_same_graph(graph, reference, reference.weights)
+
+    def test_random_catalog_histories_match_rediscovery(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro.data.scenario import build_scenario
+        from repro.learning.integration import IntegrationLearner
+        from repro.server import SharedBase
+
+        scenario = build_scenario(seed=5, n_shelters=6, noise=1)
+        base = SharedBase(scenario.catalog)
+
+        @given(
+            ops=_graph_ops(),
+            from_base=st.booleans(),
+            use_semantic_types=st.booleans(),
+            draws=st.lists(st.integers(0, 1000), min_size=8, max_size=8),
+        )
+        @settings(max_examples=60, deadline=None)
+        def check(ops, from_base, use_semantic_types, draws):
+            catalog = base.fork_catalog()
+            learner = IntegrationLearner(
+                catalog,
+                use_semantic_types=use_semantic_types,
+                base_graph=base.source_graph() if from_base and use_semantic_types else None,
+            )
+            refresh_and_check(learner)
+            for op, draw in zip(ops, draws):
+                _apply(op, catalog, learner, draw)
+                refresh_and_check(learner)
+
+        check()
+
+    def test_refresh_of_an_unchanged_catalog_evaluates_no_pair(self, fresh_scenario, monkeypatch):
+        from repro.learning.integration import IntegrationLearner, associations
+
+        learner = IntegrationLearner(fresh_scenario.catalog)
+        calls = []
+        connect = associations._connect
+        monkeypatch.setattr(
+            associations, "_connect", lambda graph, left, right, *args: (
+                calls.append((left.name, right.name)), connect(graph, left, right, *args)
+            )
+        )
+        learner.refresh()
+        assert calls == []
+        fresh_scenario.catalog.add_relation(_relation("New", [0, 2, 3]))
+        learner.refresh()
+        others = len(fresh_scenario.catalog) - 1
+        assert len(calls) == others and all("New" in pair for pair in calls)
+
+
+class TestForkedSessionGraphs:
+    def _sessions(self):
+        from repro import CopyCatSession
+        from repro.data.scenario import build_scenario
+        from repro.server import SharedBase
+
+        base = SharedBase(build_scenario(seed=5, n_shelters=6, noise=1).catalog)
+        graph = base.source_graph()
+        sessions = [
+            CopyCatSession(catalog=base.fork_catalog(), base_graph=graph) for _ in range(2)
+        ]
+        return base, graph, sessions
+
+    def test_forked_sessions_share_no_weights_or_adjacency(self):
+        from repro.drift import quarantine_source_in_catalog
+
+        base, graph, (one, two) = self._sessions()
+        base_weights = dict(graph.weights)
+        base_edges = {name: [e.key for e in graph.edges_of(name)] for name in graph.node_names()}
+        two_weights = dict(two.integration_learner.graph.weights)
+        learner = one.integration_learner
+        assert learner.graph is not graph and learner.graph.weights is not graph.weights
+
+        # MIRA: the user rejects a query over one edge.
+        edge = learner.graph.edges()[0]
+        assert learner.mira.demote(frozenset([edge.key]))
+        # Health: a failing service's edges pay a penalty.
+        service = next(iter(one.catalog.services()))
+        service.health.lookups_failed += 3
+        try:
+            assert learner.absorb_service_health() > 0
+        finally:
+            service.health.lookups_failed -= 3
+        # Drift: a quarantined base relation's edges pay a penalty.
+        relation = one.catalog.relation_names()[0]
+        quarantine_source_in_catalog(one.catalog, relation, "drifted")
+        assert learner.absorb_drift_events() > 0
+        # A private source extends only this session's graph.
+        one.catalog.add_relation(_relation("Private", [0, 2, 3]))
+        learner.refresh()
+
+        assert learner.graph.weights != two_weights
+        assert two.integration_learner.graph.weights == two_weights
+        assert graph.weights == base_weights
+        assert not two.integration_learner.graph.has_node("Private")
+        assert not graph.has_node("Private")
+        for name, keys in base_edges.items():
+            assert [e.key for e in graph.edges_of(name)] == keys
+            assert [e.key for e in two.integration_learner.graph.edges_of(name)] == keys
+        assert base.source_graph() is graph
+
+    def test_base_graph_is_discovered_once_under_concurrent_attaches(self, monkeypatch):
+        import sys
+        import threading
+
+        from repro.data.scenario import build_scenario
+        from repro.learning.integration import associations
+        from repro.server import SharedBase
+
+        base = SharedBase(build_scenario(seed=5, n_shelters=6, noise=1).catalog)
+        pairs = []
+        connect = associations._connect
+        monkeypatch.setattr(
+            associations, "_connect",
+            lambda *args: (pairs.append(1), connect(*args))[1],
+        )
+        graphs, copies = [], []
+        start = threading.Barrier(8)
+
+        def attach():
+            start.wait(timeout=10)
+            graph = base.source_graph()
+            graphs.append(graph)
+            copies.append(graph.copy())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=attach) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        n = len(base.catalog)
+        assert len(pairs) == n * (n - 1) // 2  # one discovery, not one per attach
+        assert len(graphs) == 8 and all(graph is graphs[0] for graph in graphs)
+        reference = rediscover(base.catalog)
+        for copy in copies:
+            assert_same_graph(copy, reference, reference.weights)
+
+    def test_base_graph_lives_and_dies_with_the_base(self):
+        import weakref
+
+        base, graph, sessions = self._sessions()
+        freed = weakref.ref(graph)
+        del base, graph
+        assert freed() is None  # the sessions hold copies, not the base's graph
+        assert all(len(session.integration_learner.graph) for session in sessions)
+
+    def test_forked_session_graph_equals_rediscovery(self):
+        _, _, (one, _) = self._sessions()
+        reference = rediscover(one.catalog)
+        assert_same_graph(one.integration_learner.graph, reference, reference.weights)
+
+
+class TestAssociationKey:
+    def test_key_is_computed_once_and_survives_pickle(self):
+        import pickle
+
+        edge = Association("A", "B", "join", [["x", "y"], ("z", "z")])
+        assert edge.key == "A--B[join:x=y,z=z]"
+        assert edge.__dict__["key"] == edge.key
+        clone = pickle.loads(pickle.dumps(edge))
+        assert clone.key == edge.key
+        assert clone == edge and hash(clone) == hash(edge)
+        assert "key" not in repr(edge)
+        assert Association("A", "B", "join", (("x", "y"), ("z", "z")), confidence=0.5) != edge
