@@ -296,8 +296,8 @@ class TestScaleTenants:
 
     def test_concurrent_tenants_match_isolated_and_are_3x_faster(self):
         plans = plan_variants()
-        # Warm the process-global intern pool / normalize memo once so
-        # neither timed leg pays it (leg order must not matter).
+        # Warm the process-wide normalize memo and the built-in types once
+        # so neither timed leg pays them (leg order must not matter).
         run_isolated("warmup", plans)
 
         serial_s, serial_out, serial_lat = run_leg(plans, concurrent=False)

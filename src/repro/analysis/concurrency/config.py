@@ -5,7 +5,7 @@ affects the ``note_access`` probes at once, but only locks created
 afterwards are tracked. Tests therefore build fresh instances inside
 ``RACECHECK.overridden(enabled=True)``; CI's race-detect leg sets
 ``REPRO_RACECHECK=1`` for the whole process so the module-level locks
-(``METRICS``, the intern pool) are tracked too.
+(``METRICS``) are tracked too.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Quarantine: malformed rows and wholesale-drifted sources, with provenance.
 
-Two granularities, mirroring how PR 3 treats failing services:
+Two granularities, mirroring how failing services are treated:
 
 - **row quarantine** — extracted rows failing row-level validation are held
   in the session's :class:`QuarantineLog` with a provenance string
@@ -12,9 +12,14 @@ Two granularities, mirroring how PR 3 treats failing services:
   :class:`~repro.resilience.degrade.Degradation` so its suggestions are
   rank-penalized and ``DEGRADED``-flagged exactly like a dead service's.
 
-Every state change here bumps ``Catalog.version``: the PR 2 fingerprint
-caches key results on it, so a cache can never serve rows extracted by a
-wrapper that has since been declared stale, re-induced, or quarantined.
+Every state change here that can alter a query answer bumps
+``Catalog.version`` (a resync count moves only the drift rate, so it does
+not): the fingerprint caches key results on it, so a cache can never serve
+rows extracted by a wrapper that has since been declared stale,
+re-induced, or quarantined. The notes live on each catalog's own metadata
+and nothing else tracks them: the integration learner reads them afresh
+before every suggestion batch
+(:meth:`~repro.learning.integration.learner.IntegrationLearner.absorb_drift_events`).
 """
 
 from __future__ import annotations
@@ -100,38 +105,16 @@ class QuarantineLog:
 
 
 # -- catalog-side drift bookkeeping -------------------------------------------
-#: monotonic counter bumped by every drift-note mutation below. Unlike
-#: ``Catalog.version`` it also moves on mutations that deliberately do NOT
-#: invalidate caches (``note_resync``), so ``(catalog.version, drift_epoch())``
-#: is a complete O(1) staleness key for drift bookkeeping — the hot
-#: suggestion path early-returns on it instead of re-scanning every
-#: relation's notes per call. Drift notes must only be mutated through
-#: these helpers for the key to stay sound.
-_EPOCH = 0
-
-
-def drift_epoch() -> int:
-    """Current drift-note mutation epoch (monotonic, process-wide)."""
-    return _EPOCH
-
-
-def _touch() -> None:
-    global _EPOCH
-    _EPOCH += 1
-
-
 def note_resync(catalog: Catalog, source: str) -> None:
     """Count one resync attempt against *source* (the drift-rate denominator)."""
     notes = catalog.metadata(source).notes
     notes[DRIFT_RESYNCS_NOTE] = notes.get(DRIFT_RESYNCS_NOTE, 0) + 1
-    _touch()
 
 
 def note_drift_event(catalog: Catalog, source: str) -> None:
     """Record one detected drift; bumps the version so caches invalidate."""
     notes = catalog.metadata(source).notes
     notes[DRIFT_EVENTS_NOTE] = notes.get(DRIFT_EVENTS_NOTE, 0) + 1
-    _touch()
     catalog.bump_version()
 
 
@@ -139,7 +122,6 @@ def add_provenance_note(catalog: Catalog, source: str, note: str) -> None:
     """Append to a source's provenance trail (e.g. ``reinduced:<Source>``)."""
     notes = catalog.metadata(source).notes
     notes.setdefault(PROVENANCE_NOTE, []).append(note)
-    _touch()
     catalog.bump_version()
 
 
@@ -148,7 +130,6 @@ def quarantine_source_in_catalog(catalog: Catalog, source: str, reason: str) -> 
     metadata = catalog.metadata(source)
     metadata.notes[QUARANTINE_NOTE] = reason
     metadata.trust = max(0.05, metadata.trust * QUARANTINE_TRUST_FACTOR)
-    _touch()
     catalog.bump_version()
 
 
@@ -156,7 +137,6 @@ def release_source_in_catalog(catalog: Catalog, source: str) -> None:
     """Lift a source's quarantine (it healed); bumps the version."""
     notes = catalog.metadata(source).notes
     if notes.pop(QUARANTINE_NOTE, None) is not None:
-        _touch()
         catalog.bump_version()
 
 

@@ -142,7 +142,7 @@ def state_digest(session: "CopyCatSession") -> dict[str, Any]:
             for entry in session.quarantine.rows()
         ],
         "quarantine_sources": session.quarantine.sources(),
-        "catalog_version_counter": catalog.version_counter,
+        "catalog_version_counter": catalog.version[0],
         "wrappers": sorted(session._wrappers),  # noqa: SLF001
     }
     return digest

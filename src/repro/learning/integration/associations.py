@@ -147,7 +147,6 @@ def _record_link_conditions(
 def discover_associations(
     catalog: Catalog,
     use_semantic_types: bool = True,
-    include_record_links: bool = True,
     max_service_mappings: int = 6,
     graph: SourceGraph | None = None,
 ) -> SourceGraph:
@@ -190,8 +189,7 @@ def discover_associations(
                 continue
             left, right = (node, other) if node.name < other.name else (other, node)
             before = graph.n_edges
-            _connect(graph, left, right, use_semantic_types, include_record_links,
-                     max_service_mappings)
+            _connect(graph, left, right, use_semantic_types, max_service_mappings)
             if graph.n_edges != before:
                 reordered.add(other.name)
 
@@ -235,7 +233,6 @@ def _connect(
     left: SourceNode,
     right: SourceNode,
     use_semantic_types: bool,
-    include_record_links: bool,
     max_service_mappings: int,
 ) -> None:
     """Add every justified edge between one pair of nodes."""
@@ -275,15 +272,14 @@ def _connect(
             )
 
     # Record-link edges between base relations.
-    if include_record_links and not left.is_service and not right.is_service:
-        if use_semantic_types:
-            link_conditions = _record_link_conditions(left.schema, right.schema)
-            if link_conditions:
-                graph.add_edge(
-                    Association(
-                        left=left.name,
-                        right=right.name,
-                        kind="record-link",
-                        conditions=tuple(link_conditions),
-                    )
+    if use_semantic_types and not left.is_service and not right.is_service:
+        link_conditions = _record_link_conditions(left.schema, right.schema)
+        if link_conditions:
+            graph.add_edge(
+                Association(
+                    left=left.name,
+                    right=right.name,
+                    kind="record-link",
+                    conditions=tuple(link_conditions),
                 )
+            )

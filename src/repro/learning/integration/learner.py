@@ -22,10 +22,9 @@ from ...drift.quarantine import (
     DRIFT_EVENTS_NOTE,
     DRIFT_RESYNCS_NOTE,
     QUARANTINE_NOTE,
-    drift_epoch,
     drift_rate,
 )
-from ...errors import CatalogError, GraphError, IntegrationError
+from ...errors import GraphError, IntegrationError
 from ...obs import METRICS
 from ...substrate.relational.catalog import Catalog
 from ...util.text import normalize
@@ -91,7 +90,6 @@ class IntegrationLearner:
         # extra edge cost exactly like failing services do.
         self._drift_penalty: dict[str, float] = {}
         self._drift_state: tuple = ()
-        self._drift_fast_key: tuple | None = None
         self.graph = base_graph.copy() if base_graph is not None else SourceGraph()
         self.mira = MiraLearner(
             self.graph,
@@ -114,6 +112,26 @@ class IntegrationLearner:
             self.catalog, use_semantic_types=self.use_semantic_types, graph=self.graph
         )
 
+    def _reprice(self, penalties: Mapping[str, float], absorbed: dict[str, float]) -> int:
+        """Move every edge's weight to carry the larger of its endpoints'
+        *penalties*, by the difference from the penalty *absorbed* says it
+        carries now (so MIRA-learned weights are never clobbered), and
+        record the new penalty there. Returns the number of edges moved."""
+        weights = self.graph.weights
+        changed = 0
+        for edge in self.graph.edges():
+            key = edge.key
+            penalty = max(penalties.get(edge.left, 0.0), penalties.get(edge.right, 0.0))
+            previous = absorbed.get(key, 0.0)
+            if abs(penalty - previous) > 1e-12:
+                weights[key] = weights.get(key, edge.default_cost()) + penalty - previous
+                if penalty:
+                    absorbed[key] = penalty
+                else:
+                    absorbed.pop(key, None)
+                changed += 1
+        return changed
+
     def absorb_service_health(self) -> int:
         """Fold observed service failure rates into source-graph weights.
 
@@ -123,47 +141,31 @@ class IntegrationLearner:
         failing services sink in plan ranking (and, once the penalty pushes
         an edge past the relevance threshold, stop being suggested at all).
         The penalty is applied as a delta against what was previously
-        absorbed, so repeated calls converge and recovery (failure rate
-        falling as successes accrue) lowers the cost again without
-        disturbing MIRA-learned weights. Returns the number of edges whose
-        weight changed.
+        absorbed (:meth:`_reprice`), so repeated calls converge and recovery
+        (failure rate falling as successes accrue) lowers the cost again
+        without disturbing MIRA-learned weights. Returns the number of edges
+        whose weight changed.
 
         Called before every suggestion batch, so the steady state — no
-        health movement since the last absorption — must stay O(#services):
+        health movement since the last absorption — stays O(#services):
         the edge sweep only runs when some service's invocation ledger
         actually moved.
         """
+        services = list(self.catalog.services())
         state = tuple(
             (service.name, service.health.successes, service.health.lookups_failed)
-            for service in self.catalog.services()
+            for service in services
         )
         if state == self._health_state:
             return 0
         self._health_state = state
-        changed = 0
-        for edge in self.graph.edges():
-            rate = 0.0
-            for endpoint in (edge.left, edge.right):
-                if not self.graph.node(endpoint).is_service:
-                    continue
-                try:
-                    service = self.catalog.service(endpoint)
-                except CatalogError:
-                    continue
-                rate = max(rate, service.health.failure_rate())
-            penalty = FAILURE_PENALTY * rate
-            previous = self._health_penalty.get(edge.key, 0.0)
-            if abs(penalty - previous) > 1e-12:
-                self.graph.weights[edge.key] = (
-                    self.graph.weights.get(edge.key, edge.default_cost())
-                    + penalty
-                    - previous
-                )
-                if penalty:
-                    self._health_penalty[edge.key] = penalty
-                else:
-                    self._health_penalty.pop(edge.key, None)
-                changed += 1
+        graph = self.graph
+        penalties = {
+            service.name: FAILURE_PENALTY * service.health.failure_rate()
+            for service in services
+            if graph.has_node(service.name) and graph.node(service.name).is_service
+        }
+        changed = self._reprice(penalties, self._health_penalty)
         if changed and METRICS.enabled:
             METRICS.inc("resilience.health_absorbed_edges", changed)
         return changed
@@ -178,29 +180,24 @@ class IntegrationLearner:
         *quarantined* relation pays the flat :data:`QUARANTINE_PENALTY` —
         above the default relevance threshold, so quarantined sources stop
         being suggested at all until they heal. Deltas are tracked per edge
-        so repeated calls converge and never clobber MIRA-learned weights.
-        Returns the number of edges whose weight changed.
+        (:meth:`_reprice`) so repeated calls converge and never clobber
+        MIRA-learned weights. Returns the number of edges whose weight
+        changed.
 
-        Called before every suggestion batch, so the steady state — no drift
-        bookkeeping movement since the last absorption — must be O(1), not a
-        per-relation notes scan: ``(catalog.version_counter, drift_epoch())``
-        is a complete staleness key for the notes the scan reads (the epoch
-        moves on every drift-note mutation, the counter on relation
-        add/replace/remove), so an unchanged key skips the sweep entirely.
+        Called before every suggestion batch: the per-relation notes are
+        read afresh each time, however they were written, and the edge
+        sweep only runs when some relation's drift state moved.
         """
-        fast_key = (self.catalog.version_counter, drift_epoch())
-        if fast_key == self._drift_fast_key:
-            return 0
-        self._drift_fast_key = fast_key
-        state = tuple(
-            (
+        per_relation = []
+        for name in self.catalog.relation_names():
+            notes = self.catalog.metadata(name).notes
+            per_relation.append((
                 name,
-                self.catalog.metadata(name).notes.get(DRIFT_EVENTS_NOTE, 0),
-                self.catalog.metadata(name).notes.get(DRIFT_RESYNCS_NOTE, 0),
-                QUARANTINE_NOTE in self.catalog.metadata(name).notes,
-            )
-            for name in self.catalog.relation_names()
-        )
+                notes.get(DRIFT_EVENTS_NOTE, 0),
+                notes.get(DRIFT_RESYNCS_NOTE, 0),
+                QUARANTINE_NOTE in notes,
+            ))
+        state = tuple(per_relation)
         if state == self._drift_state:
             return 0
         self._drift_state = state
@@ -210,23 +207,7 @@ class IntegrationLearner:
                 penalties[name] = QUARANTINE_PENALTY
             elif events:
                 penalties[name] = DRIFT_PENALTY * drift_rate(self.catalog, name)
-        changed = 0
-        for edge in self.graph.edges():
-            penalty = max(
-                penalties.get(edge.left, 0.0), penalties.get(edge.right, 0.0)
-            )
-            previous = self._drift_penalty.get(edge.key, 0.0)
-            if abs(penalty - previous) > 1e-12:
-                self.graph.weights[edge.key] = (
-                    self.graph.weights.get(edge.key, edge.default_cost())
-                    + penalty
-                    - previous
-                )
-                if penalty:
-                    self._drift_penalty[edge.key] = penalty
-                else:
-                    self._drift_penalty.pop(edge.key, None)
-                changed += 1
+        changed = self._reprice(penalties, self._drift_penalty)
         if changed and METRICS.enabled:
             METRICS.inc("drift.penalty_absorbed_edges", changed)
         return changed

@@ -83,7 +83,6 @@ class SourceDescriptionLearner:
         input_names: Sequence[str],
         output_names: Sequence[str],
         min_score: float = 0.5,
-        allow_composition: bool = True,
     ) -> list[SourceDescription]:
         """Rank descriptions of a source observed as I/O *examples*.
 
@@ -96,10 +95,7 @@ class SourceDescriptionLearner:
         output_names = list(output_names)
         candidates: list[SourceDescription] = []
         candidates.extend(self._direct_candidates(examples, input_names, output_names))
-        if allow_composition:
-            candidates.extend(
-                self._composed_candidates(examples, input_names, output_names)
-            )
+        candidates.extend(self._composed_candidates(examples, input_names, output_names))
         ranked = [c for c in candidates if c.score >= min_score]
         ranked.sort(key=lambda c: (-c.score, len(c.steps), str(c.steps)))
         return ranked

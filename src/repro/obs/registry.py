@@ -153,7 +153,6 @@ DECLARED_COUNTERS: dict[str, str] = {
 #: Gauges: last-value-wins readings.
 DECLARED_GAUGES: dict[str, str] = {
     "cache.plan.size": "current plan-result cache entry count",
-    "columnar.intern.size": "strings held by the global interning pool",
     "overload.inflight": "admitted requests currently queued or running",
     "overload.level": "brownout level (0 normal, 1 degraded)",
     "server.sessions_active": "sessions currently registered with the manager",

@@ -14,7 +14,7 @@ the single-session library into that shape:
   and lifecycle (create / touch / LRU-evict / idle-TTL-expire) over a
   bounded worker pool, per-session FIFO dispatch;
 - :mod:`~repro.server.overload` — admission control (bounded queues,
-  inflight watermark, token buckets, seeded shed ramp), request deadlines
+  inflight watermark, seeded shed ramp), request deadlines
   with cooperative cancellation, deficit-round-robin fairness, and the
   brownout load controller.
 

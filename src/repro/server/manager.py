@@ -18,8 +18,8 @@ concurrently on a bounded worker pool:
   :class:`~repro.server.base.SharedBase`'s shared tier bundle, so tenant
   A's compiled plan closure or materialized join is a hit for tenant B;
 - **overload protection** (:mod:`repro.server.overload`) — admission
-  control sheds a submit past the per-tenant queue bound, the server-wide
-  inflight watermark, or the tenant's token bucket with a typed
+  control sheds a submit past the per-tenant queue bound or the
+  server-wide inflight watermark with a typed
   :class:`~repro.server.overload.Overloaded`; ``submit(deadline_ms=...)``
   attaches a :class:`~repro.resilience.retry.Deadline` that is checked at
   dequeue (expired requests shed without running) and at cooperative

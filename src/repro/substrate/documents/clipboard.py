@@ -15,13 +15,10 @@ document handle is contractual.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from ...errors import ClipboardError
-
-_EVENT_COUNTER = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -52,7 +49,6 @@ class CopyEvent:
 
     text: str
     context: SourceContext
-    event_id: int = field(default_factory=lambda: next(_EVENT_COUNTER))
 
     @property
     def fields(self) -> list[list[str]]:

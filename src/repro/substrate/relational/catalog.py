@@ -158,17 +158,6 @@ class Catalog:
         self._mutated()
         self._version += 1
 
-    @property
-    def version_counter(self) -> int:
-        """The explicit-counter component of :attr:`version`, O(1).
-
-        For staleness keys that do not depend on row counts (e.g. drift
-        bookkeeping, which reads only source metadata notes): the counter
-        moves on every registration, removal, and out-of-band change,
-        without the per-relation row-count sweep :attr:`version` pays.
-        """
-        return self._version
-
     # -- registration -----------------------------------------------------------
     def add_relation(
         self, relation: Relation, metadata: SourceMetadata | None = None, replace: bool = False

@@ -16,11 +16,10 @@ caches) can be shared between batches without copying.
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Iterable, Sequence
 
-from ...obs import METRICS
 from ...provenance.expressions import Provenance, Var
-from ...util.text import INTERN
 from .rows import Row, TupleId
 from .schema import Schema
 
@@ -70,14 +69,21 @@ class ColumnBatch:
     def from_relation_rows(
         cls, source: str, schema: Schema, rows: Sequence[Row]
     ) -> "ColumnBatch":
-        """Transpose a base relation, interning string cells via the pool."""
+        """Transpose a base relation, interning string cells.
+
+        Every ``str`` cell goes through :func:`sys.intern` (which rejects
+        ``str`` subclasses, so those pass as they are): equal values across
+        rows and sources then share one object, and the scan memo holds one
+        copy of each.
+        """
+        intern = sys.intern
         if rows:
-            columns = [list(col) for col in zip(*[row.values for row in rows])]
+            columns = [
+                [intern(v) if type(v) is str else v for v in col]
+                for col in zip(*[row.values for row in rows])
+            ]
         else:
             columns = [[] for _ in schema.names]
-        columns = [INTERN.intern_all(column) for column in columns]
-        if METRICS.enabled:
-            METRICS.gauge("columnar.intern.size", float(len(INTERN)))
         provs: list[Provenance] = [
             Var(TupleId(source, index)) for index in range(len(rows))
         ]

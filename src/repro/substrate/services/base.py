@@ -291,9 +291,9 @@ class Service:
 class TableBackedService(Service):
     """A service implemented as an exact-match lookup into a fixed table.
 
-    Rows are full-schema dicts. ``invoke`` matches on the binding inputs with
-    optional value normalization (case-insensitive string compare by
-    default), modeling form-backed sites and resolver services.
+    Rows are full-schema dicts. ``invoke`` matches on the binding inputs,
+    comparing strings case-insensitively and ignoring surrounding space,
+    modeling form-backed sites and resolver services.
     """
 
     def __init__(
@@ -303,10 +303,8 @@ class TableBackedService(Service):
         binding: BindingPattern,
         table: Sequence[Mapping[str, Any]],
         cost: float = 1.0,
-        normalize_keys: bool = True,
     ):
         super().__init__(name, schema, binding, cost=cost)
-        self._normalize = normalize_keys
         self._index: dict[tuple[Any, ...], list[dict[str, Any]]] = {}
         for raw in table:
             missing = [name for name in schema.names if name not in raw]
@@ -316,13 +314,9 @@ class TableBackedService(Service):
             key = self._key(row)
             self._index.setdefault(key, []).append(row)
 
-    def _normalize_value(self, value: Any) -> Any:
-        if self._normalize and isinstance(value, str):
-            return value.strip().lower()
-        return value
-
     def _key(self, values: Mapping[str, Any]) -> tuple[Any, ...]:
-        return tuple(self._normalize_value(values[name]) for name in self.binding.inputs)
+        inputs = (values[name] for name in self.binding.inputs)
+        return tuple(v.strip().lower() if isinstance(v, str) else v for v in inputs)
 
     def _lookup(self, inputs: Mapping[str, Any]) -> Sequence[Mapping[str, Any]]:
         try:

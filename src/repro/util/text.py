@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 from dataclasses import dataclass
-from typing import Any, Iterable
-
-from ..analysis.concurrency.runtime import RACECHECK, TRACKER, make_lock
 
 #: Invisible characters that survive ``str.strip()``: zero-width space /
 #: non-joiner / joiner / word-joiner, BOM, and soft hyphen. Real pages embed
@@ -101,106 +99,6 @@ def is_blank(value) -> bool:
 _SPACE_RUN_RE = re.compile(r"\s+")
 
 
-class InternPool:
-    """A global string-interning pool (one canonical instance per value).
-
-    Grown from the old ``normalize`` memo: the columnar scan path interns
-    every string cell while transposing relations into column arrays, so
-    repeated values across rows/sources share one object — join keys and
-    distinct/group-by dict operations then compare by identity first, and
-    each distinct string's hash is computed once process-wide.
-
-    Interning is capped: once ``capacity`` distinct strings are pooled,
-    further values pass through un-interned (correctness is unaffected;
-    only the sharing stops). Hit/miss counters are kept locally (the pool
-    sits in hot loops) and surfaced via :meth:`stats`; the pool's size is
-    the ``columnar.intern.size`` gauge.
-
-    Thread safety: the pool is process-global mutable state, shared by
-    every concurrent session. The hit path is **lock-free** — a plain dict
-    probe, atomic under CPython — so the overwhelmingly common case costs
-    exactly what it did single-threaded. Only a miss takes the insert lock,
-    and re-probes under it, so two threads racing to intern the same new
-    value always agree on one canonical instance (no duplicate identities).
-    Hit/pass counters on the lock-free path are best-effort under
-    contention (a lost increment is cosmetic); the miss counter is exact.
-    """
-
-    __slots__ = ("_pool", "_insert_lock", "capacity", "hits", "misses", "passes")
-
-    def __init__(self, capacity: int = 1 << 20):
-        self._pool: dict[str, str] = {}
-        self._insert_lock = make_lock("InternPool._insert_lock")
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        #: values skipped: non-strings, or pool at capacity.
-        self.passes = 0
-
-    def _insert(self, value: str) -> str:
-        """Slow path: pool *value* under the lock; returns the canonical one."""
-        with self._insert_lock:
-            if RACECHECK.enabled:
-                TRACKER.note_access("InternPool._pool", self)
-            canonical = self._pool.get(value)
-            if canonical is not None:
-                self.hits += 1
-                return canonical
-            if len(self._pool) >= self.capacity:
-                self.passes += 1
-                return value
-            self._pool[value] = value
-            self.misses += 1
-            return value
-
-    def intern(self, value: Any) -> Any:
-        """Return the canonical instance of *value* (strings only)."""
-        if type(value) is not str:
-            self.passes += 1  # lint: allow=CONC003 -- best-effort counter on the lock-free fast path; a lost increment is acceptable
-            return value
-        canonical = self._pool.get(value)
-        if canonical is not None:
-            self.hits += 1  # lint: allow=CONC003 -- best-effort counter on the lock-free fast path; a lost increment is acceptable
-            return canonical
-        return self._insert(value)
-
-    def intern_all(self, values: Iterable[Any]) -> list[Any]:
-        """Intern a whole column in one pass (the scan-transpose hot loop)."""
-        pool = self._pool
-        out: list[Any] = []
-        append = out.append
-        for value in values:
-            if type(value) is not str:
-                self.passes += 1  # lint: allow=CONC003 -- best-effort counter on the lock-free fast path; a lost increment is acceptable
-                append(value)
-                continue
-            canonical = pool.get(value)
-            if canonical is not None:
-                self.hits += 1  # lint: allow=CONC003 -- best-effort counter on the lock-free fast path; a lost increment is acceptable
-                append(canonical)
-            else:
-                append(self._insert(value))
-        return out
-
-    def __len__(self) -> int:
-        return len(self._pool)
-
-    def clear(self) -> None:
-        """Drop pooled strings (tests); lifetime counters survive."""
-        self._pool.clear()
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "size": len(self._pool),
-            "hits": self.hits,
-            "misses": self.misses,
-            "passes": self.passes,
-        }
-
-
-#: The process-wide interning pool (columnar scans, normalize results).
-INTERN = InternPool()
-
 #: Entries the normalize memo may hold before evicting least-recently-used.
 NORMALIZE_CACHE_CAPACITY = 8192
 
@@ -215,11 +113,11 @@ def normalize(value: str) -> str:
     The memo is :func:`functools.lru_cache`, bounded at
     :data:`NORMALIZE_CACHE_CAPACITY` entries: a hit is one C-level probe,
     and it is thread-safe, so concurrent sessions share it. Results are
-    interned through :data:`INTERN`, so every caller shares one canonical
+    interned with :func:`sys.intern`, so every caller shares one canonical
     normalized instance; a racy double-compute of the same value converges
     on that one interned result.
     """
-    return INTERN.intern(_SPACE_RUN_RE.sub(" ", clean_cell(value)).lower())
+    return sys.intern(_SPACE_RUN_RE.sub(" ", clean_cell(value)).lower())
 
 
 def normalize_cache_stats() -> dict[str, float]:

@@ -10,6 +10,7 @@ degradation notes — including the shapes a mask function does not cover
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import pytest
 
@@ -67,9 +68,7 @@ from repro.substrate.relational.schema import BindingPattern
 from repro.substrate.services.base import TableBackedService
 from repro.util.strings import token_jaccard
 from repro.util.text import (
-    INTERN,
     NORMALIZE_CACHE_CAPACITY,
-    InternPool,
     normalize,
     normalize_cache_stats,
 )
@@ -231,51 +230,13 @@ class TestColumnBatch:
         assert empty.to_annotated() == []
 
     def test_interning_shares_equal_strings(self, catalog):
-        pool_before = len(INTERN)
         schema = catalog.relation("S").schema
         batch = ColumnBatch.from_relation_rows("S", schema, catalog.relation("S").rows())
         city = batch.column("City")
         assert city[0] is city[2]  # both "Creek", one object
-        assert len(INTERN) >= pool_before
 
 
-# ------------------------------------------------------- intern pool & normalize
-class TestInternPool:
-    def test_equal_strings_become_identical(self):
-        pool = InternPool()
-        a = pool.intern("main " + "street")
-        b = pool.intern("main street")
-        assert a is b
-        assert pool.hits == 1 and pool.misses == 1
-
-    def test_non_strings_pass_through(self):
-        pool = InternPool()
-        values = [None, 42, 3.5, ("t",)]
-        assert [pool.intern(v) for v in values] == values
-        assert len(pool) == 0
-        assert pool.passes == 4
-
-    def test_capacity_stops_admission_not_service(self):
-        pool = InternPool(capacity=2)
-        pool.intern("a")
-        pool.intern("b")
-        pool.intern("c")  # over capacity: returned as-is, not pooled
-        assert len(pool) == 2
-        assert pool.intern("a") is pool.intern("a")
-
-    def test_intern_all_and_stats(self):
-        pool = InternPool()
-        column = ["x", "y", "x", None, 7]
-        interned = pool.intern_all(column)
-        assert interned == column
-        assert interned[0] is interned[2]
-        stats = pool.stats()
-        assert stats["size"] == 2
-        assert stats["hits"] == 1
-        assert stats["misses"] == 2
-        assert stats["passes"] == 2
-
-
+# ------------------------------------------------------------------ normalize
 class TestNormalizeCache:
     def test_normalize_still_normalizes(self):
         assert normalize("  Main   St. ") == "main st."
@@ -312,9 +273,7 @@ class TestNormalizeCache:
             normalize.cache_clear()
 
     def test_normalize_results_are_interned(self):
-        a = normalize("Creek  COUNTY")
-        b = INTERN.intern("creek county")
-        assert a is b
+        assert normalize("Creek  COUNTY") is sys.intern("creek county")
 
 
 # ------------------------------------------------------------------- config
@@ -738,5 +697,5 @@ class TestBlockingHelpers:
 class TestStatsLine:
     def test_line_shape(self):
         line = next(line for line in obs.render_summary() if line.startswith("columnar:"))
-        for name in ("plans", "compile.hits", "scan.hits", "intern.size"):
+        for name in ("plans", "compile.hits", "scan.hits"):
             assert f" {name}=" in line

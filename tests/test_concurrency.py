@@ -422,7 +422,6 @@ class TestStaticModel:
             "Metrics._lock",
             "SessionRecorder._lock",
             "LoadController._lock",
-            "InternPool._insert_lock",
         ):
             assert expected in names, expected
         edges = model.edge_set()

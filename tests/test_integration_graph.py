@@ -278,7 +278,7 @@ def rediscover(catalog, use_semantic_types=True):
     nodes = graph.nodes()
     for i, left in enumerate(nodes):
         for right in nodes[i + 1:]:
-            _connect(graph, left, right, use_semantic_types, True, 6)
+            _connect(graph, left, right, use_semantic_types, 6)
     for name in catalog.source_names():
         for attr, (other, other_attr) in catalog.metadata(name).foreign_keys.items():
             if graph.has_node(other):

@@ -4,7 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import IntegrationError
+from repro.drift.quarantine import (
+    DRIFT_EVENTS_NOTE,
+    DRIFT_RESYNCS_NOTE,
+    QUARANTINE_NOTE,
+    drift_rate,
+    note_drift_event,
+    note_resync,
+    quarantine_source_in_catalog,
+    release_source_in_catalog,
+)
+from repro.errors import CatalogError, IntegrationError
 from repro.learning.integration import (
     Association,
     IntegrationLearner,
@@ -15,6 +25,12 @@ from repro.learning.integration import (
     compile_tree,
     extend_query,
 )
+from repro.learning.integration.learner import (
+    DRIFT_PENALTY,
+    FAILURE_PENALTY,
+    QUARANTINE_PENALTY,
+)
+from repro.obs import METRICS
 from repro.substrate.relational import (
     Attribute,
     Evaluator,
@@ -268,3 +284,172 @@ class TestIntegrationLearnerFacade:
         original = learner.requery_cost(completion.query)
         learner.reject_query(completion.query)
         assert learner.requery_cost(completion.query) > original
+
+
+# ------------------------------------------------------------ edge repricing
+class ReferenceLearner(IntegrationLearner):
+    """The two absorb methods as two separate edge sweeps, the reference the
+    shared repricing path is checked against. The drift sweep here has no
+    O(1) key ahead of its state compare: while drift notes are written
+    through the helpers, as every step below writes them, such a key
+    skipped only calls whose state compare returns 0 as well."""
+
+    def absorb_service_health(self) -> int:
+        state = tuple(
+            (service.name, service.health.successes, service.health.lookups_failed)
+            for service in self.catalog.services()
+        )
+        if state == self._health_state:
+            return 0
+        self._health_state = state
+        changed = 0
+        for edge in self.graph.edges():
+            rate = 0.0
+            for endpoint in (edge.left, edge.right):
+                if not self.graph.node(endpoint).is_service:
+                    continue
+                try:
+                    service = self.catalog.service(endpoint)
+                except CatalogError:
+                    continue
+                rate = max(rate, service.health.failure_rate())
+            penalty = FAILURE_PENALTY * rate
+            previous = self._health_penalty.get(edge.key, 0.0)
+            if abs(penalty - previous) > 1e-12:
+                self.graph.weights[edge.key] = (
+                    self.graph.weights.get(edge.key, edge.default_cost())
+                    + penalty
+                    - previous
+                )
+                if penalty:
+                    self._health_penalty[edge.key] = penalty
+                else:
+                    self._health_penalty.pop(edge.key, None)
+                changed += 1
+        if changed and METRICS.enabled:
+            METRICS.inc("resilience.health_absorbed_edges", changed)
+        return changed
+
+    def absorb_drift_events(self) -> int:
+        state = tuple(
+            (
+                name,
+                self.catalog.metadata(name).notes.get(DRIFT_EVENTS_NOTE, 0),
+                self.catalog.metadata(name).notes.get(DRIFT_RESYNCS_NOTE, 0),
+                QUARANTINE_NOTE in self.catalog.metadata(name).notes,
+            )
+            for name in self.catalog.relation_names()
+        )
+        if state == self._drift_state:
+            return 0
+        self._drift_state = state
+        penalties: dict[str, float] = {}
+        for name, events, _resyncs, quarantined in state:
+            if quarantined:
+                penalties[name] = QUARANTINE_PENALTY
+            elif events:
+                penalties[name] = DRIFT_PENALTY * drift_rate(self.catalog, name)
+        changed = 0
+        for edge in self.graph.edges():
+            penalty = max(
+                penalties.get(edge.left, 0.0), penalties.get(edge.right, 0.0)
+            )
+            previous = self._drift_penalty.get(edge.key, 0.0)
+            if abs(penalty - previous) > 1e-12:
+                self.graph.weights[edge.key] = (
+                    self.graph.weights.get(edge.key, edge.default_cost())
+                    + penalty
+                    - previous
+                )
+                if penalty:
+                    self._drift_penalty[edge.key] = penalty
+                else:
+                    self._drift_penalty.pop(edge.key, None)
+                changed += 1
+        if changed and METRICS.enabled:
+            METRICS.inc("drift.penalty_absorbed_edges", changed)
+        return changed
+
+
+_REPRICE_STEPS = ("success", "failure", "resync", "drift", "quarantine", "release",
+                  "accept", "reject", "commit")
+
+
+def _apply_reprice_step(step, draw, catalog, learners, rows):
+    """One catalog or feedback event, applied once to the shared catalog (or
+    to each learner's own graph, for MIRA feedback)."""
+    services = list(catalog.services())
+    relations = catalog.relation_names()
+    if step in ("success", "failure"):
+        health = services[draw % len(services)].health
+        if step == "success":
+            health.successes += 1
+        else:
+            health.lookups_failed += 1 + draw % 3
+    elif step == "resync":
+        note_resync(catalog, relations[draw % len(relations)])
+    elif step == "drift":
+        note_drift_event(catalog, relations[draw % len(relations)])
+    elif step == "quarantine":
+        quarantine_source_in_catalog(catalog, relations[draw % len(relations)], "drifted")
+    elif step == "release":
+        release_source_in_catalog(catalog, relations[draw % len(relations)])
+    elif step == "commit":
+        extra = Relation(
+            f"Extra{len(relations)}",
+            Schema([Attribute("Name", PLACE), Attribute("City", CITY)]),
+        )
+        for row in rows[: 2 + draw % 3]:
+            extra.add({"Name": row["Name"], "City": row["City"]})
+        catalog.add_relation(extra, SourceMetadata(origin="paste"))
+        for learner in learners:
+            learner.refresh()
+    else:
+        keys = [edge.key for edge in learners[0].graph.edges()]
+        chosen = frozenset([keys[draw % len(keys)]])
+        for learner in learners:
+            if step == "accept":
+                learner.mira.accept(chosen, [frozenset([keys[(draw + 1) % len(keys)]])])
+            else:
+                learner.mira.reject(chosen)
+
+
+class TestEdgeRepricing:
+    def test_shared_sweep_matches_the_two_reference_sweeps(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro.data.scenario import build_scenario
+
+        @given(steps=st.lists(
+            st.tuples(st.sampled_from(_REPRICE_STEPS), st.integers(0, 1000)),
+            min_size=1, max_size=25,
+        ))
+        @settings(max_examples=60, deadline=None)
+        def check(steps):
+            scenario = build_scenario(seed=5, n_shelters=6, noise=1)
+            catalog = typed_shelters_catalog(scenario)
+            rows = scenario.truth_shelter_rows()
+            learner, reference = IntegrationLearner(catalog), ReferenceLearner(catalog)
+            assert learner.graph.weights == reference.graph.weights
+            for step, draw in steps:
+                _apply_reprice_step(step, draw, catalog, (learner, reference), rows)
+                assert learner.absorb_service_health() == reference.absorb_service_health()
+                assert learner.absorb_drift_events() == reference.absorb_drift_events()
+                assert learner.graph.weights == reference.graph.weights
+
+        check()
+
+    def test_note_written_without_a_helper_is_repriced(self, fresh_scenario):
+        catalog = typed_shelters_catalog(fresh_scenario)
+        learner = IntegrationLearner(catalog)
+        learner.absorb_drift_events()
+        edges = learner.graph.edges_of("Shelters")
+        before = {edge.key: learner.graph.cost(edge) for edge in edges}
+        # No helper, no version bump: the notes themselves are the state.
+        catalog.metadata("Shelters").notes[QUARANTINE_NOTE] = "drifted"
+        assert learner.absorb_drift_events() >= len(edges) > 0
+        for edge in edges:
+            assert learner.graph.cost(edge) == pytest.approx(
+                before[edge.key] + QUARANTINE_PENALTY
+            )

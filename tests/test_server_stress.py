@@ -27,7 +27,6 @@ from repro.substrate.relational import (
     schema_of,
 )
 from repro.util.rng import make_rng
-from repro.util.text import InternPool
 
 N_THREADS = 8
 N_OPS = 12
@@ -253,20 +252,6 @@ class TestSharedStructureStress:
         assert stats["hits"] + stats["misses"] == N_THREADS * per_thread
         assert stats["size"] == per_thread
         assert all(cache.get(("k", i)) == i for i in range(per_thread))
-
-    def test_intern_pool_yields_one_identity_per_value(self):
-        pool = InternPool(capacity=4096)
-        values = [f"value-{i % 50}" for i in range(500)]
-
-        def work(index: int):
-            return [pool.intern(str(v)) for v in values]
-
-        results = run_threads(N_THREADS, work)
-        for i in range(50):
-            identities = {id(result[i]) for result in results}
-            assert len(identities) == 1  # one canonical object, ever
-        assert len(pool) == 50
-        assert pool.hits + pool.misses == N_THREADS * len(values)
 
     def test_metrics_counters_are_exact_under_contention(self):
         metrics = Metrics()
