@@ -17,8 +17,8 @@ kind at several scenario seeds) and gates on the drift layer's promises:
   sources quarantine wholesale (trust cut, edge costs penalized, ``Scan``
   degraded) while the last-known-good rows keep serving;
 - **near-zero overhead when idle**: the drift work a suggestion refresh
-  does on an idle session — folding drift history and quarantine into edge
-  costs through ``absorb_drift_events()`` — costs at most
+  does on an idle session — rebuilding the drift and quarantine penalties
+  of edge costs through ``absorb_drift_events()`` — costs at most
   ``OVERHEAD_TOLERANCE`` of the forced refresh itself. The per-``Scan``
   quarantine check is one dict lookup and is not timed on its own.
 

@@ -10,8 +10,9 @@ transposes). This benchmark is the gate for that server:
   auto-completion feedback, then a trust-divergence tail) run once
   serialized on the calling thread, each in a plain ``CopyCatSession``
   over its own fork of the base with *private* caches, and once
-  concurrently on the 8-worker pool with *shared* tiers. The concurrent
-  leg must clear ``SPEEDUP_FLOOR``x aggregate throughput. Because this
+  concurrently on the 8-worker pool with *shared* tiers. The gate reads
+  the median of ``N_PAIRS`` paired serial/concurrent wall ratios, which
+  must clear ``SPEEDUP_FLOOR``x aggregate throughput. Because this
   is pure Python under the GIL, the win is the shared tiers doing the
   work once — tenant A's evaluated plan, compiled closure, and scan
   transpose are hits for tenants B..H — not parallel compute;
@@ -34,6 +35,7 @@ as p50/p95/p99 alongside throughput.
 from __future__ import annotations
 
 import gc
+import statistics
 import time
 
 from repro import CopyCatSession, ScpUser
@@ -64,7 +66,8 @@ WORKERS = 8
 N_ROWS = 8000
 N_CITIES = 40
 N_CONTACTS = 24
-ROUNDS = 3
+#: Timed leg pairs; the gate reads the median of their ratios.
+N_PAIRS = 7
 SPEEDUP_FLOOR = 3.0
 
 
@@ -278,17 +281,20 @@ def run_leg_once(plans: list[Plan], *, concurrent: bool):
     return wall, outputs, latencies
 
 
-def run_leg(plans: list[Plan], *, concurrent: bool, rounds: int = ROUNDS):
-    """Best-of-*rounds* leg (fresh manager, catalog, and cache scope each
-    round, so rounds never share warm entries): the minimum wall is the
-    leg's achievable time, insulated from scheduler noise; outputs and
-    latencies come from the fastest round."""
-    best = None
-    for _ in range(rounds):
-        measured = run_leg_once(plans, concurrent=concurrent)
-        if best is None or measured[0] < best[0]:
-            best = measured
-    return best
+def run_pairs(plans: list[Plan]):
+    """``N_PAIRS`` pairs of (serialized, concurrent) legs, each leg on a
+    fresh manager, catalog and cache scope, so no leg sees another's warm
+    entries. The leg that runs first alternates, so neither always runs on
+    the heap the other left. Pairs come back sorted by their
+    serial/concurrent wall ratio: a scheduler stall that slows a few legs
+    moves the ends of that order, not its middle."""
+    pairs = []
+    for pair in range(N_PAIRS):
+        order = (True, False) if pair % 2 else (False, True)
+        legs = {concurrent: run_leg_once(plans, concurrent=concurrent) for concurrent in order}
+        pairs.append((legs[False], legs[True]))
+    pairs.sort(key=lambda legs: legs[0][0] / legs[1][0])
+    return pairs
 
 
 class TestScaleTenants:
@@ -300,22 +306,26 @@ class TestScaleTenants:
         # so neither timed leg pays them (leg order must not matter).
         run_isolated("warmup", plans)
 
-        serial_s, serial_out, serial_lat = run_leg(plans, concurrent=False)
-        concurrent_s, concurrent_out, concurrent_lat = run_leg(plans, concurrent=True)
+        pairs = run_pairs(plans)
 
-        # Correctness gate first: every tenant, both legs, bit for bit
+        # Correctness gate first: every tenant, every leg, bit for bit
         # against an isolated single-threaded run.
-        for tenant in serial_out:
+        for tenant in pairs[0][0][1]:
             isolated = run_isolated(tenant, plans)
-            assert serial_out[tenant] == isolated, f"serial leg diverged for {tenant}"
-            assert concurrent_out[tenant] == isolated, (
-                f"concurrent leg diverged for {tenant}"
-            )
-        assert all(len(out[0][1]) > 0 for out in serial_out.values())
+            for serial, concurrent in pairs:
+                assert serial[1][tenant] == isolated, f"serial leg diverged for {tenant}"
+                assert concurrent[1][tenant] == isolated, (
+                    f"concurrent leg diverged for {tenant}"
+                )
+        assert all(len(out[0][1]) > 0 for out in pairs[0][0][1].values())
 
+        ratios = [serial[0] / concurrent[0] for serial, concurrent in pairs]
+        speedup = statistics.median(ratios)
+        # The table shows the median pair (N_PAIRS is odd, so its ratio is
+        # the gated one).
+        (serial_s, _, serial_lat), (concurrent_s, _, concurrent_lat) = pairs[N_PAIRS // 2]
         n_requests = len(concurrent_lat)
-        speedup = serial_s / concurrent_s if concurrent_s > 0 else float("inf")
-        throughput = n_requests / concurrent_s if concurrent_s > 0 else float("inf")
+        throughput = n_requests / concurrent_s
 
         def _percentiles(latencies):
             ms = sorted(v * 1000 for v in latencies)
@@ -341,20 +351,23 @@ class TestScaleTenants:
             format_table(headers, rows)
             + [
                 "",
-                f"speedup x{speedup:.1f} aggregate, {N_TENANTS} tenants x "
+                f"speedup x{speedup:.1f} aggregate, median of {N_PAIRS} paired "
+                f"legs (the median pair above; all pairs x{ratios[0]:.1f}-x{ratios[-1]:.1f}), "
+                f"{N_TENANTS} tenants x "
                 f"{n_requests // N_TENANTS} requests; per-tenant outputs == "
                 "isolated single-threaded runs (rows, provenance, trust, weights)",
             ],
             series={
                 "table": table_series(headers, rows),
                 "speedup": speedup,
+                "n_pairs": N_PAIRS,
                 "throughput_rps": throughput,
                 "n_tenants": N_TENANTS,
                 "workers": WORKERS,
                 "n_requests": n_requests,
             },
         )
-        # Hard gate: the ISSUE's 3x floor for the shared-tier server.
+        # Hard gate: the 3x floor for the shared-tier server.
         assert speedup >= SPEEDUP_FLOOR, (
             f"multi-tenant speedup x{speedup:.2f} below the {SPEEDUP_FLOOR}x floor"
         )

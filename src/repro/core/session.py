@@ -552,18 +552,19 @@ class CopyCatSession:
         With ``refresh=None`` (the default) the standing batch is reused as
         long as nothing it depends on has changed — the catalog version
         (sources, trust, link feedback), the current query, the learned
-        edge weights, the committed workspace rows, and ``k`` together form
-        a signature; any feedback action perturbs it and forces a
-        recompute. ``refresh=True`` forces one unconditionally,
+        edge weights and the health and drift penalties, the committed
+        workspace rows, and ``k`` together form a signature; any feedback
+        action perturbs it and forces a recompute. ``refresh=True`` forces one unconditionally,
         ``refresh=False`` reuses whatever batch is standing.
         """
-        # Operational trust feedback: fold observed service failure
-        # rates into edge weights *before* computing the signature, so
-        # newly degraded health both perturbs the signature (forcing a
-        # recompute) and sinks chronically failing services in ranking.
+        # Operational trust feedback: rebuild the graph's health penalties
+        # from observed service failure rates *before* computing the
+        # signature, so newly degraded health both perturbs the signature
+        # (forcing a recompute) and sinks chronically failing services in
+        # ranking.
         self.integration_learner.absorb_service_health()
         # Same for extraction-side trust: drift history and quarantine
-        # fold into edge costs before the signature is computed.
+        # become drift penalties before the signature is computed.
         self.integration_learner.absorb_drift_events()
         if (
             self.service_level != LEVEL_NORMAL
@@ -606,13 +607,16 @@ class CopyCatSession:
         """Everything a suggestion batch depends on, comparable with ``==``."""
         query = self.current_query
         table = self.workspace.tab(self.OUTPUT_TAB)
+        graph = self.integration_learner.graph
         return (
             self.catalog.version,
             query.root,
             tuple(edge.key for edge in query.edges),
             k,
             table.as_dicts(committed_only=True),
-            dict(self.integration_learner.graph.weights),
+            dict(graph.weights),
+            dict(graph.health),
+            dict(graph.drift),
             self.integration_learner.relevance_threshold,
         )
 

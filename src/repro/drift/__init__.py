@@ -17,7 +17,7 @@ junk. This package closes that gap in three layers:
 - :mod:`~repro.drift.quarantine` — rows failing row-level validation are
   quarantined with provenance rather than committed; sources whose
   re-induction fails are quarantined wholesale and degrade exactly like
-  failing services (rank-penalized, ``DEGRADED``-flagged, folded into
+  failing services (rank-penalized, ``DEGRADED``-flagged, a term of
   source-graph edge costs via
   :meth:`~repro.learning.integration.learner.IntegrationLearner.absorb_drift_events`).
 

@@ -7,7 +7,9 @@ serializes everything a CopyCat session learns —
 - imported **relations** with their learned schemas and source metadata
   (trust, origin URL, distrusted rows),
 - the **semantic types** the model learner has acquired,
-- the **source-graph edge weights** MIRA has adjusted,
+- the **source-graph edge weights** MIRA has adjusted (learned weights
+  only: health and drift penalties are rebuilt from the live services and
+  the catalog's notes before the next suggestion batch),
 - the **record-linker weights** trained from match examples —
 
 so the next session starts where this one left off. Two things are *not*

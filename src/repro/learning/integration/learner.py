@@ -20,12 +20,10 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from ...drift.quarantine import (
     DRIFT_EVENTS_NOTE,
-    DRIFT_RESYNCS_NOTE,
     QUARANTINE_NOTE,
     drift_rate,
 )
 from ...errors import GraphError, IntegrationError
-from ...obs import METRICS
 from ...substrate.relational.catalog import Catalog
 from ...util.text import normalize
 from .associations import discover_associations
@@ -44,6 +42,12 @@ DRIFT_PENALTY = 1.0
 #: flat extra edge cost for a quarantined source: above the default
 #: relevance threshold (2.0), so it stops being suggested until it heals.
 QUARANTINE_PENALTY = 2.5
+
+
+def _moved(before: Mapping[str, float], after: Mapping[str, float]) -> int:
+    """How many sources' penalty differs between two penalty maps."""
+    names = before.keys() | after.keys()
+    return len({name for name in names if before.get(name, 0.0) != after.get(name, 0.0)})
 
 
 @dataclass
@@ -80,16 +84,6 @@ class IntegrationLearner:
         self.relevance_threshold = relevance_threshold
         self.use_semantic_types = use_semantic_types
         self.linker_factory = linker_factory
-        # Operational-health penalty currently baked into each edge weight
-        # (see absorb_service_health); tracked so re-absorption adjusts by
-        # the *difference* and never clobbers MIRA-learned weights.
-        self._health_penalty: dict[str, float] = {}
-        self._health_state: tuple = ()
-        # Same delta-tracking for source-drift penalties (see
-        # absorb_drift_events): drifting and quarantined *relations* pay
-        # extra edge cost exactly like failing services do.
-        self._drift_penalty: dict[str, float] = {}
-        self._drift_state: tuple = ()
         self.graph = base_graph.copy() if base_graph is not None else SourceGraph()
         self.mira = MiraLearner(
             self.graph,
@@ -112,66 +106,30 @@ class IntegrationLearner:
             self.catalog, use_semantic_types=self.use_semantic_types, graph=self.graph
         )
 
-    def _reprice(self, penalties: Mapping[str, float], absorbed: dict[str, float]) -> int:
-        """Move every edge's weight to carry the larger of its endpoints'
-        *penalties*, by the difference from the penalty *absorbed* says it
-        carries now (so MIRA-learned weights are never clobbered), and
-        record the new penalty there. Returns the number of edges moved."""
-        weights = self.graph.weights
-        changed = 0
-        for edge in self.graph.edges():
-            key = edge.key
-            penalty = max(penalties.get(edge.left, 0.0), penalties.get(edge.right, 0.0))
-            previous = absorbed.get(key, 0.0)
-            if abs(penalty - previous) > 1e-12:
-                weights[key] = weights.get(key, edge.default_cost()) + penalty - previous
-                if penalty:
-                    absorbed[key] = penalty
-                else:
-                    absorbed.pop(key, None)
-                changed += 1
-        return changed
-
     def absorb_service_health(self) -> int:
-        """Fold observed service failure rates into source-graph weights.
+        """Rebuild the graph's health penalties from observed failure rates.
 
         The paper's trust-feedback mechanism driven by operational signals:
         every edge touching a service pays an extra cost of
-        ``FAILURE_PENALTY × failure_rate``, so chronically
-        failing services sink in plan ranking (and, once the penalty pushes
-        an edge past the relevance threshold, stop being suggested at all).
-        The penalty is applied as a delta against what was previously
-        absorbed (:meth:`_reprice`), so repeated calls converge and recovery
-        (failure rate falling as successes accrue) lowers the cost again
-        without disturbing MIRA-learned weights. Returns the number of edges
-        whose weight changed.
-
-        Called before every suggestion batch, so the steady state — no
-        health movement since the last absorption — stays O(#services):
-        the edge sweep only runs when some service's invocation ledger
-        actually moved.
+        ``FAILURE_PENALTY × failure_rate``, so chronically failing services
+        sink in plan ranking (and, once the penalty pushes an edge past the
+        relevance threshold, stop being suggested at all). The penalty is a
+        term of the edge's cost (:meth:`SourceGraph.cost`), not part of
+        its learned weight: recovery (failure rate falling as successes
+        accrue) lowers the cost again, and MIRA never sees it. Returns the
+        number of services whose penalty moved.
         """
-        services = list(self.catalog.services())
-        state = tuple(
-            (service.name, service.health.successes, service.health.lookups_failed)
-            for service in services
-        )
-        if state == self._health_state:
-            return 0
-        self._health_state = state
-        graph = self.graph
-        penalties = {
-            service.name: FAILURE_PENALTY * service.health.failure_rate()
-            for service in services
-            if graph.has_node(service.name) and graph.node(service.name).is_service
-        }
-        changed = self._reprice(penalties, self._health_penalty)
-        if changed and METRICS.enabled:
-            METRICS.inc("resilience.health_absorbed_edges", changed)
-        return changed
+        penalties = {}
+        for service in self.catalog.services():
+            rate = service.health.failure_rate()
+            if rate:
+                penalties[service.name] = FAILURE_PENALTY * rate
+        moved = _moved(self.graph.health, penalties)
+        self.graph.health = penalties
+        return moved
 
     def absorb_drift_events(self) -> int:
-        """Fold observed source drift into source-graph weights.
+        """Rebuild the graph's drift penalties from the catalog's notes.
 
         The extraction-side analogue of :meth:`absorb_service_health`: every
         edge touching a drifting relation pays ``DRIFT_PENALTY × drift
@@ -179,38 +137,20 @@ class IntegrationLearner:
         drift decays as clean resyncs accrue), and an edge touching a
         *quarantined* relation pays the flat :data:`QUARANTINE_PENALTY` —
         above the default relevance threshold, so quarantined sources stop
-        being suggested at all until they heal. Deltas are tracked per edge
-        (:meth:`_reprice`) so repeated calls converge and never clobber
-        MIRA-learned weights. Returns the number of edges whose weight
-        changed.
-
-        Called before every suggestion batch: the per-relation notes are
-        read afresh each time, however they were written, and the edge
-        sweep only runs when some relation's drift state moved.
+        being suggested at all until they heal. The notes are read afresh
+        each time, however they were written. Returns the number of
+        relations whose penalty moved.
         """
-        per_relation = []
+        penalties = {}
         for name in self.catalog.relation_names():
             notes = self.catalog.metadata(name).notes
-            per_relation.append((
-                name,
-                notes.get(DRIFT_EVENTS_NOTE, 0),
-                notes.get(DRIFT_RESYNCS_NOTE, 0),
-                QUARANTINE_NOTE in notes,
-            ))
-        state = tuple(per_relation)
-        if state == self._drift_state:
-            return 0
-        self._drift_state = state
-        penalties: dict[str, float] = {}
-        for name, events, _resyncs, quarantined in state:
-            if quarantined:
+            if QUARANTINE_NOTE in notes:
                 penalties[name] = QUARANTINE_PENALTY
-            elif events:
+            elif notes.get(DRIFT_EVENTS_NOTE, 0):
                 penalties[name] = DRIFT_PENALTY * drift_rate(self.catalog, name)
-        changed = self._reprice(penalties, self._drift_penalty)
-        if changed and METRICS.enabled:
-            METRICS.inc("drift.penalty_absorbed_edges", changed)
-        return changed
+        moved = _moved(self.graph.drift, penalties)
+        self.graph.drift = penalties
+        return moved
 
     # -- query construction ---------------------------------------------------------
     def base_query(self, source: str) -> IntegrationQuery:

@@ -38,11 +38,17 @@ class MiraUpdate:
 
     kind: str                       # "rank" | "demote" | "promote"
     tau: float
-    changed: dict[str, float]       # edge key -> new weight
+    changed: dict[str, float]       # edge key -> new learned weight
 
 
 class MiraLearner:
-    """Adjusts source-graph edge weights to satisfy feedback constraints."""
+    """Adjusts source-graph edge weights to satisfy feedback constraints.
+
+    Constraints are read on full edge costs (:meth:`SourceGraph.cost`, so
+    health and drift penalties count), but only the learned weights move,
+    and never below ``min_cost``: every cost stays at least ``min_cost``,
+    and no feedback can learn a penalty away.
+    """
 
     def __init__(
         self,
@@ -61,8 +67,20 @@ class MiraLearner:
     # -- cost under current weights -----------------------------------------------
     def cost(self, features: Iterable[str]) -> float:
         # Sorted, so the float sum is the same in every process: set
-        # iteration order follows the hash seed.
-        return sum(self.graph.weights.get(key, 0.0) for key in sorted(features))
+        # iteration order follows the hash seed. A key with no weight
+        # reads 0.0.
+        graph = self.graph
+        weights = graph.weights
+        return sum(graph.cost(key) if key in weights else 0.0 for key in sorted(features))
+
+    def _move(self, keys: Iterable[str], delta: float) -> dict[str, float]:
+        """Shift each key's learned weight by *delta*, floored at
+        ``min_cost``; returns the new weights."""
+        weights = self.graph.weights
+        changed = {}
+        for key in keys:
+            weights[key] = changed[key] = max(self.min_cost, weights.get(key, 0.0) + delta)
+        return changed
 
     def _record(self, update: MiraUpdate) -> None:
         if METRICS.enabled:
@@ -87,15 +105,7 @@ class MiraLearner:
             return False
         norm_sq = float(len(only_preferred) + len(only_other))
         tau = min(self.aggressiveness, loss / norm_sq)
-        changed: dict[str, float] = {}
-        for key in only_preferred:
-            new = max(self.min_cost, self.graph.weights.get(key, 0.0) - tau)
-            self.graph.weights[key] = new
-            changed[key] = new
-        for key in only_other:
-            new = self.graph.weights.get(key, 0.0) + tau
-            self.graph.weights[key] = new
-            changed[key] = new
+        changed = {**self._move(only_preferred, -tau), **self._move(only_other, tau)}
         self._record(MiraUpdate(kind="rank", tau=tau, changed=changed))
         return True
 
@@ -109,11 +119,7 @@ class MiraLearner:
         if loss <= 0:
             return False
         tau = min(self.aggressiveness, loss / len(features))
-        changed = {}
-        for key in features:
-            new = self.graph.weights.get(key, 0.0) + tau
-            self.graph.weights[key] = new
-            changed[key] = new
+        changed = self._move(features, tau)
         self._record(MiraUpdate(kind="demote", tau=tau, changed=changed))
         return True
 
@@ -127,11 +133,7 @@ class MiraLearner:
         if loss <= 0:
             return False
         tau = min(self.aggressiveness, loss / len(features))
-        changed = {}
-        for key in features:
-            new = max(self.min_cost, self.graph.weights.get(key, 0.0) - tau)
-            self.graph.weights[key] = new
-            changed[key] = new
+        changed = self._move(features, -tau)
         self._record(MiraUpdate(kind="promote", tau=tau, changed=changed))
         return True
 

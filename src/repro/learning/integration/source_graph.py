@@ -9,9 +9,20 @@ performed; the weights are typically pre-initialized to a default value and
 then adjusted through learning."
 
 We use *costs* (lower = more relevant), matching the ``c_i`` annotations of
-Figure 4 and the additive BLINKS-style model of Section 4.2. Edge weights
-live in the graph's ``weights`` mapping, keyed by each edge's stable key —
-the MIRA learner mutates exactly that mapping.
+Figure 4 and the additive BLINKS-style model of Section 4.2. An edge's cost
+is the sum of three terms, each stored apart:
+
+- the learned weight, in ``weights``, keyed by the edge's stable key — the
+  MIRA learner mutates exactly that mapping;
+- the larger health penalty of its two endpoints, from ``health``
+  (failing services, keyed by node name);
+- the larger drift penalty of its two endpoints, from ``drift``
+  (drifting or quarantined relations, keyed by node name).
+
+A node missing from a penalty map pays nothing. The integration learner
+rebuilds both maps from the catalog before every suggestion batch; a cost
+is read when it is used, so an edge added next to a penalized node is
+priced at once.
 """
 
 from __future__ import annotations
@@ -103,13 +114,23 @@ class SourceNode:
 
 
 class SourceGraph:
-    """Nodes, association edges, and the learned weight vector."""
+    """Nodes, association edges, the learned weight vector, and the
+    per-node health and drift penalties."""
 
     def __init__(self) -> None:
         self._nodes: dict[str, SourceNode] = {}
         self._edges: dict[str, Association] = {}
         self._adjacency: dict[str, list[str]] = {}
         self.weights: dict[str, float] = {}
+        self.health: dict[str, float] = {}
+        self.drift: dict[str, float] = {}
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        # A graph pickled by a build that folded penalties into ``weights``
+        # would double-count them here: refuse it rather than guess.
+        if not {"health", "drift"} <= state.keys():
+            raise GraphError("source graph without penalty maps (an older build's)")
+        self.__dict__.update(state)
 
     # -- construction ------------------------------------------------------------
     def add_node(self, node: SourceNode) -> SourceNode:
@@ -163,12 +184,15 @@ class SourceGraph:
 
     def copy(self) -> "SourceGraph":
         """A graph over the same (frozen) nodes and edges with its own
-        adjacency lists and weights: changing one leaves the other as it was."""
+        adjacency lists, weights and penalties: changing one leaves the
+        other as it was."""
         clone = SourceGraph()
         clone._nodes = dict(self._nodes)
         clone._edges = dict(self._edges)
         clone._adjacency = {name: list(keys) for name, keys in self._adjacency.items()}
         clone.weights = dict(self.weights)
+        clone.health = dict(self.health)
+        clone.drift = dict(self.drift)
         return clone
 
     @staticmethod
@@ -219,17 +243,26 @@ class SourceGraph:
         return [self._edges[key] for key in self._adjacency[source]]
 
     def cost(self, edge: Association | str) -> float:
+        """The learned weight plus the larger endpoint health penalty plus
+        the larger endpoint drift penalty. A key whose edge is gone (its
+        weight waits for :meth:`prune_weights`) has no endpoints to pay a
+        penalty for."""
         key = edge if isinstance(edge, str) else edge.key
         try:
-            return self.weights[key]
+            weight = self.weights[key]
         except KeyError:
             raise GraphError(f"edge {key!r} has no weight") from None
-
-    def set_cost(self, edge: Association | str, cost: float) -> None:
-        key = edge if isinstance(edge, str) else edge.key
-        if key not in self._edges:
-            raise GraphError(f"no edge with key {key!r}")
-        self.weights[key] = cost
+        if isinstance(edge, str):
+            edge = self._edges.get(key)
+            if edge is None:
+                return weight
+        left, right = edge.left, edge.right
+        health, drift = self.health, self.drift
+        return (
+            weight
+            + max(health.get(left, 0.0), health.get(right, 0.0))
+            + max(drift.get(left, 0.0), drift.get(right, 0.0))
+        )
 
     def tree_cost(self, edges: Iterable[Association]) -> float:
         """Query cost = sum of constituent edge weights (Section 4.2)."""

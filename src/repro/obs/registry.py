@@ -44,7 +44,6 @@ DECLARED_COUNTERS: dict[str, str] = {
     "service.cache.evictions": "service memo evictions",
     # -- drift -------------------------------------------------------------
     "drift.detected": "resyncs that failed verification",
-    "drift.penalty_absorbed_edges": "source-graph edges repriced for drift history",
     "drift.reinduced": "wrappers healed by re-induction",
     "drift.resyncs": "resync_source calls",
     "drift.resyncs_clean": "resyncs whose extraction verified clean",
@@ -120,7 +119,6 @@ DECLARED_COUNTERS: dict[str, str] = {
     "resilience.degraded_results": "results carrying degradation markers",
     "resilience.degraded_rows": "rows null-padded after a service failure",
     "resilience.degraded_suggestions": "suggestions rank-penalized for degradation",
-    "resilience.health_absorbed_edges": "source-graph edges repriced for failure rates",
     "resilience.lookups_failed": "service lookups that exhausted their budget",
     "resilience.retries": "backend retries",
     "resilience.*.retries": "backend retries per service",

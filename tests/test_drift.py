@@ -317,18 +317,18 @@ class TestQuarantineDegradation:
             e for e in learner.graph.edges() if "Shelters" in (e.left, e.right)
         ]
         assert edges, "scenario should link Shelters to other sources"
-        before = {e.key: learner.graph.weights[e.key] for e in edges}
+        before = {e.key: learner.graph.cost(e) for e in edges}
         quarantine_source_in_catalog(catalog, "Shelters", "test")
-        assert learner.absorb_drift_events() >= len(edges)
+        assert learner.absorb_drift_events() == 1
         for edge in edges:
-            assert learner.graph.weights[edge.key] == pytest.approx(
+            assert learner.graph.cost(edge) == pytest.approx(
                 before[edge.key] + QUARANTINE_PENALTY
             )
-        # Recovery restores the original weights (delta-tracked).
+        # Recovery restores the original costs.
         release_source_in_catalog(catalog, "Shelters")
         learner.absorb_drift_events()
         for edge in edges:
-            assert learner.graph.weights[edge.key] == pytest.approx(before[edge.key])
+            assert learner.graph.cost(edge) == pytest.approx(before[edge.key])
 
     def test_column_suggestions_fold_quarantine_into_edge_costs(self, fresh_scenario):
         session = CopyCatSession(catalog=fresh_scenario.catalog, seed=1)
@@ -336,11 +336,11 @@ class TestQuarantineDegradation:
         session.start_integration("Shelters")
         learner = session.integration_learner
         edges = [e for e in learner.graph.edges() if "Shelters" in (e.left, e.right)]
-        before = {e.key: learner.graph.weights[e.key] for e in edges}
+        before = {e.key: learner.graph.cost(e) for e in edges}
         quarantine_source_in_catalog(fresh_scenario.catalog, "Shelters", "test")
         session.column_suggestions(refresh=True)
         for edge in edges:
-            assert learner.graph.weights[edge.key] == pytest.approx(
+            assert learner.graph.cost(edge) == pytest.approx(
                 before[edge.key] + QUARANTINE_PENALTY
             )
 

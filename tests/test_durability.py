@@ -1106,6 +1106,28 @@ class TestSnapshotRecovery:
         assert report is None and recorder.next_seq == 0
         assert session_hash(restored) == fresh
 
+    def test_graph_without_penalty_maps_is_refused(self, tmp_path):
+        """An older build folded health and drift penalties into the
+        learned weights and pickled no penalty maps: loading its graph
+        would count those penalties twice, so the checkpoint is refused
+        like any unloadable one, before any state is installed."""
+        record_with_snapshots(tmp_path, n_extra=3, seed=1, interval=8)
+        path = DurabilityStore(tmp_path).checkpoint_path("t")
+        header, payload = snapshot.read_header(path.read_bytes())
+        older = new_session(build_world())
+        snapshot.load(older, payload)
+        graph = older.integration_learner.graph
+        del graph.health, graph.drift
+        path.write_bytes(snapshot.encode(older, "t", header["n_actions"]))
+        fresh = session_hash(new_session(build_world()))
+        restored = new_session(build_world())
+        with metrics_on() as m, DurabilityStore(tmp_path) as store:
+            _, report = recover_session(restored, "t", store)
+            assert m.counter_value("durability.checkpoint_corrupt") == 1
+        assert report is None and session_hash(restored) == fresh
+        graph = restored.integration_learner.graph
+        assert all(graph.cost(edge) == graph.weights[edge.key] for edge in graph.edges())
+
     def test_format1_root_recovers_to_the_same_digest(self, tmp_path):
         """A root an older build left — an action-list checkpoint — is not
         read: with the whole log still beside it (a crash before

@@ -30,7 +30,6 @@ from repro.learning.integration.learner import (
     FAILURE_PENALTY,
     QUARANTINE_PENALTY,
 )
-from repro.obs import METRICS
 from repro.substrate.relational import (
     Attribute,
     Evaluator,
@@ -91,7 +90,7 @@ class TestMira:
 
     def test_rank_update_noop_when_satisfied(self):
         graph, e1, e2, e3 = self.make_graph()
-        graph.set_cost(e2, 0.1)
+        graph.weights[e2.key] = 0.1
         mira = MiraLearner(graph, margin=0.5)
         assert not mira.rank_update(frozenset({e2.key}), frozenset({e3.key}))
 
@@ -103,7 +102,7 @@ class TestMira:
 
     def test_promote_pulls_below_threshold(self):
         graph, e1, _, _ = self.make_graph()
-        graph.set_cost(e1, 5.0)
+        graph.weights[e1.key] = 5.0
         mira = MiraLearner(graph, margin=0.5, relevance_threshold=2.0)
         assert mira.promote(frozenset({e1.key}))
         assert graph.cost(e1) < 5.0
@@ -225,7 +224,7 @@ class TestIntegrationLearnerFacade:
         cat = typed_shelters_catalog(fresh_scenario)
         learner = IntegrationLearner(cat)
         edge = learner.graph.edges_of("Shelters")[0]
-        learner.graph.set_cost(edge, 0.123)
+        learner.graph.weights[edge.key] = 0.123
         learner.refresh()
         assert learner.graph.cost(edge.key) == pytest.approx(0.123)
 
@@ -286,13 +285,36 @@ class TestIntegrationLearnerFacade:
         assert learner.requery_cost(completion.query) > original
 
 
-# ------------------------------------------------------------ edge repricing
+# ------------------------------------------------------------ edge cost terms
 class ReferenceLearner(IntegrationLearner):
-    """The two absorb methods as two separate edge sweeps, the reference the
-    shared repricing path is checked against. The drift sweep here has no
-    O(1) key ahead of its state compare: while drift notes are written
-    through the helpers, as every step below writes them, such a key
-    skipped only calls whose state compare returns 0 as well."""
+    """Health and drift penalties folded into the learned weights as
+    per-edge deltas, the pricing that per-node penalty terms replaced: each
+    absorb method sweeps the edges only when its state tuple moved, and
+    adds the difference from the penalty the edge already carries. Costs
+    agree with the term-wise graph on histories that add no edge after a
+    penalty appeared (the health sweep does not run for an edge a commit
+    adds) and clamp no penalized edge in MIRA (the floor then applies to a
+    different quantity)."""
+
+    def __init__(self, catalog):
+        self._health_penalty: dict[str, float] = {}
+        self._health_state: tuple = ()
+        self._drift_penalty: dict[str, float] = {}
+        self._drift_state: tuple = ()
+        super().__init__(catalog)
+
+    def _fold(self, penalty_of, absorbed) -> None:
+        for edge in self.graph.edges():
+            penalty = penalty_of(edge)
+            previous = absorbed.get(edge.key, 0.0)
+            if abs(penalty - previous) > 1e-12:
+                self.graph.weights[edge.key] = (
+                    self.graph.weights.get(edge.key, edge.default_cost()) + penalty - previous
+                )
+                if penalty:
+                    absorbed[edge.key] = penalty
+                else:
+                    absorbed.pop(edge.key, None)
 
     def absorb_service_health(self) -> int:
         state = tuple(
@@ -302,8 +324,8 @@ class ReferenceLearner(IntegrationLearner):
         if state == self._health_state:
             return 0
         self._health_state = state
-        changed = 0
-        for edge in self.graph.edges():
+
+        def penalty_of(edge):
             rate = 0.0
             for endpoint in (edge.left, edge.right):
                 if not self.graph.node(endpoint).is_service:
@@ -313,22 +335,10 @@ class ReferenceLearner(IntegrationLearner):
                 except CatalogError:
                     continue
                 rate = max(rate, service.health.failure_rate())
-            penalty = FAILURE_PENALTY * rate
-            previous = self._health_penalty.get(edge.key, 0.0)
-            if abs(penalty - previous) > 1e-12:
-                self.graph.weights[edge.key] = (
-                    self.graph.weights.get(edge.key, edge.default_cost())
-                    + penalty
-                    - previous
-                )
-                if penalty:
-                    self._health_penalty[edge.key] = penalty
-                else:
-                    self._health_penalty.pop(edge.key, None)
-                changed += 1
-        if changed and METRICS.enabled:
-            METRICS.inc("resilience.health_absorbed_edges", changed)
-        return changed
+            return FAILURE_PENALTY * rate
+
+        self._fold(penalty_of, self._health_penalty)
+        return 0
 
     def absorb_drift_events(self) -> int:
         state = tuple(
@@ -349,26 +359,33 @@ class ReferenceLearner(IntegrationLearner):
                 penalties[name] = QUARANTINE_PENALTY
             elif events:
                 penalties[name] = DRIFT_PENALTY * drift_rate(self.catalog, name)
-        changed = 0
-        for edge in self.graph.edges():
-            penalty = max(
-                penalties.get(edge.left, 0.0), penalties.get(edge.right, 0.0)
-            )
-            previous = self._drift_penalty.get(edge.key, 0.0)
-            if abs(penalty - previous) > 1e-12:
-                self.graph.weights[edge.key] = (
-                    self.graph.weights.get(edge.key, edge.default_cost())
-                    + penalty
-                    - previous
-                )
-                if penalty:
-                    self._drift_penalty[edge.key] = penalty
-                else:
-                    self._drift_penalty.pop(edge.key, None)
-                changed += 1
-        if changed and METRICS.enabled:
-            METRICS.inc("drift.penalty_absorbed_edges", changed)
-        return changed
+        self._fold(
+            lambda edge: max(penalties.get(edge.left, 0.0), penalties.get(edge.right, 0.0)),
+            self._drift_penalty,
+        )
+        return 0
+
+
+def catalog_penalties(catalog):
+    """Health and drift penalty per source, read from the catalog here
+    rather than through the learner."""
+    health = {
+        service.name: FAILURE_PENALTY * service.health.failure_rate()
+        for service in catalog.services()
+    }
+    drift = {}
+    for name in catalog.relation_names():
+        notes = catalog.metadata(name).notes
+        events = notes.get(DRIFT_EVENTS_NOTE, 0)
+        if QUARANTINE_NOTE in notes:
+            drift[name] = QUARANTINE_PENALTY
+        elif events:
+            drift[name] = DRIFT_PENALTY * min(1.0, events / (notes.get(DRIFT_RESYNCS_NOTE, 0) + 1))
+    return health, drift
+
+
+def costs_of(graph):
+    return {edge.key: graph.cost(edge) for edge in graph.edges()}
 
 
 _REPRICE_STEPS = ("success", "failure", "resync", "drift", "quarantine", "release",
@@ -415,28 +432,73 @@ def _apply_reprice_step(step, draw, catalog, learners, rows):
 
 
 class TestEdgeRepricing:
-    def test_shared_sweep_matches_the_two_reference_sweeps(self):
-        from hypothesis import given, settings
+    def test_cost_is_the_sum_of_its_terms(self):
+        """After any history of service outcomes, drift notes, quarantines,
+        MIRA feedback and commits: (a) each edge costs its learned weight
+        plus the larger endpoint penalty of each kind, as the catalog says
+        now; (b) no cost is below MIRA's floor; (c) costs equal the
+        delta-folding reference while the history stays within its reach;
+        (d) a session's suggestion signature moves whenever a cost does."""
+        from hypothesis import example, given, settings
         from hypothesis import strategies as st
 
+        from repro.core.session import CopyCatSession
         from repro.data.scenario import build_scenario
 
         @given(steps=st.lists(
             st.tuples(st.sampled_from(_REPRICE_STEPS), st.integers(0, 1000)),
             min_size=1, max_size=25,
         ))
+        # Quarantine Shelters, accept its DamageReports join, release it:
+        # a penalty folded into the learned weight would leave a cost
+        # below zero here.
+        @example(steps=[("quarantine", 2), ("accept", 7), ("release", 2)])
         @settings(max_examples=60, deadline=None)
         def check(steps):
             scenario = build_scenario(seed=5, n_shelters=6, noise=1)
             catalog = typed_shelters_catalog(scenario)
             rows = scenario.truth_shelter_rows()
-            learner, reference = IntegrationLearner(catalog), ReferenceLearner(catalog)
-            assert learner.graph.weights == reference.graph.weights
+            session = CopyCatSession(catalog=catalog, seed=1)
+            session.start_integration("Shelters")
+            learner, reference = session.integration_learner, ReferenceLearner(catalog)
+            graph, floor = learner.graph, learner.mira.min_cost
+            comparable, penalized = True, False
+            signature, costs = session._suggestions_signature(5), costs_of(graph)
             for step, draw in steps:
+                if step == "commit" and penalized:
+                    comparable = False
                 _apply_reprice_step(step, draw, catalog, (learner, reference), rows)
-                assert learner.absorb_service_health() == reference.absorb_service_health()
-                assert learner.absorb_drift_events() == reference.absorb_drift_events()
-                assert learner.graph.weights == reference.graph.weights
+                learner.absorb_service_health()
+                learner.absorb_drift_events()
+                reference.absorb_service_health()
+                reference.absorb_drift_events()
+                health, drift = catalog_penalties(catalog)
+                penalized_edges = set()
+                for edge in graph.edges():
+                    left, right = edge.left, edge.right
+                    terms = (
+                        max(health.get(left, 0.0), health.get(right, 0.0)),
+                        max(drift.get(left, 0.0), drift.get(right, 0.0)),
+                    )
+                    assert graph.cost(edge) == graph.weights[edge.key] + terms[0] + terms[1]
+                    assert graph.cost(edge) >= floor
+                    if any(terms):
+                        penalized_edges.add(edge.key)
+                penalized = penalized or bool(penalized_edges)
+                if step in ("accept", "reject") and any(
+                    graph.weights[key] == floor for key in penalized_edges
+                ):
+                    comparable = False
+                now = costs_of(graph)
+                if comparable:
+                    expected = costs_of(reference.graph)
+                    assert now.keys() == expected.keys()
+                    for key, cost in now.items():
+                        assert cost == pytest.approx(expected[key], abs=1e-9), key
+                moved = session._suggestions_signature(5)
+                if now != costs:
+                    assert moved != signature
+                signature, costs = moved, now
 
         check()
 
@@ -445,11 +507,54 @@ class TestEdgeRepricing:
         learner = IntegrationLearner(catalog)
         learner.absorb_drift_events()
         edges = learner.graph.edges_of("Shelters")
+        assert edges
         before = {edge.key: learner.graph.cost(edge) for edge in edges}
         # No helper, no version bump: the notes themselves are the state.
         catalog.metadata("Shelters").notes[QUARANTINE_NOTE] = "drifted"
-        assert learner.absorb_drift_events() >= len(edges) > 0
+        assert learner.absorb_drift_events() == 1
         for edge in edges:
             assert learner.graph.cost(edge) == pytest.approx(
                 before[edge.key] + QUARANTINE_PENALTY
             )
+
+    def test_edge_a_commit_adds_to_a_failing_service_is_penalized(self, fresh_scenario):
+        catalog = typed_shelters_catalog(fresh_scenario)
+        learner = IntegrationLearner(catalog)
+        catalog.service("ZipcodeResolver").health.lookups_failed = 3
+        learner.absorb_service_health()
+        extra = Relation("Extra", Schema([Attribute("Street", STREET), Attribute("City", CITY)]))
+        for row in fresh_scenario.truth_shelter_rows()[:3]:
+            extra.add({"Street": row["Street"], "City": row["City"]})
+        catalog.add_relation(extra, SourceMetadata(origin="paste"))
+        learner.refresh()
+
+        def zip_edge(source):
+            return next(
+                edge for edge in learner.graph.edges_of(source)
+                if edge.kind == "service" and edge.other(source) == "ZipcodeResolver"
+            )
+
+        expected = 1.0 + FAILURE_PENALTY
+        assert learner.graph.cost(zip_edge("Shelters")) == expected
+        assert learner.graph.cost(zip_edge("Extra")) == expected
+        assert learner.absorb_service_health() == 0
+        assert learner.graph.cost(zip_edge("Extra")) == expected
+
+    def test_recovery_never_takes_a_cost_below_the_floor(self, fresh_scenario):
+        catalog = typed_shelters_catalog(fresh_scenario)
+        learner = IntegrationLearner(catalog)
+        edge = next(
+            edge for edge in learner.graph.edges_of("Shelters")
+            if edge.other("Shelters") == "CityZipDirectory"
+        )
+        health = catalog.service("CityZipDirectory").health
+        health.lookups_failed = 10
+        learner.absorb_service_health()
+        assert learner.graph.cost(edge) == pytest.approx(1.5 + FAILURE_PENALTY)
+        for _ in range(5):
+            learner.mira.promote(frozenset([edge.key]))
+        assert learner.graph.cost(edge) >= learner.mira.min_cost
+        health.successes = 10_000
+        learner.absorb_service_health()
+        assert learner.graph.cost(edge) >= learner.mira.min_cost
+        assert learner.graph.weights[edge.key] >= learner.mira.min_cost

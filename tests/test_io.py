@@ -7,6 +7,8 @@ import json
 import pytest
 
 from repro import Browser, CopyCatSession, build_scenario
+from repro.drift.quarantine import quarantine_source_in_catalog
+from repro.learning.integration.learner import QUARANTINE_PENALTY
 from repro.io import (
     PersistenceError,
     catalog_from_dict,
@@ -142,6 +144,25 @@ class TestSessionPersistence:
         new_session.start_integration("Shelters")
         top = new_session.column_suggestions(k=5)[0]
         assert top.source == "ZipcodeResolver"
+
+    def test_round_trip_does_not_count_a_live_penalty_twice(self, tmp_path):
+        scenario = build_scenario(seed=5, n_shelters=8, noise=1)
+        session = self.build_trained_session(scenario)
+        quarantine_source_in_catalog(session.catalog, "Shelters", "drifted")
+        session.integration_learner.absorb_drift_events()
+        state_file = save_session(session, tmp_path / "state.json")
+
+        fresh = build_scenario(seed=5, n_shelters=8, noise=1)
+        new_session = CopyCatSession(catalog=fresh.catalog, seed=2)
+        load_session(new_session, state_file)
+        new_session.integration_learner.absorb_drift_events()
+
+        graph = session.integration_learner.graph
+        new_graph = new_session.integration_learner.graph
+        assert [edge.key for edge in new_graph.edges()] == [edge.key for edge in graph.edges()]
+        for edge in graph.edges():
+            assert new_graph.cost(edge) == graph.cost(edge), edge.key
+        assert new_graph.drift == {"Shelters": QUARANTINE_PENALTY}
 
     def test_version_check(self, tmp_path):
         scenario = build_scenario(seed=5, n_shelters=4)

@@ -416,17 +416,18 @@ class TestHealthAbsorption:
         ]
         assert edges, "expected a service edge Shelters--ZipSvc"
         key = edges[0].key
-        baseline = learner.graph.weights[key]
+        baseline = learner.graph.cost(key)
         service = cat.service("ZipSvc")
         service.health.lookups_failed = 3
         service.health.successes = 1
         changed = learner.absorb_service_health()
         assert changed >= 1
         expected = baseline + FAILURE_PENALTY * 0.75
-        assert learner.graph.weights[key] == pytest.approx(expected)
-        # re-absorbing the same health is a no-op (delta-tracked)
+        assert learner.graph.cost(key) == pytest.approx(expected)
+        assert learner.graph.weights[key] == baseline  # the learned term is untouched
+        # re-absorbing the same health moves no penalty
         assert learner.absorb_service_health() == 0
-        assert learner.graph.weights[key] == pytest.approx(expected)
+        assert learner.graph.cost(key) == pytest.approx(expected)
 
     def test_recovered_transients_do_not_drift_trust(self):
         """Retry-absorbed weather is not unavailability: weights stay put."""
@@ -448,13 +449,13 @@ class TestHealthAbsorption:
             for edge in learner.graph.edges()
             if "ZipSvc" in (edge.left, edge.right)
         )
-        baseline = learner.graph.weights[key]
+        baseline = learner.graph.cost(key)
         service.health.lookups_failed = 1
         learner.absorb_service_health()
-        assert learner.graph.weights[key] > baseline
+        assert learner.graph.cost(key) > baseline
         service.health.successes = 999  # backend recovers
         learner.absorb_service_health()
-        assert learner.graph.weights[key] == pytest.approx(
+        assert learner.graph.cost(key) == pytest.approx(
             baseline + FAILURE_PENALTY * (1 / 1000), rel=1e-6
         )
 
